@@ -36,8 +36,8 @@ class CircleSystem:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise BadK("the multiplier must be an integer >= 2")
+        if not isinstance(self.k, int) or self.k < 2:
+            raise BadK(f"the multiplier must be an integer >= 2, got {self.k!r}")
 
     @property
     def generating_partition(self) -> list[tuple[Fraction, Fraction]]:
@@ -56,8 +56,8 @@ def times_k(k: int) -> CircleSystem:
     # k intervals of length 1/k^2
     for lo, hi in sys.generating_partition:
         pieces = sys.preimage_intervals(lo, hi)
-        assert len(pieces) == k
-        assert all(b - a == Fraction(1, k * k) for a, b in pieces)
+        if len(pieces) != k or any(b - a != Fraction(1, k * k) for a, b in pieces):
+            raise BadK(f"x -> {k}x mod 1 does not refine its generating partition")
     return sys
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -13,17 +12,6 @@ from .errors import ParseError, SchemaError
 from .scenarios import list_kinds, parse_config, run_scenarios, write_reports
 
 log = logging.getLogger("ergolab")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ERGOLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring non-integer ERGOLAB_THREADS=%r", raw)
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,6 +45,14 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    report_json = Path(args.out).with_suffix(".json")
+    if report_json.resolve() == Path(args.config).resolve():
+        print(
+            f"error: the JSON report {report_json} would overwrite the config; "
+            "choose an --out path in another directory or with another stem",
+            file=sys.stderr,
+        )
+        return 2
     try:
         scenarios = parse_config(text)
     except (ParseError, SchemaError) as exc:
@@ -67,7 +63,7 @@ def cmd_run(args) -> int:
 
         scenarios = [replace(sc, seed=args.seed) for sc in scenarios]
     log.info("running %d scenarios", len(scenarios))
-    results = run_scenarios(scenarios, max_workers=_worker_count())
+    results = run_scenarios(scenarios)
     write_reports(results, args.out)
     for res in results:
         status = "pass" if res.passed else "FAIL"

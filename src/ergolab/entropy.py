@@ -87,8 +87,10 @@ def block_entropy(mu: ShiftMeasure, length: int) -> float:
     """H_L of the exact length-L cylinder distribution."""
     if length == 0:
         return 0.0
-    dist = mu.block_distribution(length)
-    return math.fsum(neg_xlogx(float(p)) for p in dist.values())
+    table = mu.block_table(length)
+    den = table.den
+    # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
+    return math.fsum(neg_xlogx(num / den) for num in table.nums.tolist())
 
 
 def conditional_block_entropy(mu: ShiftMeasure, length: int) -> float:

@@ -1,8 +1,9 @@
 """Exact-rational plumbing: parsing, entropy summation, stationary solves.
 
-Probabilities stay `fractions.Fraction` end to end; logarithms are the only
-place values cross into floating point, and sums of float terms go through
-`math.fsum` so results do not depend on summation order.
+Probabilities stay exact rationals end to end (`fractions.Fraction`, or
+integer numerators over a common denominator inside `shifts`); logarithms
+are the only place values cross into floating point, and sums of float
+terms go through `math.fsum` so results do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ def parse_ratio(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational literal: {value!r}")
-
-
-def ratio_str(x: Fraction) -> str:
-    return str(x)
 
 
 def neg_xlogx(x: float) -> float:

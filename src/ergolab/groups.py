@@ -61,8 +61,12 @@ class FiniteGroup:
 
     @cached_property
     def np_op(self) -> np.ndarray:
-        """Multiplication table as an array, for vectorized sampling paths."""
+        """Multiplication table as an array, for vectorized paths."""
         return np.array(self.op_table, dtype=np.int64)
+
+    @cached_property
+    def np_inv(self) -> np.ndarray:
+        return np.array(self.inverse_table, dtype=np.int64)
 
     @cached_property
     def is_abelian(self) -> bool:

@@ -546,14 +546,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     return ScenarioResult(sc, THEOREM_TAGS[sc.kind], rows, plots, estimates, elapsed)
 
 
-def run_scenarios(scenarios: list[Scenario], max_workers: int = 1) -> list[ScenarioResult]:
-    if max_workers <= 1 or len(scenarios) <= 1:
-        return [run_scenario(sc) for sc in scenarios]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(run_scenario, sc) for sc in scenarios]
-        return [f.result() for f in futures]  # report order follows config order
+def run_scenarios(scenarios: list[Scenario]) -> list[ScenarioResult]:
+    return [run_scenario(sc) for sc in scenarios]
 
 
 # -- report writing -----------------------------------------------------------------

@@ -6,6 +6,12 @@ alphabet group G. Measures are represented by their exact finite-dimensional
 marginals: every kind can produce the rational probability of any cylinder,
 and the full distribution of length-L blocks up to the enumeration guard.
 
+Fractions are the API boundary: `cylinder` and `block_distribution` return
+`fractions.Fraction`. Inside, a length-L block distribution is a
+`BlockTable` of integer numerators over one common denominator per length,
+and a point cylinder multiplies integer numerators and builds one Fraction
+at the end. Denominators outgrow 64 bits, so numerators are Python ints.
+
 Stationarity makes cylinder probabilities independent of window position, so
 words are plain tuples of element indices; `Window` carries an explicit start
 for position-aware call sites.
@@ -13,9 +19,11 @@ for position-aware call sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -90,6 +98,67 @@ class Window:
     symbols: Word
 
 
+@dataclass(frozen=True, eq=False)
+class BlockTable:
+    """A length-L block distribution in integer form: P([word]) = num / den.
+
+    `codes` are the support words as base-|G| integers, first symbol most
+    significant, strictly ascending; `nums` are their positive numerators as
+    Python ints in an object array; `den` is shared by every entry.
+    """
+
+    base: int
+    length: int
+    codes: np.ndarray
+    nums: np.ndarray
+    den: int
+
+    def __post_init__(self):
+        # tables are memoized and shared by every caller
+        self.codes.flags.writeable = False
+        self.nums.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def digits(self) -> np.ndarray:
+        """The support words, one row of symbols each."""
+        return self.codes[:, None] // _place_values(self.base, self.length) % self.base
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Numerators of the words with the given codes; 0 off the support."""
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(self.codes[at] == codes, self.nums[at], 0)
+
+    def to_dict(self) -> dict[Word, Fraction]:
+        den = self.den
+        return {
+            tuple(word): Fraction(num, den)
+            for word, num in zip(self.digits().tolist(), self.nums.tolist())
+        }
+
+
+def _place_values(base: int, length: int) -> np.ndarray:
+    return base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+
+def _encode(digits: np.ndarray, base: int) -> np.ndarray:
+    """The code of each row of a symbol array."""
+    return digits @ _place_values(base, digits.shape[-1])
+
+
+def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: int) -> BlockTable:
+    """A table from unsorted codes; the numerators of repeated codes are summed."""
+    order = np.argsort(codes, kind="stable")
+    codes, nums = codes[order], nums[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return BlockTable(base, length, codes[starts], np.add.reduceat(nums, starts), den)
+
+
+def _common_den(ps: Iterable[Fraction]) -> int:
+    return math.lcm(*(p.denominator for p in ps))
+
+
 class ShiftMeasure:
     """Base class for shift-invariant measures with exact marginals."""
 
@@ -108,10 +177,32 @@ class ShiftMeasure:
         """A length-n word distributed per the marginals; deterministic in seed."""
         raise NotImplementedError
 
+    def _build_table(self, length: int) -> BlockTable:
+        """The length-L table for L >= 1; `block_table` guards and memoizes it."""
+        raise NotImplementedError
+
     def _extended(self) -> "ShiftMeasure":
         raise UnsupportedKind(f"natural extension undefined for kind {self.kind}")
 
     # -- shared helpers --------------------------------------------------
+
+    def block_table(self, length: int) -> BlockTable:
+        """The length-L block distribution in integer form, memoized; guarded at 2^24 states."""
+        table = self._tables.get(length)
+        if table is None:
+            self.system.guard_depth(length)
+            if length == 0:
+                n = self.system.alphabet.order
+                table = BlockTable(n, 0, np.zeros(1, np.int64), np.ones(1, object), 1)
+            else:
+                table = self._build_table(length)
+            self._tables[length] = table
+        return table
+
+    @cached_property
+    def _tables(self) -> dict[int, BlockTable]:
+        # measures are frozen, so a table never goes stale; it dies with its measure
+        return {}
 
     def cylinder_prob(self, window: Union[Window, Sequence[int]]) -> Fraction:
         if isinstance(window, Window):
@@ -138,25 +229,30 @@ class Bernoulli(ShiftMeasure):
         if self.marginal.group != self.system.alphabet:
             raise SystemMismatch("marginal must live on the alphabet group")
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """The marginal's numerators over their common denominator."""
+        den = _common_den(self.marginal.weights)
+        return tuple(int(w * den) for w in self.marginal.weights), den
+
     def cylinder(self, word):
-        p = Fraction(1)
+        nums, den = self._ints
+        num = 1
         for s in word:
-            p *= self.marginal.weights[s]
-            if p == 0:
-                return p
-        return p
+            num *= nums[s]
+        return Fraction(num, den ** len(word))
 
     def block_distribution(self, length):
-        self.system.guard_depth(length)
-        dist: dict[Word, Fraction] = {(): Fraction(1)}
-        for _ in range(length):
-            nxt: dict[Word, Fraction] = {}
-            for word, p in dist.items():
-                for s, w in enumerate(self.marginal.weights):
-                    if w != 0:
-                        nxt[word + (s,)] = p * w
-            dist = nxt
-        return dist
+        return self.block_table(length).to_dict()
+
+    def _build_table(self, length):
+        nums, den = self._ints
+        prev = self.block_table(length - 1)
+        support = [s for s, w in enumerate(nums) if w]
+        codes = prev.codes[:, None] * len(nums) + np.array(support, dtype=np.int64)
+        step = np.array([nums[s] for s in support], dtype=object)
+        nums_out = np.multiply.outer(prev.nums, step)
+        return BlockTable(len(nums), length, codes.ravel(), nums_out.ravel(), prev.den * den)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -207,30 +303,39 @@ class Markov(ShiftMeasure):
         rows = tuple(tuple(Fraction(p) for p in row) for row in transition)
         return cls(system, rows, stationary_distribution(rows))
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], int]:
+        """Initial numerators over their common denominator, then the transition's."""
+        d0 = _common_den(self.initial)
+        dt = _common_den(p for row in self.transition for p in row)
+        init = tuple(int(p * d0) for p in self.initial)
+        rows = tuple(tuple(int(p * dt) for p in row) for row in self.transition)
+        return init, d0, rows, dt
+
     def cylinder(self, word):
         if not word:
             return Fraction(1)
-        p = self.initial[word[0]]
+        init, d0, rows, dt = self._ints
+        num = init[word[0]]
         for a, b in zip(word, word[1:]):
-            if p == 0:
-                return Fraction(0)
-            p *= self.transition[a][b]
-        return p
+            num *= rows[a][b]
+        return Fraction(num, d0 * dt ** (len(word) - 1))
 
     def block_distribution(self, length):
-        self.system.guard_depth(length)
-        if length == 0:
-            return {(): Fraction(1)}
-        dist = {(s,): p for s, p in enumerate(self.initial) if p != 0}
-        for _ in range(length - 1):
-            nxt: dict[Word, Fraction] = {}
-            for word, p in dist.items():
-                row = self.transition[word[-1]]
-                for s, q in enumerate(row):
-                    if q != 0:
-                        nxt[word + (s,)] = p * q
-            dist = nxt
-        return dist
+        return self.block_table(length).to_dict()
+
+    def _build_table(self, length):
+        init, d0, rows, dt = self._ints
+        n = len(init)
+        if length == 1:
+            support = [s for s, p in enumerate(init) if p]
+            nums = np.array([init[s] for s in support], dtype=object)
+            return BlockTable(n, 1, np.array(support, dtype=np.int64), nums, d0)
+        prev = self.block_table(length - 1)
+        step = np.array(rows, dtype=object)[prev.codes % n]
+        keep = step != 0
+        codes = prev.codes[:, None] * n + np.arange(n)
+        return BlockTable(n, length, codes[keep], (prev.nums[:, None] * step)[keep], prev.den * dt)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -288,13 +393,13 @@ class PeriodicOrbit(ShiftMeasure):
         return Fraction(matches, self.period)
 
     def block_distribution(self, length):
-        self.system.guard_depth(length)
-        dist: dict[Word, Fraction] = {}
-        share = Fraction(1, self.period)
-        for k in range(self.period):
-            w = self._phase_word(k, length)
-            dist[w] = dist.get(w, Fraction(0)) + share
-        return dist
+        return self.block_table(length).to_dict()
+
+    def _build_table(self, length):
+        p, n = self.period, self.system.alphabet.order
+        phases = (np.arange(p)[:, None] + np.arange(length)) % p
+        digits = np.array(self.word, dtype=np.int64)[phases]
+        return _merged(n, length, _encode(digits, n), np.ones(p, dtype=object), p)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -327,12 +432,16 @@ class Mixture(ShiftMeasure):
         return sum((w * m.cylinder(word) for w, m in self.components), Fraction(0))
 
     def block_distribution(self, length):
-        self.system.guard_depth(length)
-        dist: dict[Word, Fraction] = {}
-        for w, m in self.components:
-            for word, p in m.block_distribution(length).items():
-                dist[word] = dist.get(word, Fraction(0)) + w * p
-        return dist
+        return self.block_table(length).to_dict()
+
+    def _build_table(self, length):
+        parts = [(w, m.block_table(length)) for w, m in self.components if w]
+        den = math.lcm(*(w.denominator * t.den for w, t in parts))
+        codes = np.concatenate([t.codes for _, t in parts])
+        nums = np.concatenate(
+            [t.nums * (w.numerator * (den // (w.denominator * t.den))) for w, t in parts]
+        )
+        return _merged(self.system.alphabet.order, length, codes, nums, den)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -353,14 +462,6 @@ class Mixture(ShiftMeasure):
         )
 
 
-def _support_hint(m: ShiftMeasure, length: int) -> int:
-    if isinstance(m, PeriodicOrbit):
-        return m.period
-    if isinstance(m, Mixture):
-        return sum(_support_hint(c, length) for _, c in m.components)
-    return min(m.system.alphabet.order**length, DEPTH_GUARD_STATES + 1)
-
-
 @dataclass(frozen=True)
 class Convolution(ShiftMeasure):
     """Lazy convolution: pushforward of left x right under pointwise products."""
@@ -375,40 +476,37 @@ class Convolution(ShiftMeasure):
             raise SystemMismatch("convolution factors live on different systems")
 
     def cylinder(self, word):
-        # (mu*nu)([w]) = sum_u mu([u]) nu([u^-1 w]); enumerate the sparser factor
-        word = tuple(word)
-        length = len(word)
+        # (mu*nu)([w]) = sum_u mu([u]) nu([u^-1 w]); enumerate the smaller factor table
         if not word:
             return Fraction(1)
-        self.system.guard_depth(length)
+        length = len(word)
+        left, right = self.left.block_table(length), self.right.block_table(length)
         g = self.system.alphabet
-        if _support_hint(self.left, length) <= _support_hint(self.right, length):
-            total = Fraction(0)
-            for u, p in self.left.block_distribution(length).items():
-                v = tuple(g.op(g.inv(u[i]), word[i]) for i in range(length))
-                q = self.right.cylinder(v)
-                if q != 0:
-                    total += p * q
-            return total
-        total = Fraction(0)
-        for v, q in self.right.block_distribution(length).items():
-            u = tuple(g.op(word[i], g.inv(v[i])) for i in range(length))
-            p = self.left.cylinder(u)
-            if p != 0:
-                total += p * q
-        return total
+        w = np.array(word, dtype=np.int64)
+        if len(left) <= len(right):
+            partners = g.np_op[g.np_inv[left.digits()], w]
+            num = (left.nums * right.lookup(_encode(partners, g.order))).sum()
+        else:
+            partners = g.np_op[w, g.np_inv[right.digits()]]
+            num = (right.nums * left.lookup(_encode(partners, g.order))).sum()
+        return Fraction(num, left.den * right.den)
 
     def block_distribution(self, length):
-        self.system.guard_depth(length)
+        return self.block_table(length).to_dict()
+
+    def _build_table(self, length):
+        left, right = self.left.block_table(length), self.right.block_table(length)
         g = self.system.alphabet
-        left = self.left.block_distribution(length)
-        right = self.right.block_distribution(length)
-        dist: dict[Word, Fraction] = {}
-        for u, p in left.items():
-            for v, q in right.items():
-                w = tuple(g.op(a, b) for a, b in zip(u, v))
-                dist[w] = dist.get(w, Fraction(0)) + p * q
-        return dist
+        # multiply each entry of the smaller table into the whole other table
+        if len(left) <= len(right):
+            other = right.digits()
+            parts = [(g.np_op[u, other], p * right.nums) for u, p in zip(left.digits(), left.nums)]
+        else:
+            other = left.digits()
+            parts = [(g.np_op[other, v], q * left.nums) for v, q in zip(right.digits(), right.nums)]
+        codes = np.concatenate([_encode(digits, g.order) for digits, _ in parts])
+        nums = np.concatenate([nums for _, nums in parts])
+        return _merged(g.order, length, codes, nums, left.den * right.den)
 
     def sample(self, n, seed):
         u = self.left.sample(n, seed)
@@ -446,14 +544,14 @@ class ProductMeasure(ShiftMeasure):
         return self.left.cylinder(u) * self.right.cylinder(v)
 
     def block_distribution(self, length):
-        self.system.guard_depth(length)
-        m = self.right.system.alphabet.order
-        dist: dict[Word, Fraction] = {}
-        for u, p in self.left.block_distribution(length).items():
-            for v, q in self.right.block_distribution(length).items():
-                w = tuple(a * m + b for a, b in zip(u, v))
-                dist[w] = p * q
-        return dist
+        return self.block_table(length).to_dict()
+
+    def _build_table(self, length):
+        left, right = self.left.block_table(length), self.right.block_table(length)
+        m, n = self.right.system.alphabet.order, self.system.alphabet.order
+        codes = np.add.outer(_encode(left.digits() * m, n), _encode(right.digits(), n))
+        nums = np.multiply.outer(left.nums, right.nums)
+        return _merged(n, length, codes.ravel(), nums.ravel(), left.den * right.den)
 
     def sample(self, n, seed):
         m = self.right.system.alphabet.order
@@ -467,7 +565,6 @@ class ProductMeasure(ShiftMeasure):
             self.left._extended(),
             self.right._extended(),
         )
-
 
 # -- module-level operations ---------------------------------------------------
 
@@ -505,7 +602,7 @@ def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     g = mu.system.alphabet
     c = mu.system.affine_constant
     for length in range(1, depth + 1):
-        for word in _all_words(g.order, length):
+        for word in product(g.elements(), repeat=length):
             if c is None:
                 target = word
             else:
@@ -518,19 +615,6 @@ def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
             if pulled != mu.cylinder(word):
                 return False
     return True
-
-
-def _all_words(n_symbols: int, length: int):
-    word = [0] * length
-    while True:
-        yield tuple(word)
-        i = length - 1
-        while i >= 0 and word[i] == n_symbols - 1:
-            word[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
 
 
 def sample(mu: ShiftMeasure, n: int, seed: int) -> np.ndarray:
@@ -558,14 +642,14 @@ def verify_extension(mu: ShiftMeasure, depth: int) -> ExtensionReport:
     n = mu.system.alphabet.order
     mu.system.guard_depth(depth + 1)
     for length in range(1, depth + 1):
-        for word in _all_words(n, length):
+        for word in product(range(n), repeat=length):
             a = mu.cylinder(word)
             b = ext.cylinder(word)
             if a != b:
                 return ExtensionReport(False, f"marginal mismatch at {word}: {a} vs {b}")
     g = mu.system.alphabet
     for length in range(1, depth):
-        for word in _all_words(n, length):
+        for word in product(range(n), repeat=length):
             base = ext.cylinder(word)
             pre = sum((ext.cylinder((s,) + word) for s in g.elements()), Fraction(0))
             post = sum((ext.cylinder(word + (s,)) for s in g.elements()), Fraction(0))

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .entropy import EntropyEstimate, block_entropy
@@ -39,18 +40,6 @@ from .shifts import (
 )
 
 MAX_COCYCLE_WINDOW = 3
-
-_ALL_WORDS_CACHE: dict[tuple[int, int], list[Word]] = {}
-
-
-def _all_words(n_symbols: int, length: int) -> list[Word]:
-    key = (n_symbols, length)
-    if key not in _ALL_WORDS_CACHE:
-        words: list[Word] = [()]
-        for _ in range(length):
-            words = [w + (s,) for w in words for s in range(n_symbols)]
-        _ALL_WORDS_CACHE[key] = words
-    return _ALL_WORDS_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,7 @@ def make_skew(
     if not 1 <= k <= MAX_COCYCLE_WINDOW:
         raise ValueError(f"cocycle window must be 1..{MAX_COCYCLE_WINDOW}")
     n = base.alphabet.order
-    missing = [w for w in _all_words(n, k) if w not in phi]
+    missing = [w for w in product(range(n), repeat=k) if w not in phi]
     if missing:
         raise PhiIncomplete(f"cocycle missing {len(missing)} windows, e.g. {missing[0]}")
     for w, g in phi.items():
@@ -211,12 +200,12 @@ def is_skew_invariant(mu: SkewMeasure, depth: int) -> bool:
         ext = max(k, length + 1)
         if g1.order**ext * g2.order > DEPTH_GUARD_STATES:
             raise DepthLimitExceeded("skew invariance check exceeds the state guard")
-        for word in _all_words(g1.order, length):
+        for word in product(g1.elements(), repeat=length):
             for g in g2.elements():
                 direct = mu.product_cylinder(word, g)
                 pulled = Fraction(0)
                 for first in g1.elements():
-                    for tail in _all_words(g1.order, ext - length - 1):
+                    for tail in product(g1.elements(), repeat=ext - length - 1):
                         v = (first,) + word + tail
                         base_p = mu.base_measure.cylinder(v)
                         if base_p == 0:
@@ -242,7 +231,7 @@ def haar_absorption_check(mu: SkewMeasure, mu0: ShiftMeasure, depth: int) -> boo
     sys = mu.system
     ext = haar_extension(mu0, sys)
     for length in range(1, depth + 1):
-        for word in _all_words(sys.base.alphabet.order, length):
+        for word in product(sys.base.alphabet.elements(), repeat=length):
             for g in sys.fiber.elements():
                 if fiber_haar_convolve_cylinder(mu, word, g) != ext.product_cylinder(word, g):
                     return False

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ergolab.circle import (
+    CircleSystem,
     circle_entropy_report,
     haar_invariance_check,
     lebesgue,
@@ -22,6 +23,14 @@ def test_times_k_construction():
     assert times_k(3).k == 3
     with pytest.raises(BadK):
         times_k(1)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", True])
+def test_non_integer_multiplier_rejected(k):
+    with pytest.raises(BadK, match="integer >= 2"):
+        times_k(k)
+    with pytest.raises(BadK):
+        CircleSystem(k)
 
 
 def test_generating_partition_refines():

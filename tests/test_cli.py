@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -130,18 +129,6 @@ def test_reports_byte_identical_for_same_config_and_seed(tmp_path):
     )
 
 
-def test_reports_identical_under_thread_pool(tmp_path):
-    cfg = write_demo(tmp_path)
-    out1, out2 = tmp_path / "st.csv", tmp_path / "mt.csv"
-    assert main(["run", str(cfg), "--out", str(out1)]) == 0
-    os.environ["ERGOLAB_THREADS"] = "4"
-    try:
-        assert main(["run", str(cfg), "--out", str(out2)]) == 0
-    finally:
-        del os.environ["ERGOLAB_THREADS"]
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_row_failure_gives_exit_1(tmp_path):
     doc = json.loads(json.dumps(DEMO))
     doc["scenarios"] = [doc["scenarios"][0]]
@@ -156,6 +143,15 @@ def test_malformed_json_gives_exit_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text('{"scenarios": [')
     assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_run_refuses_to_overwrite_its_config(tmp_path, capsys):
+    cfg = write_demo(tmp_path)
+    before = cfg.read_bytes()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "config.csv")]) == 2
+    assert "overwrite the config" in capsys.readouterr().err
+    assert cfg.read_bytes() == before
+    assert not (tmp_path / "config.csv").exists()
 
 
 def test_schema_error_names_the_field(tmp_path):

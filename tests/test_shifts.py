@@ -1,18 +1,22 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cyclic, haar, measure, symmetric
+from ergolab.entropy import block_entropy
 from ergolab.errors import (
     DepthLimitExceeded,
     SystemMismatch,
     UnsupportedKind,
     WindowOutOfRange,
 )
+from ergolab.exact import neg_xlogx
 from ergolab.shifts import (
     Bernoulli,
     Convolution,
@@ -31,6 +35,7 @@ from ergolab.shifts import (
     shift_space,
     verify_extension,
 )
+from ergolab.skew import product_system
 
 C2 = cyclic(2)
 C3 = cyclic(3)
@@ -354,3 +359,147 @@ def test_product_measure_cylinders_multiply():
         u = tuple(s // 2 for s in word)
         v = tuple(s % 2 for s in word)
         assert pm.cylinder(word) == bern("1/4").cylinder(u) * F(1, 2 ** len(v))
+
+
+# -- integer block tables against a naive Fraction oracle ---------------------------
+
+
+def _oracle_cylinder(mu, word):
+    """P([word]) from the definition of a non-composite kind, in Fractions."""
+    if isinstance(mu, Bernoulli):
+        p = F(1)
+        for s in word:
+            p *= mu.marginal.weights[s]
+        return p
+    if isinstance(mu, Markov):
+        if not word:
+            return F(1)
+        p = mu.initial[word[0]]
+        for a, b in zip(word, word[1:]):
+            p *= mu.transition[a][b]
+        return p
+    if isinstance(mu, PeriodicOrbit):
+        p = mu.period
+        phases = [tuple(mu.word[(k + i) % p] for i in range(len(word))) for k in range(p)]
+        return F(phases.count(word), p)
+    raise TypeError(mu.kind)
+
+
+def _oracle_dist(mu, length):
+    """The nonzero length-L block probabilities, by naive Fraction sums and products."""
+    dist = {}
+    if isinstance(mu, Mixture):
+        for w, m in mu.components:
+            for word, p in _oracle_dist(m, length).items():
+                dist[word] = dist.get(word, 0) + w * p
+    elif isinstance(mu, (Convolution, ProductMeasure)):
+        g, m = mu.system.alphabet, mu.right.system.alphabet.order
+        for u, p in _oracle_dist(mu.left, length).items():
+            for v, q in _oracle_dist(mu.right, length).items():
+                if isinstance(mu, Convolution):
+                    word = tuple(g.op(a, b) for a, b in zip(u, v))
+                else:
+                    word = tuple(a * m + b for a, b in zip(u, v))
+                dist[word] = dist.get(word, 0) + p * q
+    else:
+        for word in itertools.product(mu.system.alphabet.elements(), repeat=length):
+            dist[word] = _oracle_cylinder(mu, word)
+    return {word: p for word, p in dist.items() if p != 0}
+
+
+def _check_against_oracle(mu, length):
+    expected = _oracle_dist(mu, length)
+    assert mu.block_distribution(length) == expected
+    for word in itertools.product(mu.system.alphabet.elements(), repeat=length):
+        assert mu.cylinder(word) == expected.get(word, 0)
+    assert block_entropy(mu, length) == math.fsum(neg_xlogx(float(p)) for p in expected.values())
+
+
+def _markov_with_zeros():
+    return Markov.stationary(SYS3, [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]])
+
+
+@pytest.mark.parametrize("length", range(7))
+@pytest.mark.parametrize(
+    "make",
+    [
+        _markov_with_zeros,
+        # state 1 is transient, so its stationary mass is 0
+        lambda: Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]]),
+        lambda: Mixture(
+            SYS3,
+            (
+                (F(0), Bernoulli(SYS3, haar(C3))),
+                (F(1, 3), PeriodicOrbit(SYS3, (0, 1, 2))),
+                (F(2, 3), _markov_with_zeros()),
+            ),
+        ),
+        lambda: Convolution(SYS3, _markov_with_zeros(), PeriodicOrbit(SYS3, (0, 0, 1))),
+    ],
+)
+def test_tables_match_oracle_on_zero_entries(make, length):
+    _check_against_oracle(make(), length)
+
+
+def test_noncommutative_convolution_matches_oracle():
+    s3 = symmetric(3)
+    sys_s3 = shift_space(s3)
+    bern_s3 = Bernoulli(sys_s3, measure(s3, [F(k, 21) for k in range(1, 7)]))
+    orbit = PeriodicOrbit(sys_s3, (1, 2, 5))
+    for left, right in ((bern_s3, orbit), (orbit, bern_s3)):
+        for length in range(4):
+            _check_against_oracle(Convolution(sys_s3, left, right), length)
+
+
+FACTOR_KINDS = ("bernoulli", "markov", "periodic_orbit", "mixture")
+
+
+@st.composite
+def _probabilities(draw, size):
+    raw = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    raw[draw(st.integers(0, size - 1))] += 1
+    return [F(r, sum(raw)) for r in raw]
+
+
+@st.composite
+def _factor(draw, system, kinds=FACTOR_KINDS):
+    """A Bernoulli, Markov, periodic-orbit or mixture measure, zeros allowed."""
+    g = system.alphabet
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bernoulli":
+        return Bernoulli(system, measure(g, draw(_probabilities(g.order))))
+    if kind == "markov":
+        rows = [draw(_probabilities(g.order)) for _ in g.elements()]
+        try:
+            return Markov.stationary(system, rows)
+        except ValueError:  # no unique stationary distribution
+            assume(False)
+    if kind == "periodic_orbit":
+        w = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=5))
+        root = next(d for d in range(1, len(w) + 1) if w == w[:d] * (len(w) // d))
+        return PeriodicOrbit(system, tuple(w[:root]))
+    weights = draw(_probabilities(draw(st.integers(2, 3))))
+    return Mixture(system, tuple((w, draw(_factor(system, FACTOR_KINDS[:3]))) for w in weights))
+
+
+@st.composite
+def _measure_and_length(draw):
+    """A measure of any of the six kinds on C2 or C3 and a length L <= 6."""
+    kind = draw(st.sampled_from(FACTOR_KINDS + ("convolution", "product")))
+    system = draw(st.sampled_from([SYS2, SYS3]))
+    if kind == "convolution":
+        mu = Convolution(system, draw(_factor(system)), draw(_factor(system)))
+    elif kind == "product":
+        other = draw(st.sampled_from([SYS2, SYS3]))
+        mu = product_system(draw(_factor(system)), draw(_factor(other)))
+    else:
+        mu = draw(_factor(system, (kind,)))
+    # keep the oracle's word pairs below ~10^4
+    cost = mu.system.alphabet.order ** (2 if kind == "convolution" else 1)
+    return mu, draw(st.integers(0, max(L for L in range(7) if cost**L <= 10**4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_measure_and_length())
+def test_tables_match_naive_fraction_oracle(case):
+    _check_against_oracle(*case)
