@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exact import entropy_nats, neg_xlogx
 from .groups import DenseMeasure
-from .shifts import Bernoulli, Markov, ShiftMeasure
+from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure
 
 MONOTONE_SLACK = 1e-12
 
@@ -83,14 +83,18 @@ def static_entropy(mu: DenseMeasure) -> float:
     return entropy_nats(mu.weights)
 
 
+def table_entropy(table: BlockTable) -> float:
+    """-sum p ln p over an exact block table."""
+    den = table.den
+    # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
+    return math.fsum(neg_xlogx(num / den) for num in table.nums.tolist())
+
+
 def block_entropy(mu: ShiftMeasure, length: int) -> float:
     """H_L of the exact length-L cylinder distribution."""
     if length == 0:
         return 0.0
-    table = mu.block_table(length)
-    den = table.den
-    # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
-    return math.fsum(neg_xlogx(num / den) for num in table.nums.tolist())
+    return table_entropy(mu.block_table(length))
 
 
 def conditional_block_entropy(mu: ShiftMeasure, length: int) -> float:
@@ -106,23 +110,36 @@ def entropy_rate(mu: ShiftMeasure, L_max: int, tol: float = 1e-9) -> EntropyEsti
         raise ValueError("L_max must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h_levels: list[float] = []
-    prev_H = 0.0
-    for length in range(1, L_max + 1):
-        H = block_entropy(mu, length)
-        h_levels.append(H - prev_H)
-        prev_H = H
+    return trail_estimate((block_entropy(mu, length) for length in range(1, L_max + 1)), tol)
+
+
+def trail_estimate(
+    block_entropies: Iterable[float], tol: float, closed_form: Optional[float] = None
+) -> EntropyEstimate:
+    """The h_L = H_L - H_{L-1} trail of H_1, H_2, ..., checked nonincreasing.
+
+    The value is the last h_L, or the closed-form rate when one is given;
+    every h_L is an upper bound, so none may fall below that rate.
+    """
+    H = list(block_entropies)
+    h_levels = tuple(b - a for a, b in zip([0.0] + H, H))
     for a, b in zip(h_levels, h_levels[1:]):
         if b > a + MONOTONE_SLACK:
             raise MonotonicityViolated(
                 f"h_L increased by {b - a:.3e}; input non-invariant or buggy"
             )
-    gap = abs(h_levels[-1] - h_levels[-2]) if L_max >= 2 else float("inf")
+    for ell, h in enumerate(h_levels, start=1):
+        if closed_form is not None and h < closed_form - MONOTONE_SLACK:
+            raise MonotonicityViolated(
+                f"h_{ell} = {h!r} is {closed_form - h:.3e} below the closed-form rate "
+                f"{closed_form!r}"
+            )
+    gap = abs(h_levels[-1] - h_levels[-2]) if len(h_levels) >= 2 else float("inf")
     return EntropyEstimate(
-        value=h_levels[-1],
-        upper_bounds=tuple(h_levels),
-        method="block_exact",
-        L_max=L_max,
+        value=h_levels[-1] if closed_form is None else closed_form,
+        upper_bounds=h_levels,
+        method="block_exact" if closed_form is None else "closed_form",
+        L_max=len(h_levels),
         converged=gap < tol,
         gap=gap,
     )

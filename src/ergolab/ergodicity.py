@@ -101,7 +101,7 @@ def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
         first = comps[0][1]
         for i, (_, m) in enumerate(comps[1:], start=1):
             for length in range(1, depth + 1):
-                if m.block_distribution(length) != first.block_distribution(length):
+                if m.block_table(length) != first.block_table(length):
                     return ErgodicityVerdict(
                         "non_ergodic",
                         "exact_mixture",

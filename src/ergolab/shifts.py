@@ -7,10 +7,12 @@ marginals: every kind can produce the rational probability of any cylinder,
 and the full distribution of length-L blocks up to the enumeration guard.
 
 Fractions are the API boundary: `cylinder` and `block_distribution` return
-`fractions.Fraction`. Inside, a length-L block distribution is a
-`BlockTable` of integer numerators over one common denominator per length,
-and a point cylinder multiplies integer numerators and builds one Fraction
-at the end. Denominators outgrow 64 bits, so numerators are Python ints.
+`fractions.Fraction`, and verifier witnesses print them. Inside, a length-L
+block distribution is a `BlockTable`: integer numerators (Python ints, as
+denominators outgrow 64 bits) over one common denominator. Point cylinders
+multiply integer numerators; every exact verifier, here and in `skew` and
+`ergodicity`, compares tables, taking marginals by dropping the first or the
+last symbol of a longer table.
 
 Stationarity makes cylinder probabilities independent of window position, so
 words are plain tuples of element indices; `Window` carries an explicit start
@@ -19,11 +21,11 @@ for position-aware call sites.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -103,8 +105,9 @@ class BlockTable:
     """A length-L block distribution in integer form: P([word]) = num / den.
 
     `codes` are the support words as base-|G| integers, first symbol most
-    significant, strictly ascending; `nums` are their positive numerators as
-    Python ints in an object array; `den` is shared by every entry.
+    significant, strictly ascending; `nums` are their numerators as Python
+    ints in an object array, positive in a measure's own tables (a scaled or
+    pulled-back table may hold zeros); `den` is shared by every entry.
     """
 
     base: int
@@ -130,6 +133,24 @@ class BlockTable:
         at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
         return np.where(self.codes[at] == codes, self.nums[at], 0)
 
+    def drop_first(self) -> "BlockTable":
+        """The length-(L-1) marginal with the first symbol summed out."""
+        return _merged(self.base, self.length - 1, self.codes % self.base ** (self.length - 1),
+                       self.nums, self.den)
+
+    def drop_last(self) -> "BlockTable":
+        """The length-(L-1) marginal with the last symbol summed out."""
+        return _merged(self.base, self.length - 1, self.codes // self.base, self.nums, self.den)
+
+    def scaled(self, w: Fraction) -> "BlockTable":
+        """The table of w * P."""
+        return BlockTable(self.base, self.length, self.codes, self.nums * w.numerator,
+                          self.den * w.denominator)
+
+    def __eq__(self, other: "BlockTable") -> bool:
+        """Exact equality: the same mass on every word."""
+        return _first_difference(self, other) is None
+
     def to_dict(self) -> dict[Word, Fraction]:
         den = self.den
         return {
@@ -153,6 +174,15 @@ def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: in
     codes, nums = codes[order], nums[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     return BlockTable(base, length, codes[starts], np.add.reduceat(nums, starts), den)
+
+
+def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
+    """The first word, in code order, where two same-length tables differ; None if equal."""
+    codes = np.union1d(a.codes, b.codes)
+    differs = np.flatnonzero(a.lookup(codes) * b.den != b.lookup(codes) * a.den)
+    if len(differs) == 0:
+        return None
+    return tuple((codes[differs[0]] // _place_values(a.base, a.length) % a.base).tolist())
 
 
 def _common_den(ps: Iterable[Fraction]) -> int:
@@ -182,7 +212,8 @@ class ShiftMeasure:
         raise NotImplementedError
 
     def _extended(self) -> "ShiftMeasure":
-        raise UnsupportedKind(f"natural extension undefined for kind {self.kind}")
+        """The same measure on the two-sided system; composite kinds extend their parts."""
+        return dataclasses.replace(self, system=self.system.two_sided_version())
 
     # -- shared helpers --------------------------------------------------
 
@@ -259,9 +290,6 @@ class Bernoulli(ShiftMeasure):
         probs = np.array([float(w) for w in self.marginal.weights])
         probs /= probs.sum()
         return rng.choice(self.system.alphabet.order, size=n, p=probs)
-
-    def _extended(self):
-        return Bernoulli(self.system.two_sided_version(), self.marginal)
 
 
 def shift_haar(system: ShiftSystem) -> Bernoulli:
@@ -354,9 +382,6 @@ class Markov(ShiftMeasure):
             out[i] = idx if idx <= last else last
         return out
 
-    def _extended(self):
-        return Markov(self.system.two_sided_version(), self.transition, self.initial)
-
 
 @dataclass(frozen=True)
 class PeriodicOrbit(ShiftMeasure):
@@ -407,9 +432,6 @@ class PeriodicOrbit(ShiftMeasure):
         reps = n // self.period + 2
         tiled = np.tile(np.array(self.word, dtype=np.int64), reps)
         return tiled[phase : phase + n]
-
-    def _extended(self):
-        return PeriodicOrbit(self.system.two_sided_version(), self.word)
 
 
 @dataclass(frozen=True)
@@ -593,8 +615,10 @@ def convolve_shift(mu: ShiftMeasure, nu: ShiftMeasure) -> ShiftMeasure:
 def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     """Check mu(T^-1 [w]) = mu([w]) exactly for all words up to the depth.
 
-    For the shift, T^-1[w] is the union over first symbols g of [g w]; for an
-    affine shift with constant c the continuation symbols pick up c^-1.
+    For the shift, T^-1[w] is the union over first symbols g of [g w], so its
+    masses are the length-(L+1) table with the first symbol summed out; for an
+    affine shift with constant c the continuation symbols pick up c^-1, so the
+    mass of T^-1[w] sits at the word c^-1 w.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -602,18 +626,12 @@ def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     g = mu.system.alphabet
     c = mu.system.affine_constant
     for length in range(1, depth + 1):
-        for word in product(g.elements(), repeat=length):
-            if c is None:
-                target = word
-            else:
-                cinv = g.inv(c)
-                target = tuple(g.op(cinv, s) for s in word)
-            pulled = sum(
-                (mu.cylinder((first,) + target) for first in g.elements()),
-                Fraction(0),
-            )
-            if pulled != mu.cylinder(word):
-                return False
+        table = mu.block_table(length)
+        if c is not None:
+            moved = g.np_op[g.inv(c)][table.digits()]
+            table = _merged(g.order, length, _encode(moved, g.order), table.nums, table.den)
+        if mu.block_table(length + 1).drop_first() != table:
+            return False
     return True
 
 
@@ -637,26 +655,25 @@ class ExtensionReport:
 
 
 def verify_extension(mu: ShiftMeasure, depth: int) -> ExtensionReport:
-    """Marginal consistency and two-sided invariance of the natural extension."""
+    """Marginal consistency and two-sided invariance of the natural extension.
+
+    Witnesses name the first failing word by length, then in word order.
+    """
     ext = natural_extension(mu)
-    n = mu.system.alphabet.order
     mu.system.guard_depth(depth + 1)
     for length in range(1, depth + 1):
-        for word in product(range(n), repeat=length):
-            a = mu.cylinder(word)
-            b = ext.cylinder(word)
-            if a != b:
-                return ExtensionReport(False, f"marginal mismatch at {word}: {a} vs {b}")
-    g = mu.system.alphabet
+        w = _first_difference(mu.block_table(length), ext.block_table(length))
+        if w is not None:
+            witness = f"marginal mismatch at {w}: {mu.cylinder(w)} vs {ext.cylinder(w)}"
+            return ExtensionReport(False, witness)
     for length in range(1, depth):
-        for word in product(range(n), repeat=length):
-            base = ext.cylinder(word)
-            pre = sum((ext.cylinder((s,) + word) for s in g.elements()), Fraction(0))
-            post = sum((ext.cylinder(word + (s,)) for s in g.elements()), Fraction(0))
-            if pre != base:
-                return ExtensionReport(False, f"prepend inconsistency at {word}")
-            if post != base:
-                return ExtensionReport(False, f"append inconsistency at {word}")
+        base, longer = ext.block_table(length), ext.block_table(length + 1)
+        pre = _first_difference(longer.drop_first(), base)
+        post = _first_difference(longer.drop_last(), base)
+        if pre is not None and (post is None or pre <= post):
+            return ExtensionReport(False, f"prepend inconsistency at {pre}")
+        if post is not None:
+            return ExtensionReport(False, f"append inconsistency at {post}")
     if not is_shift_invariant(ext, depth):
         return ExtensionReport(False, "extension is not shift-invariant")
     return ExtensionReport(True)

@@ -5,7 +5,9 @@ sigma an automorphism of the fiber group, and phi a cocycle reading a
 length-k window of the base point. Measures here are products of a base
 shift measure with a fiber distribution; the Haar extension is the uniform
 fiber case, point fibers freeze the fiber coordinate, and rational mixtures
-of those realize the convexity checks.
+of those realize the convexity checks. The exact checks read the base
+measure's `BlockTable`s: a fiber-weighted table per fiber element for
+invariance and absorption, and a joint table over pair symbols for entropy.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .entropy import EntropyEstimate, block_entropy
+import numpy as np
+
+from .entropy import EntropyEstimate, table_entropy, trail_estimate
 from .errors import (
     DepthLimitExceeded,
     NotAutomorphism,
@@ -25,18 +29,20 @@ from .errors import (
     SystemMismatch,
     UnsupportedBase,
 )
-from .exact import entropy_nats, neg_xlogx
-from .groups import FiniteGroup, GroupHom, direct_product
+from .exact import entropy_nats
+from .groups import DenseMeasure, FiniteGroup, GroupHom, convolve, direct_product, haar
 from .shifts import (
     DEPTH_GUARD_STATES,
     Bernoulli,
+    BlockTable,
     Markov,
-    PeriodicOrbit,
     ProductMeasure,
     ShiftMeasure,
     ShiftSystem,
     Word,
-    shift_space,
+    _common_den,
+    _encode,
+    _merged,
 )
 
 MAX_COCYCLE_WINDOW = 3
@@ -58,6 +64,12 @@ class SkewSystem:
 
     def phi(self, window: Word) -> int:
         return self.cocycle_map[window]
+
+    @cached_property
+    def np_phi(self) -> np.ndarray:
+        """phi indexed by window code (product order is code order)."""
+        windows = product(self.base.alphabet.elements(), repeat=self.window)
+        return np.array([self.phi(w) for w in windows], dtype=np.int64)
 
 
 def make_skew(
@@ -142,6 +154,12 @@ class SkewMeasure:
         """P([word] x fiber) — the base projection."""
         return self.base_measure.cylinder(tuple(word))
 
+    @cached_property
+    def _fiber_ints(self) -> tuple[np.ndarray, int]:
+        """The fiber weights' numerators over their common denominator."""
+        den = _common_den(self.fiber_weights)
+        return np.array([int(w * den) for w in self.fiber_weights], dtype=object), den
+
 
 def haar_extension(mu0: ShiftMeasure, sys: SkewSystem) -> SkewMeasure:
     """Lift of the base measure by the uniform fiber distribution."""
@@ -151,19 +169,19 @@ def haar_extension(mu0: ShiftMeasure, sys: SkewSystem) -> SkewMeasure:
     return SkewMeasure(sys, mu0, (Fraction(1, n),) * n)
 
 
-def _support_windows(sys: SkewSystem, mu0: ShiftMeasure) -> list[Word]:
-    return [w for w, p in mu0.block_distribution(sys.window).items() if p > 0]
+def _moving_window(sys: SkewSystem, mu0: ShiftMeasure, g: int) -> Optional[Word]:
+    """The first support window w with sigma(g) phi(w) != g, if any."""
+    windows = mu0.block_table(sys.window)
+    moved = sys.fiber.np_op[sys.fiber_automorphism(g), sys.np_phi[windows.codes]] != g
+    return tuple(windows.digits()[moved][0].tolist()) if moved.any() else None
 
 
 def point_fiber_measure(sys: SkewSystem, mu0: ShiftMeasure, g: int) -> SkewMeasure:
     """Frozen-fiber measure; only valid when sigma(g) phi(w) = g on the support."""
-    fib, sig = sys.fiber, sys.fiber_automorphism
-    for w in _support_windows(sys, mu0):
-        if fib.op(sig(g), sys.phi(w)) != g:
-            raise ValueError(
-                f"point fiber {g} is not invariant: sigma(g) phi({w}) != g"
-            )
-    weights = tuple(Fraction(1 if x == g else 0) for x in fib.elements())
+    w = _moving_window(sys, mu0, g)
+    if w is not None:
+        raise ValueError(f"point fiber {g} is not invariant: sigma(g) phi({w}) != g")
+    weights = tuple(Fraction(1 if x == g else 0) for x in sys.fiber.elements())
     return SkewMeasure(sys, mu0, weights)
 
 
@@ -189,32 +207,28 @@ def is_skew_invariant(mu: SkewMeasure, depth: int) -> bool:
     """P(T^-1([w] x {g})) = P([w] x {g}) exactly, all windows up to the depth.
 
     The preimage fixes base positions 1..|w| and reads the cocycle from the
-    length-k prefix, so it is a union over length-max(k, |w|+1) base words.
+    length-k prefix, so it is a union over length-max(k, |w|+1) base words v,
+    each carrying its base mass times the fiber mass at sigma^-1(g phi(v)^-1).
     """
     sys = mu.system
-    g1, g2 = sys.base.alphabet, sys.fiber
-    sig = sys.fiber_automorphism
-    sig_inv = {sig(x): x for x in g2.elements()}
+    n, fib = sys.base.alphabet.order, sys.fiber
+    sig_inv = np.argsort(sys.fiber_automorphism.table)  # the inverse permutation
     k = sys.window
+    fiber, _ = mu._fiber_ints
     for length in range(1, depth + 1):
         ext = max(k, length + 1)
-        if g1.order**ext * g2.order > DEPTH_GUARD_STATES:
+        if n**ext * fib.order > DEPTH_GUARD_STATES:
             raise DepthLimitExceeded("skew invariance check exceeds the state guard")
-        for word in product(g1.elements(), repeat=length):
-            for g in g2.elements():
-                direct = mu.product_cylinder(word, g)
-                pulled = Fraction(0)
-                for first in g1.elements():
-                    for tail in product(g1.elements(), repeat=ext - length - 1):
-                        v = (first,) + word + tail
-                        base_p = mu.base_measure.cylinder(v)
-                        if base_p == 0:
-                            continue
-                        c = sys.phi(v[:k])
-                        g_prev = sig_inv[g2.op(g, g2.inv(c))]
-                        pulled += base_p * mu.fiber_weights[g_prev]
-                if pulled != direct:
-                    return False
+        longer = mu.base_measure.block_table(ext)
+        words = longer.codes // n ** (ext - length - 1) % n**length
+        c_inv = fib.np_inv[sys.np_phi[longer.codes // n ** (ext - k)]]
+        table = mu.base_measure.block_table(length)
+        for g in fib.elements():
+            # both sides leave out the fiber denominator
+            prev = sig_inv[fib.np_op[g, c_inv]]
+            pulled = _merged(n, length, words, longer.nums * fiber[prev], longer.den)
+            if pulled != BlockTable(n, length, table.codes, table.nums * fiber[g], table.den):
+                return False
     return True
 
 
@@ -227,111 +241,98 @@ def fiber_haar_convolve_cylinder(mu: SkewMeasure, word: Sequence[int], g: int) -
 
 
 def haar_absorption_check(mu: SkewMeasure, mu0: ShiftMeasure, depth: int) -> bool:
-    """m * mu equals the Haar extension of mu0 on all windows up to the depth."""
+    """m * mu equals the Haar extension of mu0 on all windows up to the depth.
+
+    m translates the fiber coordinate only, so (m * mu)([w] x {g}) is the
+    base mass of w times the fiber convolution m * (fiber weights) at g.
+    """
     sys = mu.system
     ext = haar_extension(mu0, sys)
+    conv = convolve(haar(sys.fiber), DenseMeasure(sys.fiber, mu.fiber_weights)).weights
     for length in range(1, depth + 1):
-        for word in product(sys.base.alphabet.elements(), repeat=length):
-            for g in sys.fiber.elements():
-                if fiber_haar_convolve_cylinder(mu, word, g) != ext.product_cylinder(word, g):
-                    return False
+        ours = mu.base_measure.block_table(length)
+        target = ext.base_measure.block_table(length)
+        for g in sys.fiber.elements():
+            if ours.scaled(conv[g]) != target.scaled(ext.fiber_weights[g]):
+                return False
     return True
 
 
 def invariant_measures_in_fiber(sys: SkewSystem, mu0: ShiftMeasure) -> list[SkewMeasure]:
     """Point-fiber candidates solving sigma(g) phi(w) = g on the support, plus Haar."""
-    fib, sig = sys.fiber, sys.fiber_automorphism
-    support = _support_windows(sys, mu0)
-    found: list[SkewMeasure] = []
-    for g in fib.elements():
-        if all(fib.op(sig(g), sys.phi(w)) == g for w in support):
-            found.append(point_fiber_measure(sys, mu0, g))
+    found = [
+        point_fiber_measure(sys, mu0, g)
+        for g in sys.fiber.elements()
+        if _moving_window(sys, mu0, g) is None
+    ]
     found.append(haar_extension(mu0, sys))
     depth = min(sys.window + 2, 4)
     return [m for m in found if is_skew_invariant(m, depth)]
 
 
-def _joint_block_distribution(mu: SkewMeasure, length: int) -> dict[Word, Fraction]:
+def _joint_block_table(mu: SkewMeasure, length: int) -> BlockTable:
     """Distribution of ((x_0,g_0)..(x_{L-1},g_{L-1})), pairs coded as x*|G2|+g."""
     sys = mu.system
-    g1, g2 = sys.base.alphabet, sys.fiber
-    sig = sys.fiber_automorphism
+    n1, fib = sys.base.alphabet.order, sys.fiber
+    pairs = n1 * fib.order
     k = sys.window
     need = length + k - 1
-    if g1.order**need * g2.order > DEPTH_GUARD_STATES:
+    if n1**need * fib.order > DEPTH_GUARD_STATES:
         raise DepthLimitExceeded("joint block enumeration exceeds the state guard")
-    base_dist = mu.base_measure.block_distribution(need)
-    dist: dict[Word, Fraction] = {}
-    for v, base_p in base_dist.items():
-        for g0, w0 in enumerate(mu.fiber_weights):
-            if w0 == 0:
-                continue
-            g = g0
-            key = []
-            for t in range(length):
-                key.append(v[t] * g2.order + g)
-                g = g2.op(sig(g), sys.phi(v[t : t + k]))
-            key_t = tuple(key)
-            dist[key_t] = dist.get(key_t, Fraction(0)) + base_p * w0
-    return dist
+    if pairs**length > 2**63:
+        raise DepthLimitExceeded(f"joint block codes ({n1}*{fib.order})^{length} exceed 2^63")
+    base = mu.base_measure.block_table(need)
+    x = base.digits()
+    fiber, den = mu._fiber_ints
+    sig = np.array(sys.fiber_automorphism.table)
+    codes, nums = [], []
+    for g0 in np.flatnonzero(fiber != 0):
+        g = np.full(len(base), g0)
+        code = np.zeros(len(base), dtype=np.int64)
+        for t in range(length):
+            code = code * pairs + x[:, t] * fib.order + g
+            g = fib.np_op[sig[g], sys.np_phi[_encode(x[:, t : t + k], n1)]]
+        codes.append(code)
+        nums.append(base.nums * fiber[g0])
+    return _merged(pairs, length, np.concatenate(codes), np.concatenate(nums), base.den * den)
 
 
 def _lifted_chain_rate(mu: SkewMeasure) -> float:
     """Closed-form rate of the lifted Markov chain on (window, fiber) states."""
-    sys = mu.system
     base = mu.base_measure
-    k = sys.window
-    window_dist = base.block_distribution(k)
     if isinstance(base, Bernoulli):
-        def next_row(u: Word):
-            return base.marginal.weights
+        rows = [base.marginal.weights] * base.system.alphabet.order
     elif isinstance(base, Markov):
-        def next_row(u: Word):
-            return base.transition[u[-1]]
+        rows = base.transition
     else:
         raise UnsupportedBase(f"no lifted chain for base kind {base.kind}")
-    terms = []
-    for u, pu in window_dist.items():
-        if pu == 0:
-            continue
-        row_entropy = entropy_nats(next_row(u))
-        for g, wg in enumerate(mu.fiber_weights):
-            if wg == 0:
-                continue
-            terms.append(float(pu * wg) * row_entropy)
-    return math.fsum(terms)
+    row_entropy = [entropy_nats(row) for row in rows]
+    windows = base.block_table(mu.system.window)
+    last = windows.codes % base.system.alphabet.order
+    # int / int is correctly rounded: each mass is the float of the exact product
+    return math.fsum(
+        num * w.numerator / (windows.den * w.denominator) * row_entropy[s]
+        for s, num in zip(last.tolist(), windows.nums.tolist())
+        for w in mu.fiber_weights
+        if w
+    )
 
 
 def skew_entropy(mu: SkewMeasure, L: int) -> EntropyEstimate:
     """Entropy of the joint (base symbol, fiber) process.
 
-    Bernoulli and Markov bases get the exact lifted-chain rate; the block
-    trail is computed either way and must descend to it.
+    Bernoulli and Markov bases under a Haar or point fiber get the exact
+    lifted-chain rate, and every h_L of the block trail must stay above it;
+    the trail is checked nonincreasing either way.
     """
     base = mu.base_measure
     if base.kind in ("mixture", "convolution", "product"):
         raise UnsupportedBase(f"skew entropy unsupported for base kind {base.kind}")
-    h_levels: list[float] = []
-    prev = 0.0
-    for ell in range(1, L + 1):
-        dist = _joint_block_distribution(mu, ell)
-        H = math.fsum(neg_xlogx(float(p)) for p in dist.values())
-        h_levels.append(H - prev)
-        prev = H
-    gap = abs(h_levels[-1] - h_levels[-2]) if L >= 2 else float("inf")
-    if isinstance(base, (Bernoulli, Markov)) and mu.kind in ("haar_fiber", "point_fiber"):
-        value = _lifted_chain_rate(mu)
-        method = "closed_form"
-    else:
-        value = h_levels[-1]
-        method = "block_exact"
-    return EntropyEstimate(
-        value=value,
-        upper_bounds=tuple(h_levels),
-        method=method,
-        L_max=L,
-        converged=gap < 1e-9,
-        gap=gap,
+    closed = isinstance(base, (Bernoulli, Markov)) and mu.kind in ("haar_fiber", "point_fiber")
+    return trail_estimate(
+        (table_entropy(_joint_block_table(mu, ell)) for ell in range(1, L + 1)),
+        tol=1e-9,
+        closed_form=_lifted_chain_rate(mu) if closed else None,
     )
 
 

@@ -129,6 +129,17 @@ def test_reports_byte_identical_for_same_config_and_seed(tmp_path):
     )
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+def test_demo_reports_match_golden_bytes(tmp_path):
+    # the golden copies pin the CSV and plot bytes across commits, not just runs
+    cfg = write_demo(tmp_path)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "report.csv")]) == 0
+    for name in ("report.csv", "report.conv.h_L.csv", "report.circle-atomic.h_L.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / f"demo_{name}").read_bytes(), name
+
+
 def test_row_failure_gives_exit_1(tmp_path):
     doc = json.loads(json.dumps(DEMO))
     doc["scenarios"] = [doc["scenarios"][0]]

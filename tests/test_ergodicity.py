@@ -77,6 +77,23 @@ def test_mixture_periodic_vs_uniform_detected_beyond_depth_two():
     assert is_ergodic_exact(mu).verdict == "non_ergodic"
 
 
+@pytest.mark.parametrize(
+    "components, witness",
+    [
+        ([bern("1/4"), bern("3/4")], "components 0 and 1 disagree at depth 1"),
+        ([PeriodicOrbit(SYS2, (0, 0, 1, 1)), shift_haar(SYS2)],
+         "components 0 and 1 disagree at depth 3"),
+        # same one-symbol law (3/4, 1/4) as bern("1/4"), different pairs
+        ([bern("1/4"), bern("1/4"), Markov.stationary(SYS2, [["5/6", "1/6"], ["1/2", "1/2"]])],
+         "components 0 and 2 disagree at depth 2"),
+    ],
+)
+def test_mixture_witness_names_components_and_depth(components, witness):
+    w = F(1, len(components))
+    v = is_ergodic_exact(Mixture(SYS2, tuple((w, m) for m in components)))
+    assert (v.verdict, v.method, v.witness) == ("non_ergodic", "exact_mixture", witness)
+
+
 def test_convolution_is_unknown():
     conv = Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1)))
     v = is_ergodic_exact(conv)

@@ -86,10 +86,19 @@ def test_symmetric_and_dihedral_orders():
     assert cyclic(12).is_abelian
 
 
-def test_large_table_uses_sampled_validation():
-    g = cyclic(70)  # above the full triple-sweep cap
+def test_large_table_passes_exact_validation():
+    g = cyclic(70)
     assert g.order == 70
     assert g.op(69, 1) == 0
+
+
+def test_associativity_defect_found_at_large_order():
+    # C200 with 1*2 and 1*3 swapped: identity and inverses survive, and only
+    # a few hundred of the 8e6 triples fail, so 4096 sampled triples miss them
+    table = [[(a + b) % 200 for b in range(200)] for a in range(200)]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    with pytest.raises(NonAssociative):
+        explicit_group(table)
 
 
 # -- homomorphisms ------------------------------------------------------------

@@ -503,3 +503,108 @@ def _measure_and_length(draw):
 @given(_measure_and_length())
 def test_tables_match_naive_fraction_oracle(case):
     _check_against_oracle(*case)
+
+
+# -- table verifiers against the naive per-word loops --------------------------------
+
+
+def _oracle_is_shift_invariant(mu, depth):
+    """mu(T^-1 [w]) = mu([w]) word by word, one cylinder per preimage piece."""
+    g = mu.system.alphabet
+    c = mu.system.affine_constant
+    for length in range(1, depth + 1):
+        for word in itertools.product(g.elements(), repeat=length):
+            target = word if c is None else tuple(g.op(g.inv(c), s) for s in word)
+            pulled = sum((mu.cylinder((first,) + target) for first in g.elements()), F(0))
+            if pulled != mu.cylinder(word):
+                return False
+    return True
+
+
+def _oracle_verify_extension(mu, depth):
+    """The witness of the first failing word, by length and then word order."""
+    ext = natural_extension(mu)
+    g = mu.system.alphabet
+    for length in range(1, depth + 1):
+        for word in itertools.product(g.elements(), repeat=length):
+            a, b = mu.cylinder(word), ext.cylinder(word)
+            if a != b:
+                return False, f"marginal mismatch at {word}: {a} vs {b}"
+    for length in range(1, depth):
+        for word in itertools.product(g.elements(), repeat=length):
+            base = ext.cylinder(word)
+            if sum((ext.cylinder((s,) + word) for s in g.elements()), F(0)) != base:
+                return False, f"prepend inconsistency at {word}"
+            if sum((ext.cylinder(word + (s,)) for s in g.elements()), F(0)) != base:
+                return False, f"append inconsistency at {word}"
+    if not _oracle_is_shift_invariant(ext, depth):
+        return False, "extension is not shift-invariant"
+    return True, ""
+
+
+def _check_verifiers(mu, depth):
+    assert is_shift_invariant(mu, depth) == _oracle_is_shift_invariant(mu, depth)
+    if mu.system.one_sided:
+        rep = verify_extension(mu, depth)
+        assert (rep.passed, rep.witness) == _oracle_verify_extension(mu, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measure_and_length())
+def test_verifiers_match_naive_oracle(case):
+    mu, length = case
+    # the oracle makes |G|^(L+1) cylinder calls per level
+    depth = max(1, min(length, 5 if mu.system.alphabet.order < 4 else 3))
+    _check_verifiers(mu, depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([SYS2, SYS3]).flatmap(
+        lambda system: st.tuples(
+            st.just(system),
+            st.lists(_probabilities(system.alphabet.order), min_size=system.alphabet.order,
+                     max_size=system.alphabet.order),
+            _probabilities(system.alphabet.order),
+        )
+    ),
+    st.integers(1, 4),
+)
+def test_forced_markov_verifiers_match_naive_oracle(chain, depth):
+    # an arbitrary initial row: most are not stationary, so both checks fail
+    system, rows, initial = chain
+    forced = Markov(system, tuple(map(tuple, rows)), tuple(initial), validate=False)
+    _check_verifiers(forced, depth)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_affine_verifiers_match_naive_oracle(c):
+    system = affine_shift_space(C3, c)
+    cases = [
+        Bernoulli(system, measure(C3, ["1/2", "1/3", "1/6"])),
+        shift_haar(system),
+        Markov.stationary(system, [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]]),
+        Markov.stationary(system, [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]),
+        PeriodicOrbit(system, (0, 1, 2)),
+    ]
+    for mu in cases:
+        _check_verifiers(mu, 3)
+
+
+def test_nonuniform_bernoulli_not_affine_invariant():
+    mu = Bernoulli(affine_shift_space(C2, 1), measure(C2, ["3/4", "1/4"]))
+    assert not is_shift_invariant(mu, 1)
+    assert not _oracle_is_shift_invariant(mu, 1)
+
+
+def test_unvalidated_markov_extension_reports_prepend_witness():
+    forced = Markov(
+        SYS2,
+        ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+        (F(1, 4), F(3, 4)),
+        validate=False,
+    )
+    assert natural_extension(forced).validate is False
+    rep = verify_extension(forced, 3)
+    assert not rep.passed
+    assert rep.witness == "prepend inconsistency at (0,)"

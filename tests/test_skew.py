@@ -1,11 +1,18 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from ergolab import cyclic, haar, identity_hom, make_hom, measure
+from ergolab import cyclic, haar, identity_hom, make_hom, measure, skew
 from ergolab.entropy import block_entropy, entropy_rate
-from ergolab.errors import NotAutomorphism, PhiIncomplete, SystemMismatch, UnsupportedBase
+from ergolab.errors import (
+    MonotonicityViolated,
+    NotAutomorphism,
+    PhiIncomplete,
+    SystemMismatch,
+    UnsupportedBase,
+)
 from ergolab.shifts import (
     Bernoulli,
     Convolution,
@@ -15,6 +22,7 @@ from ergolab.shifts import (
     shift_space,
 )
 from ergolab.skew import (
+    SkewMeasure,
     commutes_with_fiber_translation,
     constant_cocycle,
     entropy_addition_report,
@@ -287,3 +295,114 @@ def test_rational_mixtures_stay_invariant_and_project():
     for word in [(0,), (1,), (0, 1)]:
         assert blend.projection_cylinder(word) == mu0.cylinder(word)
     assert skew_entropy(blend, 4).value <= skew_entropy(listed[-1], 4).value + 1e-9
+
+
+# -- table verifiers against the naive per-word loops ----------------------------------------
+
+
+def _oracle_is_skew_invariant(mu, depth):
+    """P(T^-1([w] x {g})) = P([w] x {g}), one base cylinder per preimage word."""
+    sys = mu.system
+    g1, g2 = sys.base.alphabet, sys.fiber
+    sig_inv = {sys.fiber_automorphism(x): x for x in g2.elements()}
+    k = sys.window
+    for length in range(1, depth + 1):
+        ext = max(k, length + 1)
+        for word in itertools.product(g1.elements(), repeat=length):
+            for g in g2.elements():
+                pulled = F(0)
+                for first in g1.elements():
+                    for tail in itertools.product(g1.elements(), repeat=ext - length - 1):
+                        v = (first,) + word + tail
+                        c = sys.phi(v[:k])
+                        g_prev = sig_inv[g2.op(g, g2.inv(c))]
+                        pulled += mu.base_measure.cylinder(v) * mu.fiber_weights[g_prev]
+                if pulled != mu.product_cylinder(word, g):
+                    return False
+    return True
+
+
+def _oracle_haar_absorption(mu, mu0, depth):
+    ext = haar_extension(mu0, mu.system)
+    for length in range(1, depth + 1):
+        for word in itertools.product(mu.system.base.alphabet.elements(), repeat=length):
+            for g in mu.system.fiber.elements():
+                if fiber_haar_convolve_cylinder(mu, word, g) != ext.product_cylinder(word, g):
+                    return False
+    return True
+
+
+def _oracle_joint_distribution(mu, length):
+    """The joint (symbol, fiber) block law, one orbit per base word and start fiber."""
+    sys = mu.system
+    g2 = sys.fiber
+    k = sys.window
+    dist = {}
+    for v, base_p in mu.base_measure.block_distribution(length + k - 1).items():
+        for g, w0 in enumerate(mu.fiber_weights):
+            if w0 == 0:
+                continue
+            key = []
+            for t in range(length):
+                key.append(v[t] * g2.order + g)
+                g = g2.op(sys.fiber_automorphism(g), sys.phi(v[t : t + k]))
+            dist[tuple(key)] = dist.get(tuple(key), F(0)) + base_p * w0
+    return dist
+
+
+def _skew_cases():
+    c3 = cyclic(3)
+    doubling = make_hom(c3, c3, [(2 * x) % 3 for x in range(3)])
+    window2 = make_skew(SYS2, c3, doubling, {(a, b): (a + b) % 2 for a in range(2) for b in range(2)})
+    # on C5 with sigma(x) = 2x and phi = 1, the fixed point fiber is 4; neither
+    # sigma nor the cocycle is its own inverse there
+    c5 = cyclic(5)
+    shifted = make_skew(
+        SYS2, c5, make_hom(c5, c5, [(2 * x) % 5 for x in range(5)]), constant_cocycle(SYS2, c5, 1)
+    )
+    markov = Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]])
+    frozen = frozen_system()
+    listed = invariant_measures_in_fiber(frozen, bern14())
+    return [
+        *listed,
+        mix_skew([(F(1, 3), listed[0]), (F(2, 3), listed[2])]),
+        haar_extension(bern14(), first_symbol_system()),
+        haar_extension(markov, first_symbol_system()),
+        haar_extension(PeriodicOrbit(SYS2, (0, 1, 1)), first_symbol_system()),
+        haar_extension(markov, window2),
+        SkewMeasure(window2, markov, (F(1, 2), F(1, 3), F(1, 6))),
+        point_fiber_measure(shifted, markov, 4),
+        # point fiber 0 is moved by the first-symbol cocycle wherever w0 = 1
+        SkewMeasure(first_symbol_system(), bern14(), (F(1), F(0))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_skew_cases())))
+def test_skew_verifiers_match_naive_oracle(case):
+    mu = _skew_cases()[case]
+    assert is_skew_invariant(mu, 3) == _oracle_is_skew_invariant(mu, 3)
+    for mu0 in (mu.base_measure, bern14(), shift_haar(SYS2)):
+        assert haar_absorption_check(mu, mu0, 4) == _oracle_haar_absorption(mu, mu0, 4)
+    for length in range(1, 5):
+        assert skew._joint_block_table(mu, length).to_dict() == _oracle_joint_distribution(mu, length)
+
+
+def test_non_fixed_point_fiber_is_not_invariant():
+    moved = SkewMeasure(first_symbol_system(), bern14(), (F(1), F(0)))
+    assert not is_skew_invariant(moved, 1)
+    assert not _oracle_is_skew_invariant(moved, 1)
+
+
+def test_absorption_fails_against_another_base():
+    m = invariant_measures_in_fiber(frozen_system(), bern14())[0]
+    other = Bernoulli(SYS2, measure(C2, ["1/3", "2/3"]))
+    assert not haar_absorption_check(m, other, 3)
+    assert haar_absorption_check(m, bern14(), 3)
+
+
+def test_skew_entropy_checks_the_trail_against_the_closed_form(monkeypatch):
+    he = haar_extension(bern14(), first_symbol_system())
+    true_rate = skew._lifted_chain_rate(he)
+    monkeypatch.setattr(skew, "_lifted_chain_rate", lambda mu: true_rate + 1e-3)
+    with pytest.raises(MonotonicityViolated, match="h_2 = .* below the closed-form rate"):
+        skew_entropy(he, 4)
