@@ -5,6 +5,11 @@ Itineraries through the generating partition [i/k, (i+1)/k) are computed in
 exact arithmetic for rational starting points. Lebesgue-typical sampling
 draws a fresh high-precision random dyadic point per 40-symbol block rather
 than shadowing one float orbit, which loses a bit of precision per step.
+
+A block's coding stays exact through one integer product: for a point x in
+[0, 1), floor(k^i x) = floor(floor(k^L x) / k^(L-i)) for i <= L, so the
+itinerary floor(k^(i+1) x) mod k, i < L, is the L base-k digits of the single
+integer floor(k^L x), most significant first.
 """
 
 from __future__ import annotations
@@ -115,29 +120,51 @@ def symbolic_coding(
     return out
 
 
-def _coded_block(rng: random.Random, k: int, length: int) -> list[int]:
-    """Exact itinerary of a fresh random dyadic point, via integer arithmetic."""
+def _base_k_digits(values: list[int], k: int, length: int) -> np.ndarray:
+    """The `length` base-k digits of each value below k^length, most significant
+    first, one row per value.
+
+    Each value is split into chunks of `width` digits, with k^width <= 2^62 so
+    that every chunk fits int64; the digits are then peeled off all rows at once.
+    """
+    n_chunks = -(-length // max(1, 62 // (k - 1).bit_length()))
+    width = -(-length // n_chunks)
+    size = k**width
+    chunks = []
+    for v in values:
+        for _ in range(n_chunks):
+            v, c = divmod(v, size)
+            chunks.append(c)
+    cols = np.array(chunks, dtype=np.int64).reshape(len(values), n_chunks)
+    digits = np.empty((len(values), n_chunks * width), dtype=np.min_scalar_type(-k))
+    for j in range(n_chunks * width):  # the j-th digit from the right
+        col = cols[:, j // width]
+        digits[:, -1 - j] = col % k
+        col //= k
+    return digits[:, n_chunks * width - length :]
+
+
+def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.ndarray:
+    """Exact itineraries of `count` fresh random dyadic points, one row each.
+
+    The point x = num / 2^precision has itinerary floor(k^(i+1) x) mod k, and
+    floor(k^(i+1) x) = floor(floor(k^L x) / k^(L-1-i)), so the L symbols are the
+    base-k digits of the one integer floor(k^L x) = (num * k^L) >> precision.
+    """
     bits_per_symbol = max(1, (k - 1).bit_length())
     precision = length * bits_per_symbol + 64
-    num = rng.getrandbits(precision)  # the point num / 2^precision
-    mask = (1 << precision) - 1
-    out = []
-    for _ in range(length):
-        num *= k
-        out.append(num >> precision)
-        num &= mask
-    return out
+    scale = k**length
+    values = [(rng.getrandbits(precision) * scale) >> precision for _ in range(count)]
+    return _base_k_digits(values, k, length)
 
 
-def sample_lebesgue_coding(sys: CircleSystem, n_symbols: int, seed: int) -> list[list[int]]:
+def sample_lebesgue_coding(sys: CircleSystem, n_symbols: int, seed: int) -> list[np.ndarray]:
     """Blocks of coded symbols from independent Lebesgue-distributed points."""
     rng = random.Random(seed)
-    words = []
-    remaining = n_symbols
-    while remaining > 0:
-        length = min(BLOCK_SYMBOLS, remaining)
-        words.append(_coded_block(rng, sys.k, length))
-        remaining -= length
+    full, tail = divmod(max(0, n_symbols), BLOCK_SYMBOLS)
+    words = list(_coded_blocks(rng, sys.k, BLOCK_SYMBOLS, full))
+    if tail:
+        words.extend(_coded_blocks(rng, sys.k, tail, 1))
     return words
 
 
@@ -185,8 +212,8 @@ def circle_entropy_report(
         word = symbolic_coding(sys, mu.orbit[0], period)
         coded = PeriodicOrbit(shift_space(cyclic(sys.k)), tuple(int(s) for s in word))
         return entropy_rate(coded, max(2, period + 1), tol=1e-12)
-    words: list[list[int]] = []
-    per_seed = n_symbols // seeds
+    words: list[np.ndarray] = []
+    per_seed, extra = divmod(n_symbols, seeds)
     for s in range(seeds):
-        words.extend(sample_lebesgue_coding(sys, per_seed, base_seed + s))
+        words.extend(sample_lebesgue_coding(sys, per_seed + (s < extra), base_seed + s))
     return empirical_block_entropy(words, depth, alphabet_size=sys.k)

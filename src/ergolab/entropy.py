@@ -188,40 +188,6 @@ def partition_entropy(weights: Sequence[Fraction] | DenseMeasure, alpha: Partiti
     )
 
 
-def _join_with_sentinel(words: Iterable[Sequence[int]], n_symbols: int) -> np.ndarray:
-    """One array with the value n_symbols separating words, so a single pass
-    can compute window codes while masking windows that straddle words."""
-    chunks: list[np.ndarray] = []
-    sep = np.array([n_symbols], dtype=np.int64)
-    for word in words:
-        if len(word):
-            chunks.append(np.asarray(word, dtype=np.int64))
-            chunks.append(sep)
-    if not chunks:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(chunks[:-1])
-
-
-def _window_codes(joined: np.ndarray, length: int, n_symbols: int) -> np.ndarray:
-    n_win = len(joined) - length + 1
-    if n_win <= 0:
-        return np.zeros(0, dtype=np.int64)
-    valid = np.ones(n_win, dtype=bool)
-    codes = np.zeros(n_win, dtype=np.int64)
-    base = n_symbols + 1  # keep sentinel-containing codes collision-free
-    for j in range(length):
-        seg = joined[j : j + n_win]
-        valid &= seg != n_symbols
-        codes = codes * base + seg
-    return codes[valid]
-
-
-def _block_counts(joined: np.ndarray, length: int, n_symbols: int):
-    pooled = _window_codes(joined, length, n_symbols)
-    values, counts = np.unique(pooled, return_counts=True)
-    return values, counts, int(pooled.size)
-
-
 def empirical_block_entropy(
     words: Sequence[Sequence[int]],
     length: int,
@@ -229,7 +195,8 @@ def empirical_block_entropy(
 ) -> EntropyEstimate:
     """Plug-in conditional block entropy from sampled words.
 
-    Requires at least 100 * |alphabet|^L symbols. Each level's estimate is
+    Requires at least 100 * |alphabet|^L symbols, every one in
+    range(|alphabet|), and a word of length >= L. Each level's estimate is
     the conditional plug-in over one window table: h_L sums (c_w/T) times
     ln(c_prefix/c_w), so deterministic continuations give exactly 0. The
     note reports the Miller-Madow bias correction magnitude for the
@@ -239,35 +206,48 @@ def empirical_block_entropy(
         raise ValueError("length must be >= 1")
     if alphabet_size is None:
         alphabet_size = 1 + max(int(max(w)) for w in words if len(w))
-    n_symbols_total = sum(len(w) for w in words)
-    if n_symbols_total < 100 * alphabet_size**length:
+    k = alphabet_size
+    sizes = [len(w) for w in words]
+    if sum(sizes) < 100 * k**length:
+        raise InsufficientData(f"{sum(sizes)} symbols < 100 * {k}^{length}")
+    if max(sizes) < length:
         raise InsufficientData(
-            f"{n_symbols_total} symbols < 100 * {alphabet_size}^{length}"
+            f"no window of length L={length}: the longest word has {max(sizes)} symbols"
         )
-
-    joined = _join_with_sentinel(words, alphabet_size)
-
-    def plugin(ell: int) -> tuple[float, int, int]:
-        values, counts, total = _block_counts(joined, ell, alphabet_size)
-        if ell == 1:
-            h = math.fsum(neg_xlogx(int(c) / total) for c in counts)
-            return h, len(counts), total
-        prefix_of = values // (alphabet_size + 1)  # codes are base |A|+1
-        _, inverse = np.unique(prefix_of, return_inverse=True)
-        prefix_counts = np.bincount(inverse, weights=counts)
-        h = math.fsum(
-            (int(c) / total) * math.log(prefix_counts[i] / int(c))
-            for i, c in zip(inverse, counts)
-        )
-        return h, len(counts), total
+    digits = np.concatenate([w for w in words if len(w)])
+    if digits.min() < 0 or digits.max() >= k:
+        bad = digits[(digits < 0) | (digits >= k)][0]
+        raise ValueError(f"symbol {bad} outside range({k})")
+    # cont[j]: position j is followed by a symbol of the same word, so a
+    # window is valid at level ell iff it was at ell - 1 and cont holds at
+    # its second-to-last position
+    cont = np.ones(len(digits), dtype=bool)
+    cont[np.cumsum([n for n in sizes if n]) - 1] = False
 
     h_levels = []
-    observed, total_windows = 0, 1
+    codes = digits.astype(np.int64)  # base-k window codes, rolled one symbol per level
+    valid = np.ones(len(digits), dtype=bool)
     for ell in range(1, length + 1):
-        h, k, t = plugin(ell)
+        n_win = len(digits) - ell + 1
+        if ell > 1:
+            codes = codes[:n_win]
+            codes *= k
+            codes += digits[ell - 1 :]
+            valid = valid[:n_win]
+            valid &= cont[ell - 2 : ell - 2 + n_win]
+        counts = np.bincount(codes[valid], minlength=k**ell)
+        total = int(counts.sum())
+        seen = np.flatnonzero(counts)
+        if ell == 1:
+            h = math.fsum(neg_xlogx(c / total) for c in counts[seen].tolist())
+        else:
+            prefix = counts.reshape(-1, k).sum(1)
+            h = math.fsum(
+                (c / total) * math.log(p / c)
+                for c, p in zip(counts[seen].tolist(), prefix[seen // k].tolist())
+            )
         h_levels.append(h)
-        observed, total_windows = k, t
-    mm = (observed - 1) / (2 * max(1, total_windows))
+    mm = (len(seen) - 1) / (2 * total)
     gap = abs(h_levels[-1] - h_levels[-2]) if length >= 2 else float("inf")
     return EntropyEstimate(
         value=h_levels[-1],

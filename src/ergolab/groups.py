@@ -457,16 +457,18 @@ def convolve(mu: DenseMeasure, nu: DenseMeasure) -> DenseMeasure:
     if mu.group != nu.group:
         raise GroupMismatch("convolution needs measures on the same group")
     g = mu.group
-    weights = [Fraction(0)] * g.order
-    for h in g.elements():
-        mh = mu.weights[h]
-        if mh == 0:
-            continue
-        for x in g.elements():
-            nx = nu.weights[x]
-            if nx != 0:
-                weights[g.op(h, x)] += mh * nx
-    return DenseMeasure(g, tuple(weights))
+    # integer numerators over each factor's common denominator, on its support
+    parts = []
+    for m in (mu, nu):
+        den = math.lcm(*(w.denominator for w in m.weights))
+        support = [x for x, w in enumerate(m.weights) if w]
+        nums = [m.weights[x].numerator * (den // m.weights[x].denominator) for x in support]
+        parts.append((support, np.array(nums, dtype=object), den))
+    (left, a, den_mu), (right, b, den_nu) = parts
+    nums = np.zeros(g.order, dtype=object)
+    np.add.at(nums, g.np_op[left][:, right].ravel(), np.multiply.outer(a, b).ravel())
+    den = den_mu * den_nu
+    return DenseMeasure(g, tuple(Fraction(int(n), den) for n in nums))
 
 
 def pushforward(mu: DenseMeasure, t: Transform) -> DenseMeasure:

@@ -366,6 +366,8 @@ class Markov(ShiftMeasure):
         return BlockTable(n, length, codes[keep], (prev.nums[:, None] * step)[keep], prev.den * dt)
 
     def sample(self, n, seed):
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
         rng = np.random.default_rng(seed)
         n_sym = self.system.alphabet.order
         init = np.array([float(p) for p in self.initial])
@@ -373,14 +375,15 @@ class Markov(ShiftMeasure):
         rows = np.array([[float(p) for p in row] for row in self.transition])
         rows /= rows.sum(axis=1, keepdims=True)
         cum = np.cumsum(rows, axis=1)
-        out = np.empty(n, dtype=np.int64)
-        out[0] = rng.choice(n_sym, p=init)
+        s = int(rng.choice(n_sym, p=init))
         u = rng.random(n)
-        last = n_sym - 1
+        # nxt[s][i] is the state after s on draw u[i]; the walk only indexes it
+        nxt = [np.minimum(np.searchsorted(c, u, side="right"), n_sym - 1).tolist() for c in cum]
+        out = [s]
         for i in range(1, n):
-            idx = int(np.searchsorted(cum[out[i - 1]], u[i], side="right"))
-            out[i] = idx if idx <= last else last
-        return out
+            s = nxt[s][i]
+            out.append(s)
+        return np.array(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)

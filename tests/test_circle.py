@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -129,3 +130,65 @@ def test_strict_maximality_gap_on_circle():
     ).value
     assert h_atomic == 0.0
     assert h_leb - h_atomic >= math.log(2) - 0.03
+
+
+# -- Lebesgue coding against the symbol-by-symbol bigint loop ---------------------------
+
+
+def _naive_coded_block(rng, k, length):
+    """One symbol per step: multiply the dyadic point by k, take the integer part."""
+    bits_per_symbol = max(1, (k - 1).bit_length())
+    precision = length * bits_per_symbol + 64
+    num = rng.getrandbits(precision)  # the point num / 2^precision
+    mask = (1 << precision) - 1
+    out = []
+    for _ in range(length):
+        num *= k
+        out.append(num >> precision)
+        num &= mask
+    return out
+
+
+def _naive_lebesgue_coding(k, n_symbols, seed):
+    rng = random.Random(seed)
+    words = []
+    remaining = n_symbols
+    while remaining > 0:
+        length = min(40, remaining)
+        words.append(_naive_coded_block(rng, k, length))
+        remaining -= length
+    return words
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 10, 16])
+@pytest.mark.parametrize("n", [1, 17, 40, 120, 123, 4017])
+def test_lebesgue_coding_matches_bigint_loop(k, n):
+    for seed in (0, 9):
+        words = sample_lebesgue_coding(CircleSystem(k), n, seed)
+        assert [w.tolist() for w in words] == _naive_lebesgue_coding(k, n, seed)
+        assert all(w.dtype == np.int8 for w in words)
+
+
+def test_lebesgue_coding_of_a_large_multiplier():
+    # k^40 needs 40 one-digit int64 chunks; symbols no longer fit int8
+    k = 2**40 + 15
+    words = sample_lebesgue_coding(CircleSystem(k), 45, 2)
+    assert [w.tolist() for w in words] == _naive_lebesgue_coding(k, 45, 2)
+
+
+def test_circle_entropy_report_uses_every_symbol(monkeypatch):
+    from ergolab import circle
+
+    drawn = []
+
+    def recording(sys, n_symbols, seed):
+        drawn.append((n_symbols, seed))
+        return sample_lebesgue_coding(sys, n_symbols, seed)
+
+    monkeypatch.setattr(circle, "sample_lebesgue_coding", recording)
+    circle_entropy_report(times_k(2), lebesgue(), 3, n_symbols=10**4 + 1, seeds=3, base_seed=5)
+    # the first n_symbols % seeds seeds take one extra symbol each
+    assert drawn == [(3334, 5), (3334, 6), (3333, 7)]
+    drawn.clear()
+    circle_entropy_report(times_k(2), lebesgue(), 3, n_symbols=9000, seeds=3)
+    assert drawn == [(3000, 0), (3000, 1), (3000, 2)]

@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,3 +319,78 @@ def test_product_of_periodic_orbits_blocks_add():
         )
     # four equally likely joint phases from L = 1 on
     assert block_entropy(pm, 2) == pytest.approx(math.log(4), abs=1e-15)
+
+
+# -- empirical entropy against a dict-count oracle ----------------------------------------
+
+
+def _dict_count_h_levels(words, length):
+    """h_1..h_L by counting every in-word window in a dict, level by level."""
+    h_levels = []
+    for ell in range(1, length + 1):
+        counts = {}
+        for w in words:
+            w = [int(s) for s in w]
+            for i in range(len(w) - ell + 1):
+                key = tuple(w[i : i + ell])
+                counts[key] = counts.get(key, 0) + 1
+        total = sum(counts.values())
+        if ell == 1:
+            h_levels.append(math.fsum(-(c / total) * math.log(c / total) for c in counts.values()))
+            continue
+        prefix = {}
+        for key, c in counts.items():
+            prefix[key[:-1]] = prefix.get(key[:-1], 0) + c
+        h_levels.append(
+            math.fsum((c / total) * math.log(prefix[key[:-1]] / c) for key, c in counts.items())
+        )
+    return tuple(h_levels), len(counts), total
+
+
+@st.composite
+def _ragged_source(draw):
+    """Words over range(k) with empty and short words, enough symbols for L."""
+    k = draw(st.integers(1, 5))
+    length = draw(st.integers(1, max(L for L in range(1, 5) if k**L <= 250)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = [rng.choice([0, 1, 2, 5]) for _ in range(k)]
+    weights[rng.randrange(k)] += 1
+    sizes = draw(st.lists(st.sampled_from([0, 1, length - 1, length, length + 2, 57]), max_size=8))
+    while sum(sizes) < 100 * k**length or max(sizes, default=0) < length:
+        sizes.append(rng.choice([0, length - 1, 40, 300]))
+    words = [rng.choices(range(k), weights, k=n) for n in sizes]
+    return words, length, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ragged_source())
+def test_empirical_entropy_matches_dict_counts(case):
+    words, length, k = case
+    est = empirical_block_entropy(words, length, alphabet_size=k)
+    h_levels, observed, total = _dict_count_h_levels(words, length)
+    assert est.upper_bounds == h_levels
+    assert est.value == h_levels[-1]
+    mm = (observed - 1) / (2 * total)
+    assert est.note.endswith(f"would add {mm:.2e} nats to H_L")
+
+
+def test_empirical_entropy_reads_numpy_rows_like_lists():
+    words = [[0, 1, 1, 0, 2] * 150, [], [2, 2], [1, 0, 2, 1] * 40]
+    arrays = [np.array(w, dtype=np.int8) for w in words]
+    assert empirical_block_entropy(arrays, 2, 3) == empirical_block_entropy(words, 2, 3)
+    assert empirical_block_entropy(words, 2, 3).upper_bounds == _dict_count_h_levels(words, 2)[0]
+
+
+@pytest.mark.parametrize("k, bad", [(3, 2), (2, -1)])
+def test_empirical_entropy_rejects_symbols_outside_the_alphabet(k, bad):
+    # a uniform C3 source read as binary once passed 2 off as a word break
+    words = [random.Random(3).choices(range(k), k=1000)]
+    words[0][500] = bad
+    with pytest.raises(ValueError, match=f"symbol {bad} outside range\\(2\\)"):
+        empirical_block_entropy(words, 2, alphabet_size=2)
+
+
+def test_empirical_entropy_needs_a_word_as_long_as_L():
+    words = [[0, 1, 1]] * 1000
+    with pytest.raises(InsufficientData, match="L=4: the longest word has 3 symbols"):
+        empirical_block_entropy(words, 4, alphabet_size=2)

@@ -356,3 +356,16 @@ def test_ergodic_components_rejections():
     t = automorphisms(g)[-1]
     with pytest.raises(NotInvariant):
         ergodic_components(g, t, measure(g, ["1/2", "1/2", 0, 0]))
+
+
+@pytest.mark.parametrize("g", [symmetric(3), cyclic(6)], ids=lambda g: g.label)
+def test_convolve_matches_double_loop_with_zeros_and_large_denominators(g):
+    rng = random.Random(g.order + 5)
+    for _ in range(30):
+        raw = [[rng.choice([0, 0, 1, 3, 10**20 + 7]) for _ in g.elements()] for _ in range(2)]
+        for r in raw:
+            r[rng.randrange(g.order)] += 1
+        mu, nu = (measure(g, [F(x, sum(r)) for x in r]) for r in raw)
+        got = convolve(mu, nu)
+        assert got.weights == brute_convolve(mu, nu)
+        assert all(type(w) is F for w in got.weights)

@@ -608,3 +608,69 @@ def test_unvalidated_markov_extension_reports_prepend_witness():
     rep = verify_extension(forced, 3)
     assert not rep.passed
     assert rep.witness == "prepend inconsistency at (0,)"
+
+
+# -- Markov sampler against the per-step walk ---------------------------------------
+
+
+def _naive_markov_walk(mu, n, seed):
+    """The per-step searchsorted walk: one scalar search per symbol, same draws."""
+    rng = np.random.default_rng(seed)
+    n_sym = mu.system.alphabet.order
+    init = np.array([float(p) for p in mu.initial])
+    init /= init.sum()
+    rows = np.array([[float(p) for p in row] for row in mu.transition])
+    rows /= rows.sum(axis=1, keepdims=True)
+    cum = np.cumsum(rows, axis=1)
+    out = np.empty(n, dtype=np.int64)
+    out[0] = rng.choice(n_sym, p=init)
+    u = rng.random(n)
+    last = n_sym - 1
+    for i in range(1, n):
+        idx = int(np.searchsorted(cum[out[i - 1]], u[i], side="right"))
+        out[i] = idx if idx <= last else last
+    return out
+
+
+MARKOV_CHAINS = [
+    Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]]),
+    Markov.stationary(SYS2, [["0", "1"], ["1/2", "1/2"]]),
+    Markov.stationary(SYS3, [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]]),
+    Markov.stationary(SYS3, [["1/2", "1/4", "1/4"], ["0", "1/3", "2/3"], ["1", "0", "0"]]),
+]
+
+
+@pytest.mark.parametrize("mu", MARKOV_CHAINS, ids=lambda m: f"C{m.system.alphabet.order}")
+@pytest.mark.parametrize("n", [1, 2, 3, 10**4 + 3])
+def test_markov_sampler_matches_per_step_walk(mu, n):
+    for seed in (0, 17):
+        got = mu.sample(n, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _naive_markov_walk(mu, n, seed))
+
+
+def test_markov_sample_of_length_zero_is_empty():
+    # like every other kind; the per-step walk raised IndexError here
+    for mu in MARKOV_CHAINS + [bern("1/4"), PeriodicOrbit(SYS2, (0, 1))]:
+        got = mu.sample(0, 3)
+        assert got.shape == (0,)
+        assert got.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([SYS2, SYS3]).flatmap(
+        lambda system: st.tuples(
+            st.just(system),
+            st.lists(_probabilities(system.alphabet.order), min_size=system.alphabet.order,
+                     max_size=system.alphabet.order),
+            _probabilities(system.alphabet.order),
+        )
+    ),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_markov_sampler_matches_per_step_walk_on_random_chains(chain, n, seed):
+    system, rows, initial = chain
+    mu = Markov(system, tuple(map(tuple, rows)), tuple(initial), validate=False)
+    assert np.array_equal(mu.sample(n, seed), _naive_markov_walk(mu, n, seed))
