@@ -40,6 +40,7 @@ from .exact import stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
 DEPTH_GUARD_STATES = 2**24
+MARKOV_STEP_CHUNK = 2**14  # draws per batch of Markov step tables
 
 Word = tuple[int, ...]
 
@@ -377,13 +378,20 @@ class Markov(ShiftMeasure):
         cum = np.cumsum(rows, axis=1)
         s = int(rng.choice(n_sym, p=init))
         u = rng.random(n)
-        # nxt[s][i] is the state after s on draw u[i]; the walk only indexes it
-        nxt = [np.minimum(np.searchsorted(c, u, side="right"), n_sym - 1).tolist() for c in cum]
-        out = [s]
-        for i in range(1, n):
-            s = nxt[s][i]
-            out.append(s)
-        return np.array(out, dtype=np.int64)
+        out = np.empty(n, dtype=np.int64)
+        out[0] = s
+        # the step tables take |G| ints per draw, so they are built a chunk at a time
+        for lo in range(1, n, MARKOV_STEP_CHUNK):
+            draws = u[lo : lo + MARKOV_STEP_CHUNK]
+            # nxt[s][i] is the state after s on draw i of the chunk
+            nxt = [np.minimum(np.searchsorted(c, draws, side="right"), n_sym - 1).tolist()
+                   for c in cum]
+            walk = []
+            for i in range(len(draws)):
+                s = nxt[s][i]
+                walk.append(s)
+            out[lo : lo + len(draws)] = walk
+        return out
 
 
 @dataclass(frozen=True)

@@ -649,6 +649,16 @@ def test_markov_sampler_matches_per_step_walk(mu, n):
         assert np.array_equal(got, _naive_markov_walk(mu, n, seed))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_markov_sampler_matches_per_step_walk_across_chunks(monkeypatch, chunk):
+    from ergolab import shifts
+
+    monkeypatch.setattr(shifts, "MARKOV_STEP_CHUNK", chunk)
+    for mu in MARKOV_CHAINS:
+        for n in (1, 2, 7, 8, 50):
+            assert np.array_equal(mu.sample(n, 11), _naive_markov_walk(mu, n, 11))
+
+
 def test_markov_sample_of_length_zero_is_empty():
     # like every other kind; the per-step walk raised IndexError here
     for mu in MARKOV_CHAINS + [bern("1/4"), PeriodicOrbit(SYS2, (0, 1))]:
