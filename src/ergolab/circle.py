@@ -120,42 +120,32 @@ def symbolic_coding(
     return out
 
 
-def _base_k_digits(values: list[int], k: int, length: int) -> np.ndarray:
-    """The `length` base-k digits of each value below k^length, most significant
-    first, one row per value.
+def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.ndarray:
+    """Exact itineraries of `count` fresh random dyadic points, one row each.
 
-    Each value is split into chunks of `width` digits, with k^width <= 2^62 so
-    that every chunk fits int64; the digits are then peeled off all rows at once.
+    The point x = num / 2^precision codes to the L base-k digits of the one
+    integer floor(k^L x) = (num * k^L) >> precision. Each such integer is split
+    into chunks of `width` digits, with k^width <= 2^62 so that every chunk
+    fits int64, and the digits of all rows are then peeled off at once.
     """
-    n_chunks = -(-length // max(1, 62 // (k - 1).bit_length()))
+    bits_per_symbol = max(1, (k - 1).bit_length())
+    precision = length * bits_per_symbol + 64
+    n_chunks = -(-length // max(1, 62 // bits_per_symbol))
     width = -(-length // n_chunks)
-    size = k**width
+    scale, size = k**length, k**width
     chunks = []
-    for v in values:
+    for _ in range(count):
+        value = (rng.getrandbits(precision) * scale) >> precision
         for _ in range(n_chunks):
-            v, c = divmod(v, size)
+            value, c = divmod(value, size)
             chunks.append(c)
-    cols = np.array(chunks, dtype=np.int64).reshape(len(values), n_chunks)
-    digits = np.empty((len(values), n_chunks * width), dtype=np.min_scalar_type(-k))
+    cols = np.array(chunks, dtype=np.int64).reshape(count, n_chunks)
+    digits = np.empty((count, n_chunks * width), dtype=np.min_scalar_type(-k))
     for j in range(n_chunks * width):  # the j-th digit from the right
         col = cols[:, j // width]
         digits[:, -1 - j] = col % k
         col //= k
     return digits[:, n_chunks * width - length :]
-
-
-def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.ndarray:
-    """Exact itineraries of `count` fresh random dyadic points, one row each.
-
-    The point x = num / 2^precision has itinerary floor(k^(i+1) x) mod k, and
-    floor(k^(i+1) x) = floor(floor(k^L x) / k^(L-1-i)), so the L symbols are the
-    base-k digits of the one integer floor(k^L x) = (num * k^L) >> precision.
-    """
-    bits_per_symbol = max(1, (k - 1).bit_length())
-    precision = length * bits_per_symbol + 64
-    scale = k**length
-    values = [(rng.getrandbits(precision) * scale) >> precision for _ in range(count)]
-    return _base_k_digits(values, k, length)
 
 
 def sample_lebesgue_coding(sys: CircleSystem, n_symbols: int, seed: int) -> list[np.ndarray]:
