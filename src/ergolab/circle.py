@@ -125,22 +125,24 @@ def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.nda
 
     The point x = num / 2^precision codes to the L base-k digits of the one
     integer floor(k^L x) = (num * k^L) >> precision. Each such integer is split
-    into chunks of `width` digits, with k^width <= 2^62 so that every chunk
-    fits int64, and the digits of all rows are then peeled off at once.
+    into chunks of `width` digits, and the digits of all rows are then peeled
+    off at once. For k <= 2^62 a chunk is below k^width <= 2^62 and fits int64;
+    a larger k takes one digit per chunk, and chunks and digits stay Python ints.
     """
     bits_per_symbol = max(1, (k - 1).bit_length())
     precision = length * bits_per_symbol + 64
     n_chunks = -(-length // max(1, 62 // bits_per_symbol))
     width = -(-length // n_chunks)
     scale, size = k**length, k**width
+    int_type, digit_type = (np.int64, np.min_scalar_type(-k)) if k <= 2**62 else (object, object)
     chunks = []
     for _ in range(count):
         value = (rng.getrandbits(precision) * scale) >> precision
         for _ in range(n_chunks):
             value, c = divmod(value, size)
             chunks.append(c)
-    cols = np.array(chunks, dtype=np.int64).reshape(count, n_chunks)
-    digits = np.empty((count, n_chunks * width), dtype=np.min_scalar_type(-k))
+    cols = np.array(chunks, dtype=int_type).reshape(count, n_chunks)
+    digits = np.empty((count, n_chunks * width), dtype=digit_type)
     for j in range(n_chunks * width):  # the j-th digit from the right
         col = cols[:, j // width]
         digits[:, -1 - j] = col % k

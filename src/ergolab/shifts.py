@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +42,6 @@ from .exact import stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
 DEPTH_GUARD_STATES = 2**24
-MARKOV_STEP_CHUNK = 2**14  # draws per batch of Markov step tables
 
 Word = tuple[int, ...]
 
@@ -376,22 +377,17 @@ class Markov(ShiftMeasure):
         rows = np.array([[float(p) for p in row] for row in self.transition])
         rows /= rows.sum(axis=1, keepdims=True)
         cum = np.cumsum(rows, axis=1)
+        # bisect_right makes the comparisons of searchsorted(side="right"); an infinite
+        # last bound sends a draw at or above a row total rounded below 1 to the last state
+        cum[:, -1] = np.inf
+        cum = [array("d", row) for row in cum]  # 8 bytes a bound, not a float object's 32
         s = int(rng.choice(n_sym, p=init))
         u = rng.random(n)
-        out = np.empty(n, dtype=np.int64)
-        out[0] = s
-        # the step tables take |G| ints per draw, so they are built a chunk at a time
-        for lo in range(1, n, MARKOV_STEP_CHUNK):
-            draws = u[lo : lo + MARKOV_STEP_CHUNK]
-            # nxt[s][i] is the state after s on draw i of the chunk
-            nxt = [np.minimum(np.searchsorted(c, draws, side="right"), n_sym - 1).tolist()
-                   for c in cum]
-            walk = []
-            for i in range(len(draws)):
-                s = nxt[s][i]
-                walk.append(s)
-            out[lo : lo + len(draws)] = walk
-        return out
+        walk = array("q", [s])
+        for x in memoryview(u)[1:]:
+            s = bisect_right(cum[s], x)
+            walk.append(s)
+        return np.frombuffer(walk, dtype=np.int64)
 
 
 @dataclass(frozen=True)

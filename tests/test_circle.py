@@ -169,9 +169,9 @@ def test_lebesgue_coding_matches_bigint_loop(k, n):
         assert all(w.dtype == np.int8 for w in words)
 
 
-def test_lebesgue_coding_of_a_large_multiplier():
-    # k^40 needs 40 one-digit int64 chunks; symbols no longer fit int8
-    k = 2**40 + 15
+@pytest.mark.parametrize("k", [2**40 + 15, 2**62, 2**62 + 1, 2**63 + 5, 3**90])
+def test_lebesgue_coding_of_a_large_multiplier(k):
+    # one digit per chunk: int64 chunks up to k = 2^62, Python ints above it
     words = sample_lebesgue_coding(CircleSystem(k), 45, 2)
     assert [w.tolist() for w in words] == _naive_lebesgue_coding(k, 45, 2)
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cyclic, haar, measure, symmetric
+from ergolab.groups import direct_product
 from ergolab.entropy import block_entropy
 from ergolab.errors import (
     DepthLimitExceeded,
@@ -649,14 +650,53 @@ def test_markov_sampler_matches_per_step_walk(mu, n):
         assert np.array_equal(got, _naive_markov_walk(mu, n, seed))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_markov_sampler_matches_per_step_walk_across_chunks(monkeypatch, chunk):
-    from ergolab import shifts
+def _permutation_chain(group, seed):
+    """A doubly stochastic chain (so Haar is stationary) with mostly zero entries."""
+    n = group.order
+    rng = np.random.default_rng(seed)
+    weights = np.zeros((n, n), dtype=np.int64)
+    for w in (1, 1, 2):
+        weights[np.arange(n), rng.permutation(n)] += w
+    rows = tuple(tuple(F(int(w), 4) for w in row) for row in weights)
+    return Markov(shift_space(group), rows, tuple([F(1, n)] * n))
 
-    monkeypatch.setattr(shifts, "MARKOV_STEP_CHUNK", chunk)
-    for mu in MARKOV_CHAINS:
-        for n in (1, 2, 7, 8, 50):
-            assert np.array_equal(mu.sample(n, 11), _naive_markov_walk(mu, n, 11))
+
+@pytest.mark.parametrize(
+    "group", [cyclic(64), direct_product(symmetric(4), cyclic(3))], ids=["C64", "S4xC3"]
+)
+def test_markov_sampler_matches_per_step_walk_on_large_alphabets(group):
+    mu = _permutation_chain(group, 5)
+    for n, seed in ((1, 0), (2, 1), (3000, 2)):
+        assert np.array_equal(mu.sample(n, seed), _naive_markov_walk(mu, n, seed))
+
+
+class _FixedDraws:
+    """Stands in for a numpy Generator: first state 0, then the given uniforms."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def choice(self, n, p):
+        return 0
+
+    def random(self, n):
+        return self.draws[:n].copy()
+
+
+def test_markov_sampler_matches_per_step_walk_on_draws_at_row_bounds(monkeypatch):
+    # a draw equal to a cumulative bound moves past it, and a draw at or above a
+    # row total that rounds below 1 (C10 uniform rows sum to 1 - 2**-53) takes
+    # the last state; random draws almost never hit either case
+    for mu in MARKOV_CHAINS + [Markov.stationary(shift_space(cyclic(10)), [["1/10"] * 10] * 10)]:
+        n_sym = mu.system.alphabet.order
+        rows = np.array([[float(p) for p in row] for row in mu.transition])
+        rows /= rows.sum(axis=1, keepdims=True)
+        bounds = np.unique(np.cumsum(rows, axis=1))
+        draws = np.concatenate([[0.0], bounds, [np.nextafter(1.0, 0.0)], bounds[::-1]])
+        draws = np.tile(draws, n_sym + 1)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(draws))
+        assert np.array_equal(mu.sample(len(draws), 0), _naive_markov_walk(mu, len(draws), 0))
+        monkeypatch.undo()
 
 
 def test_markov_sample_of_length_zero_is_empty():
