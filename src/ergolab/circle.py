@@ -56,14 +56,7 @@ class CircleSystem:
 
 
 def times_k(k: int) -> CircleSystem:
-    sys = CircleSystem(k)
-    # partition refinement invariant: each generating interval pulls back to
-    # k intervals of length 1/k^2
-    for lo, hi in sys.generating_partition:
-        pieces = sys.preimage_intervals(lo, hi)
-        if len(pieces) != k or any(b - a != Fraction(1, k * k) for a, b in pieces):
-            raise BadK(f"x -> {k}x mod 1 does not refine its generating partition")
-    return sys
+    return CircleSystem(k)
 
 
 def haar_invariance_check(sys: CircleSystem, depth: int) -> bool:

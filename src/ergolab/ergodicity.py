@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificateInvalid, FactorNotErgodic, InsufficientSteps
+from .errors import CertificateInvalid, DepthLimitExceeded, FactorNotErgodic, InsufficientSteps
 from .shifts import (
     Bernoulli,
     Convolution,
@@ -47,6 +48,8 @@ class ErgodicityVerdict:
 def _flatten_mixture(mu: Mixture) -> list[tuple[Fraction, ShiftMeasure]]:
     out: list[tuple[Fraction, ShiftMeasure]] = []
     for w, m in mu.components:
+        if not w:
+            continue  # a zero-weight component is not part of the measure
         if isinstance(m, Mixture):
             out.extend((w * w2, m2) for w2, m2 in _flatten_mixture(m))
         else:
@@ -143,6 +146,28 @@ def default_observables(system: ShiftSystem, seed: int = 0) -> list[Word]:
     return obs
 
 
+def _window_counts(
+    word: np.ndarray, coded: Sequence[tuple[int, int, int]], n_steps: int, base: int
+) -> list[int]:
+    """How many of a word's first n_steps windows spell each coded observable.
+
+    `coded` holds (index, length, base-|G| code) per observable. One code
+    buffer is rolled in place from length 1 to the longest observable, and
+    each observable is counted by equality at its own length.
+    """
+    max_len = max(length for _, length, _ in coded)
+    code = word[:n_steps].astype(np.int32 if base**max_len <= 2**31 else np.int64)
+    counts = [n_steps] * len(coded)  # the empty word fits every window
+    for level in range(1, max_len + 1):
+        if level > 1:
+            code *= base
+            code += word[level - 1 : level - 1 + n_steps]
+        for i, length, c in coded:
+            if length == level:
+                counts[i] = int(np.count_nonzero(code == c))
+    return counts
+
+
 def birkhoff_report(
     mu: ShiftMeasure,
     observables: Sequence[Word],
@@ -155,15 +180,20 @@ def birkhoff_report(
     if n_steps < MIN_BIRKHOFF_STEPS:
         raise InsufficientSteps(f"need at least {MIN_BIRKHOFF_STEPS} steps")
     observables = [tuple(w) for w in observables]
+    n = mu.system.alphabet.order
+    for obs in observables:
+        if not all(0 <= sym < n for sym in obs):
+            raise ValueError(f"observable {obs} has a symbol outside the alphabet")
     max_len = max(len(w) for w in observables)
-    means = np.zeros((len(observables), n_seeds))
-    for s in range(n_seeds):
-        word = mu.sample(n_steps + max_len - 1, base_seed + s)
-        for i, obs in enumerate(observables):
-            hits = np.ones(n_steps, dtype=bool)
-            for j, sym in enumerate(obs):
-                hits &= word[j : j + n_steps] == sym
-            means[i, s] = hits.mean()
+    if n**max_len > 2**63:
+        raise DepthLimitExceeded(f"{n}^{max_len} window codes exceed the int64 limit 2^63")
+    coded = [(i, len(obs), reduce(lambda c, sym: c * n + sym, obs, 0))
+             for i, obs in enumerate(observables)]
+    counts = np.empty((len(observables), n_seeds), dtype=np.int64)
+    for s in range(n_seeds):  # each word is freed before the next one is drawn
+        word_length = n_steps + max_len - 1
+        counts[:, s] = _window_counts(mu.sample(word_length, base_seed + s), coded, n_steps, n)
+    means = counts / n_steps  # exactly hits.mean() for integer counts
     rows = []
     all_pass = True
     for i, obs in enumerate(observables):

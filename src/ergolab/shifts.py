@@ -42,6 +42,7 @@ from .exact import stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
 DEPTH_GUARD_STATES = 2**24
+BERNOULLI_COUNT_MAX_SYMBOLS = 64  # above it a binary search beats one pass per bound
 
 Word = tuple[int, ...]
 
@@ -288,10 +289,21 @@ class Bernoulli(ShiftMeasure):
         return BlockTable(len(nums), length, codes.ravel(), nums_out.ravel(), prev.den * den)
 
     def sample(self, n, seed):
+        # rng.choice(k, size=n, p=probs) itself: searchsorted(cdf, rng.random(n), side="right"),
+        # which for few symbols is cheaper as the count of bounds at or below each draw
         rng = np.random.default_rng(seed)
         probs = np.array([float(w) for w in self.marginal.weights])
         probs /= probs.sum()
-        return rng.choice(self.system.alphabet.order, size=n, p=probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(n)
+        if len(cdf) > BERNOULLI_COUNT_MAX_SYMBOLS:
+            return cdf.searchsorted(u, side="right")
+        idx = np.zeros(n, dtype=np.uint8)
+        for bound in cdf[:-1]:  # every draw is below the last bound, 1.0
+            idx += u >= bound
+        del u
+        return idx.astype(np.int64)
 
 
 def shift_haar(system: ShiftSystem) -> Bernoulli:
@@ -538,9 +550,14 @@ class Convolution(ShiftMeasure):
         return _merged(g.order, length, codes, nums, left.den * right.den)
 
     def sample(self, n, seed):
+        g = self.system.alphabet
         u = self.left.sample(n, seed)
         v = self.right.sample(n, seed + 10**6)
-        return self.system.alphabet.np_op[u, v]
+        # np_op[u, v] through the flat index u * |G| + v, built in u's buffer
+        u *= g.order
+        u += v
+        del v
+        return g.np_op.ravel()[u]
 
     def _extended(self):
         return convolve_shift(self.left._extended(), self.right._extended())

@@ -1,11 +1,16 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, measure
+from ergolab import cyclic, haar, measure, symmetric
 from ergolab.ergodicity import (
+    DISPERSION_THRESHOLD,
     BirkhoffReport,
+    BirkhoffRow,
     DisjointnessCertificate,
     birkhoff_report,
     convolution_ergodicity_scenario,
@@ -13,7 +18,13 @@ from ergolab.ergodicity import (
     is_ergodic_exact,
     validate_certificate,
 )
-from ergolab.errors import CertificateInvalid, FactorNotErgodic, InsufficientSteps
+from ergolab.errors import (
+    CertificateInvalid,
+    DepthLimitExceeded,
+    FactorNotErgodic,
+    InsufficientSteps,
+)
+from ergolab.scenarios import parse_config, run_scenario
 from ergolab.shifts import (
     Bernoulli,
     Convolution,
@@ -92,6 +103,17 @@ def test_mixture_witness_names_components_and_depth(components, witness):
     w = F(1, len(components))
     v = is_ergodic_exact(Mixture(SYS2, tuple((w, m) for m in components)))
     assert (v.verdict, v.method, v.witness) == ("non_ergodic", "exact_mixture", witness)
+
+
+def test_zero_weight_components_are_dropped():
+    # the measure is B(1/2); the weight-0 B(1/4) is not part of it
+    mu = Mixture(SYS2, ((F(1), bern("1/2")), (F(0), bern("1/4"))))
+    v = is_ergodic_exact(mu)
+    assert (v.verdict, v.method, v.witness) == ("ergodic", "exact_mixture", None)
+    nested = Mixture(SYS2, ((F(0), PeriodicOrbit(SYS2, (0, 1))), (F(1), mu)))
+    assert is_ergodic_exact(nested).verdict == "ergodic"
+    split = Mixture(SYS2, ((F(1, 2), mu), (F(1, 2), bern("1/4"))))
+    assert is_ergodic_exact(split).witness == "components 0 and 1 disagree at depth 1"
 
 
 def test_convolution_is_unknown():
@@ -208,6 +230,32 @@ def test_scenario_periodic_vs_mixing():
     assert rep.verdict == "ergodic-consistent"
 
 
+def test_scenario_accepts_factor_with_zero_weight_component():
+    left = {
+        "kind": "mixture",
+        "components": [
+            ["1", {"kind": "bernoulli", "marginal": ["3/4", "1/4"]}],
+            ["0", {"kind": "bernoulli", "marginal": ["1/4", "3/4"]}],
+        ],
+    }
+    doc = {"scenarios": [{
+        "id": "zero-weight",
+        "kind": "convolution_ergodicity",
+        "parameters": {
+            "alphabet": {"family": "cyclic", "n": 2},
+            "left": left,
+            "right": {"kind": "periodic_orbit", "word": [0, 1]},
+            "certificate": {"kind": "declared"},
+            "steps": 10**5,
+            "seed_count": 4,
+        },
+    }]}
+    (sc,) = parse_config(json.dumps(doc))
+    result = run_scenario(sc)
+    assert [r.quantity for r in result.rows if not r.passed] == []
+    assert result.rows[-1].quantity == "ergodic_consistent"
+
+
 def test_scenario_rejects_non_ergodic_factor():
     bad = Mixture(SYS2, ((F(1, 2), bern("1/4")), (F(1, 2), bern("3/4"))))
     with pytest.raises(FactorNotErgodic):
@@ -218,3 +266,120 @@ def test_scenario_rejects_non_ergodic_factor():
             n_steps=10**4,
             n_seeds=2,
         )
+
+
+# -- birkhoff window counts against the per-observable boolean loop -------------------
+
+
+def _oracle_birkhoff(mu, observables, n_steps, n_seeds, base_seed=0,
+                     dispersion_threshold=DISPERSION_THRESHOLD):
+    """The report as the boolean loop built it: one pass per observable symbol."""
+    observables = [tuple(w) for w in observables]
+    max_len = max(len(w) for w in observables)
+    means = np.zeros((len(observables), n_seeds))
+    for s in range(n_seeds):
+        word = mu.sample(n_steps + max_len - 1, base_seed + s)
+        for i, obs in enumerate(observables):
+            hits = np.ones(n_steps, dtype=bool)
+            for j, sym in enumerate(obs):
+                hits &= word[j : j + n_steps] == sym
+            means[i, s] = hits.mean()
+    rows = []
+    all_pass = True
+    for i, obs in enumerate(observables):
+        p = float(mu.cylinder(obs))
+        grand = float(means[i].mean())
+        disp = float(means[i].std())
+        bound = 3.0 * (p * (1.0 - p) / n_steps) ** 0.5
+        ok = abs(grand - p) <= bound + 1e-12 and disp < dispersion_threshold
+        all_pass &= ok
+        rows.append(BirkhoffRow(obs, p, grand, bound, disp, ok))
+    return BirkhoffReport(tuple(rows), n_steps, n_seeds, dispersion_threshold, all_pass)
+
+
+S3 = symmetric(3)
+SYS_S3 = shift_space(S3)
+SYS3 = shift_space(cyclic(3))
+BERN_S3 = Bernoulli(SYS_S3, measure(S3, [F(k, 21) for k in range(1, 7)]))
+MIXED_OBSERVABLES = [(0,), (), (1, 0, 1), (0,), (1, 1), (1, 0, 1), (0, 0, 0, 1, 0), ()]
+
+BIRKHOFF_CASES = [
+    (Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1))),
+     default_observables(SYS2, 3) + MIXED_OBSERVABLES),
+    (Convolution(SYS_S3, BERN_S3, PeriodicOrbit(SYS_S3, (1, 2, 5))),
+     [(5,), (2, 3), (1, 2, 5, 1), (0,), (2, 3), (), (4, 4, 4)]),
+    (Convolution(SYS_S3, PeriodicOrbit(SYS_S3, (1, 2, 5)), BERN_S3), [(3, 1), (0, 5, 2)]),
+    (Mixture(SYS2, ((F(1, 3), bern("1/4")),
+                    (F(2, 3), Markov.stationary(SYS2, [["1/2", "1/2"], ["1", "0"]])))),
+     MIXED_OBSERVABLES),
+    # the int32 codes end at 2^31 = 2^31 windows; the int64 codes at 2^63
+    (PeriodicOrbit(SYS2, (1,)), [(1,) * 31, (1,) * 32, (1,) * 63, (0,) + (1,) * 62]),
+    (PeriodicOrbit(SYS3, (2,)), [(2,) * 19, (2,) * 20, (2,) * 39]),
+    (shift_haar(SYS2), [(1, 0) * 6, (0,) * 31, (1,) * 40]),
+]
+
+
+@pytest.mark.parametrize("mu, observables", BIRKHOFF_CASES,
+                         ids=[f"{m.kind}-{m.system.alphabet.order}" for m, _ in BIRKHOFF_CASES])
+def test_birkhoff_report_matches_boolean_loop(mu, observables):
+    args = (observables, 10**4 + 7, 3, 5)
+    assert birkhoff_report(mu, *args) == _oracle_birkhoff(mu, *args)
+
+
+@st.composite
+def _birkhoff_case(draw):
+    """A C2 or C3 measure of any kind, observables of length 0..5, a few seeds."""
+    system = draw(st.sampled_from([SYS2, SYS3]))
+    n = system.alphabet.order
+
+    def probabilities():
+        raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        raw[draw(st.integers(0, n - 1))] += 1
+        return [F(r, sum(raw)) for r in raw]
+
+    def factor():
+        kind = draw(st.sampled_from(["bernoulli", "markov", "periodic_orbit"]))
+        if kind == "bernoulli":
+            return Bernoulli(system, measure(system.alphabet, probabilities()))
+        if kind == "markov":
+            try:
+                return Markov.stationary(system, [probabilities() for _ in range(n)])
+            except ValueError:  # no unique stationary distribution
+                assume(False)
+        w = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        root = next(d for d in range(1, len(w) + 1) if w == w[:d] * (len(w) // d))
+        return PeriodicOrbit(system, tuple(w[:root]))
+
+    shape = draw(st.sampled_from(["factor", "convolution", "mixture"]))
+    if shape == "factor":
+        mu = factor()
+    elif shape == "convolution":
+        mu = Convolution(system, factor(), factor())
+    else:
+        w = F(draw(st.integers(0, 4)), 4)
+        mu = Mixture(system, ((w, factor()), (1 - w, factor())))
+    word = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    observables = draw(st.lists(word, min_size=1, max_size=6))
+    return mu, observables, draw(st.integers(1, 3)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_birkhoff_case())
+def test_birkhoff_report_matches_boolean_loop_on_random_cases(case):
+    mu, observables, n_seeds, base_seed = case
+    args = (observables, 10**4, n_seeds, base_seed)
+    assert birkhoff_report(mu, *args) == _oracle_birkhoff(mu, *args)
+
+
+@pytest.mark.parametrize("bad", [(2,), (0, 1, 2), (-1,)])
+def test_birkhoff_rejects_symbols_outside_the_alphabet(bad):
+    # a window code would alias such a symbol with a real word
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        birkhoff_report(bern("1/4"), [(0,), bad], n_steps=10**4, n_seeds=1)
+
+
+def test_birkhoff_window_codes_guarded_at_int64():
+    with pytest.raises(DepthLimitExceeded, match="2\\^63"):
+        birkhoff_report(bern("1/4"), [(0,) * 64], n_steps=10**4, n_seeds=1)
+    with pytest.raises(DepthLimitExceeded, match="3\\^40"):
+        birkhoff_report(PeriodicOrbit(SYS3, (2,)), [(2,) * 40], n_steps=10**4, n_seeds=1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, measure, symmetric
+from ergolab import cyclic, haar, measure, shifts, symmetric
 from ergolab.groups import direct_product
 from ergolab.entropy import block_entropy
 from ergolab.errors import (
@@ -724,3 +724,69 @@ def test_markov_sampler_matches_per_step_walk_on_random_chains(chain, n, seed):
     system, rows, initial = chain
     mu = Markov(system, tuple(map(tuple, rows)), tuple(initial), validate=False)
     assert np.array_equal(mu.sample(n, seed), _naive_markov_walk(mu, n, seed))
+
+
+# -- Bernoulli and convolution samplers against the calls they replace ----------------
+
+
+def _choice_oracle(mu, n, seed):
+    """Generator.choice with float probabilities: the Bernoulli sampler's own stream."""
+    probs = np.array([float(w) for w in mu.marginal.weights])
+    probs /= probs.sum()
+    return np.random.default_rng(seed).choice(mu.system.alphabet.order, size=n, p=probs)
+
+
+def _bernoulli_with_zero(k, zero_at):
+    raw = [int(r) for r in np.random.default_rng(k).integers(1, 6, size=k)]
+    raw[zero_at] = 0
+    return Bernoulli(shift_space(cyclic(k)), measure(cyclic(k), [F(r, sum(raw)) for r in raw]))
+
+
+BERNOULLI_CASES = [
+    _bernoulli_with_zero(k, at) for k in (2, 3, 8, 9, 24, 65, 120) for at in (0, k // 2, k - 1)
+]
+
+
+@pytest.mark.parametrize("mu", BERNOULLI_CASES,
+                         ids=lambda m: f"C{m.system.alphabet.order}-{m.marginal.weights.index(0)}")
+@pytest.mark.parametrize("cut_over", [None, 0, 10**3], ids=["shipped", "search", "count"])
+def test_bernoulli_sampler_matches_rng_choice(mu, cut_over, monkeypatch):
+    if cut_over is not None:
+        monkeypatch.setattr(shifts, "BERNOULLI_COUNT_MAX_SYMBOLS", cut_over)
+    for n in (0, 1, 10**5 + 3):
+        for seed in (0, 17):
+            got = mu.sample(n, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _choice_oracle(mu, n, seed))
+
+
+@pytest.mark.parametrize("cut_over", [0, 10**3], ids=["search", "count"])
+def test_bernoulli_sampler_on_draws_at_cdf_bounds(cut_over, monkeypatch):
+    # a draw equal to a bound lies past it, as in searchsorted(side="right"), which
+    # Generator.choice runs on its cdf; random draws almost never hit a bound
+    monkeypatch.setattr(shifts, "BERNOULLI_COUNT_MAX_SYMBOLS", cut_over)
+    for mu in BERNOULLI_CASES[:15]:
+        probs = np.array([float(w) for w in mu.marginal.weights])
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        draws = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0),
+                                [np.nextafter(1.0, 0.0)]])
+        draws = draws[draws < 1.0]  # Generator.random draws from [0, 1)
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", lambda seed: _FixedDraws(draws))
+            got = mu.sample(len(draws), 0)
+        assert np.array_equal(got, cdf.searchsorted(draws, side="right"))
+
+
+def test_convolution_sampler_matches_2d_index():
+    s3 = symmetric(3)
+    sys_s3 = shift_space(s3)
+    bern_s3 = Bernoulli(sys_s3, measure(s3, [F(k, 21) for k in range(1, 7)]))
+    orbit = PeriodicOrbit(sys_s3, (1, 2, 5))
+    for left, right in ((bern_s3, orbit), (orbit, bern_s3)):
+        for n, seed in ((0, 0), (1, 4), (10**4 + 3, 9)):
+            got = Convolution(sys_s3, left, right).sample(n, seed)
+            want = s3.np_op[left.sample(n, seed), right.sample(n, seed + 10**6)]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
