@@ -48,8 +48,6 @@ class ErgodicityVerdict:
 def _flatten_mixture(mu: Mixture) -> list[tuple[Fraction, ShiftMeasure]]:
     out: list[tuple[Fraction, ShiftMeasure]] = []
     for w, m in mu.components:
-        if not w:
-            continue  # a zero-weight component is not part of the measure
         if isinstance(m, Mixture):
             out.extend((w * w2, m2) for w2, m2 in _flatten_mixture(m))
         else:
@@ -95,7 +93,7 @@ def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
     if isinstance(mu, PeriodicOrbit):
         return ErgodicityVerdict("ergodic", "exact_orbit")
     if isinstance(mu, Mixture):
-        comps = _flatten_mixture(mu)
+        comps = [(w, m) for w, m in _flatten_mixture(mu) if w]  # weight 0 is not in the measure
         for _, m in comps:
             if isinstance(m, Convolution):
                 return ErgodicityVerdict("unknown", "birkhoff")
@@ -146,25 +144,22 @@ def default_observables(system: ShiftSystem, seed: int = 0) -> list[Word]:
     return obs
 
 
-def _window_counts(
-    word: np.ndarray, coded: Sequence[tuple[int, int, int]], n_steps: int, base: int
-) -> list[int]:
-    """How many of a word's first n_steps windows spell each coded observable.
+def _window_counts(word: np.ndarray, observables: list[Word], n_steps: int, base: int) -> list[int]:
+    """How many of a word's first n_steps windows spell each observable.
 
-    `coded` holds (index, length, base-|G| code) per observable. One code
-    buffer is rolled in place from length 1 to the longest observable, and
-    each observable is counted by equality at its own length.
+    One base-|G| window code is rolled in place from length 1 to the longest
+    observable, and each observable is counted by equality at its own length.
     """
-    max_len = max(length for _, length, _ in coded)
+    max_len = max(map(len, observables))
     code = word[:n_steps].astype(np.int32 if base**max_len <= 2**31 else np.int64)
-    counts = [n_steps] * len(coded)  # the empty word fits every window
+    counts = [n_steps] * len(observables)  # the empty word fits every window
     for level in range(1, max_len + 1):
-        if level > 1:
+        for i, obs in enumerate(observables):
+            if len(obs) == level:
+                counts[i] = np.count_nonzero(code == reduce(lambda c, s: c * base + s, obs))
+        if level < max_len:
             code *= base
-            code += word[level - 1 : level - 1 + n_steps]
-        for i, length, c in coded:
-            if length == level:
-                counts[i] = int(np.count_nonzero(code == c))
+            code += word[level : level + n_steps]
     return counts
 
 
@@ -180,24 +175,21 @@ def birkhoff_report(
     if n_steps < MIN_BIRKHOFF_STEPS:
         raise InsufficientSteps(f"need at least {MIN_BIRKHOFF_STEPS} steps")
     observables = [tuple(w) for w in observables]
+    # before sampling: a window code would alias a symbol outside the alphabet
+    exact = [float(mu.cylinder_prob(obs)) for obs in observables]
     n = mu.system.alphabet.order
-    for obs in observables:
-        if not all(0 <= sym < n for sym in obs):
-            raise ValueError(f"observable {obs} has a symbol outside the alphabet")
     max_len = max(len(w) for w in observables)
     if n**max_len > 2**63:
         raise DepthLimitExceeded(f"{n}^{max_len} window codes exceed the int64 limit 2^63")
-    coded = [(i, len(obs), reduce(lambda c, sym: c * n + sym, obs, 0))
-             for i, obs in enumerate(observables)]
-    counts = np.empty((len(observables), n_seeds), dtype=np.int64)
-    for s in range(n_seeds):  # each word is freed before the next one is drawn
-        word_length = n_steps + max_len - 1
-        counts[:, s] = _window_counts(mu.sample(word_length, base_seed + s), coded, n_steps, n)
-    means = counts / n_steps  # exactly hits.mean() for integer counts
+    means = np.zeros((len(observables), n_seeds))
+    word_length = n_steps + max_len - 1
+    for s in range(n_seeds):  # a word lives only in the helper's call, so one at a time
+        means[:, s] = _window_counts(mu.sample(word_length, base_seed + s), observables, n_steps, n)
+    means /= n_steps  # exactly hits.mean() for integer counts
     rows = []
     all_pass = True
     for i, obs in enumerate(observables):
-        p = float(mu.cylinder(obs))
+        p = exact[i]
         grand = float(means[i].mean())
         disp = float(means[i].std())
         bound = 3.0 * (p * (1.0 - p) / n_steps) ** 0.5

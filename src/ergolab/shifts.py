@@ -289,7 +289,7 @@ class Bernoulli(ShiftMeasure):
         return BlockTable(len(nums), length, codes.ravel(), nums_out.ravel(), prev.den * den)
 
     def sample(self, n, seed):
-        # rng.choice(k, size=n, p=probs) itself: searchsorted(cdf, rng.random(n), side="right"),
+        # Generator.choice(k, size=n, p=probs): searchsorted(cdf, rng.random(n), side="right"),
         # which for few symbols is cheaper as the count of bounds at or below each draw
         rng = np.random.default_rng(seed)
         probs = np.array([float(w) for w in self.marginal.weights])
@@ -299,7 +299,7 @@ class Bernoulli(ShiftMeasure):
         u = rng.random(n)
         if len(cdf) > BERNOULLI_COUNT_MAX_SYMBOLS:
             return cdf.searchsorted(u, side="right")
-        idx = np.zeros(n, dtype=np.uint8)
+        idx = np.zeros(n, dtype=np.uint8)  # a count below the cut-over fits a byte
         for bound in cdf[:-1]:  # every draw is below the last bound, 1.0
             idx += u >= bound
         del u
@@ -551,12 +551,9 @@ class Convolution(ShiftMeasure):
 
     def sample(self, n, seed):
         g = self.system.alphabet
-        u = self.left.sample(n, seed)
-        v = self.right.sample(n, seed + 10**6)
-        # np_op[u, v] through the flat index u * |G| + v, built in u's buffer
+        u = self.left.sample(n, seed)  # np_op[u, v] by the flat index u * |G| + v, built in u
         u *= g.order
-        u += v
-        del v
+        u += self.right.sample(n, seed + 10**6)  # v is freed before the output is allocated
         return g.np_op.ravel()[u]
 
     def _extended(self):
