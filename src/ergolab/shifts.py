@@ -42,7 +42,7 @@ from .exact import stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
 DEPTH_GUARD_STATES = 2**24
-BERNOULLI_COUNT_MAX_SYMBOLS = 64  # above it a binary search beats one pass per bound
+BERNOULLI_COUNT_MAX_SYMBOLS = 96  # above it a binary search beats one pass per bound
 
 Word = tuple[int, ...]
 

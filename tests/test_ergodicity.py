@@ -312,7 +312,8 @@ BIRKHOFF_CASES = [
     (Mixture(SYS2, ((F(1, 3), bern("1/4")),
                     (F(2, 3), Markov.stationary(SYS2, [["1/2", "1/2"], ["1", "0"]])))),
      MIXED_OBSERVABLES),
-    # the int32 codes end at 2^31 = 2^31 windows; the int64 codes at 2^63
+    # lengths on both sides of the int32 codes' end (2^31 on C2; 3^19 < 2^31 < 3^20 on C3);
+    # (1,) * 63 codes to 2^63 - 1, the largest int64
     (PeriodicOrbit(SYS2, (1,)), [(1,) * 31, (1,) * 32, (1,) * 63, (0,) + (1,) * 62]),
     (PeriodicOrbit(SYS3, (2,)), [(2,) * 19, (2,) * 20, (2,) * 39]),
     (shift_haar(SYS2), [(1, 0) * 6, (0,) * 31, (1,) * 40]),
