@@ -2,7 +2,10 @@
 
 Everything is in nats. Probabilities arrive as exact rationals and are
 converted to float only inside the logarithm; float sums go through
-`math.fsum` for order-independent results. The canonical estimator for the
+`math.fsum` for order-independent results. An exact block table's entropy
+takes one logarithm per distinct mass, and `math.fsum` runs over the terms
+repeated by their multiplicity, so the sum is the same correctly rounded
+value as one term per word. The canonical estimator for the
 entropy rate of a stationary measure is the conditional block entropy
 h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 """
@@ -10,8 +13,10 @@ h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,10 +89,12 @@ def static_entropy(mu: DenseMeasure) -> float:
 
 
 def table_entropy(table: BlockTable) -> float:
-    """-sum p ln p over an exact block table."""
+    """-sum p ln p over an exact block table, one logarithm per distinct mass."""
     den = table.den
-    # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
-    return math.fsum(neg_xlogx(num / den) for num in table.nums.tolist())
+    # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction));
+    # fsum is correctly rounded, so the repeated terms sum as one term per word would
+    terms = (repeat(neg_xlogx(num / den), n) for num, n in Counter(table.nums.tolist()).items())
+    return math.fsum(chain.from_iterable(terms))
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:
@@ -106,8 +113,6 @@ def conditional_block_entropy(mu: ShiftMeasure, length: int) -> float:
 
 def entropy_rate(mu: ShiftMeasure, L_max: int, tol: float = 1e-9) -> EntropyEstimate:
     """Upper-bound estimate h_{L_max} with the full nonincreasing h_L trail."""
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     return trail_estimate((block_entropy(mu, length) for length in range(1, L_max + 1)), tol)
@@ -122,6 +127,8 @@ def trail_estimate(
     every h_L is an upper bound, so none may fall below that rate.
     """
     H = list(block_entropies)
+    if not H:
+        raise ValueError("L_max must be >= 1: the trail needs at least H_1")
     h_levels = tuple(b - a for a, b in zip([0.0] + H, H))
     for a, b in zip(h_levels, h_levels[1:]):
         if b > a + MONOTONE_SLACK:
@@ -205,6 +212,8 @@ def empirical_block_entropy(
     if length < 1:
         raise ValueError("length must be >= 1")
     if alphabet_size is None:
+        if not any(len(w) for w in words):
+            raise InsufficientData(f"0 symbols < 100 * k^{length}: no word has a symbol")
         alphabet_size = 1 + max(int(max(w)) for w in words if len(w))
     k = alphabet_size
     sizes = [len(w) for w in words]

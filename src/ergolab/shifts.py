@@ -224,6 +224,8 @@ class ShiftMeasure:
         """The length-L block distribution in integer form, memoized; guarded at 2^24 states."""
         table = self._tables.get(length)
         if table is None:
+            if length < 0:
+                raise ValueError(f"block length must be >= 0, got {length}")
             self.system.guard_depth(length)
             if length == 0:
                 n = self.system.alphabet.order

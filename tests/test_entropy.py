@@ -20,12 +20,16 @@ from ergolab.entropy import (
     partition_conditional_entropy,
     partition_entropy,
     static_entropy,
+    table_entropy,
 )
 from ergolab.errors import InsufficientData, MonotonicityViolated, UnsupportedKind
+from ergolab.exact import neg_xlogx
 from ergolab.shifts import (
     Bernoulli,
+    BlockTable,
     Convolution,
     Markov,
+    Mixture,
     PeriodicOrbit,
     ProductMeasure,
     sample,
@@ -123,6 +127,12 @@ def test_entropy_rate_bernoulli_converges_immediately():
 def test_entropy_rate_uniform_is_ln2_at_L1():
     est = entropy_rate(shift_haar(SYS2), 1, tol=1e-9)
     assert est.value == pytest.approx(LN2, abs=1e-15)
+
+
+@pytest.mark.parametrize("L_max", [0, -1])
+def test_entropy_rate_needs_one_level(L_max):
+    with pytest.raises(ValueError, match="L_max must be >= 1"):
+        entropy_rate(bern("1/4"), L_max)
 
 
 def test_entropy_rate_upper_bounds_nonincreasing():
@@ -252,6 +262,97 @@ def test_empirical_markov():
 def test_empirical_insufficient_data():
     with pytest.raises(InsufficientData):
         empirical_block_entropy([[0, 1] * 10], 8, alphabet_size=2)
+
+
+@pytest.mark.parametrize("words", [[[]], [[], []], []])
+def test_empirical_entropy_without_symbols_names_the_data_requirement(words):
+    # with no alphabet size given, the alphabet cannot be read off an empty sample
+    with pytest.raises(InsufficientData, match=r"0 symbols < 100 \* k\^3"):
+        empirical_block_entropy(words, 3)
+
+
+# -- exact table entropy against the per-entry sum ------------------------------------
+
+
+def _per_entry_table_entropy(table: BlockTable) -> float:
+    """One neg_xlogx term per table entry; the oracle for the distinct-mass sum."""
+    den = table.den
+    return math.fsum(neg_xlogx(num / den) for num in table.nums.tolist())
+
+
+C3 = cyclic(3)
+SYS3 = shift_space(C3)
+ORACLE_STATES = 2**12  # the largest table each kind is checked on
+
+
+def _table_kinds():
+    markov_zeros = Markov.stationary(
+        SYS3, [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]]
+    )
+    yield "bernoulli", bern("1/4")
+    yield "bernoulli_c3", Bernoulli(SYS3, measure(C3, ["1/6", "1/3", "1/2"]))
+    yield "haar", shift_haar(SYS2)
+    yield "markov", MARKOV_23
+    yield "markov_zeros", markov_zeros
+    yield "periodic_orbit", PeriodicOrbit(SYS2, (0, 1, 1))
+    yield "mixture", Mixture(
+        SYS3, ((F(1, 3), PeriodicOrbit(SYS3, (0, 1, 2))), (F(2, 3), markov_zeros))
+    )
+    yield "convolution", Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1)))
+    yield "product", ProductMeasure(shift_space(cyclic(4)), bern("1/4"), MARKOV_23)
+
+
+@pytest.mark.parametrize("mu", [pytest.param(mu, id=kind) for kind, mu in _table_kinds()])
+def test_table_entropy_equals_per_entry_sum_for_every_kind(mu):
+    length = 0
+    while mu.system.alphabet.order**length <= ORACLE_STATES:
+        table = mu.block_table(length)
+        assert table_entropy(table) == _per_entry_table_entropy(table), length
+        assert block_entropy(mu, length) == _per_entry_table_entropy(table), length
+        length += 1
+    assert length >= 6
+
+
+def test_table_entropy_of_one_atom_is_positive_zero():
+    tables = [bern("1/4").block_table(0), PeriodicOrbit(SYS3, (2,)).block_table(3)]
+    tables += [PeriodicOrbit(SYS2, (0,)).block_table(length) for length in range(4)]
+    for table in tables:
+        h = table_entropy(table)
+        assert h == _per_entry_table_entropy(table) == 0.0
+        assert math.copysign(1.0, h) == 1.0  # neg_xlogx(1.0) is -0.0
+
+
+def test_table_entropy_with_a_denominator_past_int64():
+    tiny = F(1, 3**41)  # 3^41 > 2^63, so numerators stay Python ints
+    mu = Bernoulli(SYS2, measure(C2, [1 - tiny, tiny]))
+    for length in (1, 2, 5):
+        table = mu.block_table(length)
+        assert table.den > 2**63 and table.nums.dtype == object
+        assert table_entropy(table) == _per_entry_table_entropy(table)
+    wide = BlockTable(2, 2, np.arange(4), np.array([2**70, 2**70, 3, 2**71 - 3], object), 2**72)
+    assert table_entropy(wide) == _per_entry_table_entropy(wide)
+
+
+def test_table_entropy_of_a_scaled_table_with_zero_numerators():
+    padded = BlockTable(2, 3, np.arange(8), np.array([2, 0, 1, 0, 0, 3, 0, 1], object), 7)
+    for table in (padded.scaled(F(3, 5)), MARKOV_23.block_table(3).scaled(F(0))):
+        assert (table.nums == 0).any()
+        assert table_entropy(table) == _per_entry_table_entropy(table)
+
+
+@st.composite
+def _random_table(draw):
+    # a small pool of masses makes repeats, the case the distinct-mass sum groups
+    pool = draw(st.lists(st.integers(0, 2**80), min_size=1, max_size=6))
+    nums = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
+    den = max(sum(nums), 1) * draw(st.integers(1, 2**70))
+    return BlockTable(2, 6, np.arange(len(nums)), np.array(nums, object), den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_table())
+def test_table_entropy_equals_per_entry_sum_on_random_tables(table):
+    assert table_entropy(table) == _per_entry_table_entropy(table)
 
 
 # -- convolution entropy inequalities (estimator-level shadows) -----------------------

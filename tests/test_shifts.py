@@ -109,6 +109,22 @@ def test_depth_guard():
         Convolution(SYS2, bern("1/4"), bern("1/4")).cylinder((0,) * 25)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [
+        *some_measures(SYS2),
+        ProductMeasure(shift_space(cyclic(4)), bern("1/4"), PeriodicOrbit(SYS2, (0, 1))),
+    ],
+    ids=lambda mu: mu.kind,
+)
+@pytest.mark.parametrize("length", [-1, -2])
+def test_negative_block_length_is_rejected(mu, length):
+    with pytest.raises(ValueError, match=f"block length must be >= 0, got {length}"):
+        mu.block_table(length)
+    with pytest.raises(ValueError, match="block length must be >= 0"):
+        block_entropy(mu, length)
+
+
 # -- convolution of shift measures ---------------------------------------------
 
 

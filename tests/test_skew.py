@@ -167,6 +167,14 @@ def test_skew_entropy_periodic_base():
     assert est.value == 0.0
 
 
+@pytest.mark.parametrize("L", [0, -1])
+@pytest.mark.parametrize("base", [bern14, lambda: PeriodicOrbit(SYS2, (0, 1))],
+                         ids=["closed_form", "block_exact"])
+def test_skew_entropy_needs_one_level(base, L):
+    with pytest.raises(ValueError, match="L_max must be >= 1"):
+        skew_entropy(haar_extension(base(), first_symbol_system()), L)
+
+
 def test_skew_entropy_rejects_convolution_base():
     sk = first_symbol_system()
     conv = Convolution(SYS2, bern14(), PeriodicOrbit(SYS2, (0, 1)))
