@@ -1,9 +1,9 @@
 """Exact-rational plumbing: parsing, entropy summation, stationary solves.
 
 Probabilities stay exact rationals end to end (`fractions.Fraction`, or
-integer numerators over a common denominator inside `shifts`); logarithms
-are the only place values cross into floating point, and sums of float
-terms go through `math.fsum` so results do not depend on summation order.
+integer numerators over a common denominator inside `groups` and `shifts`);
+logarithms are the only place values cross into floating point, and sums of
+float terms go through `math.fsum` so results do not depend on their order.
 Because `math.fsum` is correctly rounded, a block table's entropy takes one
 logarithm per distinct mass and sums those terms repeated by multiplicity:
 the same correctly rounded value as one term per word.

@@ -1,8 +1,10 @@
 """Finite groups, homomorphisms, affine maps, and exact measures on them.
 
 Elements of a group of order n are the indices 0..n-1; the identity need not
-be index 0 (explicit tables may place it anywhere). All measure weights are
-`fractions.Fraction`, so invariance and independence checks are exact.
+be index 0 (explicit tables may place it anywhere). Measure weights are exact
+(`int` or `fractions.Fraction`); validation, invariance, pushforward,
+convolution and independence checks run on integer numerators over the
+weights' one common denominator, so they are exact.
 """
 
 from __future__ import annotations
@@ -400,10 +402,20 @@ class DenseMeasure:
     def __post_init__(self):
         if len(self.weights) != self.group.order:
             raise ValueError("one weight per group element required")
-        if any(w < 0 for w in self.weights):
+        for w in self.weights:
+            if not isinstance(w, (int, Fraction)):
+                raise TypeError(f"weight is not an int or a Fraction: {w!r}")
+        nums, den = self._ints
+        if any(n < 0 for n in nums):
             raise ValueError("weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """The weights as integer numerators over their least common denominator."""
+        den = math.lcm(*(w.denominator for w in self.weights))
+        return tuple(den // w.denominator * w.numerator for w in self.weights), den
 
     def __call__(self, g: int) -> Fraction:
         return self.weights[g]
@@ -460,10 +472,9 @@ def convolve(mu: DenseMeasure, nu: DenseMeasure) -> DenseMeasure:
     # integer numerators over each factor's common denominator, on its support
     parts = []
     for m in (mu, nu):
-        den = math.lcm(*(w.denominator for w in m.weights))
-        support = [x for x, w in enumerate(m.weights) if w]
-        nums = [m.weights[x].numerator * (den // m.weights[x].denominator) for x in support]
-        parts.append((support, np.array(nums, dtype=object), den))
+        nums, den = m._ints
+        support = [x for x, n in enumerate(nums) if n]
+        parts.append((support, np.array([nums[x] for x in support], dtype=object), den))
     (left, a, den_mu), (right, b, den_nu) = parts
     nums = np.zeros(g.order, dtype=object)
     np.add.at(nums, g.np_op[left][:, right].ravel(), np.multiply.outer(a, b).ravel())
@@ -471,18 +482,23 @@ def convolve(mu: DenseMeasure, nu: DenseMeasure) -> DenseMeasure:
     return DenseMeasure(g, tuple(Fraction(int(n), den) for n in nums))
 
 
+def _fiber_nums(mu: DenseMeasure, t: Transform) -> list[int]:
+    """The numerators of mu o T^-1 over mu's common denominator."""
+    _check_endomorphism(mu.group, t)
+    fibers = [0] * mu.group.order
+    for x, n in enumerate(mu._ints[0]):
+        fibers[t(x)] += n
+    return fibers
+
+
 def pushforward(mu: DenseMeasure, t: Transform) -> DenseMeasure:
     """(mu o T^-1)(g) = sum over the fiber T^-1(g)."""
-    _check_endomorphism(mu.group, t)
-    g = mu.group
-    weights = [Fraction(0)] * g.order
-    for x in g.elements():
-        weights[t(x)] += mu.weights[x]
-    return DenseMeasure(g, tuple(weights))
+    den = mu._ints[1]
+    return DenseMeasure(mu.group, tuple(Fraction(n, den) for n in _fiber_nums(mu, t)))
 
 
 def is_invariant(mu: DenseMeasure, t: Transform) -> bool:
-    return pushforward(mu, t).weights == mu.weights
+    return _fiber_nums(mu, t) == list(mu._ints[0])
 
 
 @dataclass(frozen=True)
@@ -503,10 +519,7 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
     """
     g = mu.group
     n = g.order
-    den = 1
-    for w in mu.weights:
-        den = den * w.denominator // math.gcd(den, w.denominator)
-    a = [int(w * den) for w in mu.weights]  # mu = a/den, integers
+    a, den = mu._ints  # mu = a/den, integers
 
     # joint(E, F) = (1/n) sum_{x in E} mu(x^-1 F); product = |E| |F| / n^2.
     # Equality <=> n * sum_{x in E, f in F} a[x^-1 f] == |E| * |F| * den.

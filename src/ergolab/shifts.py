@@ -181,7 +181,9 @@ def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: in
 
 def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
     """The first word, in code order, where two same-length tables differ; None if equal."""
-    codes = np.union1d(a.codes, b.codes)
+    codes = np.concatenate((a.codes, b.codes))  # np.union1d would import numpy.ma
+    codes.sort()
+    codes = codes[np.diff(codes, prepend=-1) != 0]
     differs = np.flatnonzero(a.lookup(codes) * b.den != b.lookup(codes) * a.den)
     if len(differs) == 0:
         return None
@@ -265,14 +267,8 @@ class Bernoulli(ShiftMeasure):
         if self.marginal.group != self.system.alphabet:
             raise SystemMismatch("marginal must live on the alphabet group")
 
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], int]:
-        """The marginal's numerators over their common denominator."""
-        den = _common_den(self.marginal.weights)
-        return tuple(int(w * den) for w in self.marginal.weights), den
-
     def cylinder(self, word):
-        nums, den = self._ints
+        nums, den = self.marginal._ints
         num = 1
         for s in word:
             num *= nums[s]
@@ -282,7 +278,7 @@ class Bernoulli(ShiftMeasure):
         return self.block_table(length).to_dict()
 
     def _build_table(self, length):
-        nums, den = self._ints
+        nums, den = self.marginal._ints
         prev = self.block_table(length - 1)
         support = [s for s, w in enumerate(nums) if w]
         codes = prev.codes[:, None] * len(nums) + np.array(support, dtype=np.int64)
@@ -540,16 +536,14 @@ class Convolution(ShiftMeasure):
     def _build_table(self, length):
         left, right = self.left.block_table(length), self.right.block_table(length)
         g = self.system.alphabet
-        # multiply each entry of the smaller table into the whole other table
-        if len(left) <= len(right):
-            other = right.digits()
-            parts = [(g.np_op[u, other], p * right.nums) for u, p in zip(left.digits(), left.nums)]
-        else:
-            other = left.digits()
-            parts = [(g.np_op[other, v], q * left.nums) for v, q in zip(right.digits(), right.nums)]
-        codes = np.concatenate([_encode(digits, g.order) for digits, _ in parts])
-        nums = np.concatenate([nums for _, nums in parts])
-        return _merged(g.order, length, codes, nums, left.den * right.den)
+        # code every (left word, right word) pair, rolled in one symbol at a time
+        u, v = left.digits(), right.digits()
+        codes = np.zeros((len(left), len(right)), dtype=np.int64)
+        for i in range(length):
+            codes *= g.order
+            codes += g.np_op[u[:, i, None], v[None, :, i]]
+        nums = np.multiply.outer(left.nums, right.nums)
+        return _merged(g.order, length, codes.ravel(), nums.ravel(), left.den * right.den)
 
     def sample(self, n, seed):
         g = self.system.alphabet

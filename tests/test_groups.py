@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -34,7 +35,16 @@ from ergolab.errors import (
     NotHomomorphism,
     NotInvariant,
 )
-from ergolab.groups import brute_force_isomorphism, power_hom, random_measure
+from ergolab.groups import (
+    EXHAUSTIVE_INDEPENDENCE_MAX_ORDER,
+    DenseMeasure,
+    GroupHom,
+    IndependenceReport,
+    brute_force_isomorphism,
+    power_hom,
+    random_invariant_measure,
+    random_measure,
+)
 
 
 def brute_convolve(mu, nu):
@@ -369,3 +379,193 @@ def test_convolve_matches_double_loop_with_zeros_and_large_denominators(g):
         got = convolve(mu, nu)
         assert got.weights == brute_convolve(mu, nu)
         assert all(type(w) is F for w in got.weights)
+
+
+# -- exact weights ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g, weights",
+    [(cyclic(3), (0.1, 0.2, 0.7)), (cyclic(2), (0.5, 0.5))],
+    ids=["c3", "c2"],
+)
+def test_float_weights_are_rejected(g, weights):
+    with pytest.raises(TypeError, match=repr(weights[0])):
+        DenseMeasure(g, weights)
+
+
+def test_float_weight_is_named_after_exact_ones():
+    with pytest.raises(TypeError, match="0.5"):
+        DenseMeasure(cyclic(3), (F(1, 2), 0, 0.5))
+
+
+# -- integer numerators against the Fraction arithmetic they replace ------------
+
+
+def _fraction_validate(group, weights):
+    """Fraction-sum validation of a weight tuple, as done before integer numerators."""
+    if len(weights) != group.order:
+        raise ValueError("one weight per group element required")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    if sum(weights) != 1:
+        raise ValueError("weights must sum to exactly 1")
+
+
+def _fraction_pushforward(mu, t):
+    g = mu.group
+    weights = [F(0)] * g.order
+    for x in g.elements():
+        weights[t(x)] += mu.weights[x]
+    return tuple(weights)
+
+
+def _fraction_is_invariant(mu, t):
+    return _fraction_pushforward(mu, t) == mu.weights
+
+
+def _fraction_independence_check(mu):
+    """The exhaustive and singleton scans, with the denominator taken by a gcd loop."""
+    g = mu.group
+    n = g.order
+    den = 1
+    for w in mu.weights:
+        den = den * w.denominator // math.gcd(den, w.denominator)
+    a = [int(w * den) for w in mu.weights]
+    if n <= EXHAUSTIVE_INDEPENDENCE_MAX_ORDER:
+        row = [[0] * (1 << n) for _ in range(n)]
+        for x in range(n):
+            xinv = g.inv(x)
+            vals = [a[g.op(xinv, f)] for f in range(n)]
+            for mask in range(1, 1 << n):
+                low = (mask & -mask).bit_length() - 1
+                row[x][mask] = row[x][mask ^ (1 << low)] + vals[low]
+        members = [[x for x in range(n) if mask >> x & 1] for mask in range(1 << n)]
+        for emask in range(1, 1 << n):
+            for fmask in range(1, 1 << n):
+                s = sum(row[x][fmask] for x in members[emask])
+                if n * s != len(members[emask]) * len(members[fmask]) * den:
+                    witness = (frozenset(members[emask]), frozenset(members[fmask]))
+                    return IndependenceReport(False, witness, "subset pair scan")
+        return IndependenceReport(True, None, "exhaustive over all subset pairs")
+    for x in range(n):
+        for f in range(n):
+            if n * a[g.op(g.inv(x), f)] != den:
+                return IndependenceReport(
+                    False, (frozenset([x]), frozenset([f])), "singleton scan"
+                )
+    return IndependenceReport(True, None, "singleton scan (order > 8)")
+
+
+ORACLE_GROUPS = [
+    cyclic(1),
+    cyclic(2),
+    cyclic(5),
+    cyclic(6),
+    symmetric(3),
+    dihedral(4),
+    direct_product(cyclic(2), cyclic(2)),
+    direct_product(cyclic(3), cyclic(3)),
+]
+ORACLE_AUTS = {g.label: automorphisms(g) for g in ORACLE_GROUPS}
+# numerators over mixed denominators, some past 2^64, so the common one is large
+_RAW = st.tuples(
+    st.sampled_from([0, 0, 1, 2, 5, 10**20 + 7]), st.sampled_from([1, 3, 4, 7, 2**64 + 13])
+)
+
+
+@st.composite
+def _weights(draw, g):
+    """Exact weights summing to 1, with zeros and large unreduced denominators."""
+    raw = [F(*draw(_RAW)) for _ in g.elements()]
+    raw[draw(st.integers(0, g.order - 1))] += 1
+    total = sum(raw)
+    return tuple(r / total for r in raw)
+
+
+@st.composite
+def _measure_and_map(draw):
+    g = draw(st.sampled_from(ORACLE_GROUPS))
+    mu = DenseMeasure(g, draw(_weights(g)))
+    aut = draw(st.sampled_from(ORACLE_AUTS[g.label]))
+    kind = draw(st.sampled_from(["automorphism", "affine", "power"]))
+    if kind == "affine":
+        return mu, AffineMap(g, draw(st.integers(0, g.order - 1)), aut)
+    if kind == "power" and g.is_abelian:  # not bijective for some exponents
+        return mu, power_hom(g, draw(st.integers(0, 4)))
+    return mu, aut
+
+
+@settings(max_examples=100, deadline=None)
+@given(_measure_and_map())
+def test_pushforward_and_invariance_match_fraction_sums(case):
+    mu, t = case
+    pushed = pushforward(mu, t)
+    assert pushed.weights == _fraction_pushforward(mu, t)
+    assert all(type(w) is F for w in pushed.weights)
+    assert is_invariant(mu, t) == _fraction_is_invariant(mu, t)
+    assert is_invariant(pushed, t) == _fraction_is_invariant(pushed, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_measure_and_map(), st.integers(0, 2**32))
+def test_invariant_measures_match_fraction_sums(case, seed):
+    _, t = case
+    if isinstance(t, GroupHom) and not t.bijective:
+        return
+    g = t.group if isinstance(t, AffineMap) else t.source
+    mu = random_invariant_measure(g, t, random.Random(seed), max_weight=10**20)
+    assert is_invariant(mu, t) and _fraction_is_invariant(mu, t)
+    assert pushforward(mu, t).weights == mu.weights
+
+
+def test_non_invariant_measures_are_reported():
+    g = cyclic(5)
+    double = power_hom(g, 2)
+    for weights in (["1/2", "1/2", 0, 0, 0], ["1/3", "1/3", "1/3", 0, 0], ["0", "1", 0, 0, 0]):
+        mu = measure(g, weights)
+        assert not _fraction_is_invariant(mu, double)
+        assert not is_invariant(mu, double)
+    s3 = symmetric(3)
+    shifted = AffineMap(s3, 1, identity_hom(s3))
+    mu = measure(s3, [F(1, 10**20 + 7)] * 5 + [1 - F(5, 10**20 + 7)])
+    assert not _fraction_is_invariant(mu, shifted)
+    assert not is_invariant(mu, shifted)
+    assert pushforward(mu, shifted).weights == _fraction_pushforward(mu, shifted)
+
+
+@st.composite
+def _any_weights(draw, g):
+    """Weight tuples that may be negative, miss 1, or have the wrong length."""
+    n = draw(st.sampled_from([g.order, g.order, g.order, g.order + 1]))
+    weights = [F(*draw(_RAW)) * draw(st.sampled_from([1, 1, -1])) for _ in range(n)]
+    if draw(st.booleans()) and sum(weights) != 0:
+        weights = [w / sum(weights) for w in weights]
+    return tuple(weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_GROUPS).flatmap(lambda g: st.tuples(st.just(g), _any_weights(g))))
+def test_validation_matches_fraction_sums(case):
+    g, weights = case
+    try:
+        _fraction_validate(g, weights)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        DenseMeasure(g, weights)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(ORACLE_GROUPS + [cyclic(9), dihedral(5)]).flatmap(
+        lambda g: st.one_of(_weights(g), st.just(haar(g).weights)).map(lambda w: DenseMeasure(g, w))
+    )
+)
+def test_independence_check_matches_fraction_denominator(mu):
+    assert independence_check(mu) == _fraction_independence_check(mu)

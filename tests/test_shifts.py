@@ -468,6 +468,18 @@ def test_noncommutative_convolution_matches_oracle():
             _check_against_oracle(Convolution(sys_s3, left, right), length)
 
 
+def test_noncommutative_convolution_with_the_smaller_table_on_the_right():
+    s3 = symmetric(3)
+    sys_s3 = shift_space(s3)
+    dense = Bernoulli(sys_s3, measure(s3, [F(k, 21) for k in range(1, 7)]))
+    sparse = Bernoulli(sys_s3, measure(s3, [0, "1/5", 0, "3/10", "1/2", 0]))
+    for length in range(3):
+        assert len(sparse.block_table(length)) <= len(dense.block_table(length))
+        for left, right in ((dense, sparse), (sparse, dense)):
+            _check_against_oracle(Convolution(sys_s3, left, right), length)
+    assert len(sparse.block_table(2)) < len(dense.block_table(2))
+
+
 FACTOR_KINDS = ("bernoulli", "markov", "periodic_orbit", "mixture")
 
 
@@ -808,3 +820,52 @@ def test_convolution_sampler_matches_2d_index():
             want = s3.np_op[left.sample(n, seed), right.sample(n, seed + 10**6)]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+# -- first difference against a union1d reference ---------------------------------
+
+
+def _union1d_first_difference(a, b):
+    codes = np.union1d(a.codes, b.codes)
+    differs = np.flatnonzero(a.lookup(codes) * b.den != b.lookup(codes) * a.den)
+    if len(differs) == 0:
+        return None
+    return tuple((codes[differs[0]] // shifts._place_values(a.base, a.length) % a.base).tolist())
+
+
+@st.composite
+def _table_pair(draw):
+    """Two same-length tables: equal supports, disjoint supports, or any, maybe scaled."""
+    base, length = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    size = base**length
+    mode = draw(st.sampled_from(["equal", "disjoint", "any"]))
+    first = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 40)))
+    if mode == "equal":
+        second = first
+    elif mode == "disjoint":
+        rest = sorted(set(range(size)) - first)
+        assume(rest)
+        second = draw(st.sets(st.sampled_from(rest), min_size=1, max_size=40))
+    else:
+        second = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=40))
+    tables = []
+    for support in (first, second):
+        codes = np.array(sorted(support), dtype=np.int64)
+        nums = np.array([draw(st.integers(0, 3)) for _ in codes], dtype=object)
+        den = draw(st.sampled_from([1, 2, 6, 2**70]))
+        table = shifts.BlockTable(base, length, codes, nums, den)
+        if draw(st.booleans()):
+            table = table.scaled(draw(st.sampled_from([F(0), F(1, 3), F(5, 2)])))
+        tables.append(table)
+    if mode == "equal" and draw(st.booleans()):  # the same masses over another denominator
+        a = tables[0]
+        tables[1] = shifts.BlockTable(base, length, a.codes, a.nums * 7, a.den * 7)
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_pair())
+def test_first_difference_matches_union1d_reference(pair):
+    a, b = pair
+    assert shifts._first_difference(a, b) == _union1d_first_difference(a, b)
+    assert shifts._first_difference(b, a) == _union1d_first_difference(b, a)
