@@ -109,8 +109,9 @@ def criterion_1() -> CriterionResult:
         pool = []
         for g in _small_groups():
             auts = automorphisms(g)
+            uniform = haar(g)
             for a in auts:
-                if not is_invariant(haar(g), a):
+                if not is_invariant(uniform, a):
                     return False, f"haar not invariant under an automorphism of {g.label}"
                 checked += 1
             pool.append((g, auts))
@@ -133,11 +134,11 @@ def criterion_2() -> CriterionResult:
     def body():
         rng = random.Random(202)
         pool = _small_groups() + [dihedral(4), dihedral(6)]
-        pool = [g for g in pool if g.order <= 12]
+        pool = [(g, haar(g)) for g in pool if g.order <= 12]
         for i in range(100):
-            g = pool[rng.randrange(len(pool))]
+            g, haar_g = pool[rng.randrange(len(pool))]
             mu = random_measure(g, rng)
-            if convolve(haar(g), mu).weights != haar(g).weights:
+            if convolve(haar_g, mu).weights != haar_g.weights:
                 return False, f"haar absorption failed on {g.label}"
         c2 = cyclic(2)
         sys2 = shift_space(c2)
@@ -308,12 +309,13 @@ def criterion_8() -> CriterionResult:
         rng = random.Random(808)
         carriers = [cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3)]
         for g in carriers:
-            if not independence_check(haar(g)).independent:
+            uniform = haar(g)
+            if not independence_check(uniform).independent:
                 return False, f"haar on {g.label} reported dependent"
             done = 0
             while done < 50:
                 mu = random_measure(g, rng)
-                if mu.weights == haar(g).weights:
+                if mu.weights == uniform.weights:
                     continue
                 rep = independence_check(mu)
                 if rep.independent:

@@ -27,7 +27,7 @@ from .errors import (
     PartitionMismatch,
     UnsupportedKind,
 )
-from .exact import entropy_nats, neg_xlogx
+from .exact import entropy_nats, exact_vector, neg_xlogx
 from .groups import DenseMeasure
 from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure
 
@@ -173,6 +173,7 @@ def partition_conditional_entropy(
     w = weights.weights if isinstance(weights, DenseMeasure) else tuple(weights)
     if alpha.n_points != len(w) or beta.n_points != len(w):
         raise PartitionMismatch("partition carrier does not match the weights")
+    exact_vector(w)
     terms = []
     for b in beta.blocks:
         mb = sum((w[i] for i in b), Fraction(0))
@@ -190,6 +191,7 @@ def partition_entropy(weights: Sequence[Fraction] | DenseMeasure, alpha: Partiti
     w = weights.weights if isinstance(weights, DenseMeasure) else tuple(weights)
     if alpha.n_points != len(w):
         raise PartitionMismatch("partition carrier does not match the weights")
+    exact_vector(w)
     return math.fsum(
         neg_xlogx(float(sum((w[i] for i in a), Fraction(0)))) for a in alpha.blocks
     )

@@ -1,9 +1,10 @@
-"""Exact-rational plumbing: parsing, entropy summation, stationary solves.
+"""Exact-rational plumbing: parsing, weight checks, entropy sums, stationary solves.
 
-Probabilities stay exact rationals end to end (`fractions.Fraction`, or
-integer numerators over a common denominator inside `groups` and `shifts`);
-logarithms are the only place values cross into floating point, and sums of
-float terms go through `math.fsum` so results do not depend on their order.
+Probabilities stay exact rationals end to end. `exact_vector` admits a weight
+vector of ints or Fractions, nonnegative and summing to exactly 1, and returns
+the integer numerators over one common denominator that `groups`, `shifts` and
+`skew` compute in. Logarithms are the only place values cross into floating
+point, and float sums go through `math.fsum` so they do not depend on order.
 Because `math.fsum` is correctly rounded, a block table's entropy takes one
 logarithm per distinct mass and sums those terms repeated by multiplicity:
 the same correctly rounded value as one term per word.
@@ -25,6 +26,20 @@ def parse_ratio(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational literal: {value!r}")
+
+
+def exact_vector(weights: Sequence, what: str = "weights") -> tuple[tuple[int, ...], int]:
+    """An exact probability vector's numerators over the lcm of its denominators, and the lcm."""
+    for w in weights:
+        if not isinstance(w, (int, Fraction)):
+            raise TypeError(f"weight is not an int or a Fraction: {w!r}")
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = tuple(den // w.denominator * w.numerator for w in weights)
+    if any(n < 0 for n in nums):
+        raise ValueError(f"{what} must be nonnegative")
+    if sum(nums) != den:
+        raise ValueError(f"{what} must sum to exactly 1")
+    return nums, den
 
 
 def neg_xlogx(x: float) -> float:

@@ -9,7 +9,6 @@ weights' one common denominator, so they are exact.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .errors import (
     NotHomomorphism,
     NotInvariant,
 )
+from .exact import exact_vector, parse_ratio
 
 EXHAUSTIVE_INDEPENDENCE_MAX_ORDER = 8
 
@@ -402,20 +402,8 @@ class DenseMeasure:
     def __post_init__(self):
         if len(self.weights) != self.group.order:
             raise ValueError("one weight per group element required")
-        for w in self.weights:
-            if not isinstance(w, (int, Fraction)):
-                raise TypeError(f"weight is not an int or a Fraction: {w!r}")
-        nums, den = self._ints
-        if any(n < 0 for n in nums):
-            raise ValueError("weights must be nonnegative")
-        if sum(nums) != den:
-            raise ValueError("weights must sum to exactly 1")
-
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], int]:
-        """The weights as integer numerators over their least common denominator."""
-        den = math.lcm(*(w.denominator for w in self.weights))
-        return tuple(den // w.denominator * w.numerator for w in self.weights), den
+        # the weights as integer numerators over their least common denominator
+        object.__setattr__(self, "_ints", exact_vector(self.weights))
 
     def __call__(self, g: int) -> Fraction:
         return self.weights[g]
@@ -432,8 +420,6 @@ class DenseMeasure:
 
 
 def measure(group: FiniteGroup, weights) -> DenseMeasure:
-    from .exact import parse_ratio
-
     return DenseMeasure(group, tuple(parse_ratio(w) for w in weights))
 
 
@@ -455,8 +441,7 @@ def mix(components: Sequence[tuple[Fraction, DenseMeasure]]) -> DenseMeasure:
     group = components[0][1].group
     if any(m.group != group for _, m in components):
         raise GroupMismatch("mixture components live on different groups")
-    if sum(w for w, _ in components) != 1 or any(w < 0 for w, _ in components):
-        raise ValueError("mixture weights must be nonnegative and sum to 1")
+    exact_vector([w for w, _ in components], "mixture weights")
     weights = tuple(
         sum((w * m.weights[x] for w, m in components), Fraction(0))
         for x in group.elements()

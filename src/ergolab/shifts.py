@@ -7,12 +7,13 @@ marginals: every kind can produce the rational probability of any cylinder,
 and the full distribution of length-L blocks up to the enumeration guard.
 
 Fractions are the API boundary: `cylinder` and `block_distribution` return
-`fractions.Fraction`, and verifier witnesses print them. Inside, a length-L
-block distribution is a `BlockTable`: integer numerators (Python ints, as
-denominators outgrow 64 bits) over one common denominator. Point cylinders
-multiply integer numerators; every exact verifier, here and in `skew` and
-`ergodicity`, compares tables, taking marginals by dropping the first or the
-last symbol of a longer table.
+`fractions.Fraction`, and verifier witnesses print them. Weights pass
+`exact.exact_vector`, so a float raises TypeError. Inside, a length-L block
+distribution is a `BlockTable`: integer numerators (Python ints, as
+denominators outgrow 64 bits) over one common denominator. Markov stationarity
+and point cylinders run on integer numerators; every exact verifier, here and
+in `skew` and `ergodicity`, compares tables, taking marginals by dropping the
+first or the last symbol of a longer table.
 
 Stationarity makes cylinder probabilities independent of window position, so
 words are plain tuples of element indices; `Window` carries an explicit start
@@ -28,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     UnsupportedKind,
     WindowOutOfRange,
 )
-from .exact import stationary_distribution
+from .exact import exact_vector, parse_ratio, stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
 DEPTH_GUARD_STATES = 2**24
@@ -190,10 +191,6 @@ def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
     return tuple((codes[differs[0]] // _place_values(a.base, a.length) % a.base).tolist())
 
 
-def _common_den(ps: Iterable[Fraction]) -> int:
-    return math.lcm(*(p.denominator for p in ps))
-
-
 class ShiftMeasure:
     """Base class for shift-invariant measures with exact marginals."""
 
@@ -323,34 +320,24 @@ class Markov(ShiftMeasure):
         n = self.system.alphabet.order
         if len(self.transition) != n or any(len(r) != n for r in self.transition):
             raise ValueError("transition matrix must be |G| x |G|")
-        for row in self.transition:
-            if any(p < 0 for p in row):
-                raise ValueError("transition probabilities must be nonnegative")
-            if sum(row) != 1:
-                raise ValueError("transition rows must sum to exactly 1")
-        if len(self.initial) != n or any(p < 0 for p in self.initial) or sum(self.initial) != 1:
-            raise ValueError("initial distribution must be an exact probability vector")
-        if self.validate:
-            pushed = tuple(
-                sum((self.initial[i] * self.transition[i][j] for i in range(n)), Fraction(0))
-                for j in range(n)
-            )
-            if pushed != tuple(self.initial):
-                raise ValueError("initial distribution is not stationary for the transition")
+        if len(self.initial) != n:
+            raise ValueError("initial distribution must have one entry per symbol")
+        # integer views: the rows over the lcm dt of their denominators, the initial over d0
+        rows = [exact_vector(row, "transition rows") for row in self.transition]
+        dt = math.lcm(*(den for _, den in rows))
+        rows = tuple(tuple(dt // den * p for p in nums) for nums, den in rows)
+        init, d0 = exact_vector(self.initial, "initial distribution")
+        # pi P = pi over the common denominator d0 * dt
+        if self.validate and any(
+            sum(init[i] * rows[i][j] for i in range(n)) != init[j] * dt for j in range(n)
+        ):
+            raise ValueError("initial distribution is not stationary for the transition")
+        object.__setattr__(self, "_ints", (init, d0, rows, dt))
 
     @classmethod
     def stationary(cls, system: ShiftSystem, transition) -> "Markov":
-        rows = tuple(tuple(Fraction(p) for p in row) for row in transition)
+        rows = tuple(tuple(parse_ratio(p) for p in row) for row in transition)
         return cls(system, rows, stationary_distribution(rows))
-
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], int]:
-        """Initial numerators over their common denominator, then the transition's."""
-        d0 = _common_den(self.initial)
-        dt = _common_den(p for row in self.transition for p in row)
-        init = tuple(int(p * d0) for p in self.initial)
-        rows = tuple(tuple(int(p * dt) for p in row) for row in self.transition)
-        return init, d0, rows, dt
 
     def cylinder(self, word):
         if not word:
@@ -464,8 +451,7 @@ class Mixture(ShiftMeasure):
             raise ValueError("empty mixture")
         if any(m.system != self.system for _, m in self.components):
             raise SystemMismatch("mixture components live on different systems")
-        if any(w < 0 for w, _ in self.components) or sum(w for w, _ in self.components) != 1:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
+        exact_vector([w for w, _ in self.components], "mixture weights")
 
     def cylinder(self, word):
         return sum((w * m.cylinder(word) for w, m in self.components), Fraction(0))

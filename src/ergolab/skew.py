@@ -5,9 +5,11 @@ sigma an automorphism of the fiber group, and phi a cocycle reading a
 length-k window of the base point. Measures here are products of a base
 shift measure with a fiber distribution; the Haar extension is the uniform
 fiber case, point fibers freeze the fiber coordinate, and rational mixtures
-of those realize the convexity checks. The exact checks read the base
-measure's `BlockTable`s: a fiber-weighted table per fiber element for
-invariance and absorption, and a joint table over pair symbols for entropy.
+of those realize the convexity checks. Fiber and mixture weights pass
+`exact.exact_vector`, so a float raises TypeError. The exact checks read the
+base measure's `BlockTable`s and the fiber weights' integer numerators: a
+fiber-weighted table per fiber element for invariance and absorption, and a
+joint table over pair symbols for entropy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     SystemMismatch,
     UnsupportedBase,
 )
-from .exact import entropy_nats
+from .exact import entropy_nats, exact_vector
 from .groups import DenseMeasure, FiniteGroup, GroupHom, convolve, direct_product, haar
 from .shifts import (
     DEPTH_GUARD_STATES,
@@ -40,7 +42,6 @@ from .shifts import (
     ShiftMeasure,
     ShiftSystem,
     Word,
-    _common_den,
     _encode,
     _merged,
 )
@@ -134,8 +135,8 @@ class SkewMeasure:
             raise SystemMismatch("base measure lives on a different system")
         if len(self.fiber_weights) != self.system.fiber.order:
             raise ValueError("one fiber weight per fiber element required")
-        if any(w < 0 for w in self.fiber_weights) or sum(self.fiber_weights) != 1:
-            raise ValueError("fiber weights must be an exact probability vector")
+        # the fiber weights' numerators over their common denominator
+        object.__setattr__(self, "_fiber_ints", exact_vector(self.fiber_weights, "fiber weights"))
 
     @property
     def kind(self) -> str:
@@ -153,12 +154,6 @@ class SkewMeasure:
     def projection_cylinder(self, word: Sequence[int]) -> Fraction:
         """P([word] x fiber) — the base projection."""
         return self.base_measure.cylinder(tuple(word))
-
-    @cached_property
-    def _fiber_ints(self) -> tuple[np.ndarray, int]:
-        """The fiber weights' numerators over their common denominator."""
-        den = _common_den(self.fiber_weights)
-        return np.array([int(w * den) for w in self.fiber_weights], dtype=object), den
 
 
 def haar_extension(mu0: ShiftMeasure, sys: SkewSystem) -> SkewMeasure:
@@ -193,8 +188,7 @@ def mix_skew(components: Sequence[tuple[Fraction, SkewMeasure]]) -> SkewMeasure:
     base = components[0][1].base_measure
     if any(m.system != sys or m.base_measure != base for _, m in components):
         raise SystemMismatch("skew mixture components must share system and base")
-    if any(w < 0 for w, _ in components) or sum(w for w, _ in components) != 1:
-        raise ValueError("mixture weights must be nonnegative and sum to 1")
+    exact_vector([w for w, _ in components], "mixture weights")
     n = sys.fiber.order
     weights = tuple(
         sum((w * m.fiber_weights[g] for w, m in components), Fraction(0))
@@ -214,7 +208,7 @@ def is_skew_invariant(mu: SkewMeasure, depth: int) -> bool:
     n, fib = sys.base.alphabet.order, sys.fiber
     sig_inv = np.argsort(sys.fiber_automorphism.table)  # the inverse permutation
     k = sys.window
-    fiber, _ = mu._fiber_ints
+    fiber = np.array(mu._fiber_ints[0], dtype=object)
     for length in range(1, depth + 1):
         ext = max(k, length + 1)
         if n**ext * fib.order > DEPTH_GUARD_STATES:
@@ -286,7 +280,7 @@ def _joint_block_table(mu: SkewMeasure, length: int) -> BlockTable:
     fiber, den = mu._fiber_ints
     sig = np.array(sys.fiber_automorphism.table)
     codes, nums = [], []
-    for g0 in np.flatnonzero(fiber != 0):
+    for g0 in (g for g, w in enumerate(fiber) if w):
         g = np.full(len(base), g0)
         code = np.zeros(len(base), dtype=np.int64)
         for t in range(length):

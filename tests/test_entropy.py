@@ -495,3 +495,20 @@ def test_empirical_entropy_needs_a_word_as_long_as_L():
     words = [[0, 1, 1]] * 1000
     with pytest.raises(InsufficientData, match="L=4: the longest word has 3 symbols"):
         empirical_block_entropy(words, 4, alphabet_size=2)
+
+
+def test_partition_entropies_check_raw_weights():
+    pair = Partition.from_labels([0, 1])
+    for entropy in (
+        lambda w: partition_entropy(w, pair),
+        lambda w: partition_conditional_entropy(w, pair, Partition.trivial(2)),
+    ):
+        with pytest.raises(ValueError, match="weights must sum to exactly 1"):
+            entropy([1, 1])
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            entropy([F(3, 2), F(-1, 2)])
+        with pytest.raises(TypeError, match="0.5"):
+            entropy([0.5, 0.5])
+        with pytest.raises(TypeError, match="0.75"):
+            entropy((F(1, 4), 0.75))
+        assert entropy((F(1, 2), F(1, 2))) == pytest.approx(LN2, abs=1e-15)
