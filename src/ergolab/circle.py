@@ -192,6 +192,8 @@ def circle_entropy_report(
     expected ln k. Periodic atoms: the itinerary is an exactly periodic word,
     so the rate is exactly zero.
     """
+    if seeds < 1:
+        raise ValueError(f"need at least 1 seed, got {seeds}")
     if mu.kind == "periodic_atomic":
         period = len(mu.orbit)
         word = symbolic_coding(sys, mu.orbit[0], period)

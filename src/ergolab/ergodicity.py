@@ -174,6 +174,8 @@ def birkhoff_report(
     """Per-observable time averages across seeds versus exact cylinder masses."""
     if n_steps < MIN_BIRKHOFF_STEPS:
         raise InsufficientSteps(f"need at least {MIN_BIRKHOFF_STEPS} steps")
+    if n_seeds < 1:
+        raise ValueError(f"need at least 1 seed, got {n_seeds}")
     observables = [tuple(w) for w in observables]
     # before sampling: a window code would alias a symbol outside the alphabet
     exact = [float(mu.cylinder_prob(obs)) for obs in observables]

@@ -548,17 +548,11 @@ class ErgodicComponents:
     ergodic: bool
 
 
-def ergodic_components(
-    group: FiniteGroup, t: Transform, mu: DenseMeasure
-) -> ErgodicComponents:
-    """Orbit decomposition of a bijective map; ergodic iff one orbit carries mass 1."""
+def _orbits(group: FiniteGroup, t: Transform) -> tuple[tuple[int, ...], ...]:
+    """The orbits of a bijective endomorphism or affine map, in order of their least element."""
     _check_endomorphism(group, t)
     if isinstance(t, GroupHom) and not t.bijective:
         raise NotBijective("orbit decomposition needs a bijective map")
-    if mu.group != group:
-        raise GroupMismatch("measure lives on a different group")
-    if not is_invariant(mu, t):
-        raise NotInvariant("measure is not invariant under the map")
     seen = [False] * group.order
     orbits = []
     for x in group.elements():
@@ -571,8 +565,20 @@ def ergodic_components(
             orbit.append(y)
             y = t(y)
         orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+def ergodic_components(
+    group: FiniteGroup, t: Transform, mu: DenseMeasure
+) -> ErgodicComponents:
+    """Orbit decomposition of a bijective map; ergodic iff one orbit carries mass 1."""
+    orbits = _orbits(group, t)
+    if mu.group != group:
+        raise GroupMismatch("measure lives on a different group")
+    if not is_invariant(mu, t):
+        raise NotInvariant("measure is not invariant under the map")
     ergodic = any(mu.mass(o) == 1 for o in orbits)
-    return ErgodicComponents(tuple(orbits), ergodic)
+    return ErgodicComponents(orbits, ergodic)
 
 
 def random_measure(
@@ -588,8 +594,7 @@ def random_invariant_measure(
     group: FiniteGroup, t: Transform, rng: random.Random, max_weight: int = 20
 ) -> DenseMeasure:
     """Random measure constant on the orbits of a bijective map, hence invariant."""
-    comps = ergodic_components(group, t, haar(group))
-    raw = {orbit: rng.randint(1, max_weight) for orbit in comps.orbits}
+    raw = {orbit: rng.randint(1, max_weight) for orbit in _orbits(group, t)}
     total = sum(r * len(o) for o, r in raw.items())
     weights = [Fraction(0)] * group.order
     for orbit, r in raw.items():

@@ -1,30 +1,35 @@
 """Scenario configs, validation, execution, and report writing.
 
 Configs are JSON; probabilities must be rational strings ("3/4") so the
-exact checks stay exact, tolerances are decimal floats. Reports are a CSV
-with one row per checked quantity, a sibling JSON with full metadata, and a
-two-column CSV per plotted curve. CSV and plot bytes are identical for
-identical (config, seed) pairs; wall-clock runtime lives only in the JSON.
+exact checks stay exact, tolerances are decimal floats. Each scenario and
+measure kind is a function whose keyword defaults are `Param` field specs,
+which `parse_config` parses once and `list_kinds` prints. Reports are a CSV
+with one row per checked quantity, a sibling JSON with full metadata and the
+runtimes, and a two-column CSV per plotted curve; CSV and plot bytes are
+identical for identical (config, seed) pairs.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .circle import circle_entropy_report, lebesgue, periodic_atomic, times_k
 from .entropy import block_entropy, entropy_rate
 from .ergodicity import (
+    MIN_BIRKHOFF_STEPS,
     DisjointnessCertificate,
     convolution_ergodicity_scenario,
 )
 from .errors import FactorNotErgodic, ParseError, SchemaError
-from .groups import FiniteGroup, haar, identity_hom, make_group, make_hom, measure
+from .groups import FiniteGroup, haar, identity_hom, make_group, measure
+from .groups import independence_check
 from .shifts import (
     Bernoulli,
     Markov,
@@ -38,7 +43,6 @@ from .shifts import (
     shift_space,
     verify_extension,
 )
-from .groups import independence_check
 from .skew import (
     constant_cocycle,
     entropy_addition_report,
@@ -46,28 +50,6 @@ from .skew import (
     make_skew,
     product_system,
 )
-
-THEOREM_TAGS = {
-    "convolution_entropy": "Lemma 2.3; Theorem 2.1; Corollary 2.2",
-    "haar_maximality": "Corollary 3.4; Theorem 3.3",
-    "entropy_addition": "Lemma 2.2; Lemma 3.2; Lemma 3.3",
-    "independence": "Lemma 3.12",
-    "natural_extension": "Lemma 3.15; Theorem 3.3",
-    "convolution_ergodicity": "Theorem 4.1; Theorem 2.2",
-    "circle": "Corollary 3.4; Theorem 2.2",
-    "product_entropy": "Lemma 2.2",
-}
-
-PARAMETER_SCHEMAS = {
-    "convolution_entropy": "alphabet: group, left: measure, right: measure, L_max: int, expected?: float",
-    "haar_maximality": "alphabet: group, measures: [measure], L_max: int; tolerances: haar, min_gap",
-    "entropy_addition": "alphabet: group, base: measure, fiber: group, phi: 'first_symbol'|{'constant': int}, L?: int",
-    "independence": "group: group, measure: measure|'haar', expect_independent: bool",
-    "natural_extension": "alphabet: group, measure: measure, L: int",
-    "convolution_ergodicity": "alphabet: group, left: measure, right: measure, certificate: {kind, justification?}, steps: int, seed_count: int, expect_rejection?: bool",
-    "circle": "k: int, measure: 'lebesgue'|{'periodic_atomic': rational}, L: int, symbols?: int, seed_count?: int",
-    "product_entropy": "left_alphabet: group, left: measure, right_alphabet: group, right: measure, L: int",
-}
 
 
 @dataclass(frozen=True)
@@ -91,6 +73,8 @@ def flag_row(quantity, ok: bool) -> Row:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario: its kind's parsed inputs and every tolerance the kind reads."""
+
     id: str
     kind: str
     parameters: dict
@@ -122,31 +106,71 @@ def _estimate_fields(est) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """A config field: its type text, `parse(value, path, fields parsed before)`, its default."""
+
+    type: str
+    parse: Callable[[Any, str, dict], Any]
+    default: Any = _REQUIRED
+
+    def optional(self, default) -> Param:
+        return replace(self, default=default)
+
+
+def _fields(make: Callable) -> dict[str, Param]:
+    """The config fields `make` takes: its parameters whose defaults are `Param`s, in order."""
+    params = inspect.signature(make).parameters.values()
+    return {p.name: p.default for p in params if isinstance(p.default, Param)}
+
+
 def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        _fail(path, f"missing required field {key!r}")
-    return obj[key]
+def _parse_fields(fields: dict[str, Param], obj, path: str, parsed: dict) -> dict:
+    """Parse the object `obj` field by field, in spec order, into `parsed`."""
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object")
+    for key in obj:
+        if key not in fields:
+            _fail(path, f"unknown field {key!r}; expected one of {', '.join(fields)}")
+    for name, p in fields.items():
+        if name in obj:
+            try:  # a constructor's own check on a parsed value
+                parsed[name] = p.parse(obj[name], f"{path}.{name}", parsed)
+            except ValueError as exc:
+                _fail(f"{path}.{name}", str(exc))
+        elif p.default is _REQUIRED:
+            _fail(path, f"missing required field {name!r}")
+        else:
+            parsed[name] = p.default
+    return parsed
 
 
-def _as_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"expected an integer, got {value!r}")
-    return value
+def _scalar(text: str, ok: Callable[[Any], bool]) -> Param:
+    def parse(value, path, parsed=None):
+        if not ok(value):
+            _fail(path, f"expected {text}, got {value!r}")
+        return value
+
+    return Param(text, parse)
 
 
-def _as_ratio(value, path: str) -> Fraction:
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _fail(path, f"bad rational literal {value!r}")
-    if isinstance(value, int) and not isinstance(value, bool):
+def _int_at_least(minimum: int) -> Param:  # `type(v) is int` also refuses bools
+    return _scalar(f"int >= {minimum}", lambda v: type(v) is int and v >= minimum)
+
+
+def _as_ratio(value, path: str, parsed=None) -> Fraction:
+    if type(value) not in (str, int):
+        _fail(path, f"probabilities must be rational strings like '3/4', got {value!r}")
+    try:
         return Fraction(value)
-    _fail(path, f"probabilities must be rational strings like '3/4', got {value!r}")
+    except (ValueError, ZeroDivisionError):
+        _fail(path, f"bad rational literal {value!r}")
 
 
 def parse_group(desc, path: str) -> FiniteGroup:
@@ -158,70 +182,302 @@ def parse_group(desc, path: str) -> FiniteGroup:
         _fail(path, f"bad group descriptor: {exc}")
 
 
+COUNT = _int_at_least(1)
+NATURAL = _int_at_least(0)
+BOOL = _scalar("bool", lambda v: isinstance(v, bool))
+NUMBER = _scalar("float", lambda v: type(v) in (int, float))
+GROUP = Param("group", lambda value, path, parsed: parse_group(value, path))
+
+
+def _list_of(item: Param, per_symbol: bool = False) -> Param:
+    """A nonempty list of `item`s, with one per symbol of `parsed["system"]` if `per_symbol`."""
+
+    def parse(value, path, parsed):
+        if not isinstance(value, list) or not value:
+            _fail(path, f"need a nonempty list of {item.type} entries")
+        if per_symbol and len(value) != parsed["system"].alphabet.order:
+            _fail(path, f"need {parsed['system'].alphabet.order} entries, one per symbol")
+        return tuple(item.parse(v, f"{path}[{i}]", parsed) for i, v in enumerate(value))
+
+    return Param(f"[{item.type}]" + (" per symbol" if per_symbol else ""), parse)
+
+
+RATIONALS = _list_of(Param("rational", _as_ratio))
+WEIGHTS = _list_of(Param("rational", _as_ratio), per_symbol=True)
+
+
+def _component(value, path, parsed):
+    if not isinstance(value, list) or len(value) != 2:
+        _fail(path, "need a [weight, measure] pair")
+    return _as_ratio(value[0], f"{path}[0]"), parse_measure(value[1], parsed["system"], f"{path}[1]")
+
+
+FACTOR = Param("measure", lambda value, path, parsed: parse_measure(value, parsed["system"], path))
+
+
+def _bernoulli(system, marginal=WEIGHTS):
+    return Bernoulli(system, measure(system.alphabet, marginal))
+
+
+def _markov(system, transition=_list_of(WEIGHTS, per_symbol=True), initial=WEIGHTS.optional(None)):
+    if initial is None:
+        return Markov.stationary(system, transition)
+    return Markov(system, transition, initial)
+
+
+def _periodic_orbit(system, word=_list_of(NATURAL)):
+    if any(s >= system.alphabet.order for s in word):
+        raise ValueError(f"need symbols in 0..{system.alphabet.order - 1}")
+    return PeriodicOrbit(system, word)
+
+
+def _mixture(system, components=_list_of(Param("[rational, measure]", _component))):
+    return Mixture(system, components)
+
+
+def _convolution(system, left=FACTOR, right=FACTOR):
+    return convolve_shift(left, right)
+
+
+MEASURE_KINDS = {f.__name__[1:]: f for f in (_bernoulli, _markov, _periodic_orbit, _mixture, _convolution)}
+
+
 def parse_measure(desc, system: ShiftSystem, path: str) -> ShiftMeasure:
     if desc == "haar":
         return shift_haar(system)
     if not isinstance(desc, dict):
         _fail(path, "measure descriptor must be an object or 'haar'")
-    kind = _need(desc, "kind", path)
-    g = system.alphabet
-    if kind == "bernoulli":
-        marginal = _need(desc, "marginal", path)
-        if not isinstance(marginal, list) or len(marginal) != g.order:
-            _fail(f"{path}.marginal", f"need {g.order} rational entries")
-        weights = [_as_ratio(v, f"{path}.marginal[{i}]") for i, v in enumerate(marginal)]
-        try:
-            return Bernoulli(system, measure(g, weights))
-        except ValueError as exc:
-            _fail(f"{path}.marginal", str(exc))
-    if kind == "markov":
-        rows_desc = _need(desc, "transition", path)
-        if not isinstance(rows_desc, list) or len(rows_desc) != g.order:
-            _fail(f"{path}.transition", f"need {g.order} rows")
-        rows = tuple(
-            tuple(
-                _as_ratio(v, f"{path}.transition[{i}][{j}]")
-                for j, v in enumerate(row)
-            )
-            for i, row in enumerate(rows_desc)
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in MEASURE_KINDS:
+        _fail(path, f"unknown measure kind {kind!r}")
+    make = MEASURE_KINDS[kind]
+    fields = {key: v for key, v in desc.items() if key != "kind"}
+    parsed = _parse_fields(_fields(make), fields, path, {"system": system})
+    try:
+        return make(**parsed)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+# -- scenario kinds ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A scenario kind: `run(seed, tolerances, **parsed fields)`, its theorem tags and tolerances."""
+
+    run: Callable[..., tuple[list[Row], dict, dict]]
+    theorem: str
+    tolerances: dict[str, float] = field(default_factory=dict)
+
+
+def _measure_on(alphabet: str) -> Param:  # a measure on the shift over the field `alphabet`
+    return Param(
+        "measure",
+        lambda value, path, parsed: parse_measure(value, shift_space(parsed[alphabet]), path),
+    )
+
+
+MEASURE = _measure_on("alphabet")
+
+
+def _cocycle(value, path, parsed) -> dict:
+    system, fiber = shift_space(parsed["alphabet"]), parsed["fiber"]
+    if value == "first_symbol":
+        if system.alphabet.order != fiber.order:
+            _fail(path, "first_symbol needs matching alphabet and fiber")
+        return first_symbol_cocycle(system, fiber)
+    if isinstance(value, dict) and "constant" in value:
+        c = NATURAL.parse(value["constant"], f"{path}.constant")
+        if c >= fiber.order:
+            _fail(f"{path}.constant", "outside the fiber group")
+        return constant_cocycle(system, fiber, c)
+    _fail(path, "expected 'first_symbol' or {'constant': g}")
+
+
+def _group_measure(value, path, parsed):
+    if value == "haar":
+        return haar(parsed["group"])
+    if not isinstance(value, dict) or list(value) != ["weights"]:
+        _fail(path, "expected 'haar' or {'weights': [...]}")
+    return measure(parsed["group"], RATIONALS.parse(value["weights"], f"{path}.weights", parsed))
+
+
+def _certificate(value, path, parsed) -> DisjointnessCertificate:
+    if not isinstance(value, dict) or "kind" not in value:
+        _fail(path, "need an object with a 'kind'")
+    if value["kind"] not in ("point_mass", "periodic_vs_mixing", "declared"):
+        _fail(f"{path}.kind", f"unknown kind {value['kind']!r}")
+    return DisjointnessCertificate(value["kind"], value.get("justification", ""))
+
+
+def _circle_measure(value, path, parsed):
+    if value == "lebesgue":
+        return lebesgue()
+    if isinstance(value, dict) and "periodic_atomic" in value:
+        return periodic_atomic(times_k(parsed["k"]), _as_ratio(value["periodic_atomic"], path))
+    _fail(path, "expected 'lebesgue' or {'periodic_atomic': 'p/q'}")
+
+
+def _convolution_entropy(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASURE, L_max=COUNT,
+                         expected=NUMBER.optional(None)):
+    ln_g = math.log(alphabet.order)
+    conv = convolve_shift(left, right)
+    est_l = entropy_rate(left, L_max)
+    est_r = entropy_rate(right, L_max)
+    est_c = entropy_rate(conv, L_max)
+    rows = [
+        bounded_row("h_left", est_l.value, 0.0, ln_g, 1e-12),
+        bounded_row("h_right", est_r.value, 0.0, ln_g, 1e-12),
+        bounded_row("h_convolution", est_c.value, 0.0, ln_g, 1e-12),
+        bounded_row(
+            "subadditivity", est_c.value, 0.0, est_l.value + est_r.value, 1e-9
+        ),
+        bounded_row(
+            "superadditivity_with_gap",
+            est_c.value + max(est_l.gap, est_r.gap, est_c.gap),
+            max(est_l.value, est_r.value),
+            float("inf"),
+            1e-6,
+        ),
+    ]
+    if expected is not None:
+        rows.append(
+            bounded_row("h_convolution_vs_expected", est_c.value, expected, expected, tol["value"])
         )
-        try:
-            if "initial" in desc:
-                init = tuple(
-                    _as_ratio(v, f"{path}.initial[{i}]")
-                    for i, v in enumerate(desc["initial"])
-                )
-                return Markov(system, rows, init)
-            return Markov.stationary(system, rows)
-        except ValueError as exc:
-            _fail(f"{path}.transition", str(exc))
-    if kind == "periodic_orbit":
-        word = _need(desc, "word", path)
-        if not isinstance(word, list) or not all(
-            isinstance(s, int) and 0 <= s < g.order for s in word
-        ):
-            _fail(f"{path}.word", f"need symbols in 0..{g.order - 1}")
-        try:
-            return PeriodicOrbit(system, tuple(word))
-        except ValueError as exc:
-            _fail(f"{path}.word", str(exc))
-    if kind == "mixture":
-        comps_desc = _need(desc, "components", path)
-        comps = []
-        for i, pair in enumerate(comps_desc):
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"{path}.components[{i}]", "need [weight, measure] pairs")
-            w = _as_ratio(pair[0], f"{path}.components[{i}][0]")
-            comps.append((w, parse_measure(pair[1], system, f"{path}.components[{i}][1]")))
-        try:
-            return Mixture(system, tuple(comps))
-        except ValueError as exc:
-            _fail(f"{path}.components", str(exc))
-    if kind == "convolution":
-        left = parse_measure(_need(desc, "left", path), system, f"{path}.left")
-        right = parse_measure(_need(desc, "right", path), system, f"{path}.right")
-        return convolve_shift(left, right)
-    _fail(path, f"unknown measure kind {kind!r}")
+    plots = {"h_L": [(float(i + 1), h) for i, h in enumerate(est_c.upper_bounds)]}
+    estimates = {
+        "left": _estimate_fields(est_l),
+        "right": _estimate_fields(est_r),
+        "convolution": _estimate_fields(est_c),
+    }
+    return rows, plots, estimates
+
+
+def _haar_maximality(seed, tol, alphabet=GROUP, measures=_list_of(MEASURE), L_max=COUNT):
+    ln_g = math.log(alphabet.order)
+    h_haar = entropy_rate(shift_haar(shift_space(alphabet)), L_max).value
+    rows = [bounded_row("h_haar", h_haar, ln_g, ln_g, tol["haar"])]
+    for i, mu in enumerate(measures):
+        h = entropy_rate(mu, L_max).value
+        if mu.kind == "bernoulli" and mu.marginal.weights == haar(alphabet).weights:
+            rows.append(bounded_row(f"measure_{i}_equality_case", h, ln_g, ln_g, tol["haar"]))
+        else:
+            rows.append(bounded_row(f"measure_{i}_gap", h, 0.0, ln_g - tol["min_gap"], 0.0))
+    return rows, {}, {}
+
+
+def _entropy_addition(seed, tol, alphabet=GROUP, base=MEASURE, fiber=GROUP,
+                      phi=Param("'first_symbol'|{'constant': int}", _cocycle), L=COUNT.optional(4)):
+    sk = make_skew(shift_space(alphabet), fiber, identity_hom(fiber), phi)
+    rep = entropy_addition_report(sk, base, L=L, tolerance=tol["value"])
+    total = rep.base_entropy + rep.fiber_entropy
+    rows = [
+        bounded_row("h_base", rep.base_entropy, 0.0, math.log(alphabet.order), 1e-12),
+        bounded_row("h_fiber", rep.fiber_entropy, 0.0, 0.0, 0.0),
+        bounded_row("h_skew_vs_sum", rep.skew_entropy, total, total, tol["value"]),
+    ]
+    return rows, {}, {}
+
+
+def _independence(seed, tol, group=GROUP,
+                  measure=Param("'haar'|{'weights': [rational]}", _group_measure),
+                  expect_independent=BOOL):
+    rep = independence_check(measure)
+    rows = [
+        flag_row("independent_matches_expectation", rep.independent == expect_independent),
+        flag_row("witness_present_iff_dependent", (rep.witness is not None) == (not rep.independent)),
+    ]
+    return rows, {}, {}
+
+
+def _natural_extension(seed, tol, alphabet=GROUP, measure=MEASURE, L=COUNT):
+    report = verify_extension(measure, L)
+    ext = natural_extension(measure)
+    worst = 0.0
+    for length in range(1, L + 1):
+        worst = max(worst, abs(block_entropy(measure, length) - block_entropy(ext, length)))
+    rows = [
+        flag_row("marginal_consistency", report.passed),
+        bounded_row("max_block_entropy_discrepancy", worst, 0.0, 0.0, tol["entropy"]),
+    ]
+    return rows, {}, {}
+
+
+def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASURE,
+                            certificate=Param("{kind, justification?}", _certificate),
+                            steps=_int_at_least(MIN_BIRKHOFF_STEPS).optional(10**6),
+                            seed_count=COUNT.optional(100), expect_rejection=BOOL.optional(False)):
+    try:
+        rep = convolution_ergodicity_scenario(
+            left,
+            right,
+            certificate,
+            n_steps=steps,
+            n_seeds=seed_count,
+            base_seed=seed,
+            observable_seed=seed,
+        )
+    except FactorNotErgodic:
+        return [flag_row("rejected_with_factor_not_ergodic", expect_rejection)], {}, {}
+    if expect_rejection:
+        return [flag_row("rejected_with_factor_not_ergodic", False)], {}, {}
+    rows = [
+        flag_row("certificate_verified", rep.certificate_verified or certificate.kind == "declared"),
+        flag_row("convolution_invariant_exact", rep.invariance_exact),
+    ]
+    for r in rep.birkhoff.rows:
+        word = "".join(str(s) for s in r.word)
+        rows.append(bounded_row(f"mean[{word}]", r.mean, r.exact, r.exact, r.bound))
+        rows.append(bounded_row(f"dispersion[{word}]", r.dispersion, 0.0, tol["dispersion"], 0.0))
+    rows.append(flag_row("ergodic_consistent", rep.verdict == "ergodic-consistent"))
+    return rows, {}, {}
+
+
+def _circle(seed, tol, k=_int_at_least(2),
+            measure=Param("'lebesgue'|{'periodic_atomic': rational}", _circle_measure), L=COUNT,
+            symbols=COUNT.optional(10**6), seed_count=COUNT.optional(1)):
+    est = circle_entropy_report(
+        times_k(k), measure, L, n_symbols=symbols, seeds=seed_count, base_seed=seed
+    )
+    if measure.kind == "lebesgue":
+        ln_k = math.log(k)
+        rows = [bounded_row("empirical_entropy_vs_ln_k", est.value, ln_k, ln_k, tol["value"])]
+    else:
+        rows = [bounded_row("periodic_atomic_entropy", est.value, 0.0, 0.0, 0.0)]
+    plots = {"h_L": [(float(i + 1), h) for i, h in enumerate(est.upper_bounds)]}
+    return rows, plots, {"entropy": _estimate_fields(est)}
+
+
+def _product_entropy(seed, tol, left_alphabet=GROUP, left=_measure_on("left_alphabet"),
+                     right_alphabet=GROUP, right=_measure_on("right_alphabet"), L=COUNT):
+    pm = product_system(left, right)
+    rows = []
+    for length in range(1, L + 1):
+        total = block_entropy(pm, length)
+        parts = block_entropy(left, length) + block_entropy(right, length)
+        rows.append(bounded_row(f"H_{length}_additivity", total, parts, parts, tol["per_level"]))
+    return rows, {}, {}
+
+
+SCENARIO_KINDS = {
+    "convolution_entropy": Kind(
+        _convolution_entropy, "Lemma 2.3; Theorem 2.1; Corollary 2.2", {"value": 1e-9}
+    ),
+    "haar_maximality": Kind(
+        _haar_maximality, "Corollary 3.4; Theorem 3.3", {"haar": 1e-12, "min_gap": 1e-3}
+    ),
+    "entropy_addition": Kind(_entropy_addition, "Lemma 2.2; Lemma 3.2; Lemma 3.3", {"value": 1e-9}),
+    "independence": Kind(_independence, "Lemma 3.12"),
+    "natural_extension": Kind(_natural_extension, "Lemma 3.15; Theorem 3.3", {"entropy": 1e-12}),
+    "convolution_ergodicity": Kind(
+        _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": 5e-3}
+    ),
+    "circle": Kind(_circle, "Corollary 3.4; Theorem 2.2", {"value": 0.02}),
+    "product_entropy": Kind(_product_entropy, "Lemma 2.2", {"per_level": 1e-12}),
+}
+
+THEOREM_TAGS = {kind: spec.theorem for kind, spec in SCENARIO_KINDS.items()}
 
 
 def parse_config(text: str) -> list[Scenario]:
@@ -237,313 +493,32 @@ def parse_config(text: str) -> list[Scenario]:
         path = f"scenarios[{i}]"
         if not isinstance(sc, dict):
             _fail(path, "scenario must be an object")
-        sid = _need(sc, "id", path)
+        sid = sc.get("id")
         if not isinstance(sid, str) or not sid:
             _fail(f"{path}.id", "must be a nonempty string")
         if sid in seen_ids:
             _fail(f"{path}.id", f"duplicate scenario id {sid!r}")
         seen_ids.add(sid)
-        kind = _need(sc, "kind", path)
-        if kind not in THEOREM_TAGS:
+        kind = sc.get("kind")
+        if not isinstance(kind, str) or kind not in SCENARIO_KINDS:
             _fail(f"{path}.kind", f"unknown kind {kind!r}; see `ergolab list`")
-        params = sc.get("parameters", {})
-        if not isinstance(params, dict):
-            _fail(f"{path}.parameters", "must be an object")
-        seed = sc.get("seed", 0)
-        seed = _as_int(seed, f"{path}.seed")
-        tols = sc.get("tolerances", {})
-        if not isinstance(tols, dict):
-            _fail(f"{path}.tolerances", "must be an object")
-        for key, v in tols.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                _fail(f"{path}.tolerances.{key}", "tolerances are decimal floats")
-        scenarios.append(Scenario(sid, kind, params, seed, dict(tols)))
-        # validate parameters eagerly so `run` fails before executing anything
-        _build_runner(scenarios[-1], validate_only=True)
-    return scenarios
-
-
-# -- scenario runners ------------------------------------------------------------
-
-
-def _run_convolution_entropy(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g = parse_group(_need(sc.parameters, "alphabet", path), f"{path}.alphabet")
-    system = shift_space(g)
-    left = parse_measure(_need(sc.parameters, "left", path), system, f"{path}.left")
-    right = parse_measure(_need(sc.parameters, "right", path), system, f"{path}.right")
-    l_max = _as_int(_need(sc.parameters, "L_max", path), f"{path}.L_max")
-    if validate_only:
-        return None
-    tol = float(sc.tolerances.get("value", 1e-9))
-    conv = convolve_shift(left, right)
-    est_l = entropy_rate(left, l_max)
-    est_r = entropy_rate(right, l_max)
-    est_c = entropy_rate(conv, l_max)
-    rows = [
-        bounded_row("h_left", est_l.value, 0.0, math.log(g.order), 1e-12),
-        bounded_row("h_right", est_r.value, 0.0, math.log(g.order), 1e-12),
-        bounded_row("h_convolution", est_c.value, 0.0, math.log(g.order), 1e-12),
-        bounded_row(
-            "subadditivity", est_c.value, 0.0, est_l.value + est_r.value, 1e-9
-        ),
-        bounded_row(
-            "superadditivity_with_gap",
-            est_c.value + max(est_l.gap, est_r.gap, est_c.gap),
-            max(est_l.value, est_r.value),
-            float("inf"),
-            1e-6,
-        ),
-    ]
-    if "expected" in sc.parameters:
-        exp = float(sc.parameters["expected"])
-        rows.append(bounded_row("h_convolution_vs_expected", est_c.value, exp, exp, tol))
-    plots = {"h_L": [(float(i + 1), h) for i, h in enumerate(est_c.upper_bounds)]}
-    estimates = {
-        "left": _estimate_fields(est_l),
-        "right": _estimate_fields(est_r),
-        "convolution": _estimate_fields(est_c),
-    }
-    return rows, plots, estimates
-
-
-def _run_haar_maximality(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g = parse_group(_need(sc.parameters, "alphabet", path), f"{path}.alphabet")
-    system = shift_space(g)
-    descs = _need(sc.parameters, "measures", path)
-    if not isinstance(descs, list) or not descs:
-        _fail(f"{path}.measures", "need a nonempty measure list")
-    mus = [
-        parse_measure(d, system, f"{path}.measures[{i}]") for i, d in enumerate(descs)
-    ]
-    l_max = _as_int(_need(sc.parameters, "L_max", path), f"{path}.L_max")
-    if validate_only:
-        return None
-    haar_tol = float(sc.tolerances.get("haar", 1e-12))
-    min_gap = float(sc.tolerances.get("min_gap", 1e-3))
-    ln_g = math.log(g.order)
-    h_haar = entropy_rate(shift_haar(system), l_max).value
-    rows = [bounded_row("h_haar", h_haar, ln_g, ln_g, haar_tol)]
-    for i, mu in enumerate(mus):
-        h = entropy_rate(mu, l_max).value
-        if mu.kind == "bernoulli" and mu.marginal.weights == haar(g).weights:
-            rows.append(bounded_row(f"measure_{i}_equality_case", h, ln_g, ln_g, haar_tol))
-        else:
-            rows.append(bounded_row(f"measure_{i}_gap", h, 0.0, ln_g - min_gap, 0.0))
-    return rows, {}, {}
-
-
-def _run_entropy_addition(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g = parse_group(_need(sc.parameters, "alphabet", path), f"{path}.alphabet")
-    system = shift_space(g)
-    base = parse_measure(_need(sc.parameters, "base", path), system, f"{path}.base")
-    fiber = parse_group(_need(sc.parameters, "fiber", path), f"{path}.fiber")
-    phi_desc = _need(sc.parameters, "phi", path)
-    if phi_desc == "first_symbol":
-        if g.order != fiber.order:
-            _fail(f"{path}.phi", "first_symbol needs matching alphabet and fiber")
-        phi = first_symbol_cocycle(system, fiber)
-    elif isinstance(phi_desc, dict) and "constant" in phi_desc:
-        c = _as_int(phi_desc["constant"], f"{path}.phi.constant")
-        if not 0 <= c < fiber.order:
-            _fail(f"{path}.phi.constant", "outside the fiber group")
-        phi = constant_cocycle(system, fiber, c)
-    else:
-        _fail(f"{path}.phi", "expected 'first_symbol' or {'constant': g}")
-    depth = _as_int(sc.parameters.get("L", 4), f"{path}.L")
-    if validate_only:
-        return None
-    tol = float(sc.tolerances.get("value", 1e-9))
-    sk = make_skew(system, fiber, identity_hom(fiber), phi)
-    rep = entropy_addition_report(sk, base, L=depth, tolerance=tol)
-    rows = [
-        bounded_row("h_base", rep.base_entropy, 0.0, math.log(g.order), 1e-12),
-        bounded_row("h_fiber", rep.fiber_entropy, 0.0, 0.0, 0.0),
-        bounded_row(
-            "h_skew_vs_sum",
-            rep.skew_entropy,
-            rep.base_entropy + rep.fiber_entropy,
-            rep.base_entropy + rep.fiber_entropy,
-            tol,
-        ),
-    ]
-    return rows, {}, {}
-
-
-def _run_independence(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g = parse_group(_need(sc.parameters, "group", path), f"{path}.group")
-    desc = _need(sc.parameters, "measure", path)
-    if desc == "haar":
-        mu = haar(g)
-    elif isinstance(desc, dict) and "weights" in desc:
-        weights = [
-            _as_ratio(v, f"{path}.measure.weights[{i}]")
-            for i, v in enumerate(desc["weights"])
-        ]
-        try:
-            mu = measure(g, weights)
-        except ValueError as exc:
-            _fail(f"{path}.measure.weights", str(exc))
-    else:
-        _fail(f"{path}.measure", "expected 'haar' or {'weights': [...]}")
-    expect = _need(sc.parameters, "expect_independent", path)
-    if not isinstance(expect, bool):
-        _fail(f"{path}.expect_independent", "must be a boolean")
-    if validate_only:
-        return None
-    rep = independence_check(mu)
-    rows = [
-        flag_row("independent_matches_expectation", rep.independent == expect),
-        flag_row("witness_present_iff_dependent", (rep.witness is not None) == (not rep.independent)),
-    ]
-    return rows, {}, {}
-
-
-def _run_natural_extension(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g = parse_group(_need(sc.parameters, "alphabet", path), f"{path}.alphabet")
-    system = shift_space(g)
-    mu = parse_measure(_need(sc.parameters, "measure", path), system, f"{path}.measure")
-    depth = _as_int(_need(sc.parameters, "L", path), f"{path}.L")
-    if validate_only:
-        return None
-    tol = float(sc.tolerances.get("entropy", 1e-12))
-    report = verify_extension(mu, depth)
-    ext = natural_extension(mu)
-    worst = 0.0
-    for length in range(1, depth + 1):
-        worst = max(worst, abs(block_entropy(mu, length) - block_entropy(ext, length)))
-    rows = [
-        flag_row("marginal_consistency", report.passed),
-        bounded_row("max_block_entropy_discrepancy", worst, 0.0, 0.0, tol),
-    ]
-    return rows, {}, {}
-
-
-def _run_convolution_ergodicity(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g = parse_group(_need(sc.parameters, "alphabet", path), f"{path}.alphabet")
-    system = shift_space(g)
-    left = parse_measure(_need(sc.parameters, "left", path), system, f"{path}.left")
-    right = parse_measure(_need(sc.parameters, "right", path), system, f"{path}.right")
-    cert_desc = _need(sc.parameters, "certificate", path)
-    if not isinstance(cert_desc, dict) or "kind" not in cert_desc:
-        _fail(f"{path}.certificate", "need an object with a 'kind'")
-    if cert_desc["kind"] not in ("point_mass", "periodic_vs_mixing", "declared"):
-        _fail(f"{path}.certificate.kind", f"unknown kind {cert_desc['kind']!r}")
-    cert = DisjointnessCertificate(
-        cert_desc["kind"], cert_desc.get("justification", "")
-    )
-    steps = _as_int(sc.parameters.get("steps", 10**6), f"{path}.steps")
-    seed_count = _as_int(sc.parameters.get("seed_count", 100), f"{path}.seed_count")
-    expect_rejection = sc.parameters.get("expect_rejection", False)
-    if not isinstance(expect_rejection, bool):
-        _fail(f"{path}.expect_rejection", "must be a boolean")
-    if validate_only:
-        return None
-    dispersion = float(sc.tolerances.get("dispersion", 5e-3))
-    try:
-        rep = convolution_ergodicity_scenario(
-            left,
-            right,
-            cert,
-            n_steps=steps,
-            n_seeds=seed_count,
-            base_seed=sc.seed,
-            observable_seed=sc.seed,
+        spec = SCENARIO_KINDS[kind]
+        seed = NATURAL.parse(sc.get("seed", 0), f"{path}.seed")
+        tol_fields = {name: NUMBER.optional(v) for name, v in spec.tolerances.items()}
+        tolerances = _parse_fields(tol_fields, sc.get("tolerances", {}), f"{path}.tolerances", {})
+        params = _parse_fields(
+            _fields(spec.run), sc.get("parameters", {}), f"scenarios[{sid}].parameters", {}
         )
-    except FactorNotErgodic:
-        return [flag_row("rejected_with_factor_not_ergodic", expect_rejection)], {}, {}
-    if expect_rejection:
-        return [flag_row("rejected_with_factor_not_ergodic", False)], {}, {}
-    rows = [
-        flag_row("certificate_verified", rep.certificate_verified or cert.kind == "declared"),
-        flag_row("convolution_invariant_exact", rep.invariance_exact),
-    ]
-    for r in rep.birkhoff.rows:
-        word = "".join(str(s) for s in r.word)
-        rows.append(bounded_row(f"mean[{word}]", r.mean, r.exact, r.exact, r.bound))
-        rows.append(bounded_row(f"dispersion[{word}]", r.dispersion, 0.0, dispersion, 0.0))
-    rows.append(flag_row("ergodic_consistent", rep.verdict == "ergodic-consistent"))
-    return rows, {}, {}
-
-
-def _run_circle(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    k = _as_int(_need(sc.parameters, "k", path), f"{path}.k")
-    if k < 2:
-        _fail(f"{path}.k", "k must be >= 2")
-    desc = _need(sc.parameters, "measure", path)
-    depth = _as_int(_need(sc.parameters, "L", path), f"{path}.L")
-    symbols = _as_int(sc.parameters.get("symbols", 10**6), f"{path}.symbols")
-    seed_count = _as_int(sc.parameters.get("seed_count", 1), f"{path}.seed_count")
-    sys = times_k(k)
-    if desc == "lebesgue":
-        mu = lebesgue()
-    elif isinstance(desc, dict) and "periodic_atomic" in desc:
-        try:
-            mu = periodic_atomic(sys, _as_ratio(desc["periodic_atomic"], f"{path}.measure"))
-        except ValueError as exc:
-            _fail(f"{path}.measure", str(exc))
-    else:
-        _fail(f"{path}.measure", "expected 'lebesgue' or {'periodic_atomic': 'p/q'}")
-    if validate_only:
-        return None
-    tol = float(sc.tolerances.get("value", 0.02))
-    est = circle_entropy_report(
-        sys, mu, depth, n_symbols=symbols, seeds=seed_count, base_seed=sc.seed
-    )
-    if mu.kind == "lebesgue":
-        rows = [bounded_row("empirical_entropy_vs_ln_k", est.value, math.log(k), math.log(k), tol)]
-    else:
-        rows = [bounded_row("periodic_atomic_entropy", est.value, 0.0, 0.0, 0.0)]
-    plots = {"h_L": [(float(i + 1), h) for i, h in enumerate(est.upper_bounds)]}
-    return rows, plots, {"entropy": _estimate_fields(est)}
-
-
-def _run_product_entropy(sc: Scenario, validate_only=False):
-    path = f"scenarios[{sc.id}].parameters"
-    g_l = parse_group(_need(sc.parameters, "left_alphabet", path), f"{path}.left_alphabet")
-    g_r = parse_group(_need(sc.parameters, "right_alphabet", path), f"{path}.right_alphabet")
-    left = parse_measure(_need(sc.parameters, "left", path), shift_space(g_l), f"{path}.left")
-    right = parse_measure(_need(sc.parameters, "right", path), shift_space(g_r), f"{path}.right")
-    depth = _as_int(_need(sc.parameters, "L", path), f"{path}.L")
-    if validate_only:
-        return None
-    tol = float(sc.tolerances.get("per_level", 1e-12))
-    pm = product_system(left, right)
-    rows = []
-    for length in range(1, depth + 1):
-        total = block_entropy(pm, length)
-        parts = block_entropy(left, length) + block_entropy(right, length)
-        rows.append(bounded_row(f"H_{length}_additivity", total, parts, parts, tol))
-    return rows, {}, {}
-
-
-_RUNNERS: dict[str, Callable] = {
-    "convolution_entropy": _run_convolution_entropy,
-    "haar_maximality": _run_haar_maximality,
-    "entropy_addition": _run_entropy_addition,
-    "independence": _run_independence,
-    "natural_extension": _run_natural_extension,
-    "convolution_ergodicity": _run_convolution_ergodicity,
-    "circle": _run_circle,
-    "product_entropy": _run_product_entropy,
-}
-
-
-def _build_runner(sc: Scenario, validate_only=False):
-    return _RUNNERS[sc.kind](sc, validate_only=validate_only)
+        scenarios.append(Scenario(sid, kind, params, seed, tolerances))
+    return scenarios
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
     start = time.perf_counter()
-    rows, plots, estimates = _build_runner(sc)
+    spec = SCENARIO_KINDS[sc.kind]
+    rows, plots, estimates = spec.run(sc.seed, sc.tolerances, **sc.parameters)
     elapsed = time.perf_counter() - start
-    return ScenarioResult(sc, THEOREM_TAGS[sc.kind], rows, plots, estimates, elapsed)
+    return ScenarioResult(sc, spec.theorem, rows, plots, estimates, elapsed)
 
 
 def run_scenarios(scenarios: list[Scenario]) -> list[ScenarioResult]:
@@ -615,10 +590,23 @@ def write_reports(results: list[ScenarioResult], out_path: str | Path) -> None:
             plot_path.write_text("\n".join(plot_lines) + "\n")
 
 
+def _describe(fields: dict[str, Param]) -> str:
+    return ", ".join(
+        f"{name}: {p.type}" if p.default is _REQUIRED else f"{name}?: {p.type} = {p.default}"
+        for name, p in fields.items()
+    )
+
+
 def list_kinds() -> str:
     lines = ["scenario kinds (parameters):", ""]
-    for kind in sorted(THEOREM_TAGS):
-        lines.append(f"{kind}")
-        lines.append(f"    parameters: {PARAMETER_SCHEMAS[kind]}")
-        lines.append(f"    theorem: {THEOREM_TAGS[kind]}")
+    for kind, spec in sorted(SCENARIO_KINDS.items()):
+        tols = ", ".join(f"{name} = {v}" for name, v in spec.tolerances.items())
+        lines.append(kind)
+        lines.append(f"    parameters: {_describe(_fields(spec.run))}")
+        lines.append(f"    tolerances: {tols or 'none'}")
+        lines.append(f"    theorem: {spec.theorem}")
+    lines += ["", "measure kinds ('haar', or an object with a 'kind' and these fields):", ""]
+    for kind, make in sorted(MEASURE_KINDS.items()):
+        lines.append(kind)
+        lines.append(f"    fields: {_describe(_fields(make))}")
     return "\n".join(lines)

@@ -197,3 +197,9 @@ def test_circle_entropy_report_uses_every_symbol(monkeypatch):
     drawn.clear()
     circle_entropy_report(times_k(2), lebesgue(), 3, n_symbols=9000, seeds=3)
     assert drawn == [(3000, 0), (3000, 1), (3000, 2)]
+
+
+@pytest.mark.parametrize("mu", [lebesgue(), periodic_atomic(times_k(2), "1/3")])
+def test_circle_entropy_report_needs_a_seed(mu):
+    with pytest.raises(ValueError, match="at least 1 seed, got 0"):
+        circle_entropy_report(times_k(2), mu, 3, n_symbols=10**4, seeds=0)

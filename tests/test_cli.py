@@ -1,10 +1,13 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from ergolab import scenarios
 from ergolab.cli import main
-from ergolab.scenarios import list_kinds, parse_config
+from ergolab.scenarios import THEOREM_TAGS, list_kinds, parse_config, run_scenarios
 from ergolab.errors import ParseError, SchemaError
 
 
@@ -207,11 +210,146 @@ def test_probabilities_must_be_rational_strings():
         parse_config(json.dumps(doc))
 
 
+C2 = {"family": "cyclic", "n": 2}
+BERN = {"kind": "bernoulli", "marginal": ["3/4", "1/4"]}
+
+# For each kind: parameters and tolerances that set every field the kind reads, optional
+# ones included, and between them every measure kind and measure field.
+FULL = {
+    "convolution_entropy": (
+        {"alphabet": C2, "left": BERN, "right": "haar", "L_max": 3,
+         "expected": 0.6931471805599453},
+        {"value": 1e-9},
+    ),
+    "haar_maximality": (
+        {"alphabet": C2, "L_max": 3, "measures": [
+            BERN,
+            "haar",
+            {"kind": "mixture", "components": [["1/2", BERN], ["1/2", "haar"]]},
+            {"kind": "convolution", "left": BERN, "right": BERN},
+        ]},
+        {"haar": 1e-12, "min_gap": 1e-3},
+    ),
+    "entropy_addition": (
+        {"alphabet": C2, "base": BERN, "fiber": C2, "phi": "first_symbol", "L": 3},
+        {"value": 1e-9},
+    ),
+    "independence": ({"group": C2, "measure": "haar", "expect_independent": True}, {}),
+    "natural_extension": (
+        {"alphabet": C2, "L": 3, "measure": {
+            "kind": "markov",
+            "transition": [["2/3", "1/3"], ["1/3", "2/3"]],
+            "initial": ["1/2", "1/2"],
+        }},
+        {"entropy": 1e-12},
+    ),
+    "convolution_ergodicity": (
+        {"alphabet": C2, "left": BERN, "right": {"kind": "periodic_orbit", "word": [0, 1]},
+         "certificate": {"kind": "periodic_vs_mixing", "justification": "Bernoulli vs a 2-cycle"},
+         "steps": 10000, "seed_count": 2, "expect_rejection": False},
+        {"dispersion": 5e-3},
+    ),
+    "circle": (
+        {"k": 2, "measure": "lebesgue", "L": 3, "symbols": 4000, "seed_count": 2},
+        {"value": 0.05},
+    ),
+    "product_entropy": (
+        {"left_alphabet": C2, "left": BERN, "right_alphabet": {"family": "cyclic", "n": 3},
+         "right": "haar", "L": 2},
+        {"per_level": 1e-12},
+    ),
+}
+
+
+def full_config(kind: str, **changes) -> dict:
+    """The FULL scenario of `kind`, with `changes` merged into its top-level entries."""
+    params, tols = copy.deepcopy(FULL[kind])
+    scenario = {"id": "s", "kind": kind, "parameters": params, "tolerances": tols}
+    for key, value in changes.items():
+        if isinstance(value, dict) and key in scenario:
+            scenario[key].update(value)
+        else:
+            scenario[key] = value
+    return {"scenarios": [scenario]}
+
+
+def kind_blocks(text: str) -> dict[str, str]:
+    """Each kind's indented block of `ergolab list` text."""
+    blocks = re.split(r"^(\w+)\n", text, flags=re.MULTILINE)
+    return dict(zip(blocks[1::2], blocks[2::2]))
+
+
 def test_list_output_stable_and_complete():
     text = list_kinds()
     assert "convolution_ergodicity" in text
     assert "entropy_addition" in text and "parameters:" in text
     assert text == list_kinds()
+    blocks = kind_blocks(text)
+    assert set(FULL) == set(THEOREM_TAGS) <= set(blocks)
+    for kind, (params, tols) in FULL.items():
+        (sc,) = parse_config(json.dumps(full_config(kind)))
+        # nothing was left to a default: the config sets every field the kind reads
+        assert set(sc.parameters) == set(params) and set(sc.tolerances) == set(tols), kind
+        assert run_scenarios([sc])[0].rows, kind
+        parameters_line, tolerances_line = blocks[kind].splitlines()[:2]
+        for name in params:
+            assert re.search(rf"\b{name}\??: ", parameters_line), (kind, name)
+        for name in tols:
+            assert f"{name} = " in tolerances_line, (kind, name)
+    for kind, fields in [("bernoulli", ["marginal"]), ("markov", ["transition", "initial"]),
+                         ("periodic_orbit", ["word"]), ("mixture", ["components"]),
+                         ("convolution", ["left", "right"])]:
+        for name in fields:
+            assert re.search(rf"\b{name}\??: ", blocks[kind]), (kind, name)
+
+
+@pytest.mark.parametrize(
+    "kind, changes, message",
+    [
+        ("convolution_entropy", {"parameters": {"L_max": 0}}, r"\.L_max: expected int >= 1, got 0"),
+        ("natural_extension", {"parameters": {"L": 0}}, r"\.L: expected int >= 1, got 0"),
+        ("natural_extension", {"parameters": {"L": -1}}, r"\.L: expected int >= 1, got -1"),
+        ("circle", {"parameters": {"L": 0}}, r"\.L: expected int >= 1"),
+        ("circle", {"parameters": {"symbols": 0}}, r"\.symbols: expected int >= 1"),
+        ("circle", {"parameters": {"seed_count": 0}}, r"\.seed_count: expected int >= 1"),
+        ("product_entropy", {"parameters": {"L": 0}}, r"\.L: expected int >= 1"),
+        ("convolution_ergodicity", {"parameters": {"steps": 10}}, r"\.steps: expected int >= 10000"),
+        ("convolution_entropy", {"parameters": {"expected": "abc"}}, r"\.expected: expected float"),
+        ("convolution_entropy", {"parameters": {"expected": True}}, r"\.expected: expected float"),
+        ("circle", {"seed": -1}, r"\.seed: expected int >= 0"),
+        ("natural_extension", {"parameters": {"L_max": 3}}, r"parameters: unknown field 'L_max'"),
+        ("natural_extension", {"tolerances": {"entrpy": 1e-9}},
+         r"tolerances: unknown field 'entrpy'; expected one of entropy"),
+        ("natural_extension", {"parameters": {"measure": {"kind": "markov", "transition": [5, 5]}}},
+         r"\.measure\.transition\[0\]: need a nonempty list"),
+        ("natural_extension", {"parameters": {"measure": {"kind": "mixture", "components": 5}}},
+         r"\.measure\.components: need a nonempty list"),
+    ],
+)
+def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, message):
+    doc = full_config(kind, **changes)
+    with pytest.raises(SchemaError, match=message):
+        parse_config(json.dumps(doc))
+    assert main(["run", str(write_demo(tmp_path, doc)), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_each_scenario_is_parsed_once(monkeypatch):
+    calls = {"group": 0, "measure": 0}
+
+    def counting(name, parse):
+        def wrapped(*args):
+            calls[name] += 1
+            return parse(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(scenarios, "parse_group", counting("group", scenarios.parse_group))
+    monkeypatch.setattr(scenarios, "parse_measure", counting("measure", scenarios.parse_measure))
+    parsed = parse_config(json.dumps(DEMO))
+    # DEMO holds 7 group descriptors and 10 measure descriptors (a mixture counts its 2 parts)
+    assert calls == {"group": 7, "measure": 10}
+    assert all(r.passed for r in run_scenarios(parsed))
+    assert calls == {"group": 7, "measure": 10}
 
 
 def test_bogus_verify_suite_is_usage_error():

@@ -170,6 +170,11 @@ def test_birkhoff_needs_enough_steps():
         birkhoff_report(bern("1/4"), [(0,)], n_steps=100, n_seeds=2)
 
 
+def test_birkhoff_needs_a_seed():
+    with pytest.raises(ValueError, match="at least 1 seed, got 0"):
+        birkhoff_report(bern("1/4"), [(0,)], n_steps=10**4, n_seeds=0)
+
+
 def test_default_observables_shape():
     obs = default_observables(SYS2, seed=5)
     assert sum(1 for w in obs if len(w) == 1) == 2

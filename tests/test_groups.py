@@ -288,6 +288,17 @@ def test_convex_combination_of_invariant_measures():
     assert is_invariant(blend, t)
 
 
+def test_random_invariant_measure_draws_one_weight_per_orbit_in_orbit_order():
+    g = cyclic(12)
+    t = automorphisms(g)[2]
+    orbits = ergodic_components(g, t, haar(g)).orbits
+    draws = random.Random(4)
+    raw = {orbit: draws.randint(1, 20) for orbit in orbits}
+    total = sum(r * len(o) for o, r in raw.items())
+    mu = random_invariant_measure(g, t, random.Random(4))
+    assert mu.weights == tuple(F(raw[o], total) for x in g.elements() for o in orbits if x in o)
+
+
 # -- affine maps --------------------------------------------------------------
 
 
