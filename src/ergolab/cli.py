@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .acceptance import format_results, run_suite
 from .errors import ParseError, SchemaError
-from .scenarios import list_kinds, parse_config, run_scenarios, write_reports
+from .scenarios import NATURAL, list_kinds, parse_config, run_scenarios, write_reports
 
 log = logging.getLogger("ergolab")
 
@@ -55,13 +56,12 @@ def cmd_run(args) -> int:
         return 2
     try:
         scenarios = parse_config(text)
+        if args.seed is not None:  # the check a config's own seed meets
+            seed = NATURAL.parse(args.seed, "--seed")
+            scenarios = [replace(sc, seed=seed) for sc in scenarios]
     except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        from dataclasses import replace
-
-        scenarios = [replace(sc, seed=args.seed) for sc in scenarios]
     log.info("running %d scenarios", len(scenarios))
     results = run_scenarios(scenarios)
     write_reports(results, args.out)

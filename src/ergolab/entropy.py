@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exact import entropy_nats, exact_vector, neg_xlogx
 from .groups import DenseMeasure
-from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure
+from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
 
 MONOTONE_SLACK = 1e-12
 
@@ -197,6 +197,45 @@ def partition_entropy(weights: Sequence[Fraction] | DenseMeasure, alpha: Partiti
     )
 
 
+def require_symbols(n_symbols: int, k: int, length: int) -> None:
+    """The plug-in estimator's data requirement: at least 100 * k^L symbols."""
+    if n_symbols < 100 * k**length:
+        raise InsufficientData(f"{n_symbols} symbols < 100 * {k}^{length}")
+
+
+def _level_counts(digits: np.ndarray, sizes: np.ndarray, k: int, length: int) -> list[np.ndarray]:
+    """Counts of the in-word windows at levels 1..L, over words laid end to end.
+
+    `digits` holds the words' symbols in range(k), `sizes` their lengths, all
+    at least 1. The base-k window codes are rolled once, to depth L, in the
+    narrowest code dtype; the last L - 1 starts of each word take the code k^L,
+    which no window has, and one bincount gives level L. A window of level
+    ell - 1 is a prefix of one of level ell, or the last ell - 1 symbols of a
+    word with at least ell - 1: the word's suffix code mod k^(ell - 1).
+    """
+    n_codes = k**length
+    dtype = _code_dtype(n_codes + 1)
+    digits = digits.astype(dtype)
+    n_win = len(digits) - length + 1
+    codes = digits[:n_win].copy()
+    for i in range(1, length):
+        codes *= k
+        codes += digits[i : i + n_win]
+    ends = np.cumsum(sizes)
+    suffix = np.zeros(len(sizes), dtype)  # code of each word's last min(size, L - 1) symbols
+    for i in range(length - 1, 0, -1):
+        inside = sizes >= i
+        starts = (ends - i)[inside]  # the i-th last start of each word, whose window leaves it
+        codes[starts[starts < n_win]] = n_codes
+        suffix *= k
+        suffix += digits[ends - i] * inside
+    counts = [np.bincount(codes, minlength=n_codes + 1)[:n_codes]]
+    for ell in range(length - 1, 0, -1):
+        tails = np.bincount(suffix[sizes >= ell] % k**ell, minlength=k**ell)
+        counts.append(counts[-1].reshape(-1, k).sum(1) + tails)
+    return counts[::-1]
+
+
 def empirical_block_entropy(
     words: Sequence[Sequence[int]],
     length: int,
@@ -208,8 +247,10 @@ def empirical_block_entropy(
     range(|alphabet|), and a word of length >= L. Each level's estimate is
     the conditional plug-in over one window table: h_L sums (c_w/T) times
     ln(c_prefix/c_w), so deterministic continuations give exactly 0. The
-    note reports the Miller-Madow bias correction magnitude for the
-    underlying block entropy rather than applying it.
+    window counts are exact integers, taken once at depth L and summed down
+    level by level (`_level_counts`). The note reports the Miller-Madow bias
+    correction magnitude for the underlying block entropy rather than
+    applying it.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -219,8 +260,7 @@ def empirical_block_entropy(
         alphabet_size = 1 + max(int(max(w)) for w in words if len(w))
     k = alphabet_size
     sizes = [len(w) for w in words]
-    if sum(sizes) < 100 * k**length:
-        raise InsufficientData(f"{sum(sizes)} symbols < 100 * {k}^{length}")
+    require_symbols(sum(sizes), k, length)
     if max(sizes) < length:
         raise InsufficientData(
             f"no window of length L={length}: the longest word has {max(sizes)} symbols"
@@ -229,24 +269,9 @@ def empirical_block_entropy(
     if digits.min() < 0 or digits.max() >= k:
         bad = digits[(digits < 0) | (digits >= k)][0]
         raise ValueError(f"symbol {bad} outside range({k})")
-    # cont[j]: position j is followed by a symbol of the same word, so a
-    # window is valid at level ell iff it was at ell - 1 and cont holds at
-    # its second-to-last position
-    cont = np.ones(len(digits), dtype=bool)
-    cont[np.cumsum([n for n in sizes if n]) - 1] = False
-
+    sizes = np.array([n for n in sizes if n])
     h_levels = []
-    codes = digits.astype(np.int64)  # base-k window codes, rolled one symbol per level
-    valid = np.ones(len(digits), dtype=bool)
-    for ell in range(1, length + 1):
-        n_win = len(digits) - ell + 1
-        if ell > 1:
-            codes = codes[:n_win]
-            codes *= k
-            codes += digits[ell - 1 :]
-            valid = valid[:n_win]
-            valid &= cont[ell - 2 : ell - 2 + n_win]
-        counts = np.bincount(codes[valid], minlength=k**ell)
+    for ell, counts in enumerate(_level_counts(digits, sizes, k, length), start=1):
         total = int(counts.sum())
         seen = np.flatnonzero(counts)
         if ell == 1:

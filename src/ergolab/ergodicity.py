@@ -30,6 +30,7 @@ from .shifts import (
     ShiftMeasure,
     ShiftSystem,
     Word,
+    _code_dtype,
     convolve_shift,
     is_shift_invariant,
 )
@@ -149,9 +150,12 @@ def _window_counts(word: np.ndarray, observables: list[Word], n_steps: int, base
 
     One base-|G| window code is rolled in place from length 1 to the longest
     observable, and each observable is counted by equality at its own length.
+    Codes and symbols share the narrowest dtype that holds |G|^max_len codes
+    (`shifts._code_dtype`), so every pass is a same-dtype pass.
     """
     max_len = max(map(len, observables))
-    code = word[:n_steps].astype(np.int32 if base**max_len <= 2**31 else np.int64)
+    word = word.astype(_code_dtype(base**max_len))
+    code = word[:n_steps].copy()
     counts = [n_steps] * len(observables)  # the empty word fits every window
     for level in range(1, max_len + 1):
         for i, obs in enumerate(observables):

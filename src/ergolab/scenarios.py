@@ -11,6 +11,7 @@ identical for identical (config, seed) pairs.
 
 from __future__ import annotations
 
+import csv
 import inspect
 import json
 import math
@@ -21,13 +22,13 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .circle import circle_entropy_report, lebesgue, periodic_atomic, times_k
-from .entropy import block_entropy, entropy_rate
+from .entropy import block_entropy, entropy_rate, require_symbols
 from .ergodicity import (
     MIN_BIRKHOFF_STEPS,
     DisjointnessCertificate,
     convolution_ergodicity_scenario,
 )
-from .errors import FactorNotErgodic, ParseError, SchemaError
+from .errors import FactorNotErgodic, InsufficientData, ParseError, SchemaError
 from .groups import FiniteGroup, haar, identity_hom, make_group, measure
 from .groups import independence_check
 from .shifts import (
@@ -264,11 +265,16 @@ def parse_measure(desc, system: ShiftSystem, path: str) -> ShiftMeasure:
 
 @dataclass(frozen=True)
 class Kind:
-    """A scenario kind: `run(seed, tolerances, **parsed fields)`, its theorem tags and tolerances."""
+    """A scenario kind: `run(seed, tolerances, **parsed fields)`, its theorem tags and tolerances.
+
+    `check(path, **parsed fields)`, if given, fails at parse time on fields
+    that each parse alone but together would make `run` fail.
+    """
 
     run: Callable[..., tuple[list[Row], dict, dict]]
     theorem: str
     tolerances: dict[str, float] = field(default_factory=dict)
+    check: Callable[..., None] | None = None
 
 
 def _measure_on(alphabet: str) -> Param:  # a measure on the shift over the field `alphabet`
@@ -449,6 +455,15 @@ def _circle(seed, tol, k=_int_at_least(2),
     return rows, plots, {"entropy": _estimate_fields(est)}
 
 
+def _circle_data(path, k, measure, L, symbols, seed_count):
+    """The Lebesgue estimator's data requirement, checked before a symbol is drawn."""
+    if measure.kind == "lebesgue":
+        try:
+            require_symbols(symbols, k, L)
+        except InsufficientData as exc:
+            _fail(f"{path}.symbols", str(exc))
+
+
 def _product_entropy(seed, tol, left_alphabet=GROUP, left=_measure_on("left_alphabet"),
                      right_alphabet=GROUP, right=_measure_on("right_alphabet"), L=COUNT):
     pm = product_system(left, right)
@@ -473,7 +488,7 @@ SCENARIO_KINDS = {
     "convolution_ergodicity": Kind(
         _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": 5e-3}
     ),
-    "circle": Kind(_circle, "Corollary 3.4; Theorem 2.2", {"value": 0.02}),
+    "circle": Kind(_circle, "Corollary 3.4; Theorem 2.2", {"value": 0.02}, _circle_data),
     "product_entropy": Kind(_product_entropy, "Lemma 2.2", {"per_level": 1e-12}),
 }
 
@@ -509,6 +524,8 @@ def parse_config(text: str) -> list[Scenario]:
         params = _parse_fields(
             _fields(spec.run), sc.get("parameters", {}), f"scenarios[{sid}].parameters", {}
         )
+        if spec.check is not None:
+            spec.check(f"scenarios[{sid}].parameters", **params)
         scenarios.append(Scenario(sid, kind, params, seed, tolerances))
     return scenarios
 
@@ -534,25 +551,21 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _write_csv(path: Path, rows: list[list[str]]) -> None:
+    # csv quoting lets an id with a comma or a quote round-trip through csv.reader
+    with path.open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
 def write_reports(results: list[ScenarioResult], out_path: str | Path) -> None:
     out = Path(out_path)
-    lines = ["scenario_id,quantity,value,lower,upper,tolerance,pass"]
-    for res in results:
-        for row in res.rows:
-            lines.append(
-                ",".join(
-                    [
-                        res.scenario.id,
-                        row.quantity,
-                        _fmt(row.value),
-                        _fmt(row.lower),
-                        _fmt(row.upper),
-                        _fmt(row.tolerance),
-                        "true" if row.passed else "false",
-                    ]
-                )
-            )
-    out.write_text("\n".join(lines) + "\n")
+    header = ["scenario_id", "quantity", "value", "lower", "upper", "tolerance", "pass"]
+    _write_csv(out, [header] + [
+        [res.scenario.id, row.quantity, _fmt(row.value), _fmt(row.lower), _fmt(row.upper),
+         _fmt(row.tolerance), "true" if row.passed else "false"]
+        for res in results
+        for row in res.rows
+    ])
 
     meta = {
         "suite_verdict": "pass" if all(r.passed for r in results) else "fail",
@@ -586,8 +599,7 @@ def write_reports(results: list[ScenarioResult], out_path: str | Path) -> None:
     for res in results:
         for name, series in res.plots.items():
             plot_path = out.with_name(f"{out.stem}.{res.scenario.id}.{name}.csv")
-            plot_lines = [f"L,{name}"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in series]
-            plot_path.write_text("\n".join(plot_lines) + "\n")
+            _write_csv(plot_path, [["L", name]] + [[_fmt(x), _fmt(y)] for x, y in series])
 
 
 def _describe(fields: dict[str, Param]) -> str:

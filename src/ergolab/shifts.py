@@ -306,6 +306,66 @@ def shift_haar(system: ShiftSystem) -> Bernoulli:
     return Bernoulli(system, haar(system.alphabet))
 
 
+def _code_dtype(n_codes: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and uint32 that holds codes 0..n_codes-1, else int64.
+
+    Never uint64: uint64 with int64 promotes to float64, which is not exact.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n_codes <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[tuple[int, int]]:
+    """Fill the steps t >= 1 of a Markov walk that whole-array passes can; return the rest.
+
+    Step t is bisect_right(cum[walk[t - 1]], u[t]), and walk[0] is set. The
+    finite bounds of all rows cut [0, 1) into cells, and nxt[state, cell] is
+    each row's index on a cell. A step whose cell sends every state to one
+    successor needs no predecessor: the coalescence of a grand coupling (Propp
+    and Wilson, 1996). The other steps resolve in rounds, each taking every
+    step whose predecessor is known, while a round resolves at least half of
+    what is left. The rest come back as runs [head, end) of steps, in order.
+
+    The coalescing cells' total length is the share a round is expected to
+    resolve; below one half, or when the table would outgrow the draws, the
+    passes cost more than the loop steps they save, and every step comes back.
+    """
+    n, n_sym = len(u), len(cum)
+    # every state steps to j exactly on [max_s cum[s, j - 1], min_s cum[s, j])
+    lo = np.concatenate([[0.0], cum[:, :-1].max(axis=0)])
+    if (np.minimum(cum.min(axis=0), 1.0) - lo).clip(0.0).sum() < 0.5:
+        return [(1, n)]
+    bounds = np.unique(cum[:, :-1])
+    # each row's index is constant on a cell [bounds[c - 1], bounds[c]), so the
+    # cell's lower end (-inf for the first cell) stands for all of it
+    reps = np.concatenate([[-np.inf], bounds])
+    dtype = _code_dtype(n_sym)
+    if n_sym * len(reps) * dtype.itemsize > u.nbytes:
+        return [(1, n)]
+    nxt = np.array([row.searchsorted(reps, side="right") for row in cum], dtype=dtype)
+    agree = (nxt == nxt[0]).all(axis=0)
+    cell = bounds.searchsorted(u, side="right").astype(_code_dtype(len(reps)))
+    known = agree[cell]
+    known[0] = False  # u[0] is not a step's draw
+    walk[known] = nxt[0, cell[known]]
+    known[0] = True
+    todo = np.flatnonzero(~known)
+    while todo.size:
+        ready = known[todo - 1]
+        step = todo[ready]
+        walk[step] = nxt[walk[step - 1], cell[step]]
+        known[step] = True
+        todo = todo[~ready]
+        if 2 * step.size < step.size + todo.size:
+            break
+    if not todo.size:
+        return []
+    cut = np.flatnonzero(np.diff(todo) != 1) + 1
+    return list(zip(todo[np.r_[0, cut]].tolist(), (todo[np.r_[cut - 1, -1]] + 1).tolist()))
+
+
 @dataclass(frozen=True)
 class Markov(ShiftMeasure):
     """Stationary Markov measure; the initial row must be exactly stationary."""
@@ -365,6 +425,13 @@ class Markov(ShiftMeasure):
         return BlockTable(n, length, codes[keep], (prev.nums[:, None] * step)[keep], prev.den * dt)
 
     def sample(self, n, seed):
+        """The per-step walk s_t = bisect_right(cdf row of s_{t-1}, u[t]), mostly in numpy.
+
+        It draws s_0 = rng.choice(|G|, p=initial), then u = rng.random(n), and
+        step t reads u[t]. `_resolve_by_cells` fills every step it can without
+        a Python loop; the steps left run as the per-step walk, in increasing
+        order. Every symbol equals the per-step walk's.
+        """
         if n == 0:
             return np.empty(0, dtype=np.int64)
         rng = np.random.default_rng(seed)
@@ -377,14 +444,19 @@ class Markov(ShiftMeasure):
         # bisect_right makes the comparisons of searchsorted(side="right"); an infinite
         # last bound sends a draw at or above a row total rounded below 1 to the last state
         cum[:, -1] = np.inf
-        cum = [array("d", row) for row in cum]  # 8 bytes a bound, not a float object's 32
-        s = int(rng.choice(n_sym, p=init))
+        walk = np.empty(n, dtype=np.int64)
+        walk[0] = rng.choice(n_sym, p=init)
         u = rng.random(n)
-        walk = array("q", [s])
-        for x in memoryview(u)[1:]:
-            s = bisect_right(cum[s], x)
-            walk.append(s)
-        return np.frombuffer(walk, dtype=np.int64)
+        rows = [array("d", row) for row in cum]  # 8 bytes a bound, not a float object's 32
+        draws = memoryview(u)
+        for head, end in _resolve_by_cells(walk, u, cum):  # the per-step walk over each run left
+            s = int(walk[head - 1])
+            run = array("q")
+            for x in draws[head:end]:
+                s = bisect_right(rows[s], x)
+                run.append(s)
+            walk[head:end] = np.frombuffer(run, dtype=np.int64)
+        return walk
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import re
 from pathlib import Path
@@ -324,6 +325,8 @@ def test_list_output_stable_and_complete():
          r"\.measure\.transition\[0\]: need a nonempty list"),
         ("natural_extension", {"parameters": {"measure": {"kind": "mixture", "components": 5}}},
          r"\.measure\.components: need a nonempty list"),
+        ("circle", {"parameters": {"symbols": 1}}, r"\.symbols: 1 symbols < 100 \* 2\^3"),
+        ("circle", {"parameters": {"L": 6}}, r"\.symbols: 4000 symbols < 100 \* 2\^6"),
     ],
 )
 def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, message):
@@ -331,6 +334,18 @@ def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, messag
     with pytest.raises(SchemaError, match=message):
         parse_config(json.dumps(doc))
     assert main(["run", str(write_demo(tmp_path, doc)), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_lebesgue_circle_default_symbols_checked_at_parse_time(tmp_path):
+    # the default 10^6 symbols are short of 100 * 10^5
+    doc = {"scenarios": [{"id": "c", "kind": "circle",
+                          "parameters": {"k": 10, "measure": "lebesgue", "L": 5}}]}
+    with pytest.raises(SchemaError, match=r"\.symbols: 1000000 symbols < 100 \* 10\^5"):
+        parse_config(json.dumps(doc))
+    assert main(["run", str(write_demo(tmp_path, doc)), "--out", str(tmp_path / "r.csv")]) == 2
+    # periodic atoms have an exact rate and draw no symbols
+    doc["scenarios"][0]["parameters"]["measure"] = {"periodic_atomic": "1/3"}
+    assert parse_config(json.dumps(doc))
 
 
 def test_each_scenario_is_parsed_once(monkeypatch):
@@ -378,3 +393,22 @@ def test_seed_override(tmp_path):
     assert main(["run", str(cfg), "--out", str(out3), "--seed", "9"]) == 0
     assert out2.read_bytes() == out3.read_bytes()
     assert out1.read_bytes() != out2.read_bytes()  # different sample paths
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    # the override meets the same `seed >= 0` check as a seed in the config
+    cfg = write_demo(tmp_path, full_config("convolution_ergodicity"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv"), "--seed", "-1"]) == 2
+    assert "--seed: expected int >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_csv_quotes_an_id_with_a_comma(tmp_path):
+    doc = full_config("independence", id="a,b")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(write_demo(tmp_path, doc)), "--out", str(out)]) == 0
+    with out.open(newline="") as f:
+        header, *rows = csv.reader(f)
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[0] for row in rows} == {"a,b"}
+    assert out.read_bytes().startswith(b'scenario_id,quantity,value,lower,upper,tolerance,pass\n"a,b",')

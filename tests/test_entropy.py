@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ergolab import cyclic, haar, measure, point_mass
 from ergolab.entropy import (
     EntropyEstimate,
+    _level_counts,
     Partition,
     block_entropy,
     closed_form_entropy,
@@ -473,6 +474,55 @@ def test_empirical_entropy_matches_dict_counts(case):
     assert est.value == h_levels[-1]
     mm = (observed - 1) / (2 * total)
     assert est.note.endswith(f"would add {mm:.2e} nats to H_L")
+
+
+def _masked_bincount_levels(words, length, k):
+    """Per-level window counts and h_L as the estimator took them before one roll to depth L.
+
+    The int64 window codes are rolled one symbol per level, a validity mask is
+    narrowed level by level, and each level counts `np.bincount(codes[valid])`.
+    """
+    sizes = [len(w) for w in words]
+    digits = np.concatenate([w for w in words if len(w)])
+    cont = np.ones(len(digits), dtype=bool)
+    cont[np.cumsum([n for n in sizes if n]) - 1] = False
+    level_counts, h_levels = [], []
+    codes = digits.astype(np.int64)
+    valid = np.ones(len(digits), dtype=bool)
+    for ell in range(1, length + 1):
+        n_win = len(digits) - ell + 1
+        if ell > 1:
+            codes = codes[:n_win]
+            codes *= k
+            codes += digits[ell - 1 :]
+            valid = valid[:n_win]
+            valid &= cont[ell - 2 : ell - 2 + n_win]
+        counts = np.bincount(codes[valid], minlength=k**ell)
+        level_counts.append(counts)
+        total = int(counts.sum())
+        seen = np.flatnonzero(counts)
+        if ell == 1:
+            h_levels.append(math.fsum(neg_xlogx(c / total) for c in counts[seen].tolist()))
+        else:
+            prefix = counts.reshape(-1, k).sum(1)
+            h_levels.append(math.fsum(
+                (c / total) * math.log(p / c)
+                for c, p in zip(counts[seen].tolist(), prefix[seen // k].tolist())
+            ))
+    return level_counts, tuple(h_levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ragged_source())
+def test_level_counts_match_per_level_masked_bincount(case):
+    words, length, k = case
+    counts, h_levels = _masked_bincount_levels(words, length, k)
+    nonempty = [w for w in words if len(w)]
+    got = _level_counts(np.concatenate(nonempty), np.array([len(w) for w in nonempty]), k, length)
+    assert len(got) == length
+    for ell, (a, b) in enumerate(zip(got, counts), start=1):
+        assert a.dtype == np.int64 and np.array_equal(a, b), f"level {ell}"
+    assert empirical_block_entropy(words, length, alphabet_size=k).upper_bounds == h_levels
 
 
 def test_empirical_entropy_reads_numpy_rows_like_lists():

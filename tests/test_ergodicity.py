@@ -332,6 +332,16 @@ def test_birkhoff_report_matches_boolean_loop(mu, observables):
     assert birkhoff_report(mu, *args) == _oracle_birkhoff(mu, *args)
 
 
+@pytest.mark.parametrize("length", [8, 9, 16, 17, 32, 33])
+def test_birkhoff_report_matches_boolean_loop_at_code_dtype_edges(length):
+    # C2 codes of lengths 8, 16 and 32 fill uint8, uint16 and uint32 to the top;
+    # one symbol more takes the next dtype
+    observables = [(1,) * length, (0,) + (1,) * (length - 1), ((1, 0) * length)[:length], (1,)]
+    for mu in (PeriodicOrbit(SYS2, (1,)), PeriodicOrbit(SYS2, (0, 1)), bern("1/4")):
+        args = (observables, 10**4 + 7, 2, 5)
+        assert birkhoff_report(mu, *args) == _oracle_birkhoff(mu, *args)
+
+
 @st.composite
 def _birkhoff_case(draw):
     """A C2 or C3 measure of any kind, observables of length 0..5, a few seeds."""

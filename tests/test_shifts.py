@@ -661,11 +661,30 @@ def _naive_markov_walk(mu, n, seed):
     return out
 
 
+def _dense_chain(group, seed):
+    """A chain with no zero entry in which a draw below (n + 1)/(2n + 1) sends every state to 0.
+
+    Each row of n = |G| states is (n + 1)/(2n + 1) on state 0, 1/(2n + 1)
+    elsewhere, and 1/(2n + 1) more on one state drawn per row, so the cdf rows
+    cut [0, 1) into about n cells that mostly coalesce. The initial row is
+    uniform, not stationary: the sampler only draws its first symbol from it.
+    """
+    n = group.order
+    weights = np.ones((n, n), dtype=np.int64)
+    weights[:, 0] = n + 1
+    weights[np.arange(n), np.random.default_rng(seed).permutation(n)] += 1
+    rows = tuple(tuple(F(int(w), 2 * n + 1) for w in row) for row in weights)
+    return Markov(shift_space(group), rows, tuple([F(1, n)] * n), validate=False)
+
+
 MARKOV_CHAINS = [
     Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]]),
     Markov.stationary(SYS2, [["0", "1"], ["1/2", "1/2"]]),
     Markov.stationary(SYS3, [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]]),
     Markov.stationary(SYS3, [["1/2", "1/4", "1/4"], ["0", "1/3", "2/3"], ["1", "0", "0"]]),
+    # the flip chain: no cell sends both states to one successor, so no step coalesces
+    Markov.stationary(SYS2, [["0", "1"], ["1", "0"]]),
+    _dense_chain(direct_product(symmetric(4), cyclic(5)), 5),
 ]
 
 
@@ -696,6 +715,14 @@ def test_markov_sampler_matches_per_step_walk_on_large_alphabets(group):
     mu = _permutation_chain(group, 5)
     for n, seed in ((1, 0), (2, 1), (3000, 2)):
         assert np.array_equal(mu.sample(n, seed), _naive_markov_walk(mu, n, seed))
+
+
+def test_code_dtype_is_the_narrowest_that_holds_the_codes():
+    # never uint64: uint64 with int64 promotes to float64
+    for n_codes, dtype in [(1, np.uint8), (2**8, np.uint8), (2**8 + 1, np.uint16),
+                           (2**16, np.uint16), (2**16 + 1, np.uint32), (2**32, np.uint32),
+                           (2**32 + 1, np.int64), (2**63, np.int64)]:
+        assert shifts._code_dtype(n_codes) == dtype, n_codes
 
 
 class _FixedDraws:
