@@ -1,6 +1,5 @@
 """Circle endomorphisms x -> kx mod 1: the non-symbolic carrier.
 
-Lebesgue (Haar) invariance is checked on exact rational interval endpoints.
 Itineraries through the generating partition [i/k, (i+1)/k) are computed in
 exact arithmetic for rational starting points. Lebesgue-typical sampling
 draws a fresh high-precision random dyadic point per 40-symbol block rather
@@ -25,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .entropy import EntropyEstimate, empirical_block_entropy, entropy_rate
-from .errors import BadK, DepthLimitExceeded
+from .errors import BadK
 from .exact import parse_ratio
 from .groups import cyclic
 from .shifts import PeriodicOrbit, shift_space
@@ -44,36 +43,9 @@ class CircleSystem:
         if not isinstance(self.k, int) or self.k < 2:
             raise BadK(f"the multiplier must be an integer >= 2, got {self.k!r}")
 
-    @property
-    def generating_partition(self) -> list[tuple[Fraction, Fraction]]:
-        k = self.k
-        return [(Fraction(i, k), Fraction(i + 1, k)) for i in range(k)]
-
-    def preimage_intervals(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-        """T^-1 [lo, hi) as k disjoint intervals, exactly."""
-        k = self.k
-        return [(Fraction(lo + i, k), Fraction(hi + i, k)) for i in range(k)]
-
 
 def times_k(k: int) -> CircleSystem:
     return CircleSystem(k)
-
-
-def haar_invariance_check(sys: CircleSystem, depth: int) -> bool:
-    """Lebesgue(T^-1 I) = Lebesgue(I) exactly for all depth-d partition intervals."""
-    if depth * math.log2(sys.k) > 24:
-        raise DepthLimitExceeded(f"{sys.k}^{depth} intervals exceed the guard")
-    k = sys.k
-    cells = k**depth
-    width = Fraction(1, cells)
-    for j in range(cells):
-        lo, hi = j * width, (j + 1) * width
-        pulled = sum(
-            (b - a for a, b in sys.preimage_intervals(lo, hi)), Fraction(0)
-        )
-        if pulled != hi - lo:
-            return False
-    return True
 
 
 def symbolic_coding(

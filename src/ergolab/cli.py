@@ -54,6 +54,10 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        print(f"error: the --out directory {out_dir} is not an existing directory", file=sys.stderr)
+        return 2
     try:
         scenarios = parse_config(text)
         if args.seed is not None:  # the check a config's own seed meets

@@ -1,4 +1,4 @@
-"""Entropy computations: static, block, conditional block, and empirical.
+"""Entropy computations: block, conditional block, and empirical.
 
 Everything is in nats. Probabilities arrive as exact rationals and are
 converted to float only inside the logarithm; float sums go through
@@ -15,20 +15,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientData,
-    MonotonicityViolated,
-    PartitionMismatch,
-    UnsupportedKind,
-)
-from .exact import entropy_nats, exact_vector, neg_xlogx
-from .groups import DenseMeasure
+from .errors import InsufficientData, MonotonicityViolated, UnsupportedKind
+from .exact import entropy_nats, neg_xlogx
 from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
 
 MONOTONE_SLACK = 1e-12
@@ -47,47 +40,6 @@ class EntropyEstimate:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a finite carrier 0..n-1 into labeled blocks."""
-
-    n_points: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        covered: set[int] = set()
-        for b in self.blocks:
-            if covered & b:
-                raise PartitionMismatch("blocks overlap")
-            covered |= b
-        if covered != set(range(self.n_points)):
-            raise PartitionMismatch("blocks do not cover the carrier")
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        groups: dict[int, set[int]] = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, set()).add(i)
-        return cls(len(labels), tuple(frozenset(v) for _, v in sorted(groups.items())))
-
-    @classmethod
-    def trivial(cls, n_points: int) -> "Partition":
-        return cls(n_points, (frozenset(range(n_points)),))
-
-    def join(self, other: "Partition") -> "Partition":
-        if self.n_points != other.n_points:
-            raise PartitionMismatch("partitions on different carriers")
-        blocks = tuple(
-            frozenset(a & b) for a in self.blocks for b in other.blocks if a & b
-        )
-        return Partition(self.n_points, blocks)
-
-
-def static_entropy(mu: DenseMeasure) -> float:
-    """-sum w ln w over a finite group measure."""
-    return entropy_nats(mu.weights)
-
-
 def table_entropy(table: BlockTable) -> float:
     """-sum p ln p over an exact block table, one logarithm per distinct mass."""
     den = table.den
@@ -102,13 +54,6 @@ def block_entropy(mu: ShiftMeasure, length: int) -> float:
     if length == 0:
         return 0.0
     return table_entropy(mu.block_table(length))
-
-
-def conditional_block_entropy(mu: ShiftMeasure, length: int) -> float:
-    """h_L = H_L - H_{L-1} with H_0 = 0."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return block_entropy(mu, length) - block_entropy(mu, length - 1)
 
 
 def entropy_rate(mu: ShiftMeasure, L_max: int, tol: float = 1e-9) -> EntropyEstimate:
@@ -162,39 +107,6 @@ def closed_form_entropy(mu: ShiftMeasure) -> float:
             for pi_i, row in zip(mu.initial, mu.transition)
         )
     raise UnsupportedKind(f"no closed form for kind {mu.kind}")
-
-
-def partition_conditional_entropy(
-    weights: Sequence[Fraction] | DenseMeasure,
-    alpha: Partition,
-    beta: Partition,
-) -> float:
-    """H(alpha | beta) = sum_B m(B) H(alpha restricted to B)."""
-    w = weights.weights if isinstance(weights, DenseMeasure) else tuple(weights)
-    if alpha.n_points != len(w) or beta.n_points != len(w):
-        raise PartitionMismatch("partition carrier does not match the weights")
-    exact_vector(w)
-    terms = []
-    for b in beta.blocks:
-        mb = sum((w[i] for i in b), Fraction(0))
-        if mb == 0:
-            continue
-        for a in alpha.blocks:
-            mab = sum((w[i] for i in a & b), Fraction(0))
-            if mab == 0:
-                continue
-            terms.append(-float(mab) * math.log(float(mab / mb)))
-    return math.fsum(terms)
-
-
-def partition_entropy(weights: Sequence[Fraction] | DenseMeasure, alpha: Partition) -> float:
-    w = weights.weights if isinstance(weights, DenseMeasure) else tuple(weights)
-    if alpha.n_points != len(w):
-        raise PartitionMismatch("partition carrier does not match the weights")
-    exact_vector(w)
-    return math.fsum(
-        neg_xlogx(float(sum((w[i] for i in a), Fraction(0)))) for a in alpha.blocks
-    )
 
 
 def require_symbols(n_symbols: int, k: int, length: int) -> None:

@@ -43,10 +43,6 @@ class NotBijective(ErgolabError):
 
 # -- shift spaces ------------------------------------------------------------
 
-class WindowOutOfRange(ErgolabError):
-    pass
-
-
 class DepthLimitExceeded(ErgolabError):
     pass
 
@@ -63,10 +59,6 @@ class UnsupportedKind(ErgolabError):
 
 class MonotonicityViolated(ErgolabError):
     """Conditional block entropies increased; input is non-invariant or buggy."""
-
-
-class PartitionMismatch(ErgolabError):
-    pass
 
 
 class InsufficientData(ErgolabError):

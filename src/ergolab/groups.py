@@ -68,14 +68,6 @@ class FiniteGroup:
     def np_inv(self) -> np.ndarray:
         return np.array(self.inverse_table, dtype=np.int64)
 
-    @cached_property
-    def is_abelian(self) -> bool:
-        return all(
-            self.op(a, b) == self.op(b, a)
-            for a in self.elements()
-            for b in self.elements()
-        )
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
 
@@ -239,19 +231,6 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
     return make_hom(g, g, tuple(g.elements()))
 
 
-def power_hom(g: FiniteGroup, k: int) -> GroupHom:
-    """x -> x^k; a homomorphism on abelian groups (e.g. x -> 2x on Z/n)."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    table = []
-    for x in g.elements():
-        acc = g.identity
-        for _ in range(k):
-            acc = g.op(acc, x)
-        table.append(acc)
-    return make_hom(g, g, table)
-
-
 def _generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy generators: right products of them, from the identity, reach all."""
     gens: list[int] = []
@@ -333,28 +312,6 @@ def automorphisms(g: FiniteGroup) -> list[GroupHom]:
     return result
 
 
-def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupHom]:
-    """Search for an isomorphism by enumerating bijections; tiny orders only."""
-    if g.order != h.order:
-        return None
-    if g.order > 8:
-        raise ValueError("brute-force isomorphism search capped at order 8")
-    g_orders = sorted(g.element_order(x) for x in g.elements())
-    h_orders = sorted(h.element_order(x) for x in h.elements())
-    if g_orders != h_orders:
-        return None
-    for perm in permutations(h.elements()):
-        if perm[g.identity] != h.identity:
-            continue
-        if all(
-            perm[g.op(a, b)] == h.op(perm[a], perm[b])
-            for a in g.elements()
-            for b in g.elements()
-        ):
-            return GroupHom(g, h, tuple(perm))
-    return None
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """x -> a * A(x) for an automorphism A; always a bijection of the group."""
@@ -370,15 +327,6 @@ class AffineMap:
 
     def __call__(self, x: int) -> int:
         return self.group.op(self.translation, self.automorphism(x))
-
-    @cached_property
-    def conjugate(self) -> GroupHom:
-        """y -> a A(y) a^-1; the automorphism the map commutes through."""
-        g, a = self.group, self.translation
-        table = [
-            g.op(g.op(a, self.automorphism(y)), g.inv(a)) for y in g.elements()
-        ]
-        return make_hom(g, g, table)
 
 
 Transform = Union[GroupHom, AffineMap]

@@ -462,6 +462,10 @@ def _circle_data(path, k, measure, L, symbols, seed_count):
             require_symbols(symbols, k, L)
         except InsufficientData as exc:
             _fail(f"{path}.symbols", str(exc))
+        per_seed = -(-symbols // seed_count)  # the longest seed's sample
+        if per_seed < L:
+            _fail(f"{path}.seed_count", f"{seed_count} seeds of {symbols} symbols leave "
+                  f"{per_seed} symbols per seed, fewer than L = {L}")
 
 
 def _product_entropy(seed, tol, left_alphabet=GROUP, left=_measure_on("left_alphabet"),

@@ -16,8 +16,7 @@ in `skew` and `ergodicity`, compares tables, taking marginals by dropping the
 first or the last symbol of a longer table.
 
 Stationarity makes cylinder probabilities independent of window position, so
-words are plain tuples of element indices; `Window` carries an explicit start
-for position-aware call sites.
+words are plain tuples of element indices.
 """
 
 from __future__ import annotations
@@ -29,16 +28,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DepthLimitExceeded,
-    SystemMismatch,
-    UnsupportedKind,
-    WindowOutOfRange,
-)
+from .errors import DepthLimitExceeded, SystemMismatch, UnsupportedKind
 from .exact import exact_vector, parse_ratio, stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
@@ -88,20 +82,6 @@ class ShiftSystem:
 
 def shift_space(alphabet: FiniteGroup, sidedness: str = ONE_SIDED) -> ShiftSystem:
     return ShiftSystem(alphabet, sidedness)
-
-
-def affine_shift_space(
-    alphabet: FiniteGroup, constant: int, sidedness: str = ONE_SIDED
-) -> ShiftSystem:
-    return ShiftSystem(alphabet, sidedness, constant)
-
-
-@dataclass(frozen=True)
-class Window:
-    """A cylinder specification: symbols at positions start..start+len-1."""
-
-    start: int
-    symbols: Word
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +219,7 @@ class ShiftMeasure:
         # measures are frozen, so a table never goes stale; it dies with its measure
         return {}
 
-    def cylinder_prob(self, window: Union[Window, Sequence[int]]) -> Fraction:
-        if isinstance(window, Window):
-            if self.system.one_sided and window.start < 0:
-                raise WindowOutOfRange("one-sided windows need start >= 0")
-            word = window.symbols
-        else:
-            word = tuple(window)
+    def cylinder_prob(self, word: Sequence[int]) -> Fraction:
         for s in word:
             if not 0 <= s < self.system.alphabet.order:
                 raise ValueError(f"symbol {s} outside the alphabet")
@@ -664,10 +638,6 @@ class ProductMeasure(ShiftMeasure):
         )
 
 # -- module-level operations ---------------------------------------------------
-
-
-def cylinder_prob(mu: ShiftMeasure, window: Union[Window, Sequence[int]]) -> Fraction:
-    return mu.cylinder_prob(window)
 
 
 def convolve_shift(mu: ShiftMeasure, nu: ShiftMeasure) -> ShiftMeasure:

@@ -112,16 +112,6 @@ def constant_cocycle(base: ShiftSystem, fiber: FiniteGroup, value: int) -> dict[
     return {(s,): value for s in base.alphabet.elements()}
 
 
-def commutes_with_fiber_translation(sys: SkewSystem) -> bool:
-    """T(y.(x,g)) = sigma(y).T(x,g) for the fiber translation action, all pairs."""
-    sig, fib = sys.fiber_automorphism, sys.fiber
-    return all(
-        sig(fib.op(y, g)) == fib.op(sig(y), sig(g))
-        for y in fib.elements()
-        for g in fib.elements()
-    )
-
-
 @dataclass(frozen=True)
 class SkewMeasure:
     """base measure x fiber distribution on the skew phase space."""
@@ -146,14 +136,6 @@ class SkewMeasure:
         if any(w == 1 for w in self.fiber_weights):
             return "point_fiber"
         return "fiber_mixture"
-
-    def product_cylinder(self, word: Sequence[int], g: int) -> Fraction:
-        """P([word] x {g})."""
-        return self.base_measure.cylinder(tuple(word)) * self.fiber_weights[g]
-
-    def projection_cylinder(self, word: Sequence[int]) -> Fraction:
-        """P([word] x fiber) — the base projection."""
-        return self.base_measure.cylinder(tuple(word))
 
 
 def haar_extension(mu0: ShiftMeasure, sys: SkewSystem) -> SkewMeasure:
@@ -224,14 +206,6 @@ def is_skew_invariant(mu: SkewMeasure, depth: int) -> bool:
             if pulled != BlockTable(n, length, table.codes, table.nums * fiber[g], table.den):
                 return False
     return True
-
-
-def fiber_haar_convolve_cylinder(mu: SkewMeasure, word: Sequence[int], g: int) -> Fraction:
-    """(m * mu)([word] x {g}) for m = Haar on the fiber acting by translation."""
-    total = sum(
-        (mu.product_cylinder(word, h) for h in mu.system.fiber.elements()), Fraction(0)
-    )
-    return total / mu.system.fiber.order
 
 
 def haar_absorption_check(mu: SkewMeasure, mu0: ShiftMeasure, depth: int) -> bool:

@@ -9,14 +9,13 @@ import pytest
 from ergolab.circle import (
     CircleSystem,
     circle_entropy_report,
-    haar_invariance_check,
     lebesgue,
     periodic_atomic,
     sample_lebesgue_coding,
     symbolic_coding,
     times_k,
 )
-from ergolab.errors import BadK, DepthLimitExceeded
+from ergolab.errors import BadK
 
 
 def test_times_k_construction():
@@ -41,22 +40,6 @@ def test_non_integer_multiplier_rejected(k):
         times_k(k)
     with pytest.raises(BadK):
         CircleSystem(k)
-
-
-def test_generating_partition_refines():
-    sys = times_k(3)
-    parts = sys.generating_partition
-    assert parts[0] == (F(0), F(1, 3))
-    pieces = sys.preimage_intervals(*parts[1])
-    assert all(b - a == F(1, 9) for a, b in pieces)
-
-
-def test_haar_invariance_exact():
-    assert haar_invariance_check(times_k(2), 1)
-    assert haar_invariance_check(times_k(2), 10)
-    assert haar_invariance_check(times_k(3), 6)
-    with pytest.raises(DepthLimitExceeded):
-        haar_invariance_check(times_k(2), 30)
 
 
 def test_coding_fixed_point():

@@ -327,6 +327,8 @@ def test_list_output_stable_and_complete():
          r"\.measure\.components: need a nonempty list"),
         ("circle", {"parameters": {"symbols": 1}}, r"\.symbols: 1 symbols < 100 \* 2\^3"),
         ("circle", {"parameters": {"L": 6}}, r"\.symbols: 4000 symbols < 100 \* 2\^6"),
+        ("circle", {"parameters": {"symbols": 800, "seed_count": 800}},
+         r"\.seed_count: 800 seeds of 800 symbols leave 1 symbols per seed, fewer than L = 3"),
     ],
 )
 def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, message):
@@ -401,6 +403,18 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv"), "--seed", "-1"]) == 2
     assert "--seed: expected int >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_missing_out_directory_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(scenarios):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("ergolab.cli.run_scenarios", no_run)
+    cfg = write_demo(tmp_path, full_config("independence"))
+    missing = tmp_path / "missing_dir"
+    assert main(["run", str(cfg), "--out", str(missing / "r.csv")]) == 2
+    assert f"--out directory {missing} is not an existing directory" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_report_csv_quotes_an_id_with_a_comma(tmp_path):

@@ -11,20 +11,15 @@ from ergolab import cyclic, haar, measure, point_mass
 from ergolab.entropy import (
     EntropyEstimate,
     _level_counts,
-    Partition,
     block_entropy,
     closed_form_entropy,
-    conditional_block_entropy,
     empirical_block_entropy,
     entropy_rate,
     empirical_block_entropy as _ebe,
-    partition_conditional_entropy,
-    partition_entropy,
-    static_entropy,
     table_entropy,
 )
 from ergolab.errors import InsufficientData, MonotonicityViolated, UnsupportedKind
-from ergolab.exact import neg_xlogx
+from ergolab.exact import entropy_nats, neg_xlogx
 from ergolab.shifts import (
     Bernoulli,
     BlockTable,
@@ -58,13 +53,18 @@ MARKOV_23 = Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]])
 MARKOV_23_RATE = (2 / 3) * math.log(3 / 2) + (1 / 3) * math.log(3)
 
 
+def h_L(mu, L: int) -> float:
+    """The conditional block entropy h_L = H_L - H_{L-1}, with H_0 = 0."""
+    return block_entropy(mu, L) - block_entropy(mu, L - 1)
+
+
 # -- static entropy -------------------------------------------------------------
 
 
 def test_static_entropy_values():
-    assert static_entropy(point_mass(C2, 0)) == 0.0
-    assert static_entropy(haar(C2)) == pytest.approx(LN2, abs=1e-15)
-    assert static_entropy(measure(C2, ["3/4", "1/4"])) == pytest.approx(
+    assert entropy_nats(point_mass(C2, 0).weights) == 0.0
+    assert entropy_nats(haar(C2).weights) == pytest.approx(LN2, abs=1e-15)
+    assert entropy_nats(measure(C2, ["3/4", "1/4"]).weights) == pytest.approx(
         h2(0.25), abs=1e-15
     )
     assert h2(0.25) == pytest.approx(0.562335, abs=5e-7)
@@ -97,12 +97,12 @@ def test_block_entropy_lazy_convolution_at_L2():
 def test_conditional_block_entropy_bernoulli():
     b = bern("1/4")
     for L in range(1, 8):
-        assert conditional_block_entropy(b, L) == pytest.approx(h2(0.25), abs=1e-12)
+        assert h_L(b, L) == pytest.approx(h2(0.25), abs=1e-12)
 
 
 def test_markov_rate_exact_from_L2():
     for L in range(2, 11):
-        assert conditional_block_entropy(MARKOV_23, L) == pytest.approx(
+        assert h_L(MARKOV_23, L) == pytest.approx(
             MARKOV_23_RATE, abs=1e-12
         )
     assert MARKOV_23_RATE == pytest.approx(0.636514, abs=5e-7)
@@ -110,9 +110,9 @@ def test_markov_rate_exact_from_L2():
 
 def test_periodic_conditional_entropy_drops_to_zero():
     per = PeriodicOrbit(SYS2, (0, 1))
-    assert conditional_block_entropy(per, 1) == pytest.approx(LN2, abs=1e-15)
+    assert h_L(per, 1) == pytest.approx(LN2, abs=1e-15)
     for L in range(2, 8):
-        assert conditional_block_entropy(per, L) == pytest.approx(0.0, abs=1e-15)
+        assert h_L(per, L) == pytest.approx(0.0, abs=1e-15)
 
 
 # -- entropy rate ---------------------------------------------------------------------
@@ -194,46 +194,11 @@ def test_closed_form_entropy():
 
 def test_closed_form_agrees_with_blocks():
     assert closed_form_entropy(bern("1/4")) == pytest.approx(
-        conditional_block_entropy(bern("1/4"), 3), abs=1e-9
+        h_L(bern("1/4"), 3), abs=1e-9
     )
     assert closed_form_entropy(MARKOV_23) == pytest.approx(
-        conditional_block_entropy(MARKOV_23, 4), abs=1e-9
+        h_L(MARKOV_23, 4), abs=1e-9
     )
-
-
-# -- partition entropies -------------------------------------------------------------
-
-
-def test_partition_conditional_entropy_basics():
-    c4 = cyclic(4)
-    alpha = Partition(4, (frozenset({0, 1}), frozenset({2, 3})))
-    beta = Partition(4, (frozenset({0, 2}), frozenset({1, 3})))
-    u = haar(c4)
-    assert partition_conditional_entropy(u, alpha, alpha) == 0.0
-    assert partition_conditional_entropy(u, alpha, Partition.trivial(4)) == (
-        pytest.approx(partition_entropy(u, alpha), abs=1e-15)
-    )
-    assert partition_conditional_entropy(u, alpha, beta) == pytest.approx(
-        LN2, abs=1e-15
-    )
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=6, max_size=6).filter(
-        lambda v: sum(v) > 0
-    ),
-    st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6),
-    st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6),
-)
-def test_chain_rule(raw, lab_a, lab_b):
-    total = sum(raw)
-    w = tuple(F(r, total) for r in raw)
-    alpha = Partition.from_labels(lab_a)
-    beta = Partition.from_labels(lab_b)
-    lhs = partition_entropy(w, alpha.join(beta))
-    rhs = partition_entropy(w, beta) + partition_conditional_entropy(w, alpha, beta)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 # -- empirical entropy ---------------------------------------------------------------
@@ -545,20 +510,3 @@ def test_empirical_entropy_needs_a_word_as_long_as_L():
     words = [[0, 1, 1]] * 1000
     with pytest.raises(InsufficientData, match="L=4: the longest word has 3 symbols"):
         empirical_block_entropy(words, 4, alphabet_size=2)
-
-
-def test_partition_entropies_check_raw_weights():
-    pair = Partition.from_labels([0, 1])
-    for entropy in (
-        lambda w: partition_entropy(w, pair),
-        lambda w: partition_conditional_entropy(w, pair, Partition.trivial(2)),
-    ):
-        with pytest.raises(ValueError, match="weights must sum to exactly 1"):
-            entropy([1, 1])
-        with pytest.raises(ValueError, match="weights must be nonnegative"):
-            entropy([F(3, 2), F(-1, 2)])
-        with pytest.raises(TypeError, match="0.5"):
-            entropy([0.5, 0.5])
-        with pytest.raises(TypeError, match="0.75"):
-            entropy((F(1, 4), 0.75))
-        assert entropy((F(1, 2), F(1, 2))) == pytest.approx(LN2, abs=1e-15)

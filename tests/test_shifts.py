@@ -15,7 +15,6 @@ from ergolab.errors import (
     DepthLimitExceeded,
     SystemMismatch,
     UnsupportedKind,
-    WindowOutOfRange,
 )
 from ergolab.exact import neg_xlogx
 from ergolab.shifts import (
@@ -23,12 +22,11 @@ from ergolab.shifts import (
     Convolution,
     Markov,
     Mixture,
+    ONE_SIDED,
     PeriodicOrbit,
     ProductMeasure,
-    Window,
-    affine_shift_space,
+    ShiftSystem,
     convolve_shift,
-    cylinder_prob,
     is_shift_invariant,
     natural_extension,
     sample,
@@ -91,15 +89,6 @@ def test_periodic_orbit_phase_enumeration():
     assert per.cylinder((0, 1, 0)) == F(1, 2)
     assert per.cylinder((0, 0)) == 0
     assert per.cylinder((1,)) == F(1, 2)
-
-
-def test_window_bounds():
-    b = bern("1/4")
-    assert cylinder_prob(b, Window(0, (0, 1))) == F(3, 16)
-    with pytest.raises(WindowOutOfRange):
-        cylinder_prob(b, Window(-1, (0,)))
-    two = Bernoulli(shift_space(C2, "two_sided"), measure(C2, ["3/4", "1/4"]))
-    assert cylinder_prob(two, Window(-5, (0, 1))) == F(3, 16)
 
 
 def test_depth_guard():
@@ -224,12 +213,12 @@ def test_convolution_of_invariant_measures_invariant():
 def test_affine_shift_preserves_uniform_bernoulli():
     for g in (C2, C3):
         for c in g.elements():
-            sysc = affine_shift_space(g, c)
+            sysc = ShiftSystem(g, ONE_SIDED, c)
             assert is_shift_invariant(shift_haar(sysc), 6 if g.order == 2 else 4)
 
 
 def test_affine_shift_of_identity_is_shift():
-    assert affine_shift_space(C2, C2.identity) == shift_space(C2)
+    assert ShiftSystem(C2, ONE_SIDED, C2.identity) == shift_space(C2)
 
 
 # -- kolmogorov consistency (property) -------------------------------------------
@@ -317,7 +306,7 @@ def test_extension_markov_window_chain_rule():
     ext = natural_extension(m)
     a, b = 0, 1
     expected = m.initial[a] * m.transition[a][b] * m.transition[b][a]
-    assert cylinder_prob(ext, Window(-2, (a, b, a))) == expected
+    assert ext.cylinder((a, b, a)) == expected
 
 
 def test_extension_preserves_block_entropy_exactly():
@@ -608,7 +597,7 @@ def test_forced_markov_verifiers_match_naive_oracle(chain, depth):
 
 @pytest.mark.parametrize("c", [1, 2])
 def test_affine_verifiers_match_naive_oracle(c):
-    system = affine_shift_space(C3, c)
+    system = ShiftSystem(C3, ONE_SIDED, c)
     cases = [
         Bernoulli(system, measure(C3, ["1/2", "1/3", "1/6"])),
         shift_haar(system),
@@ -621,7 +610,7 @@ def test_affine_verifiers_match_naive_oracle(c):
 
 
 def test_nonuniform_bernoulli_not_affine_invariant():
-    mu = Bernoulli(affine_shift_space(C2, 1), measure(C2, ["3/4", "1/4"]))
+    mu = Bernoulli(ShiftSystem(C2, ONE_SIDED, 1), measure(C2, ["3/4", "1/4"]))
     assert not is_shift_invariant(mu, 1)
     assert not _oracle_is_shift_invariant(mu, 1)
 

@@ -23,10 +23,8 @@ from ergolab.shifts import (
 )
 from ergolab.skew import (
     SkewMeasure,
-    commutes_with_fiber_translation,
     constant_cocycle,
     entropy_addition_report,
-    fiber_haar_convolve_cylinder,
     first_symbol_cocycle,
     haar_absorption_check,
     haar_extension,
@@ -64,7 +62,6 @@ def test_make_skew_valid():
     sk = first_symbol_system()
     assert sk.window == 1
     assert sk.phi((1,)) == 1
-    assert commutes_with_fiber_translation(sk)
 
 
 def test_make_skew_rejects_non_automorphism():
@@ -99,7 +96,9 @@ def test_haar_extension_product_form():
     he = haar_extension(bern14(), first_symbol_system())
     for word in [(0,), (1,), (0, 1), (1, 1, 0)]:
         for g in range(2):
-            assert he.product_cylinder(word, g) == bern14().cylinder(word) * F(1, 2)
+            assert he.base_measure.cylinder(word) * he.fiber_weights[g] == (
+                bern14().cylinder(word) * F(1, 2)
+            )
 
 
 def test_haar_extension_projection_matches_base():
@@ -108,7 +107,7 @@ def test_haar_extension_projection_matches_base():
         total = F(0)
         for word_p in bern14().block_distribution(length).items():
             word, p = word_p
-            assert he.projection_cylinder(word) == p
+            assert he.base_measure.cylinder(word) == p
             total += p
         assert total == 1
 
@@ -137,9 +136,6 @@ def test_fiber_haar_convolution_returns_haar_extension():
     mu0 = bern14()
     for m in invariant_measures_in_fiber(sk, mu0):
         assert haar_absorption_check(m, mu0, 6)
-        # spot-check one value through the convolution sum itself
-        got = fiber_haar_convolve_cylinder(m, (0, 1), 1)
-        assert got == mu0.cylinder((0, 1)) * F(1, 2)
 
 
 # -- skew entropy ----------------------------------------------------------------------
@@ -301,7 +297,7 @@ def test_rational_mixtures_stay_invariant_and_project():
     )
     assert is_skew_invariant(blend, 3)
     for word in [(0,), (1,), (0, 1)]:
-        assert blend.projection_cylinder(word) == mu0.cylinder(word)
+        assert blend.base_measure.cylinder(word) == mu0.cylinder(word)
     assert skew_entropy(blend, 4).value <= skew_entropy(listed[-1], 4).value + 1e-9
 
 
@@ -325,17 +321,21 @@ def _oracle_is_skew_invariant(mu, depth):
                         c = sys.phi(v[:k])
                         g_prev = sig_inv[g2.op(g, g2.inv(c))]
                         pulled += mu.base_measure.cylinder(v) * mu.fiber_weights[g_prev]
-                if pulled != mu.product_cylinder(word, g):
+                if pulled != mu.base_measure.cylinder(word) * mu.fiber_weights[g]:
                     return False
     return True
 
 
 def _oracle_haar_absorption(mu, mu0, depth):
+    """(m * mu)([w] x {g}), m = fiber Haar, as the mean of P([w] x {h}) over the fiber."""
     ext = haar_extension(mu0, mu.system)
+    fiber = mu.system.fiber
     for length in range(1, depth + 1):
         for word in itertools.product(mu.system.base.alphabet.elements(), repeat=length):
-            for g in mu.system.fiber.elements():
-                if fiber_haar_convolve_cylinder(mu, word, g) != ext.product_cylinder(word, g):
+            base = mu.base_measure.cylinder(word)
+            convolved = sum((base * w for w in mu.fiber_weights), F(0)) / fiber.order
+            for g in fiber.elements():
+                if convolved != ext.base_measure.cylinder(word) * ext.fiber_weights[g]:
                     return False
     return True
 
