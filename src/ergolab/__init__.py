@@ -16,7 +16,6 @@ from .groups import (
     cyclic,
     dihedral,
     direct_product,
-    ergodic_components,
     explicit_group,
     haar,
     identity_hom,
@@ -25,9 +24,6 @@ from .groups import (
     make_group,
     make_hom,
     measure,
-    mix,
-    point_mass,
-    pushforward,
     symmetric,
 )
 
@@ -41,7 +37,6 @@ __all__ = [
     "cyclic",
     "dihedral",
     "direct_product",
-    "ergodic_components",
     "explicit_group",
     "haar",
     "identity_hom",
@@ -50,9 +45,6 @@ __all__ = [
     "make_group",
     "make_hom",
     "measure",
-    "mix",
-    "point_mass",
-    "pushforward",
     "symmetric",
 ]
 

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 

@@ -58,6 +58,10 @@ def cmd_run(args) -> int:
     if not out_dir.is_dir():
         print(f"error: the --out directory {out_dir} is not an existing directory", file=sys.stderr)
         return 2
+    for report in (Path(args.out), report_json):
+        if report.is_dir():
+            print(f"error: the report path {report} is a directory", file=sys.stderr)
+            return 2
     try:
         scenarios = parse_config(text)
         if args.seed is not None:  # the check a config's own seed meets

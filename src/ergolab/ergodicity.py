@@ -13,7 +13,7 @@ factor, or periodic against full-support mixing), never computed; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
@@ -121,7 +121,12 @@ class BirkhoffRow:
     mean: float
     bound: float  # 3 sigma binomial at the step count
     dispersion: float  # across-seed standard deviation
-    passed: bool
+    mean_ok: bool  # |mean - exact| <= bound, up to 1e-12
+    dispersion_ok: bool  # dispersion < the report's threshold
+
+    @property
+    def passed(self) -> bool:
+        return self.mean_ok and self.dispersion_ok
 
 
 @dataclass(frozen=True)
@@ -193,17 +198,15 @@ def birkhoff_report(
         means[:, s] = _window_counts(mu.sample(word_length, base_seed + s), observables, n_steps, n)
     means /= n_steps  # exactly hits.mean() for integer counts
     rows = []
-    all_pass = True
     for i, obs in enumerate(observables):
         p = exact[i]
         grand = float(means[i].mean())
         disp = float(means[i].std())
         bound = 3.0 * (p * (1.0 - p) / n_steps) ** 0.5
-        ok = abs(grand - p) <= bound + 1e-12 and disp < dispersion_threshold
-        all_pass &= ok
-        rows.append(BirkhoffRow(obs, p, grand, bound, disp, ok))
+        rows.append(BirkhoffRow(obs, p, grand, bound, disp,
+                                abs(grand - p) <= bound + 1e-12, disp < dispersion_threshold))
     return BirkhoffReport(
-        tuple(rows), n_steps, n_seeds, dispersion_threshold, all_pass
+        tuple(rows), n_steps, n_seeds, dispersion_threshold, all(r.passed for r in rows)
     )
 
 
@@ -263,6 +266,7 @@ def convolution_ergodicity_scenario(
     base_seed: int = 0,
     invariance_depth: int = 6,
     observable_seed: int = 0,
+    dispersion_threshold: float = DISPERSION_THRESHOLD,
 ) -> ConvolutionErgodicityReport:
     """Theorem-style scenario: ergodic factors, certificate, convolution evidence."""
     for name, factor in (("left", mu), ("right", nu)):
@@ -280,6 +284,7 @@ def convolution_ergodicity_scenario(
         n_steps,
         n_seeds,
         base_seed,
+        dispersion_threshold,
     )
     verdict = "ergodic-consistent" if (invariant and report.consistent) else "inconsistent"
     return ConvolutionErgodicityReport(

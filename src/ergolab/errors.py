@@ -33,10 +33,6 @@ class GroupMismatch(ErgolabError):
     pass
 
 
-class NotInvariant(ErgolabError):
-    pass
-
-
 class NotBijective(ErgolabError):
     pass
 

@@ -2,9 +2,9 @@
 
 Elements of a group of order n are the indices 0..n-1; the identity need not
 be index 0 (explicit tables may place it anywhere). Measure weights are exact
-(`int` or `fractions.Fraction`); validation, invariance, pushforward,
-convolution and independence checks run on integer numerators over the
-weights' one common denominator, so they are exact.
+(`int` or `fractions.Fraction`); validation, invariance, convolution and
+independence checks run on integer numerators over the weights' one common
+denominator, so they are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     NotAutomorphism,
     NotBijective,
     NotHomomorphism,
-    NotInvariant,
 )
 from .exact import exact_vector, parse_ratio
 
@@ -100,7 +99,7 @@ def _validate_table(table: Sequence[Sequence[int]], label: str) -> FiniteGroup:
     # Light's test (Clifford & Preston 1961): the b with (ab)c = a(bc) for all
     # a, c are closed under products, so checking a generating set suffices
     table = group.np_op
-    for b in _generating_sequence(group):
+    for b in _spanning_words(group)[0]:
         bad = np.argwhere(table[table[:, b]] != table[:, table[b]])
         if len(bad):
             a, c = bad[0].tolist()
@@ -203,11 +202,6 @@ class GroupHom:
         return len(self.image) == self.target.order
 
     @cached_property
-    def kernel(self) -> frozenset[int]:
-        e = self.target.identity
-        return frozenset(a for a in self.source.elements() if self.table[a] == e)
-
-    @cached_property
     def bijective(self) -> bool:
         return self.source.order == self.target.order and self.surjective
 
@@ -231,84 +225,54 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
     return make_hom(g, g, tuple(g.elements()))
 
 
-def _generating_sequence(g: FiniteGroup) -> list[int]:
-    """Greedy generators: right products of them, from the identity, reach all."""
+def _spanning_words(g: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Greedy generators and a word for each element, from one breadth-first search.
+
+    The least element not yet reached becomes the next generator, and every
+    reached element is multiplied on the right by each generator once. Each
+    element but the identity is listed once, after its parent, as
+    (element, parent, k) with element = parent * gens[k].
+    """
     gens: list[int] = []
-    span = {g.identity}
+    words: list[tuple[int, int, int]] = []
+    reached = [False] * g.order
+    reached[g.identity] = True
+    order, met = [g.identity], [0]  # reached elements, and how many generators each has met
     for x in g.elements():
-        if x in span:
+        if reached[x]:
             continue
         gens.append(x)
-        frontier = [g.identity]
-        span = {g.identity}
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for s in gens:
-                    z = g.op(y, s)
-                    if z not in span:
-                        span.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        if len(span) == g.order:
-            break
-    return gens
+        i = 0
+        while i < len(order):
+            y = order[i]
+            for k in range(met[i], len(gens)):
+                z = g.op(y, gens[k])
+                if not reached[z]:
+                    reached[z] = True
+                    order.append(z)
+                    met.append(0)
+                    words.append((z, y, k))
+            met[i] = len(gens)
+            i += 1
+    return gens, words
 
 
 def automorphisms(g: FiniteGroup) -> list[GroupHom]:
     """All automorphisms, by backtracking over generator images (small orders)."""
-    gens = _generating_sequence(g)
-    if not gens:  # trivial group
-        return [identity_hom(g)]
-    orders = [g.element_order(x) for x in gens]
-    candidates = [
-        [y for y in g.elements() if g.element_order(y) == o] for o in orders
-    ]
-    # expression of every element as (parent, generator) via BFS words in gens
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for gi, s in enumerate(gens):
-                z = g.op(y, s)
-                if z not in seen:
-                    seen.add(z)
-                    parent[z] = (y, gi)
-                    nxt.append(z)
-        frontier = nxt
-
-    def build_table(images: Sequence[int]) -> Optional[tuple[int, ...]]:
-        table: list[Optional[int]] = [None] * g.order
-        table[g.identity] = g.identity
-
-        def resolve(z: int) -> int:
-            if table[z] is not None:
-                return table[z]
-            y, gi = parent[z]
-            val = g.op(resolve(y), images[gi])
-            table[z] = val
-            return val
-
-        for z in g.elements():
-            if z != g.identity and z not in parent:
-                return None
-            resolve(z)
-        return tuple(table)
-
+    gens, words = _spanning_words(g)
+    orders = [g.element_order(y) for y in g.elements()]
+    candidates = [[y for y in g.elements() if orders[y] == orders[x]] for x in gens]
     result = []
     for images in product(*candidates):
-        table = build_table(images)
-        if table is None or len(set(table)) != g.order:
-            continue
-        ok = all(
+        table = [g.identity] * g.order
+        for z, y, k in words:
+            table[z] = g.op(table[y], images[k])
+        if len(set(table)) == g.order and all(
             table[g.op(a, b)] == g.op(table[a], table[b])
             for a in g.elements()
             for b in g.elements()
-        )
-        if ok:
-            result.append(GroupHom(g, g, table))
+        ):
+            result.append(GroupHom(g, g, tuple(table)))
     return result
 
 
@@ -356,13 +320,6 @@ class DenseMeasure:
     def __call__(self, g: int) -> Fraction:
         return self.weights[g]
 
-    def mass(self, subset) -> Fraction:
-        return sum((self.weights[x] for x in subset), Fraction(0))
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(x for x in self.group.elements() if self.weights[x] > 0)
-
     def __repr__(self) -> str:
         return f"DenseMeasure({self.group.label}, {[str(w) for w in self.weights]})"
 
@@ -376,29 +333,8 @@ def haar(group: FiniteGroup) -> DenseMeasure:
     return DenseMeasure(group, (w,) * group.order)
 
 
-def point_mass(group: FiniteGroup, g: int) -> DenseMeasure:
-    return DenseMeasure(
-        group, tuple(Fraction(1 if x == g else 0) for x in group.elements())
-    )
-
-
-def mix(components: Sequence[tuple[Fraction, DenseMeasure]]) -> DenseMeasure:
-    """Exact convex combination of measures on one group."""
-    if not components:
-        raise ValueError("empty mixture")
-    group = components[0][1].group
-    if any(m.group != group for _, m in components):
-        raise GroupMismatch("mixture components live on different groups")
-    exact_vector([w for w, _ in components], "mixture weights")
-    weights = tuple(
-        sum((w * m.weights[x] for w, m in components), Fraction(0))
-        for x in group.elements()
-    )
-    return DenseMeasure(group, weights)
-
-
 def convolve(mu: DenseMeasure, nu: DenseMeasure) -> DenseMeasure:
-    """(mu*nu)(g) = sum_h mu(h) nu(h^-1 g): pushforward of mu x nu under (x,y) -> xy."""
+    """(mu*nu)(g) = sum_h mu(h) nu(h^-1 g): the image of mu x nu under (x,y) -> xy."""
     if mu.group != nu.group:
         raise GroupMismatch("convolution needs measures on the same group")
     g = mu.group
@@ -422,12 +358,6 @@ def _fiber_nums(mu: DenseMeasure, t: Transform) -> list[int]:
     for x, n in enumerate(mu._ints[0]):
         fibers[t(x)] += n
     return fibers
-
-
-def pushforward(mu: DenseMeasure, t: Transform) -> DenseMeasure:
-    """(mu o T^-1)(g) = sum over the fiber T^-1(g)."""
-    den = mu._ints[1]
-    return DenseMeasure(mu.group, tuple(Fraction(n, den) for n in _fiber_nums(mu, t)))
 
 
 def is_invariant(mu: DenseMeasure, t: Transform) -> bool:
@@ -490,12 +420,6 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
     return IndependenceReport(True, None, "singleton scan (order > 8)")
 
 
-@dataclass(frozen=True)
-class ErgodicComponents:
-    orbits: tuple[tuple[int, ...], ...]
-    ergodic: bool
-
-
 def _orbits(group: FiniteGroup, t: Transform) -> tuple[tuple[int, ...], ...]:
     """The orbits of a bijective endomorphism or affine map, in order of their least element."""
     _check_endomorphism(group, t)
@@ -514,19 +438,6 @@ def _orbits(group: FiniteGroup, t: Transform) -> tuple[tuple[int, ...], ...]:
             y = t(y)
         orbits.append(tuple(orbit))
     return tuple(orbits)
-
-
-def ergodic_components(
-    group: FiniteGroup, t: Transform, mu: DenseMeasure
-) -> ErgodicComponents:
-    """Orbit decomposition of a bijective map; ergodic iff one orbit carries mass 1."""
-    orbits = _orbits(group, t)
-    if mu.group != group:
-        raise GroupMismatch("measure lives on a different group")
-    if not is_invariant(mu, t):
-        raise NotInvariant("measure is not invariant under the map")
-    ergodic = any(mu.mass(o) == 1 for o in orbits)
-    return ErgodicComponents(orbits, ergodic)
 
 
 def random_measure(

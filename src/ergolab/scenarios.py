@@ -24,6 +24,7 @@ from typing import Any, Callable
 from .circle import circle_entropy_report, lebesgue, periodic_atomic, times_k
 from .entropy import block_entropy, entropy_rate, require_symbols
 from .ergodicity import (
+    DISPERSION_THRESHOLD,
     MIN_BIRKHOFF_STEPS,
     DisjointnessCertificate,
     convolution_ergodicity_scenario,
@@ -366,7 +367,8 @@ def _haar_maximality(seed, tol, alphabet=GROUP, measures=_list_of(MEASURE), L_ma
     rows = [bounded_row("h_haar", h_haar, ln_g, ln_g, tol["haar"])]
     for i, mu in enumerate(measures):
         h = entropy_rate(mu, L_max).value
-        if mu.kind == "bernoulli" and mu.marginal.weights == haar(alphabet).weights:
+        table = mu.block_table(L_max)  # uniform, i.e. Haar to depth L_max: the equality case
+        if len(table) == alphabet.order**L_max and (table.nums == table.nums[0]).all():
             rows.append(bounded_row(f"measure_{i}_equality_case", h, ln_g, ln_g, tol["haar"]))
         else:
             rows.append(bounded_row(f"measure_{i}_gap", h, 0.0, ln_g - tol["min_gap"], 0.0))
@@ -423,6 +425,7 @@ def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASU
             n_seeds=seed_count,
             base_seed=seed,
             observable_seed=seed,
+            dispersion_threshold=tol["dispersion"],
         )
     except FactorNotErgodic:
         return [flag_row("rejected_with_factor_not_ergodic", expect_rejection)], {}, {}
@@ -434,8 +437,10 @@ def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASU
     ]
     for r in rep.birkhoff.rows:
         word = "".join(str(s) for s in r.word)
-        rows.append(bounded_row(f"mean[{word}]", r.mean, r.exact, r.exact, r.bound))
-        rows.append(bounded_row(f"dispersion[{word}]", r.dispersion, 0.0, tol["dispersion"], 0.0))
+        # the verdict's own comparisons, so a row fails exactly when it breaks the verdict
+        rows.append(Row(f"mean[{word}]", r.mean, r.exact, r.exact, r.bound, r.mean_ok))
+        rows.append(Row(f"dispersion[{word}]", r.dispersion, 0.0, float(tol["dispersion"]), 0.0,
+                        r.dispersion_ok))
     rows.append(flag_row("ergodic_consistent", rep.verdict == "ergodic-consistent"))
     return rows, {}, {}
 
@@ -490,7 +495,7 @@ SCENARIO_KINDS = {
     "independence": Kind(_independence, "Lemma 3.12"),
     "natural_extension": Kind(_natural_extension, "Lemma 3.15; Theorem 3.3", {"entropy": 1e-12}),
     "convolution_ergodicity": Kind(
-        _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": 5e-3}
+        _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": DISPERSION_THRESHOLD}
     ),
     "circle": Kind(_circle, "Corollary 3.4; Theorem 2.2", {"value": 0.02}, _circle_data),
     "product_entropy": Kind(_product_entropy, "Lemma 2.2", {"per_level": 1e-12}),

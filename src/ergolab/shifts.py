@@ -535,7 +535,7 @@ class Mixture(ShiftMeasure):
 
 @dataclass(frozen=True)
 class Convolution(ShiftMeasure):
-    """Lazy convolution: pushforward of left x right under pointwise products."""
+    """Lazy convolution: the image of left x right under pointwise products."""
 
     system: ShiftSystem
     left: ShiftMeasure

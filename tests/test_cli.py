@@ -417,6 +417,18 @@ def test_missing_out_directory_is_a_usage_error_before_any_run(tmp_path, capsys,
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("name", ["adir", "adir.json"])
+def test_out_path_that_is_a_directory_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch, name):
+    def no_run(scenarios):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("ergolab.cli.run_scenarios", no_run)
+    cfg = write_demo(tmp_path, full_config("independence"))
+    (tmp_path / name).mkdir()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "adir")]) == 2
+    assert f"report path {tmp_path / name} is a directory" in capsys.readouterr().err
+
+
 def test_report_csv_quotes_an_id_with_a_comma(tmp_path):
     doc = full_config("independence", id="a,b")
     out = tmp_path / "r.csv"
@@ -426,3 +438,32 @@ def test_report_csv_quotes_an_id_with_a_comma(tmp_path):
     assert all(len(row) == len(header) for row in rows)
     assert {row[0] for row in rows} == {"a,b"}
     assert out.read_bytes().startswith(b'scenario_id,quantity,value,lower,upper,tolerance,pass\n"a,b",')
+
+
+def _row_passes(doc) -> dict[str, bool]:
+    (result,) = run_scenarios(parse_config(json.dumps(doc)))
+    return {row.quantity: row.passed for row in result.rows}
+
+
+def test_dispersion_tolerance_decides_the_ergodicity_verdict():
+    doc = full_config("convolution_ergodicity", seed=3, parameters={"seed_count": 3})
+    for dispersion in (1e-9, 5e-3):
+        doc["scenarios"][0]["tolerances"]["dispersion"] = dispersion
+        passes = _row_passes(doc)
+        # the rows use the verdict's own comparisons, so they fail exactly when it does
+        evidence = [ok for quantity, ok in passes.items() if quantity.startswith(("mean[", "dispersion["))]
+        assert passes["ergodic_consistent"] == all(evidence)
+        assert passes["dispersion[0]"] == passes["ergodic_consistent"] == (dispersion == 5e-3)
+
+
+def test_haar_maximality_equality_case_is_decided_by_the_measure():
+    half = ["1/2", "1/2"]
+    doc = full_config("haar_maximality", parameters={"measures": [
+        {"kind": "markov", "transition": [half, half]},
+        {"kind": "convolution", "left": {"kind": "bernoulli", "marginal": half},
+         "right": {"kind": "periodic_orbit", "word": [0, 1]}},
+        BERN,
+    ]})
+    passes = _row_passes(doc)
+    assert passes == {"h_haar": True, "measure_0_equality_case": True,
+                      "measure_1_equality_case": True, "measure_2_gap": True}

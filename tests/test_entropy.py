@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, measure, point_mass
+from ergolab import cyclic, haar, measure
 from ergolab.entropy import (
     EntropyEstimate,
     _level_counts,
@@ -62,7 +62,7 @@ def h_L(mu, L: int) -> float:
 
 
 def test_static_entropy_values():
-    assert entropy_nats(point_mass(C2, 0).weights) == 0.0
+    assert entropy_nats(measure(C2, [1, 0]).weights) == 0.0
     assert entropy_nats(haar(C2).weights) == pytest.approx(LN2, abs=1e-15)
     assert entropy_nats(measure(C2, ["3/4", "1/4"]).weights) == pytest.approx(
         h2(0.25), abs=1e-15

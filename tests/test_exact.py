@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, identity_hom, point_mass
+from ergolab import cyclic, identity_hom
 from ergolab.exact import exact_vector, stationary_distribution
-from ergolab.groups import DenseMeasure, mix
+from ergolab.groups import DenseMeasure
 from ergolab.shifts import Bernoulli, Markov, Mixture, shift_haar, shift_space
 from ergolab.skew import SkewMeasure, constant_cocycle, make_skew, mix_skew
 
@@ -33,7 +33,6 @@ def _fiber(weights):
 # each site builds an object whose only weight vector under test is w, on two entries
 SITES = {
     "DenseMeasure": lambda w: DenseMeasure(C2, w),
-    "groups.mix": lambda w: mix(list(zip(w, (haar(C2), point_mass(C2, 0))))),
     "Markov row": lambda w: Markov(SYS2, (w, HALF), HALF, validate=False),
     "Markov initial": lambda w: Markov(SYS2, (HALF, HALF), w, validate=False),
     "Mixture": lambda w: Mixture(SYS2, tuple(zip(w, (B14, shift_haar(SYS2))))),
@@ -182,7 +181,7 @@ def test_markov_validation_matches_fraction_sums(chain):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_vector(2), st.sampled_from(["groups.mix", "Mixture", "SkewMeasure", "mix_skew"]))
+@given(_vector(2), st.sampled_from(["Mixture", "SkewMeasure", "mix_skew"]))
 def test_weight_validation_matches_fraction_sums(weights, site):
     assert _verdict(SITES[site], weights) == _verdict(_fraction_weights_check, weights)
 
