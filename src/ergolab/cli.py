@@ -47,13 +47,11 @@ def cmd_run(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     report_json = Path(args.out).with_suffix(".json")
-    if report_json.resolve() == Path(args.config).resolve():
-        print(
-            f"error: the JSON report {report_json} would overwrite the config; "
-            "choose an --out path in another directory or with another stem",
-            file=sys.stderr,
-        )
-        return 2
+    for path, what in ((Path(args.out), "CSV report"), (Path(args.config), "config")):
+        if report_json.resolve() == path.resolve():
+            print(f"error: the JSON report {report_json} would overwrite the {what}; "
+                  "choose another --out path", file=sys.stderr)
+            return 2
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
         print(f"error: the --out directory {out_dir} is not an existing directory", file=sys.stderr)

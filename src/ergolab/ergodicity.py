@@ -24,13 +24,13 @@ from .errors import CertificateInvalid, DepthLimitExceeded, FactorNotErgodic, In
 from .shifts import (
     Bernoulli,
     Convolution,
-    Markov,
     Mixture,
     PeriodicOrbit,
     ShiftMeasure,
     ShiftSystem,
     Word,
     _code_dtype,
+    _FiniteState,
     convolve_shift,
     is_shift_invariant,
 )
@@ -63,36 +63,36 @@ def _determining_depth(mu: ShiftMeasure) -> int:
     return 2  # bernoulli and markov are order <= 1
 
 
-def _markov_irreducible_on_support(mu: Markov) -> bool:
-    support = [i for i, p in enumerate(mu.initial) if p > 0]
-    idx = {s: i for i, s in enumerate(support)}
-    n = len(support)
-    reach = [[False] * n for _ in range(n)]
-    for a in support:
-        for b in support:
-            if mu.transition[a][b] > 0:
-                reach[idx[a]][idx[b]] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    return all(reach[i][j] for i in range(n) for j in range(n))
+_EXACT_METHODS = {"bernoulli": "exact_bernoulli", "markov": "exact_markov",
+                  "periodic_orbit": "exact_orbit"}
+
+
+def _irreducible_on_support(mu: _FiniteState) -> bool:
+    """Whether each positive-mass state reaches every one, itself too, through such states.
+
+    Then the chain, and so its output, is ergodic. Breadth-first searches
+    find the states the first one reaches and the states that reach it.
+    """
+    _, steps, _ = mu._arrays
+    live = np.flatnonzero(steps[-1])  # the start state's row: init
+    steps = steps[np.ix_(live, live)]
+    for edges in (steps, steps.T):
+        seen = frontier = edges[0]
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
     """Exact verdict for the evaluable kinds; Unknown for convolutions."""
-    if isinstance(mu, Bernoulli):
-        return ErgodicityVerdict("ergodic", "exact_bernoulli")
-    if isinstance(mu, Markov):
-        if _markov_irreducible_on_support(mu):
-            return ErgodicityVerdict("ergodic", "exact_markov")
-        return ErgodicityVerdict(
-            "non_ergodic", "exact_markov", "transition support is not irreducible"
-        )
-    if isinstance(mu, PeriodicOrbit):
-        return ErgodicityVerdict("ergodic", "exact_orbit")
+    if isinstance(mu, _FiniteState):
+        method = _EXACT_METHODS[mu.kind]
+        if _irreducible_on_support(mu):
+            return ErgodicityVerdict("ergodic", method)
+        return ErgodicityVerdict("non_ergodic", method, "transition support is not irreducible")
     if isinstance(mu, Mixture):
         comps = [(w, m) for w, m in _flatten_mixture(mu) if w]  # weight 0 is not in the measure
         for _, m in comps:

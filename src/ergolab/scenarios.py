@@ -520,6 +520,8 @@ def parse_config(text: str) -> list[Scenario]:
         sid = sc.get("id")
         if not isinstance(sid, str) or not sid:
             _fail(f"{path}.id", "must be a nonempty string")
+        if "/" in sid or "\\" in sid:  # the id is part of the plot file names
+            _fail(f"{path}.id", f"{sid!r} holds a path separator")
         if sid in seen_ids:
             _fail(f"{path}.id", f"duplicate scenario id {sid!r}")
         seen_ids.add(sid)

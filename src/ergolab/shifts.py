@@ -10,10 +10,15 @@ Fractions are the API boundary: `cylinder` and `block_distribution` return
 `fractions.Fraction`, and verifier witnesses print them. Weights pass
 `exact.exact_vector`, so a float raises TypeError. Inside, a length-L block
 distribution is a `BlockTable`: integer numerators (Python ints, as
-denominators outgrow 64 bits) over one common denominator. Markov stationarity
-and point cylinders run on integer numerators; every exact verifier, here and
-in `skew` and `ergodicity`, compares tables, taking marginals by dropping the
-first or the last symbol of a longer table.
+denominators outgrow 64 bits) over one common denominator. Every exact
+verifier, here and in `skew` and `ergodicity`, compares tables, taking
+marginals by dropping the first or the last symbol of a longer table.
+
+Bernoulli, Markov and periodic-orbit measures are functions of finite
+stationary Markov chains (Blackwell 1957). One core, `_FiniteState`, gives
+their cylinders and tables by forward products over the chain's integers: a
+Bernoulli chain has every row its marginal, a periodic orbit is the cycle on
+its phases, and phase i emits word[i].
 
 Stationarity makes cylinder probabilities independent of window position, so
 words are plain tuples of element indices.
@@ -181,10 +186,6 @@ class ShiftMeasure:
         """Exact probability of the cylinder [word] (position-free)."""
         raise NotImplementedError
 
-    def block_distribution(self, length: int) -> dict[Word, Fraction]:
-        """Exact distribution of length-L blocks; guarded at 2^24 states."""
-        raise NotImplementedError
-
     def sample(self, n: int, seed: int) -> np.ndarray:
         """A length-n word distributed per the marginals; deterministic in seed."""
         raise NotImplementedError
@@ -198,6 +199,10 @@ class ShiftMeasure:
         return dataclasses.replace(self, system=self.system.two_sided_version())
 
     # -- shared helpers --------------------------------------------------
+
+    def block_distribution(self, length: int) -> dict[Word, Fraction]:
+        """Exact distribution of length-L blocks; guarded at 2^24 states."""
+        return self.block_table(length).to_dict()
 
     def block_table(self, length: int) -> BlockTable:
         """The length-L block distribution in integer form, memoized; guarded at 2^24 states."""
@@ -226,36 +231,78 @@ class ShiftMeasure:
         return self.cylinder(tuple(word))
 
 
+class _FiniteState(ShiftMeasure):
+    """A function of a finite stationary Markov chain, held in integers as `_chain`.
+
+    `_chain = (init, d0, rows, dt, emit)`, set by each kind: the chain starts
+    in state s with probability init[s] / d0, steps from s to t with
+    probability rows[s][t] / dt, and emits the symbol emit[s] in state s.
+    """
+
+    def cylinder(self, word):
+        """Exact probability of [word]: a forward product over the states that emit it."""
+        if not word:
+            return Fraction(1)
+        init, d0, rows, dt, emit = self._chain
+        nums = {s: p for s, p in enumerate(init) if emit[s] == word[0]}
+        for symbol in word[1:]:
+            nums = {t: sum(num * rows[s][t] for s, num in nums.items())
+                    for t, e in enumerate(emit) if e == symbol}
+        return Fraction(sum(nums.values()), d0 * dt ** (len(word) - 1))
+
+    def _build_table(self, length):
+        codes, last, nums = self._paths(length)
+        n, den = self.system.alphabet.order, self._chain[1] * self._chain[3] ** (length - 1)
+        if last is None:  # one path per word, already in code order
+            return BlockTable(n, length, codes, nums, den)
+        return _merged(n, length, codes, nums, den)
+
+    def _paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
+
+        Under the identity emission the paths are their words, in code order, and `last` is None.
+        """
+        paths = self._path_memo.get(length)
+        if paths is None:
+            n = self.system.alphabet.order
+            rows, steps, emit = self._arrays
+            codes, prev, nums = self._paths(length - 1)
+            prev = codes % n if prev is None else prev
+            keep = steps[prev]  # every path steps to every state; the zero steps are dropped
+            last = None if self._chain[4] == tuple(range(n)) else np.nonzero(keep)[1]
+            paths = ((codes[:, None] * n + emit)[keep], last, (nums[:, None] * rows[prev])[keep])
+            self._path_memo[length] = paths
+        return paths
+
+    @cached_property
+    def _path_memo(self) -> dict:
+        # the empty path, in a start state whose row is init; it dies with its measure
+        return {0: (np.zeros(1, np.int64), np.array([len(self._chain[0])]), np.ones(1, object))}
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows, with init as a last (start) row, in Python ints; their nonzero mask; emit."""
+        init, _, rows, _, emit = self._chain
+        rows = np.array(rows + (init,), dtype=object)
+        return rows, rows != 0, np.array(emit, dtype=np.int64)
+
+
 @dataclass(frozen=True)
-class Bernoulli(ShiftMeasure):
+class Bernoulli(_FiniteState):
     """Product measure with a fixed exact marginal per coordinate."""
 
     system: ShiftSystem
     marginal: DenseMeasure
     kind = "bernoulli"
+    cylinder = _FiniteState.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
         if self.marginal.group != self.system.alphabet:
             raise SystemMismatch("marginal must live on the alphabet group")
-
-    def cylinder(self, word):
-        nums, den = self.marginal._ints
-        num = 1
-        for s in word:
-            num *= nums[s]
-        return Fraction(num, den ** len(word))
-
-    def block_distribution(self, length):
-        return self.block_table(length).to_dict()
-
-    def _build_table(self, length):
-        nums, den = self.marginal._ints
-        prev = self.block_table(length - 1)
-        support = [s for s, w in enumerate(nums) if w]
-        codes = prev.codes[:, None] * len(nums) + np.array(support, dtype=np.int64)
-        step = np.array([nums[s] for s in support], dtype=object)
-        nums_out = np.multiply.outer(prev.nums, step)
-        return BlockTable(len(nums), length, codes.ravel(), nums_out.ravel(), prev.den * den)
+        nums, den = self.marginal._ints  # one state per symbol, every row the marginal
+        states = tuple(range(len(nums)))
+        object.__setattr__(self, "_chain", (nums, den, (nums,) * len(nums), den, states))
 
     def sample(self, n, seed):
         # Generator.choice(k, size=n, p=probs): searchsorted(cdf, rng.random(n), side="right"),
@@ -341,7 +388,7 @@ def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[
 
 
 @dataclass(frozen=True)
-class Markov(ShiftMeasure):
+class Markov(_FiniteState):
     """Stationary Markov measure; the initial row must be exactly stationary."""
 
     system: ShiftSystem
@@ -349,6 +396,8 @@ class Markov(ShiftMeasure):
     initial: tuple[Fraction, ...]
     validate: bool = True
     kind = "markov"
+    cylinder = _FiniteState.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
         n = self.system.alphabet.order
@@ -366,37 +415,12 @@ class Markov(ShiftMeasure):
             sum(init[i] * rows[i][j] for i in range(n)) != init[j] * dt for j in range(n)
         ):
             raise ValueError("initial distribution is not stationary for the transition")
-        object.__setattr__(self, "_ints", (init, d0, rows, dt))
+        object.__setattr__(self, "_chain", (init, d0, rows, dt, tuple(range(n))))
 
     @classmethod
     def stationary(cls, system: ShiftSystem, transition) -> "Markov":
         rows = tuple(tuple(parse_ratio(p) for p in row) for row in transition)
         return cls(system, rows, stationary_distribution(rows))
-
-    def cylinder(self, word):
-        if not word:
-            return Fraction(1)
-        init, d0, rows, dt = self._ints
-        num = init[word[0]]
-        for a, b in zip(word, word[1:]):
-            num *= rows[a][b]
-        return Fraction(num, d0 * dt ** (len(word) - 1))
-
-    def block_distribution(self, length):
-        return self.block_table(length).to_dict()
-
-    def _build_table(self, length):
-        init, d0, rows, dt = self._ints
-        n = len(init)
-        if length == 1:
-            support = [s for s, p in enumerate(init) if p]
-            nums = np.array([init[s] for s in support], dtype=object)
-            return BlockTable(n, 1, np.array(support, dtype=np.int64), nums, d0)
-        prev = self.block_table(length - 1)
-        step = np.array(rows, dtype=object)[prev.codes % n]
-        keep = step != 0
-        codes = prev.codes[:, None] * n + np.arange(n)
-        return BlockTable(n, length, codes[keep], (prev.nums[:, None] * step)[keep], prev.den * dt)
 
     def sample(self, n, seed):
         """The per-step walk s_t = bisect_right(cdf row of s_{t-1}, u[t]), mostly in numpy.
@@ -434,12 +458,14 @@ class Markov(ShiftMeasure):
 
 
 @dataclass(frozen=True)
-class PeriodicOrbit(ShiftMeasure):
+class PeriodicOrbit(_FiniteState):
     """Uniform measure on the shift orbit of a periodic point."""
 
     system: ShiftSystem
     word: Word
     kind = "periodic_orbit"
+    cylinder = _FiniteState.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
         w = tuple(self.word)
@@ -452,29 +478,13 @@ class PeriodicOrbit(ShiftMeasure):
             raise ValueError(
                 f"word {w} has {len(phases)} distinct phases, not {p}; pass the primitive word"
             )
+        # the cycle on phases, each starting with mass 1/p; phase i emits w[i]
+        cycle = tuple(tuple(int(t == (s + 1) % p) for t in range(p)) for s in range(p))
+        object.__setattr__(self, "_chain", ((1,) * p, p, cycle, 1, w))
 
     @property
     def period(self) -> int:
         return len(self.word)
-
-    def _phase_word(self, phase: int, length: int) -> Word:
-        p = self.period
-        return tuple(self.word[(phase + i) % p] for i in range(length))
-
-    def cylinder(self, word):
-        length = len(word)
-        word = tuple(word)
-        matches = sum(1 for k in range(self.period) if self._phase_word(k, length) == word)
-        return Fraction(matches, self.period)
-
-    def block_distribution(self, length):
-        return self.block_table(length).to_dict()
-
-    def _build_table(self, length):
-        p, n = self.period, self.system.alphabet.order
-        phases = (np.arange(p)[:, None] + np.arange(length)) % p
-        digits = np.array(self.word, dtype=np.int64)[phases]
-        return _merged(n, length, _encode(digits, n), np.ones(p, dtype=object), p)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -491,6 +501,7 @@ class Mixture(ShiftMeasure):
     system: ShiftSystem
     components: tuple[tuple[Fraction, ShiftMeasure], ...]
     kind = "mixture"
+    block_distribution = ShiftMeasure.block_distribution  # in vars(cls), for perfbench's tracer
 
     def __post_init__(self):
         if not self.components:
@@ -501,9 +512,6 @@ class Mixture(ShiftMeasure):
 
     def cylinder(self, word):
         return sum((w * m.cylinder(word) for w, m in self.components), Fraction(0))
-
-    def block_distribution(self, length):
-        return self.block_table(length).to_dict()
 
     def _build_table(self, length):
         parts = [(w, m.block_table(length)) for w, m in self.components if w]
@@ -541,6 +549,7 @@ class Convolution(ShiftMeasure):
     left: ShiftMeasure
     right: ShiftMeasure
     kind = "convolution"
+    block_distribution = ShiftMeasure.block_distribution  # in vars(cls), for perfbench's tracer
 
     def __post_init__(self):
         if self.left.system != self.system or self.right.system != self.system:
@@ -561,9 +570,6 @@ class Convolution(ShiftMeasure):
             partners = g.np_op[w, g.np_inv[right.digits()]]
             num = (right.nums * left.lookup(_encode(partners, g.order))).sum()
         return Fraction(num, left.den * right.den)
-
-    def block_distribution(self, length):
-        return self.block_table(length).to_dict()
 
     def _build_table(self, length):
         left, right = self.left.block_table(length), self.right.block_table(length)
@@ -600,6 +606,7 @@ class ProductMeasure(ShiftMeasure):
     left: ShiftMeasure
     right: ShiftMeasure
     kind = "product"
+    block_distribution = ShiftMeasure.block_distribution  # in vars(cls), for perfbench's tracer
 
     def __post_init__(self):
         expect = self.left.system.alphabet.order * self.right.system.alphabet.order
@@ -613,9 +620,6 @@ class ProductMeasure(ShiftMeasure):
     def cylinder(self, word):
         u, v = self._split(tuple(word))
         return self.left.cylinder(u) * self.right.cylinder(v)
-
-    def block_distribution(self, length):
-        return self.block_table(length).to_dict()
 
     def _build_table(self, length):
         left, right = self.left.block_table(length), self.right.block_table(length)

@@ -268,15 +268,10 @@ def _joint_block_table(mu: SkewMeasure, length: int) -> BlockTable:
 def _lifted_chain_rate(mu: SkewMeasure) -> float:
     """Closed-form rate of the lifted Markov chain on (window, fiber) states."""
     base = mu.base_measure
-    if isinstance(base, Bernoulli):
-        rows = [base.marginal.weights] * base.system.alphabet.order
-    elif isinstance(base, Markov):
-        rows = base.transition
-    else:
-        raise UnsupportedBase(f"no lifted chain for base kind {base.kind}")
-    row_entropy = [entropy_nats(row) for row in rows]
+    _, _, rows, dt, _ = base._chain
+    row_entropy = [entropy_nats(Fraction(p, dt) for p in row) for row in rows]
     windows = base.block_table(mu.system.window)
-    last = windows.codes % base.system.alphabet.order
+    last = windows.codes % base.system.alphabet.order  # Bernoulli and Markov emit their states
     # int / int is correctly rounded: each mass is the float of the exact product
     return math.fsum(
         num * w.numerator / (windows.den * w.denominator) * row_entropy[s]

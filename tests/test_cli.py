@@ -329,6 +329,7 @@ def test_list_output_stable_and_complete():
         ("circle", {"parameters": {"L": 6}}, r"\.symbols: 4000 symbols < 100 \* 2\^6"),
         ("circle", {"parameters": {"symbols": 800, "seed_count": 800}},
          r"\.seed_count: 800 seeds of 800 symbols leave 1 symbols per seed, fewer than L = 3"),
+        ("convolution_entropy", {"id": "a/b"}, r"scenarios\[0\]\.id: 'a/b' holds a path separator"),
     ],
 )
 def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, message):
@@ -415,6 +416,19 @@ def test_missing_out_directory_is_a_usage_error_before_any_run(tmp_path, capsys,
     assert main(["run", str(cfg), "--out", str(missing / "r.csv")]) == 2
     assert f"--out directory {missing} is not an existing directory" in capsys.readouterr().err
     assert not missing.exists()
+
+
+def test_out_path_ending_in_json_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):
+    # the JSON report would overwrite the CSV report at the same path
+    def no_run(scenarios):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("ergolab.cli.run_scenarios", no_run)
+    cfg = write_demo(tmp_path, full_config("independence"))
+    out = tmp_path / "r.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"JSON report {out} would overwrite the CSV report" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["adir", "adir.json"])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cyclic, measure, symmetric
@@ -12,6 +12,7 @@ from ergolab.ergodicity import (
     BirkhoffReport,
     BirkhoffRow,
     DisjointnessCertificate,
+    ErgodicityVerdict,
     birkhoff_report,
     convolution_ergodicity_scenario,
     default_observables,
@@ -24,6 +25,7 @@ from ergolab.errors import (
     FactorNotErgodic,
     InsufficientSteps,
 )
+from ergolab.exact import stationary_distribution
 from ergolab.scenarios import parse_config, run_scenario
 from ergolab.shifts import (
     Bernoulli,
@@ -65,6 +67,101 @@ def test_irreducible_markov_ergodic():
 
 def test_periodic_orbit_ergodic():
     assert is_ergodic_exact(PeriodicOrbit(SYS2, (0, 1))).verdict == "ergodic"
+
+
+# -- the chain core's irreducibility check against the transitive-closure reference --
+
+
+def _markov_irreducible_on_support(mu: Markov) -> bool:
+    """The reference: every state of positive initial mass reaches every one, itself too,
+    through such states, by the O(n^3) transitive closure over Fractions."""
+    support = [i for i, p in enumerate(mu.initial) if p > 0]
+    idx = {s: i for i, s in enumerate(support)}
+    n = len(support)
+    reach = [[False] * n for _ in range(n)]
+    for a in support:
+        for b in support:
+            if mu.transition[a][b] > 0:
+                reach[idx[a]][idx[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return all(reach[i][j] for i in range(n) for j in range(n))
+
+
+def _rows(draw, n):
+    """n exact stochastic rows with zero entries, each row with some mass."""
+    rows = []
+    for _ in range(n):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        rows.append(tuple(F(x, sum(raw)) for x in raw))
+    return rows
+
+
+@st.composite
+def _chains(draw):
+    """(n, transition, initial, validate) on C2-C4.
+
+    Stationary: one chain, or two closed classes under a state shuffle. Each
+    part is a random chain with zero entries, so transient states of
+    stationary mass 0 come up; two classes each carry part of the initial
+    mass. Unvalidated: any initial vector with zeros, where a state of
+    positive mass can reach the others without being reached back.
+    """
+    n = draw(st.integers(2, 4))
+    if draw(st.integers(0, 3)) == 0:
+        raw = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+        return n, tuple(_rows(draw, n)), tuple(F(x, sum(raw)) for x in raw), False
+    if draw(st.booleans()):
+        parts = [(n, F(1))]
+    else:
+        k = draw(st.integers(1, n - 1))
+        parts = [(k, F(1, 3)), (n - k, F(2, 3))]
+    rows, initial = [], []
+    for size, weight in parts:
+        block = _rows(draw, size)
+        try:
+            pi = stationary_distribution(block)
+        except ValueError:
+            assume(False)
+        offset = len(rows)
+        rows += [(F(0),) * offset + row + (F(0),) * (n - offset - size) for row in block]
+        initial += [weight * p for p in pi]
+    order = draw(st.permutations(range(n)))
+    shuffled = tuple(tuple(rows[a][b] for b in order) for a in order)
+    return n, shuffled, tuple(initial[a] for a in order), True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chains())
+# state 0 reaches state 1, which never steps back
+@example((2, ((F(1, 2), F(1, 2)), (F(0), F(1))), (F(1, 2), F(1, 2)), False))
+def test_markov_verdict_matches_transitive_closure_reference(chain):
+    n, transition, initial, validate = chain
+    mu = Markov(shift_space(cyclic(n)), transition, initial, validate)
+    v = is_ergodic_exact(mu)
+    if _markov_irreducible_on_support(mu):
+        assert (v.verdict, v.method, v.witness) == ("ergodic", "exact_markov", None)
+    else:
+        assert (v.verdict, v.method) == ("non_ergodic", "exact_markov")
+        assert v.witness == "transition support is not irreducible"
+
+
+@pytest.mark.parametrize(
+    "mu, method",
+    [
+        (Bernoulli(shift_space(cyclic(3)), measure(cyclic(3), ["1/2", 0, "1/2"])), "exact_bernoulli"),
+        (Bernoulli(SYS2, measure(C2, [0, 1])), "exact_bernoulli"),
+        (PeriodicOrbit(SYS2, (1,)), "exact_orbit"),
+        (PeriodicOrbit(shift_space(cyclic(3)), (0, 0, 1)), "exact_orbit"),
+    ],
+    ids=["bernoulli_zero_weight", "bernoulli_point", "orbit_p1", "orbit_p3"],
+)
+def test_bernoulli_and_orbit_chains_are_ergodic(mu, method):
+    assert is_ergodic_exact(mu) == ErgodicityVerdict("ergodic", method)
 
 
 def test_mixture_of_distinct_bernoullis_not_ergodic():

@@ -3,7 +3,8 @@
 `exact.exact_vector` checks every weight vector a measure holds. These tests
 run the rule through each site that holds one, compare accept/reject with the
 Fraction-sum checks it replaced, and compare the integer views it returns
-with the ones built from the weights' common denominator before.
+(a Markov measure's is its chain, `_chain`) with the ones built from the
+weights' common denominator before.
 """
 
 import math
@@ -115,11 +116,12 @@ def _common_den(ps):
 
 
 def _common_den_markov_ints(mu):
+    """The chain's integer view from the common denominators; a Markov chain emits its states."""
     d0 = _common_den(mu.initial)
     dt = _common_den(p for row in mu.transition for p in row)
     init = tuple(int(p * d0) for p in mu.initial)
     rows = tuple(tuple(int(p * dt) for p in row) for row in mu.transition)
-    return init, d0, rows, dt
+    return init, d0, rows, dt, tuple(range(len(init)))
 
 
 def _verdict(check, *args):
@@ -177,7 +179,7 @@ def test_markov_validation_matches_fraction_sums(chain):
         mu = None
     assert (mu is not None) == _verdict(_fraction_markov_check, n, rows, initial, validate)
     if mu is not None:
-        assert mu._ints == _common_den_markov_ints(mu)
+        assert mu._chain == _common_den_markov_ints(mu)
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,6 +198,6 @@ def test_fiber_numerators_match_common_denominator_view(weights):
 def test_markov_integer_views_match_common_denominator_view():
     rows = ((F(2, 3), F(1, 3)), (F(1, 4), F(3, 4)))
     mu = Markov.stationary(SYS2, rows)
-    assert mu._ints == ((3, 4), 7, ((8, 4), (3, 9)), 12) == _common_den_markov_ints(mu)
+    assert mu._chain == ((3, 4), 7, ((8, 4), (3, 9)), 12, (0, 1)) == _common_den_markov_ints(mu)
     skewed = Markov(SYS2, rows, (F(1, 5), F(4, 5)), validate=False)
-    assert skewed._ints == ((1, 4), 5, ((8, 4), (3, 9)), 12) == _common_den_markov_ints(skewed)
+    assert skewed._chain == ((1, 4), 5, ((8, 4), (3, 9)), 12, (0, 1)) == _common_den_markov_ints(skewed)

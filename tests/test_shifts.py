@@ -441,6 +441,9 @@ def _markov_with_zeros():
             ),
         ),
         lambda: Convolution(SYS3, _markov_with_zeros(), PeriodicOrbit(SYS3, (0, 0, 1))),
+        # a short word matches several phases: the chain's emission is not the identity
+        lambda: PeriodicOrbit(SYS3, (0, 0, 1)),
+        lambda: Bernoulli(SYS3, measure(C3, ["1/4", 0, "3/4"])),
     ],
 )
 def test_tables_match_oracle_on_zero_entries(make, length):
