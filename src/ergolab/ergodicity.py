@@ -30,7 +30,6 @@ from .shifts import (
     ShiftSystem,
     Word,
     _code_dtype,
-    _FiniteState,
     convolve_shift,
     is_shift_invariant,
 )
@@ -67,7 +66,7 @@ _EXACT_METHODS = {"bernoulli": "exact_bernoulli", "markov": "exact_markov",
                   "periodic_orbit": "exact_orbit"}
 
 
-def _irreducible_on_support(mu: _FiniteState) -> bool:
+def _irreducible_on_support(mu: ShiftMeasure) -> bool:
     """Whether each positive-mass state reaches every one, itself too, through such states.
 
     Then the chain, and so its output, is ergodic. Breadth-first searches
@@ -88,7 +87,7 @@ def _irreducible_on_support(mu: _FiniteState) -> bool:
 
 def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
     """Exact verdict for the evaluable kinds; Unknown for convolutions."""
-    if isinstance(mu, _FiniteState):
+    if mu.kind in _EXACT_METHODS:
         method = _EXACT_METHODS[mu.kind]
         if _irreducible_on_support(mu):
             return ErgodicityVerdict("ergodic", method)

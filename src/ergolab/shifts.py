@@ -14,11 +14,14 @@ denominators outgrow 64 bits) over one common denominator. Every exact
 verifier, here and in `skew` and `ergodicity`, compares tables, taking
 marginals by dropping the first or the last symbol of a longer table.
 
-Bernoulli, Markov and periodic-orbit measures are functions of finite
-stationary Markov chains (Blackwell 1957). One core, `_FiniteState`, gives
-their cylinders and tables by forward products over the chain's integers: a
-Bernoulli chain has every row its marginal, a periodic orbit is the cycle on
-its phases, and phase i emits word[i].
+All six kinds are functions of finite stationary Markov chains (Blackwell
+1957), and `ShiftMeasure` gives every cylinder and table by forward products
+over the chain's integers. A Bernoulli chain has every row its marginal, a
+Markov measure is its own chain, and a periodic orbit is the cycle on its
+phases, phase i emitting word[i]. A mixture is the block-diagonal union of
+its components' chains. A convolution or a product is the product chain of
+its factors, state (a, b) emitting g.op(a's symbol, b's symbol) or the pair
+symbol. Only sampling stays per kind.
 
 Stationarity makes cylinder probabilities independent of window position, so
 words are plain tuples of element indices.
@@ -157,12 +160,16 @@ def _encode(digits: np.ndarray, base: int) -> np.ndarray:
     return digits @ _place_values(base, digits.shape[-1])
 
 
+def _sum_runs(keys: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of sorted keys, and the sum of the numerators of each."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(nums, starts)
+
+
 def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: int) -> BlockTable:
     """A table from unsorted codes; the numerators of repeated codes are summed."""
     order = np.argsort(codes, kind="stable")
-    codes, nums = codes[order], nums[order]
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    return BlockTable(base, length, codes[starts], np.add.reduceat(nums, starts), den)
+    return BlockTable(base, length, *_sum_runs(codes[order], nums[order]), den)
 
 
 def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
@@ -177,28 +184,35 @@ def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
 
 
 class ShiftMeasure:
-    """Base class for shift-invariant measures with exact marginals."""
+    """A shift-invariant measure: a function of a finite stationary Markov chain.
+
+    Each kind holds its chain in integers as `_chain = (init, d0, rows, dt,
+    emit)`: the chain starts in state s with probability init[s] / d0, steps
+    from s to t with probability rows[s][t] / dt, and emits the symbol emit[s]
+    in state s. Cylinders and tables come from the chain alone.
+    """
 
     system: ShiftSystem
     kind: str = "abstract"
 
     def cylinder(self, word: Sequence[int]) -> Fraction:
-        """Exact probability of the cylinder [word] (position-free)."""
-        raise NotImplementedError
+        """Exact probability of [word] (position-free): a forward product over its states."""
+        if not word:
+            return Fraction(1)
+        init, d0, rows, dt, emit = self._chain
+        nums = {s: p for s, p in enumerate(init) if emit[s] == word[0]}
+        for symbol in word[1:]:
+            nums = {t: sum(num * rows[s][t] for s, num in nums.items())
+                    for t, e in enumerate(emit) if e == symbol}
+        return Fraction(sum(nums.values()), d0 * dt ** (len(word) - 1))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """A length-n word distributed per the marginals; deterministic in seed."""
         raise NotImplementedError
 
-    def _build_table(self, length: int) -> BlockTable:
-        """The length-L table for L >= 1; `block_table` guards and memoizes it."""
-        raise NotImplementedError
-
     def _extended(self) -> "ShiftMeasure":
         """The same measure on the two-sided system; composite kinds extend their parts."""
         return dataclasses.replace(self, system=self.system.two_sided_version())
-
-    # -- shared helpers --------------------------------------------------
 
     def block_distribution(self, length: int) -> dict[Word, Fraction]:
         """Exact distribution of length-L blocks; guarded at 2^24 states."""
@@ -230,37 +244,21 @@ class ShiftMeasure:
                 raise ValueError(f"symbol {s} outside the alphabet")
         return self.cylinder(tuple(word))
 
-
-class _FiniteState(ShiftMeasure):
-    """A function of a finite stationary Markov chain, held in integers as `_chain`.
-
-    `_chain = (init, d0, rows, dt, emit)`, set by each kind: the chain starts
-    in state s with probability init[s] / d0, steps from s to t with
-    probability rows[s][t] / dt, and emits the symbol emit[s] in state s.
-    """
-
-    def cylinder(self, word):
-        """Exact probability of [word]: a forward product over the states that emit it."""
-        if not word:
-            return Fraction(1)
-        init, d0, rows, dt, emit = self._chain
-        nums = {s: p for s, p in enumerate(init) if emit[s] == word[0]}
-        for symbol in word[1:]:
-            nums = {t: sum(num * rows[s][t] for s, num in nums.items())
-                    for t, e in enumerate(emit) if e == symbol}
-        return Fraction(sum(nums.values()), d0 * dt ** (len(word) - 1))
-
-    def _build_table(self, length):
+    def _build_table(self, length: int) -> BlockTable:
+        """The length-L table for L >= 1, summed over the paths of each word."""
         codes, last, nums = self._paths(length)
-        n, den = self.system.alphabet.order, self._chain[1] * self._chain[3] ** (length - 1)
-        if last is None:  # one path per word, already in code order
-            return BlockTable(n, length, codes, nums, den)
-        return _merged(n, length, codes, nums, den)
+        den = self._chain[1] * self._chain[3] ** (length - 1)
+        if last is not None:  # the paths are in (word, last state) order
+            codes, nums = _sum_runs(codes, nums)
+        return BlockTable(self.system.alphabet.order, length, codes, nums, den)
 
     def _paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
 
-        Under the identity emission the paths are their words, in code order, and `last` is None.
+        Under the identity emission the paths are their words, in code order,
+        and `last` is None. Otherwise the paths that share their word and last
+        state merge, in (word, last state) order, so a level holds at most
+        |G|^L * |states| of them.
         """
         paths = self._path_memo.get(length)
         if paths is None:
@@ -269,8 +267,14 @@ class _FiniteState(ShiftMeasure):
             codes, prev, nums = self._paths(length - 1)
             prev = codes % n if prev is None else prev
             keep = steps[prev]  # every path steps to every state; the zero steps are dropped
-            last = None if self._chain[4] == tuple(range(n)) else np.nonzero(keep)[1]
-            paths = ((codes[:, None] * n + emit)[keep], last, (nums[:, None] * rows[prev])[keep])
+            codes, nums = (codes[:, None] * n + emit)[keep], (nums[:, None] * rows[prev])[keep]
+            if self._chain[4] == tuple(range(n)):
+                paths = (codes, None, nums)
+            else:
+                key = codes * len(emit) + np.nonzero(keep)[1]  # (word, last state)
+                order = np.argsort(key, kind="stable")
+                key, nums = _sum_runs(key[order], nums[order])
+                paths = (key // len(emit), key % len(emit), nums)
             self._path_memo[length] = paths
         return paths
 
@@ -288,13 +292,13 @@ class _FiniteState(ShiftMeasure):
 
 
 @dataclass(frozen=True)
-class Bernoulli(_FiniteState):
+class Bernoulli(ShiftMeasure):
     """Product measure with a fixed exact marginal per coordinate."""
 
     system: ShiftSystem
     marginal: DenseMeasure
     kind = "bernoulli"
-    cylinder = _FiniteState.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    cylinder = ShiftMeasure.cylinder  # in vars(cls), where perfbench's tracer wraps it
     block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
@@ -388,7 +392,7 @@ def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[
 
 
 @dataclass(frozen=True)
-class Markov(_FiniteState):
+class Markov(ShiftMeasure):
     """Stationary Markov measure; the initial row must be exactly stationary."""
 
     system: ShiftSystem
@@ -396,7 +400,7 @@ class Markov(_FiniteState):
     initial: tuple[Fraction, ...]
     validate: bool = True
     kind = "markov"
-    cylinder = _FiniteState.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    cylinder = ShiftMeasure.cylinder  # in vars(cls), where perfbench's tracer wraps it
     block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
@@ -458,13 +462,13 @@ class Markov(_FiniteState):
 
 
 @dataclass(frozen=True)
-class PeriodicOrbit(_FiniteState):
+class PeriodicOrbit(ShiftMeasure):
     """Uniform measure on the shift orbit of a periodic point."""
 
     system: ShiftSystem
     word: Word
     kind = "periodic_orbit"
-    cylinder = _FiniteState.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    cylinder = ShiftMeasure.cylinder  # in vars(cls), where perfbench's tracer wraps it
     block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
@@ -472,6 +476,9 @@ class PeriodicOrbit(_FiniteState):
         object.__setattr__(self, "word", w)
         if not w:
             raise ValueError("periodic word must be nonempty")
+        bad = next((s for s in w if not 0 <= s < self.system.alphabet.order), None)
+        if bad is not None:
+            raise ValueError(f"periodic word symbol {bad} outside the alphabet")
         p = len(w)
         phases = {tuple(w[(k + i) % p] for i in range(p)) for k in range(p)}
         if len(phases) != p:
@@ -494,6 +501,19 @@ class PeriodicOrbit(_FiniteState):
         return tiled[phase : phase + n]
 
 
+def _product_chain(left: ShiftMeasure, right: ShiftMeasure, op) -> tuple:
+    """The chain of two independent chains, with init and rows their Kronecker products.
+
+    State (a, b) is a * |S_right| + b and emits op(emit_left[a], emit_right[b]).
+    """
+    init_l, d0_l, rows_l, dt_l, emit_l = left._chain
+    init_r, d0_r, rows_r, dt_r, emit_r = right._chain
+    init = tuple(p * q for p in init_l for q in init_r)
+    rows = tuple(tuple(p * q for p in row_l for q in row_r) for row_l in rows_l for row_r in rows_r)
+    emit = tuple(op(a, b) for a in emit_l for b in emit_r)
+    return init, d0_l * d0_r, rows, dt_l * dt_r, emit
+
+
 @dataclass(frozen=True)
 class Mixture(ShiftMeasure):
     """Exact convex combination of measures on one system."""
@@ -501,7 +521,8 @@ class Mixture(ShiftMeasure):
     system: ShiftSystem
     components: tuple[tuple[Fraction, ShiftMeasure], ...]
     kind = "mixture"
-    block_distribution = ShiftMeasure.block_distribution  # in vars(cls), for perfbench's tracer
+    cylinder = ShiftMeasure.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
         if not self.components:
@@ -510,17 +531,21 @@ class Mixture(ShiftMeasure):
             raise SystemMismatch("mixture components live on different systems")
         exact_vector([w for w, _ in self.components], "mixture weights")
 
-    def cylinder(self, word):
-        return sum((w * m.cylinder(word) for w, m in self.components), Fraction(0))
-
-    def _build_table(self, length):
-        parts = [(w, m.block_table(length)) for w, m in self.components if w]
-        den = math.lcm(*(w.denominator * t.den for w, t in parts))
-        codes = np.concatenate([t.codes for _, t in parts])
-        nums = np.concatenate(
-            [t.nums * (w.numerator * (den // (w.denominator * t.den))) for w, t in parts]
-        )
-        return _merged(self.system.alphabet.order, length, codes, nums, den)
+    @cached_property
+    def _chain(self):
+        """The block-diagonal union of the positive-weight components' chains."""
+        parts = [(w, m._chain) for w, m in self.components if w]
+        d0 = math.lcm(*(w.denominator * chain[1] for w, chain in parts))
+        dt = math.lcm(*(chain[3] for _, chain in parts))
+        size = sum(len(chain[0]) for _, chain in parts)
+        init, rows, emit = (), (), ()
+        for w, (part_init, d, part_rows, t, part_emit) in parts:
+            before, after = (0,) * len(init), (0,) * (size - len(init) - len(part_init))
+            scale = w.numerator * (d0 // (w.denominator * d))
+            init += tuple(scale * p for p in part_init)
+            rows += tuple(before + tuple(dt // t * p for p in row) + after for row in part_rows)
+            emit += part_emit
+        return init, d0, rows, dt, emit
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -549,39 +574,17 @@ class Convolution(ShiftMeasure):
     left: ShiftMeasure
     right: ShiftMeasure
     kind = "convolution"
-    block_distribution = ShiftMeasure.block_distribution  # in vars(cls), for perfbench's tracer
+    cylinder = ShiftMeasure.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
         if self.left.system != self.system or self.right.system != self.system:
             raise SystemMismatch("convolution factors live on different systems")
 
-    def cylinder(self, word):
-        # (mu*nu)([w]) = sum_u mu([u]) nu([u^-1 w]); enumerate the smaller factor table
-        if not word:
-            return Fraction(1)
-        length = len(word)
-        left, right = self.left.block_table(length), self.right.block_table(length)
-        g = self.system.alphabet
-        w = np.array(word, dtype=np.int64)
-        if len(left) <= len(right):
-            partners = g.np_op[g.np_inv[left.digits()], w]
-            num = (left.nums * right.lookup(_encode(partners, g.order))).sum()
-        else:
-            partners = g.np_op[w, g.np_inv[right.digits()]]
-            num = (right.nums * left.lookup(_encode(partners, g.order))).sum()
-        return Fraction(num, left.den * right.den)
-
-    def _build_table(self, length):
-        left, right = self.left.block_table(length), self.right.block_table(length)
-        g = self.system.alphabet
-        # code every (left word, right word) pair, rolled in one symbol at a time
-        u, v = left.digits(), right.digits()
-        codes = np.zeros((len(left), len(right)), dtype=np.int64)
-        for i in range(length):
-            codes *= g.order
-            codes += g.np_op[u[:, i, None], v[None, :, i]]
-        nums = np.multiply.outer(left.nums, right.nums)
-        return _merged(g.order, length, codes.ravel(), nums.ravel(), left.den * right.den)
+    @cached_property
+    def _chain(self):
+        """The product chain of the factors; state (a, b) emits g.op(a's symbol, b's symbol)."""
+        return _product_chain(self.left, self.right, self.system.alphabet.op)
 
     def sample(self, n, seed):
         g = self.system.alphabet
@@ -606,27 +609,19 @@ class ProductMeasure(ShiftMeasure):
     left: ShiftMeasure
     right: ShiftMeasure
     kind = "product"
-    block_distribution = ShiftMeasure.block_distribution  # in vars(cls), for perfbench's tracer
+    cylinder = ShiftMeasure.cylinder  # in vars(cls), where perfbench's tracer wraps it
+    block_distribution = ShiftMeasure.block_distribution  # likewise in vars(cls)
 
     def __post_init__(self):
         expect = self.left.system.alphabet.order * self.right.system.alphabet.order
         if self.system.alphabet.order != expect:
             raise SystemMismatch("product system alphabet must be the direct product")
 
-    def _split(self, word: Word) -> tuple[Word, Word]:
+    @cached_property
+    def _chain(self):
+        """The product chain of the factors; state (a, b) emits the pair a * |H| + b."""
         m = self.right.system.alphabet.order
-        return tuple(s // m for s in word), tuple(s % m for s in word)
-
-    def cylinder(self, word):
-        u, v = self._split(tuple(word))
-        return self.left.cylinder(u) * self.right.cylinder(v)
-
-    def _build_table(self, length):
-        left, right = self.left.block_table(length), self.right.block_table(length)
-        m, n = self.right.system.alphabet.order, self.system.alphabet.order
-        codes = np.add.outer(_encode(left.digits() * m, n), _encode(right.digits(), n))
-        nums = np.multiply.outer(left.nums, right.nums)
-        return _merged(n, length, codes.ravel(), nums.ravel(), left.den * right.den)
+        return _product_chain(self.left, self.right, lambda a, b: a * m + b)
 
     def sample(self, n, seed):
         m = self.right.system.alphabet.order

@@ -13,6 +13,7 @@ from ergolab.ergodicity import (
     BirkhoffRow,
     DisjointnessCertificate,
     ErgodicityVerdict,
+    _irreducible_on_support,
     birkhoff_report,
     convolution_ergodicity_scenario,
     default_observables,
@@ -36,6 +37,7 @@ from ergolab.shifts import (
     shift_haar,
     shift_space,
 )
+from ergolab.skew import product_system
 
 C2 = cyclic(2)
 SYS2 = shift_space(C2)
@@ -217,6 +219,12 @@ def test_convolution_is_unknown():
     conv = Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1)))
     v = is_ergodic_exact(conv)
     assert v.verdict == "unknown" and v.method == "birkhoff"
+    # the product chain of two full-support Bernoulli chains is irreducible, and the
+    # verdict still dispatches on the kind
+    prod = product_system(bern("1/4"), bern("1/3"))
+    assert _irreducible_on_support(prod)
+    v = is_ergodic_exact(prod)
+    assert (v.verdict, v.method) == ("unknown", "birkhoff")
 
 
 # -- birkhoff evidence -----------------------------------------------------------

@@ -94,8 +94,11 @@ def test_periodic_orbit_phase_enumeration():
 def test_depth_guard():
     with pytest.raises(DepthLimitExceeded):
         bern("1/4").block_distribution(25)
+    conv = Convolution(SYS2, bern("1/4"), bern("1/4"))
     with pytest.raises(DepthLimitExceeded):
-        Convolution(SYS2, bern("1/4"), bern("1/4")).cylinder((0,) * 25)
+        conv.block_distribution(25)
+    # a point cylinder is a forward product on the chain, so the guard does not bound it
+    assert conv.cylinder((0,) * 25) == (F(3, 4) ** 2 + F(1, 4) ** 2) ** 25
 
 
 @pytest.mark.parametrize(
@@ -353,6 +356,13 @@ def test_periodic_orbit_requires_primitive_word():
         PeriodicOrbit(SYS2, (0, 1, 0, 1))
 
 
+@pytest.mark.parametrize("word, bad", [((0, 5), 5), ((1, -1, 3), -1)])
+def test_periodic_orbit_rejects_symbols_outside_the_alphabet(word, bad):
+    # the tables would alias 5 to 1 while cylinder_prob((1,)) gave 0
+    with pytest.raises(ValueError, match=f"symbol {bad} outside the alphabet"):
+        PeriodicOrbit(SYS2, word)
+
+
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         Mixture(SYS2, ((F(1, 2), bern("1/4")), (F(1, 3), bern("1/3"))))
@@ -504,26 +514,62 @@ def _factor(draw, system, kinds=FACTOR_KINDS):
 
 
 @st.composite
+def _convolution(draw, system):
+    return Convolution(system, draw(_factor(system)), draw(_factor(system)))
+
+
+@st.composite
+def _nested(draw, system):
+    """A convolution with a factor that is a convolution or a mixture of 2-3 of them."""
+    if draw(st.booleans()):
+        inner = draw(_convolution(system))
+    else:
+        weights = draw(_probabilities(draw(st.integers(2, 3))))
+        inner = Mixture(system, tuple((w, draw(_convolution(system))) for w in weights))
+    outer = draw(_factor(system))
+    return Convolution(system, *((inner, outer) if draw(st.booleans()) else (outer, inner)))
+
+
+@st.composite
 def _measure_and_length(draw):
-    """A measure of any of the six kinds on C2 or C3 and a length L <= 6."""
-    kind = draw(st.sampled_from(FACTOR_KINDS + ("convolution", "product")))
+    """A measure of any of the six kinds or a nested convolution, on C2 or C3; a length L <= 6."""
+    kind = draw(st.sampled_from(FACTOR_KINDS + ("convolution", "product", "nested")))
     system = draw(st.sampled_from([SYS2, SYS3]))
     if kind == "convolution":
-        mu = Convolution(system, draw(_factor(system)), draw(_factor(system)))
+        mu = draw(_convolution(system))
+    elif kind == "nested":
+        mu = draw(_nested(system))
     elif kind == "product":
         other = draw(st.sampled_from([SYS2, SYS3]))
         mu = product_system(draw(_factor(system)), draw(_factor(other)))
     else:
         mu = draw(_factor(system, (kind,)))
-    # keep the oracle's word pairs below ~10^4
-    cost = mu.system.alphabet.order ** (2 if kind == "convolution" else 1)
-    return mu, draw(st.integers(0, max(L for L in range(7) if cost**L <= 10**4)))
+    # keep the oracle's word pairs below ~10^4: |G|^2L per convolution, and a nested
+    # one makes at most four such passes (three inner and the outer)
+    cost = mu.system.alphabet.order ** (2 if kind in ("convolution", "nested") else 1)
+    passes = 4 if kind == "nested" else 1
+    return mu, draw(st.integers(0, max(L for L in range(7) if passes * cost**L <= 10**4)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_measure_and_length())
 def test_tables_match_naive_fraction_oracle(case):
     _check_against_oracle(*case)
+
+
+def test_nested_convolution_paths_merge_per_word_and_last_state():
+    # the product chain has 8 states and every state path has positive mass: unmerged,
+    # the level-L memo would hold 8^L paths, merged it holds at most 2^L * 8
+    chains = [Markov.stationary(SYS2, [[F(1, k), 1 - F(1, k)], ["1/2", "1/2"]]) for k in (3, 5, 7)]
+    mu = Convolution(SYS2, Convolution(SYS2, chains[0], chains[1]), chains[2])
+    states = len(mu._chain[0])
+    assert states == 8
+    for length in range(1, 11):
+        codes, last, _ = mu._paths(length)
+        assert last is not None and len(codes) <= 2**length * states, length
+    table = mu.block_table(10)
+    assert table.nums.sum() == table.den
+    _check_against_oracle(mu, 6)
 
 
 # -- table verifiers against the naive per-word loops --------------------------------
