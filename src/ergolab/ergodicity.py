@@ -1,10 +1,12 @@
-"""Ergodicity verdicts: exact where decidable, Birkhoff evidence elsewhere.
+"""Ergodicity verdicts: exact for every kind, with Birkhoff evidence as a cross-check.
 
-Bernoulli, Markov, periodic-orbit, and mixture measures get exact verdicts.
-Convolutions get statistical evidence only: time averages over sampled
-orbits are compared against exact cylinder probabilities, with an
-across-seed dispersion statistic. The statistical verdict is a calibrated
-heuristic, never a proof, and the report says so.
+Every measure is the output of a finite stationary chain, and its
+positive-mass states split into closed classes. Each class's output is
+ergodic, as a factor of an irreducible stationary chain, so the measure is
+ergodic exactly when every class emits the same measure, which Tzeng's basis
+search decides. Time averages over sampled orbits, compared against exact
+cylinder probabilities with an across-seed dispersion statistic, are a
+calibrated heuristic, never a proof, and the report says so.
 
 Disjointness of two factor systems is certified structurally (trivial
 factor, or periodic against full-support mixing), never computed; the
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import CertificateInvalid, DepthLimitExceeded, FactorNotErgodic, InsufficientSteps
 from .shifts import (
     Bernoulli,
-    Convolution,
     Mixture,
     PeriodicOrbit,
     ShiftMeasure,
@@ -40,77 +41,93 @@ DISPERSION_THRESHOLD = 5e-3
 
 @dataclass(frozen=True)
 class ErgodicityVerdict:
-    verdict: str  # ergodic | non_ergodic | unknown
-    method: str  # exact_bernoulli | exact_markov | exact_orbit | exact_mixture | birkhoff
+    verdict: str  # ergodic | non_ergodic
+    method: str  # exact_<kind>: bernoulli, markov, orbit, mixture, convolution or product
     witness: Optional[str] = None
 
 
-def _flatten_mixture(mu: Mixture) -> list[tuple[Fraction, ShiftMeasure]]:
-    out: list[tuple[Fraction, ShiftMeasure]] = []
-    for w, m in mu.components:
-        if isinstance(m, Mixture):
-            out.extend((w * w2, m2) for w2, m2 in _flatten_mixture(m))
-        else:
-            out.append((w, m))
-    return out
+def _reached(edges: np.ndarray, start: int) -> np.ndarray:
+    """The states that a breadth-first search reaches from start in one step or more."""
+    seen = frontier = edges[start]
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen
 
 
-def _determining_depth(mu: ShiftMeasure) -> int:
-    """Block depth at which equality pins down the measure, for exact kinds."""
-    if isinstance(mu, PeriodicOrbit):
-        return mu.period + 1
-    return 2  # bernoulli and markov are order <= 1
+def _disagreement(mu: ShiftMeasure, a: np.ndarray, b: np.ndarray) -> Optional[int]:
+    """The length of a shortest word whose mass differs when mu's chain starts in states a
+    or in states b, by init normalised on each; None if no word's does.
 
-
-_EXACT_METHODS = {"bernoulli": "exact_bernoulli", "markov": "exact_markov",
-                  "periodic_orbit": "exact_orbit"}
-
-
-def _irreducible_on_support(mu: ShiftMeasure) -> bool:
-    """Whether each positive-mass state reaches every one, itself too, through such states.
-
-    Then the chain, and so its output, is ergodic. Breadth-first searches
-    find the states the first one reaches and the states that reach it.
+    Tzeng's basis search (SIAM J. Comput. 21(2), 1992), breadth first over words, keeps a
+    word's forward difference vector when it leaves the span of those kept, reduced to 0
+    at their pivot states: at most one per state, and per symbol, as a word's vector lives
+    on the states that emit its last symbol. Every word's vector lies in the span of the
+    kept ones no longer than it, so the first kept one of nonzero mass ends such a word.
+    Vectors are exact integer multiples of the rational ones, divided by their gcd.
     """
-    _, steps, _ = mu._arrays
-    live = np.flatnonzero(steps[-1])  # the start state's row: init
-    steps = steps[np.ix_(live, live)]
-    for edges in (steps, steps.T):
-        seen = frontier = edges[0]
-        while frontier.any():
-            frontier = edges[frontier].any(axis=0) & ~seen
-            seen = seen | frontier
-        if not seen.all():
-            return False
-    return True
+    rows, _, emit = mu._arrays
+    init = rows[-1]  # the start state's row
+    diff = np.zeros(len(init), dtype=object)
+    diff[a] = init[a] * init[b].sum()  # init on a over its mass, minus init on b over its
+    diff[b] = -init[b] * init[a].sum()
+    # per symbol (a set, as np.unique would import numpy.ma): its states, their rows, a basis
+    blocks = [(at, rows[at], {}) for at in (np.flatnonzero(emit == s) for s in set(emit.tolist()))]
+    level, depth = [diff], 0
+    while level:
+        depth, ahead = depth + 1, []
+        for u in level:
+            for states, out, basis in blocks:
+                v = u[states]
+                for pivot, kept in basis.items():
+                    if v[pivot]:
+                        v = v * kept[pivot] - kept * v[pivot]
+                nonzero = np.flatnonzero(v)
+                if len(nonzero):
+                    if v.sum():
+                        return depth
+                    basis[nonzero[0]] = v = v // np.gcd.reduce(v)
+                    ahead.append(v @ out)
+        level = ahead
+    return None
+
+
+def same_measure(mu: ShiftMeasure, nu: ShiftMeasure) -> bool:
+    """Whether two measures on one system give every cylinder the same mass.
+
+    They are the two blocks of the chain of their even mixture.
+    """
+    both = Mixture(mu.system, ((Fraction(1, 2), mu), (Fraction(1, 2), nu)))
+    k = len(mu._chain[0])
+    return _disagreement(both, np.arange(k), np.arange(k, len(both._chain[0]))) is None
 
 
 def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
-    """Exact verdict for the evaluable kinds; Unknown for convolutions."""
-    if mu.kind in _EXACT_METHODS:
-        method = _EXACT_METHODS[mu.kind]
-        if _irreducible_on_support(mu):
-            return ErgodicityVerdict("ergodic", method)
-        return ErgodicityVerdict("non_ergodic", method, "transition support is not irreducible")
-    if isinstance(mu, Mixture):
-        comps = [(w, m) for w, m in _flatten_mixture(mu) if w]  # weight 0 is not in the measure
-        for _, m in comps:
-            if isinstance(m, Convolution):
-                return ErgodicityVerdict("unknown", "birkhoff")
-        depth = max(_determining_depth(m) for _, m in comps)
-        mu.system.guard_depth(depth)
-        first = comps[0][1]
-        for i, (_, m) in enumerate(comps[1:], start=1):
-            for length in range(1, depth + 1):
-                if m.block_table(length) != first.block_table(length):
-                    return ErgodicityVerdict(
-                        "non_ergodic",
-                        "exact_mixture",
-                        f"components 0 and {i} disagree at depth {length}",
-                    )
-        inner = is_ergodic_exact(first)
-        return ErgodicityVerdict(inner.verdict, "exact_mixture", inner.witness)
-    return ErgodicityVerdict("unknown", "birkhoff")
+    """Exact verdict for every kind: its chain's closed classes must all emit one measure.
+
+    Searches forward and backward from each positive-mass state not yet in a class find
+    its class, unless it reaches a state that does not reach it back (only an unvalidated
+    Markov init can), and then the chain is not irreducible on its support.
+    """
+    method = "exact_" + mu.kind.removeprefix("periodic_")
+    _, steps, _ = mu._arrays
+    live = np.flatnonzero(steps[-1])  # the start state's row: init
+    edges = steps[np.ix_(live, live)]
+    classes, left = [], np.ones(len(live), dtype=bool)
+    while left.any():
+        start = np.flatnonzero(left)[0]
+        ahead = _reached(edges, start)
+        if not ahead[start] or (ahead != _reached(edges.T, start)).any():
+            return ErgodicityVerdict("non_ergodic", method, "transition support is not irreducible")
+        classes.append(live[ahead])
+        left &= ~ahead
+    for i, states in enumerate(classes[1:], start=1):
+        depth = _disagreement(mu, classes[0], states)
+        if depth is not None:
+            return ErgodicityVerdict(
+                "non_ergodic", method, f"closed classes 0 and {i} disagree at depth {depth}"
+            )
+    return ErgodicityVerdict("ergodic", method)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class PhiIncomplete(ErgolabError):
     pass
 
 
-class UnsupportedBase(ErgolabError):
-    pass
-
-
 # -- ergodicity --------------------------------------------------------------
 
 class InsufficientSteps(ErgolabError):

@@ -28,6 +28,7 @@ from .ergodicity import (
     MIN_BIRKHOFF_STEPS,
     DisjointnessCertificate,
     convolution_ergodicity_scenario,
+    same_measure,
 )
 from .errors import FactorNotErgodic, InsufficientData, ParseError, SchemaError
 from .groups import FiniteGroup, haar, identity_hom, make_group, measure
@@ -367,8 +368,7 @@ def _haar_maximality(seed, tol, alphabet=GROUP, measures=_list_of(MEASURE), L_ma
     rows = [bounded_row("h_haar", h_haar, ln_g, ln_g, tol["haar"])]
     for i, mu in enumerate(measures):
         h = entropy_rate(mu, L_max).value
-        table = mu.block_table(L_max)  # uniform, i.e. Haar to depth L_max: the equality case
-        if len(table) == alphabet.order**L_max and (table.nums == table.nums[0]).all():
+        if same_measure(mu, shift_haar(mu.system)):
             rows.append(bounded_row(f"measure_{i}_equality_case", h, ln_g, ln_g, tol["haar"]))
         else:
             rows.append(bounded_row(f"measure_{i}_gap", h, 0.0, ln_g - tol["min_gap"], 0.0))

@@ -206,8 +206,8 @@ class ShiftMeasure:
                     for t, e in enumerate(emit) if e == symbol}
         return Fraction(sum(nums.values()), d0 * dt ** (len(word) - 1))
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """A length-n word distributed per the marginals; deterministic in seed."""
+    def sample(self, n: int, seed) -> np.ndarray:
+        """A length-n word per the marginals; deterministic in seed, an int or a SeedSequence."""
         raise NotImplementedError
 
     def _extended(self) -> "ShiftMeasure":
@@ -501,6 +501,12 @@ class PeriodicOrbit(ShiftMeasure):
         return tiled[phase : phase + n]
 
 
+def _child_stream(seed, i: int) -> np.random.SeedSequence:
+    """Child i of a seed's stream; unlike SeedSequence.spawn, the parent is not mutated."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,))
+
+
 def _product_chain(left: ShiftMeasure, right: ShiftMeasure, op) -> tuple:
     """The chain of two independent chains, with init and rows their Kronecker products.
 
@@ -548,7 +554,7 @@ class Mixture(ShiftMeasure):
         return init, d0, rows, dt, emit
 
     def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_child_stream(seed, 0))
         u = rng.random()
         acc = 0.0
         chosen = self.components[-1][1]
@@ -557,7 +563,7 @@ class Mixture(ShiftMeasure):
             if u < acc:
                 chosen = m
                 break
-        return chosen.sample(n, seed + 1)
+        return chosen.sample(n, _child_stream(seed, 1))
 
     def _extended(self):
         return Mixture(
@@ -588,9 +594,10 @@ class Convolution(ShiftMeasure):
 
     def sample(self, n, seed):
         g = self.system.alphabet
-        u = self.left.sample(n, seed)  # np_op[u, v] by the flat index u * |G| + v, built in u
+        # np_op by the flat index u * |G| + v, built in u, so v is freed before the output exists
+        u = self.left.sample(n, _child_stream(seed, 0))
         u *= g.order
-        u += self.right.sample(n, seed + 10**6)  # v is freed before the output is allocated
+        u += self.right.sample(n, _child_stream(seed, 1))
         return g.np_op.ravel()[u]
 
     def _extended(self):
@@ -625,8 +632,8 @@ class ProductMeasure(ShiftMeasure):
 
     def sample(self, n, seed):
         m = self.right.system.alphabet.order
-        u = self.left.sample(n, seed)
-        v = self.right.sample(n, seed + 10**6)
+        u = self.left.sample(n, _child_stream(seed, 0))
+        v = self.right.sample(n, _child_stream(seed, 1))
         return u * m + v
 
     def _extended(self):
@@ -679,7 +686,7 @@ def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     return True
 
 
-def sample(mu: ShiftMeasure, n: int, seed: int) -> np.ndarray:
+def sample(mu: ShiftMeasure, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("sample length must be >= 1")
     return mu.sample(n, seed)

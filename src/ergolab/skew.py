@@ -29,7 +29,6 @@ from .errors import (
     NotAutomorphism,
     PhiIncomplete,
     SystemMismatch,
-    UnsupportedBase,
 )
 from .exact import entropy_nats, exact_vector
 from .groups import DenseMeasure, FiniteGroup, GroupHom, convolve, direct_product, haar
@@ -289,8 +288,6 @@ def skew_entropy(mu: SkewMeasure, L: int) -> EntropyEstimate:
     the trail is checked nonincreasing either way.
     """
     base = mu.base_measure
-    if base.kind in ("mixture", "convolution", "product"):
-        raise UnsupportedBase(f"skew entropy unsupported for base kind {base.kind}")
     closed = isinstance(base, (Bernoulli, Markov)) and mu.kind in ("haar_fiber", "point_fiber")
     return trail_estimate(
         (table_entropy(_joint_block_table(mu, ell)) for ell in range(1, L + 1)),

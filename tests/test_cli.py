@@ -481,3 +481,28 @@ def test_haar_maximality_equality_case_is_decided_by_the_measure():
     passes = _row_passes(doc)
     assert passes == {"h_haar": True, "measure_0_equality_case": True,
                       "measure_1_equality_case": True, "measure_2_gap": True}
+
+
+def test_haar_maximality_equality_case_needs_the_measure_to_be_haar():
+    # 0011 has uniform 2-blocks, yet it is not Haar: its gap row fails, because
+    # h_2 = ln 2 cannot show the gap at depth 2
+    doc = full_config("haar_maximality", parameters={
+        "L_max": 2, "measures": [{"kind": "periodic_orbit", "word": [0, 0, 1, 1]}]})
+    assert _row_passes(doc) == {"h_haar": True, "measure_0_gap": False}
+
+
+def test_convolution_ergodicity_accepts_convolution_factors(tmp_path):
+    markov = {"kind": "markov", "transition": [["2/3", "1/3"], ["1/3", "2/3"]]}
+    doc = full_config("convolution_ergodicity", seed=5, parameters={
+        "left": {"kind": "convolution", "left": markov,
+                 "right": {"kind": "periodic_orbit", "word": [0, 1]}},
+        "right": {"kind": "convolution", "left": markov, "right": BERN},
+        "certificate": {"kind": "declared"}, "steps": 10**5, "seed_count": 10})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "report.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21 and all(row["pass"] == "true" for row in rows)
+    assert rows[-1]["quantity"] == "ergodic_consistent"

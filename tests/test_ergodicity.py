@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,11 +14,11 @@ from ergolab.ergodicity import (
     BirkhoffRow,
     DisjointnessCertificate,
     ErgodicityVerdict,
-    _irreducible_on_support,
     birkhoff_report,
     convolution_ergodicity_scenario,
     default_observables,
     is_ergodic_exact,
+    same_measure,
     validate_certificate,
 )
 from ergolab.errors import (
@@ -27,6 +28,7 @@ from ergolab.errors import (
     InsufficientSteps,
 )
 from ergolab.exact import stationary_distribution
+from ergolab.groups import direct_product
 from ergolab.scenarios import parse_config, run_scenario
 from ergolab.shifts import (
     Bernoulli,
@@ -74,9 +76,11 @@ def test_periodic_orbit_ergodic():
 # -- the chain core's irreducibility check against the transitive-closure reference --
 
 
-def _markov_irreducible_on_support(mu: Markov) -> bool:
-    """The reference: every state of positive initial mass reaches every one, itself too,
-    through such states, by the O(n^3) transitive closure over Fractions."""
+def _markov_reference(mu: Markov) -> tuple[bool, bool]:
+    """The reference, by the O(n^3) transitive closure over Fractions of the steps between
+    states of positive initial mass: whether every such state reaches every one, itself
+    too, through such states; and whether each reaches itself and is reached back by
+    every state it reaches, so that they split into closed classes."""
     support = [i for i, p in enumerate(mu.initial) if p > 0]
     idx = {s: i for i, s in enumerate(support)}
     n = len(support)
@@ -91,7 +95,8 @@ def _markov_irreducible_on_support(mu: Markov) -> bool:
                 for j in range(n):
                     if reach[k][j]:
                         reach[i][j] = True
-    return all(reach[i][j] for i in range(n) for j in range(n))
+    closed = all(reach[i][i] and reach[i][j] == reach[j][i] for i in range(n) for j in range(n))
+    return all(reach[i][j] for i in range(n) for j in range(n)), closed
 
 
 def _rows(draw, n):
@@ -145,11 +150,16 @@ def test_markov_verdict_matches_transitive_closure_reference(chain):
     n, transition, initial, validate = chain
     mu = Markov(shift_space(cyclic(n)), transition, initial, validate)
     v = is_ergodic_exact(mu)
-    if _markov_irreducible_on_support(mu):
+    irreducible, closed = _markov_reference(mu)
+    if irreducible:
         assert (v.verdict, v.method, v.witness) == ("ergodic", "exact_markov", None)
     else:
         assert (v.verdict, v.method) == ("non_ergodic", "exact_markov")
-        assert v.witness == "transition support is not irreducible"
+        # a Markov measure's classes emit disjoint symbol sets, so they differ at depth 1
+        assert v.witness == ("closed classes 0 and 1 disagree at depth 1" if closed
+                             else "transition support is not irreducible")
+    if validate:  # a stationary init never reaches a state that does not reach it back
+        assert closed
 
 
 @pytest.mark.parametrize(
@@ -190,13 +200,14 @@ def test_mixture_periodic_vs_uniform_detected_beyond_depth_two():
 @pytest.mark.parametrize(
     "components, witness",
     [
-        ([bern("1/4"), bern("3/4")], "components 0 and 1 disagree at depth 1"),
+        ([bern("1/4"), bern("3/4")], "closed classes 0 and 1 disagree at depth 1"),
         ([PeriodicOrbit(SYS2, (0, 0, 1, 1)), shift_haar(SYS2)],
-         "components 0 and 1 disagree at depth 3"),
+         "closed classes 0 and 1 disagree at depth 3"),
         # same one-symbol law (3/4, 1/4) as bern("1/4"), different pairs
         ([bern("1/4"), bern("1/4"), Markov.stationary(SYS2, [["5/6", "1/6"], ["1/2", "1/2"]])],
-         "components 0 and 2 disagree at depth 2"),
+         "closed classes 0 and 2 disagree at depth 2"),
     ],
+    ids=["bernoullis-depth1", "orbit_vs_haar-depth3", "markov-depth2"],
 )
 def test_mixture_witness_names_components_and_depth(components, witness):
     w = F(1, len(components))
@@ -212,19 +223,120 @@ def test_zero_weight_components_are_dropped():
     nested = Mixture(SYS2, ((F(0), PeriodicOrbit(SYS2, (0, 1))), (F(1), mu)))
     assert is_ergodic_exact(nested).verdict == "ergodic"
     split = Mixture(SYS2, ((F(1, 2), mu), (F(1, 2), bern("1/4"))))
-    assert is_ergodic_exact(split).witness == "components 0 and 1 disagree at depth 1"
+    assert is_ergodic_exact(split).witness == "closed classes 0 and 1 disagree at depth 1"
 
 
-def test_convolution_is_unknown():
-    conv = Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1)))
-    v = is_ergodic_exact(conv)
-    assert v.verdict == "unknown" and v.method == "birkhoff"
-    # the product chain of two full-support Bernoulli chains is irreducible, and the
-    # verdict still dispatches on the kind
-    prod = product_system(bern("1/4"), bern("1/3"))
-    assert _irreducible_on_support(prod)
-    v = is_ergodic_exact(prod)
-    assert (v.verdict, v.method) == ("unknown", "birkhoff")
+def _haar_or_orbit_lift(haar_first: bool) -> Mixture:
+    """Haar on C2 x C2 and periodic('0011') x Haar on C2 mixed half and half.
+
+    The two agree on every block up to length 2 and differ at length 3.
+    """
+    nu = shift_haar(shift_space(direct_product(C2, C2)))
+    pi = product_system(PeriodicOrbit(SYS2, (0, 0, 1, 1)), shift_haar(SYS2))
+    first, second = (nu, pi) if haar_first else (pi, nu)
+    return Mixture(nu.system, ((F(1, 2), first), (F(1, 2), second)))
+
+
+@pytest.mark.parametrize("haar_first", [True, False])
+def test_mixture_agreeing_past_depth_two_is_not_ergodic_in_either_order(haar_first):
+    mu = _haar_or_orbit_lift(haar_first)
+    for length in (1, 2):
+        assert mu.components[0][1].block_table(length) == mu.components[1][1].block_table(length)
+    v = is_ergodic_exact(mu)
+    assert (v.verdict, v.method, v.witness) == (
+        "non_ergodic", "exact_mixture", "closed classes 0 and 1 disagree at depth 3")
+    assert not same_measure(*(m for _, m in mu.components))
+
+
+def test_convolution_and_product_verdicts_are_exact():
+    p01 = PeriodicOrbit(SYS2, (0, 1))
+    # the product chain of the two orbits has two classes, emitting 0^N and 1^N
+    v = is_ergodic_exact(Convolution(SYS2, p01, p01))
+    assert (v.verdict, v.method, v.witness) == (
+        "non_ergodic", "exact_convolution", "closed classes 0 and 1 disagree at depth 1")
+    v = is_ergodic_exact(Convolution(SYS2, bern("1/4"), p01))
+    assert v == ErgodicityVerdict("ergodic", "exact_convolution")
+    # two classes, both emitting the orbit of 0110: ergodic, though the factors share
+    # the rotation factor Z/2 and so are not disjoint
+    conv = Convolution(SYS2, PeriodicOrbit(SYS2, (0, 0, 1, 1)), p01)
+    assert same_measure(conv, PeriodicOrbit(SYS2, (0, 1, 1, 0)))
+    assert is_ergodic_exact(conv) == ErgodicityVerdict("ergodic", "exact_convolution")
+    v = is_ergodic_exact(product_system(bern("1/4"), bern("1/3")))
+    assert v == ErgodicityVerdict("ergodic", "exact_product")
+
+
+def test_same_measure_on_haar():
+    haar2 = shift_haar(SYS2)
+    assert same_measure(Markov.stationary(SYS2, [["1/2", "1/2"], ["1/2", "1/2"]]), haar2)
+    assert same_measure(Convolution(SYS2, bern("1/2"), PeriodicOrbit(SYS2, (0, 1))), haar2)
+    # uniform on 2-blocks, but not Haar
+    assert not same_measure(PeriodicOrbit(SYS2, (0, 0, 1, 1)), haar2)
+    assert not same_measure(bern("1/4"), haar2)
+
+
+def _random_chain_measure(draw, system):
+    """A small measure of a chain kind on C2, C3 or C2 x C2, where it is a product of C2 leaves
+    or a leaf; periodic words are short enough that the brute-force tables stay small."""
+    def probabilities(k):
+        raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        raw[draw(st.integers(0, k - 1))] += 1
+        return [F(r, sum(raw)) for r in raw]
+
+    def leaf(sys, kinds=("bernoulli", "markov", "periodic_orbit")):
+        k = sys.alphabet.order
+        kind = draw(st.sampled_from(kinds))
+        if kind == "bernoulli":
+            return Bernoulli(sys, measure(sys.alphabet, probabilities(k)))
+        if kind == "markov":
+            try:
+                return Markov.stationary(sys, [probabilities(k) for _ in range(k)])
+            except ValueError:  # no unique stationary distribution
+                assume(False)
+        w = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3 if k == 2 else 2))
+        root = next(d for d in range(1, len(w) + 1) if w == w[:d] * (len(w) // d))
+        return PeriodicOrbit(sys, tuple(w[:root]))
+
+    if system.alphabet.order == 4:
+        if draw(st.booleans()):
+            return leaf(system, ("bernoulli", "periodic_orbit"))
+        return product_system(leaf(SYS2), leaf(SYS2))
+    shape = draw(st.sampled_from(["leaf", "mixture", "convolution"]))
+    if shape == "convolution":  # a periodic factor keeps the product chain small
+        return Convolution(system, leaf(system, ("periodic_orbit",)), leaf(system))
+    if shape == "mixture":
+        w = F(draw(st.integers(1, 3)), 4)
+        return Mixture(system, ((w, leaf(system)), (1 - w, leaf(system))))
+    return leaf(system)
+
+
+@st.composite
+def _measure_pairs(draw):
+    system = draw(st.sampled_from([SYS2, shift_space(cyclic(3)),
+                                   shift_space(direct_product(C2, C2))]))
+    return _random_chain_measure(draw, system), _random_chain_measure(draw, system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_measure_pairs())
+# equal outputs from different chains: B(1/2) * (0 1) is Haar
+@example((Convolution(SYS2, PeriodicOrbit(SYS2, (0, 1)), bern("1/2")), shift_haar(SYS2)))
+# two closed classes, both emitting the orbit of 0110, against the orbit itself
+@example((Convolution(SYS2, PeriodicOrbit(SYS2, (0, 0, 1, 1)), PeriodicOrbit(SYS2, (0, 1))),
+          PeriodicOrbit(SYS2, (0, 1, 1, 0))))
+def test_same_measure_and_witness_depth_match_block_tables(pair):
+    """Brute force: equal blocks up to length n_A + n_B - 1 pin down the measure (Paz, 1971)."""
+    mu, nu = pair
+    depth = len(mu._chain[0]) + len(nu._chain[0]) - 1
+    first = next((length for length in range(1, depth + 1)
+                  if mu.block_table(length) != nu.block_table(length)), None)
+    assert same_measure(mu, nu) == (first is None)
+    if is_ergodic_exact(mu).verdict == is_ergodic_exact(nu).verdict == "ergodic":
+        v = is_ergodic_exact(Mixture(mu.system, ((F(1, 3), mu), (F(2, 3), nu))))
+        if first is None:
+            assert (v.verdict, v.witness) == ("ergodic", None)
+        else:  # class 0 is one of mu's; the first class that differs is one of nu's
+            assert v.verdict == "non_ergodic"
+            assert re.fullmatch(f"closed classes 0 and \\d+ disagree at depth {first}", v.witness)
 
 
 # -- birkhoff evidence -----------------------------------------------------------

@@ -882,9 +882,64 @@ def test_convolution_sampler_matches_2d_index():
     for left, right in ((bern_s3, orbit), (orbit, bern_s3)):
         for n, seed in ((0, 0), (1, 4), (10**4 + 3, 9)):
             got = Convolution(sys_s3, left, right).sample(n, seed)
-            want = s3.np_op[left.sample(n, seed), right.sample(n, seed + 10**6)]
+            want = s3.np_op[left.sample(n, _child(seed, 0)), right.sample(n, _child(seed, 1))]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def _child(seed, i):
+    """Child i of an int seed's stream, as SeedSequence(seed).spawn(i + 1)[i] would give it."""
+    return np.random.SeedSequence(seed, spawn_key=(i,))
+
+
+def test_nested_convolution_samples_its_exact_cylinders():
+    # (A*B)*(C*D): when B and C drew from one stream they cancelled, and the
+    # sample was A*D, with P([1]) = 0.382 where the measure has 16/35 = 0.457
+    mu = Convolution(SYS2, Convolution(SYS2, bern("1/3"), bern("1/5")),
+                     Convolution(SYS2, bern("1/5"), bern("1/7")))
+    assert mu.cylinder((1,)) == F(16, 35)
+    n = 10**6
+    w = sample(mu, n + 1, 0)
+    for word in itertools.chain(_words(2, 1), _words(2, 2)):
+        hits = np.ones(n, dtype=bool)
+        for j, s in enumerate(word):
+            hits &= w[j : j + n] == s
+        p = float(mu.cylinder(word))
+        assert abs(hits.mean() - p) < 3 * (p * (1 - p) / n) ** 0.5
+
+
+def test_no_two_leaves_of_a_measure_tree_share_a_stream(monkeypatch):
+    streams = []
+    for cls in (Bernoulli, Markov, PeriodicOrbit):
+        def recording(self, n, seed, _sample=cls.sample):
+            if not isinstance(seed, np.random.SeedSequence):
+                seed = np.random.SeedSequence(seed)
+            streams.append((seed.entropy, seed.spawn_key))
+            return _sample(self, n, seed)
+        monkeypatch.setattr(cls, "sample", recording)
+    b, m = bern("1/4"), Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]])
+    per = PeriodicOrbit(SYS2, (0, 1))
+    # every leaf appears more than once, in both positions and under a mixture
+    either = Mixture(SYS2, ((F(1, 2), Convolution(SYS2, per, b)),
+                            (F(1, 2), Convolution(SYS2, b, m))))
+    tree = product_system(Convolution(SYS2, Convolution(SYS2, b, m), either), Mixture(
+        SYS2, ((F(1, 3), b), (F(2, 3), Convolution(SYS2, m, per)))))
+    for seed in range(6):  # consecutive seeds, as a Birkhoff report draws them
+        sample(tree, 50, seed)
+    assert len(streams) >= 6 * 5
+    assert len(set(streams)) == len(streams)
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [bern("1/4"), Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]]),
+     PeriodicOrbit(SYS2, (0, 0, 1))],
+    ids=["bernoulli", "markov", "orbit"],
+)
+def test_leaves_draw_alike_from_an_int_and_its_seed_sequence(leaf):
+    for seed in (0, 7, 2**40):
+        want = leaf.sample(1000, seed)
+        assert want.tobytes() == leaf.sample(1000, np.random.SeedSequence(seed)).tobytes()
 
 
 # -- first difference against a union1d reference ---------------------------------

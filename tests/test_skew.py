@@ -11,12 +11,12 @@ from ergolab.errors import (
     NotAutomorphism,
     PhiIncomplete,
     SystemMismatch,
-    UnsupportedBase,
 )
 from ergolab.shifts import (
     Bernoulli,
     Convolution,
     Markov,
+    Mixture,
     PeriodicOrbit,
     shift_haar,
     shift_space,
@@ -171,11 +171,33 @@ def test_skew_entropy_needs_one_level(base, L):
         skew_entropy(haar_extension(base(), first_symbol_system()), L)
 
 
-def test_skew_entropy_rejects_convolution_base():
-    sk = first_symbol_system()
-    conv = Convolution(SYS2, bern14(), PeriodicOrbit(SYS2, (0, 1)))
-    with pytest.raises(UnsupportedBase):
-        skew_entropy(haar_extension(conv, sk), 3)
+def _composite_base_lift(kind):
+    """The Haar lift of a mixture, convolution or product base."""
+    per = PeriodicOrbit(SYS2, (0, 1))
+    if kind == "product":
+        base = product_system(bern14(), per)
+        # the fiber moves by the periodic coordinate of the pair symbol a * 2 + b
+        return haar_extension(base, make_skew(base.system, C2, identity_hom(C2),
+                                              {(s,): s % 2 for s in range(4)}))
+    if kind == "mixture":
+        base = Mixture(SYS2, ((F(1, 3), bern14()), (F(2, 3), per)))
+    else:
+        base = Convolution(SYS2, bern14(), per)
+    return haar_extension(base, first_symbol_system())
+
+
+@pytest.mark.parametrize("kind", ["mixture", "convolution", "product"])
+def test_skew_entropy_on_composite_bases_matches_oracle(kind):
+    mu = _composite_base_lift(kind)
+    block = [0.0]
+    for length in range(1, 6):
+        dist = _oracle_joint_distribution(mu, length)
+        assert skew._joint_block_table(mu, length).to_dict() == dist
+        block.append(-math.fsum(float(p) * math.log(p) for p in dist.values()))
+    est = skew_entropy(mu, 5)
+    assert est.method == "block_exact"
+    want = [b - a for a, b in zip(block, block[1:])]
+    assert est.upper_bounds == pytest.approx(want, abs=1e-12)
 
 
 def test_point_fiber_requires_invariance():
