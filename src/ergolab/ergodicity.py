@@ -42,7 +42,7 @@ DISPERSION_THRESHOLD = 5e-3
 @dataclass(frozen=True)
 class ErgodicityVerdict:
     verdict: str  # ergodic | non_ergodic
-    method: str  # exact_<kind>: bernoulli, markov, orbit, mixture, convolution or product
+    method: str  # exact_<kind>: bernoulli, markov, orbit, mixture, convolution, product, skew_joint
     witness: Optional[str] = None
 
 

@@ -63,10 +63,6 @@ class FiniteGroup:
         """Multiplication table as an array, for vectorized paths."""
         return np.array(self.op_table, dtype=np.int64)
 
-    @cached_property
-    def np_inv(self) -> np.ndarray:
-        return np.array(self.inverse_table, dtype=np.int64)
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
 

@@ -30,7 +30,7 @@ from .ergodicity import (
     convolution_ergodicity_scenario,
     same_measure,
 )
-from .errors import FactorNotErgodic, InsufficientData, ParseError, SchemaError
+from .errors import DepthLimitExceeded, FactorNotErgodic, InsufficientData, ParseError, SchemaError
 from .groups import FiniteGroup, haar, identity_hom, make_group, measure
 from .groups import independence_check
 from .shifts import (
@@ -50,6 +50,7 @@ from .skew import (
     constant_cocycle,
     entropy_addition_report,
     first_symbol_cocycle,
+    haar_extension,
     make_skew,
     product_system,
 )
@@ -375,10 +376,13 @@ def _haar_maximality(seed, tol, alphabet=GROUP, measures=_list_of(MEASURE), L_ma
     return rows, {}, {}
 
 
+def _addition_skew(alphabet, fiber, phi):
+    return make_skew(shift_space(alphabet), fiber, identity_hom(fiber), phi)
+
+
 def _entropy_addition(seed, tol, alphabet=GROUP, base=MEASURE, fiber=GROUP,
                       phi=Param("'first_symbol'|{'constant': int}", _cocycle), L=COUNT.optional(4)):
-    sk = make_skew(shift_space(alphabet), fiber, identity_hom(fiber), phi)
-    rep = entropy_addition_report(sk, base, L=L, tolerance=tol["value"])
+    rep = entropy_addition_report(_addition_skew(alphabet, fiber, phi), base, L, tol["value"])
     total = rep.base_entropy + rep.fiber_entropy
     rows = [
         bounded_row("h_base", rep.base_entropy, 0.0, math.log(alphabet.order), 1e-12),
@@ -386,6 +390,14 @@ def _entropy_addition(seed, tol, alphabet=GROUP, base=MEASURE, fiber=GROUP,
         bounded_row("h_skew_vs_sum", rep.skew_entropy, total, total, tol["value"]),
     ]
     return rows, {}, {}
+
+
+def _addition_depth(path, alphabet, base, fiber, phi, L):
+    """The joint process's guard at L, checked before a table is built."""
+    try:
+        haar_extension(base, _addition_skew(alphabet, fiber, phi)).joint._guard(L)
+    except DepthLimitExceeded as exc:
+        _fail(f"{path}.L", str(exc))
 
 
 def _independence(seed, tol, group=GROUP,
@@ -491,7 +503,8 @@ SCENARIO_KINDS = {
     "haar_maximality": Kind(
         _haar_maximality, "Corollary 3.4; Theorem 3.3", {"haar": 1e-12, "min_gap": 1e-3}
     ),
-    "entropy_addition": Kind(_entropy_addition, "Lemma 2.2; Lemma 3.2; Lemma 3.3", {"value": 1e-9}),
+    "entropy_addition": Kind(_entropy_addition, "Lemma 2.2; Lemma 3.2; Lemma 3.3", {"value": 1e-9},
+                             _addition_depth),
     "independence": Kind(_independence, "Lemma 3.12"),
     "natural_extension": Kind(_natural_extension, "Lemma 3.15; Theorem 3.3", {"entropy": 1e-12}),
     "convolution_ergodicity": Kind(

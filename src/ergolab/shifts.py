@@ -81,12 +81,6 @@ class ShiftSystem:
     def two_sided_version(self) -> "ShiftSystem":
         return ShiftSystem(self.alphabet, TWO_SIDED, self.affine_constant)
 
-    def guard_depth(self, length: int) -> None:
-        if self.alphabet.order**length > DEPTH_GUARD_STATES:
-            raise DepthLimitExceeded(
-                f"{self.alphabet.order}^{length} block states exceed 2^24"
-            )
-
 
 def shift_space(alphabet: FiniteGroup, sidedness: str = ONE_SIDED) -> ShiftSystem:
     return ShiftSystem(alphabet, sidedness)
@@ -224,7 +218,7 @@ class ShiftMeasure:
         if table is None:
             if length < 0:
                 raise ValueError(f"block length must be >= 0, got {length}")
-            self.system.guard_depth(length)
+            self._guard(length)
             if length == 0:
                 n = self.system.alphabet.order
                 table = BlockTable(n, 0, np.zeros(1, np.int64), np.ones(1, object), 1)
@@ -232,6 +226,12 @@ class ShiftMeasure:
                 table = self._build_table(length)
             self._tables[length] = table
         return table
+
+    def _guard(self, length: int) -> None:
+        """Raise DepthLimitExceeded past |G|^L = 2^24 block states; a kind may guard otherwise."""
+        n = self.system.alphabet.order
+        if n**length > DEPTH_GUARD_STATES:
+            raise DepthLimitExceeded(f"{n}^{length} block states exceed 2^24")
 
     @cached_property
     def _tables(self) -> dict[int, BlockTable]:
@@ -362,7 +362,8 @@ def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[
     lo = np.concatenate([[0.0], cum[:, :-1].max(axis=0)])
     if (np.minimum(cum.min(axis=0), 1.0) - lo).clip(0.0).sum() < 0.5:
         return [(1, n)]
-    bounds = np.unique(cum[:, :-1])
+    bounds = np.sort(cum[:, :-1], axis=None)  # np.unique would import numpy.ma
+    bounds = bounds[np.diff(bounds, prepend=-np.inf) != 0]
     # each row's index is constant on a cell [bounds[c - 1], bounds[c]), so the
     # cell's lower end (-inf for the first cell) stands for all of it
     reps = np.concatenate([[-np.inf], bounds])
@@ -673,7 +674,7 @@ def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    mu.system.guard_depth(depth + 1)
+    mu._guard(depth + 1)
     g = mu.system.alphabet
     c = mu.system.affine_constant
     for length in range(1, depth + 1):
@@ -711,7 +712,7 @@ def verify_extension(mu: ShiftMeasure, depth: int) -> ExtensionReport:
     Witnesses name the first failing word by length, then in word order.
     """
     ext = natural_extension(mu)
-    mu.system.guard_depth(depth + 1)
+    mu._guard(depth + 1)
     for length in range(1, depth + 1):
         w = _first_difference(mu.block_table(length), ext.block_table(length))
         if w is not None:

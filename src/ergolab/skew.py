@@ -6,15 +6,13 @@ length-k window of the base point. Measures here are products of a base
 shift measure with a fiber distribution; the Haar extension is the uniform
 fiber case, point fibers freeze the fiber coordinate, and rational mixtures
 of those realize the convexity checks. Fiber and mixture weights pass
-`exact.exact_vector`, so a float raises TypeError. The exact checks read the
-base measure's `BlockTable`s and the fiber weights' integer numerators: a
-fiber-weighted table per fiber element for invariance and absorption, and a
-joint table over pair symbols for entropy.
+`exact.exact_vector`, so a float raises TypeError. The joint process
+(x_t, g_t) is the output of a finite chain, `SkewMeasure.joint`, so its
+tables, invariance and ergodicity come from the shift-measure chain core.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,27 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropy import EntropyEstimate, table_entropy, trail_estimate
-from .errors import (
-    DepthLimitExceeded,
-    NotAutomorphism,
-    PhiIncomplete,
-    SystemMismatch,
-)
-from .exact import entropy_nats, exact_vector
+from .entropy import EntropyEstimate, closed_form_entropy, entropy_rate
+from .entropy import table_entropy, trail_estimate
+from .errors import DepthLimitExceeded, NotAutomorphism, PhiIncomplete, SystemMismatch
+from .exact import exact_vector
 from .groups import DenseMeasure, FiniteGroup, GroupHom, convolve, direct_product, haar
-from .shifts import (
-    DEPTH_GUARD_STATES,
-    Bernoulli,
-    BlockTable,
-    Markov,
-    ProductMeasure,
-    ShiftMeasure,
-    ShiftSystem,
-    Word,
-    _encode,
-    _merged,
-)
+from .shifts import DEPTH_GUARD_STATES, Bernoulli, Markov, ProductMeasure, ShiftMeasure
+from .shifts import ShiftSystem, Word, is_shift_invariant
 
 MAX_COCYCLE_WINDOW = 3
 
@@ -79,6 +63,8 @@ def make_skew(
     phi: dict[Word, int],
 ) -> SkewSystem:
     """Validated construction: sigma bijective, phi total on length-k windows."""
+    if base.map_kind != "shift":
+        raise SystemMismatch("skew products are defined over plain shifts")
     if sigma.source != fiber or sigma.target != fiber or not sigma.bijective:
         raise NotAutomorphism("fiber map must be an automorphism of the fiber group")
     if not phi:
@@ -136,6 +122,69 @@ class SkewMeasure:
             return "point_fiber"
         return "fiber_mixture"
 
+    @cached_property
+    def joint(self) -> "SkewJoint":
+        """The joint process (x_t, g_t) as a shift measure over the pair alphabet."""
+        base = self.system.base
+        pairs = ShiftSystem(direct_product(base.alphabet, self.system.fiber), base.sidedness)
+        return SkewJoint(pairs, self)
+
+
+@dataclass(frozen=True)
+class SkewJoint(ShiftMeasure):
+    """The joint process of a skew measure, the pair (x, g) coded x * |G2| + g.
+
+    It is the output of a chain (Blackwell 1957) whose state (s, w, g) at time
+    t holds the base chain's state at t + k - 1, the window w = x_t..x_{t+k-1}
+    and g = g_t. It starts as the base's length-k paths times the fiber
+    weights, steps as the base row of s does, with g' = sigma(g) phi(w), and
+    emits w's first symbol with g. Only the states that the start reaches are
+    kept.
+    """
+
+    system: ShiftSystem
+    skew: SkewMeasure
+    kind = "skew_joint"
+
+    def _guard(self, length: int) -> None:
+        """The base paths under every fiber element, and path keys in int64."""
+        sys = self.skew.system
+        n, m, k = sys.base.alphabet.order, sys.fiber.order, sys.window
+        if n ** (length + k - 1) * m > DEPTH_GUARD_STATES:
+            raise DepthLimitExceeded(f"{n}^{length + k - 1} * {m} joint block states exceed 2^24")
+        states = len(self._chain[0])
+        if (n * m) ** length * states > 2**63:
+            raise DepthLimitExceeded(f"({n}*{m})^{length} * {states} joint path keys exceed 2^63")
+
+    @cached_property
+    def _chain(self):
+        sys, base = self.skew.system, self.skew.base_measure
+        n, m, k = sys.base.alphabet.order, sys.fiber.order, sys.window
+        _, d0, base_rows, dt, base_emit = base._chain
+        codes, last, nums = base._paths(k)
+        last = codes % n if last is None else last
+        fiber, den = self.skew._fiber_ints
+        sigma, phi = sys.fiber_automorphism.table, sys.np_phi.tolist()
+        init = [p * f for p in nums.tolist() for f in fiber if f]
+        states = [(s, w, g) for w, s in zip(codes.tolist(), last.tolist())
+                  for g, f in enumerate(fiber) if f]
+        index = {state: i for i, state in enumerate(states)}
+        steps = []
+        for s, w, g in states:  # the list grows as the steps reach new states
+            ahead, step = sys.fiber.op(sigma[g], phi[w]), {}
+            for t, p in enumerate(base_rows[s]):
+                if p:
+                    state = (t, w % n ** (k - 1) * n + base_emit[t], ahead)
+                    if state not in index:
+                        index[state] = len(states)
+                        states.append(state)
+                    step[index[state]] = p
+            steps.append(step)
+        rows = tuple(tuple(step.get(j, 0) for j in range(len(states))) for step in steps)
+        init = tuple(init) + (0,) * (len(states) - len(init))
+        emit = tuple(w // n ** (k - 1) * m + g for _, w, g in states)
+        return init, d0 * dt ** (k - 1) * den, rows, dt, emit
+
 
 def haar_extension(mu0: ShiftMeasure, sys: SkewSystem) -> SkewMeasure:
     """Lift of the base measure by the uniform fiber distribution."""
@@ -179,32 +228,8 @@ def mix_skew(components: Sequence[tuple[Fraction, SkewMeasure]]) -> SkewMeasure:
 
 
 def is_skew_invariant(mu: SkewMeasure, depth: int) -> bool:
-    """P(T^-1([w] x {g})) = P([w] x {g}) exactly, all windows up to the depth.
-
-    The preimage fixes base positions 1..|w| and reads the cocycle from the
-    length-k prefix, so it is a union over length-max(k, |w|+1) base words v,
-    each carrying its base mass times the fiber mass at sigma^-1(g phi(v)^-1).
-    """
-    sys = mu.system
-    n, fib = sys.base.alphabet.order, sys.fiber
-    sig_inv = np.argsort(sys.fiber_automorphism.table)  # the inverse permutation
-    k = sys.window
-    fiber = np.array(mu._fiber_ints[0], dtype=object)
-    for length in range(1, depth + 1):
-        ext = max(k, length + 1)
-        if n**ext * fib.order > DEPTH_GUARD_STATES:
-            raise DepthLimitExceeded("skew invariance check exceeds the state guard")
-        longer = mu.base_measure.block_table(ext)
-        words = longer.codes // n ** (ext - length - 1) % n**length
-        c_inv = fib.np_inv[sys.np_phi[longer.codes // n ** (ext - k)]]
-        table = mu.base_measure.block_table(length)
-        for g in fib.elements():
-            # both sides leave out the fiber denominator
-            prev = sig_inv[fib.np_op[g, c_inv]]
-            pulled = _merged(n, length, words, longer.nums * fiber[prev], longer.den)
-            if pulled != BlockTable(n, length, table.codes, table.nums * fiber[g], table.den):
-                return False
-    return True
+    """Invariance on the joint's cylinders up to the depth: [w] x {g} for k = 1, finer for k > 1."""
+    return is_shift_invariant(mu.joint, depth)
 
 
 def haar_absorption_check(mu: SkewMeasure, mu0: ShiftMeasure, depth: int) -> bool:
@@ -237,62 +262,20 @@ def invariant_measures_in_fiber(sys: SkewSystem, mu0: ShiftMeasure) -> list[Skew
     return [m for m in found if is_skew_invariant(m, depth)]
 
 
-def _joint_block_table(mu: SkewMeasure, length: int) -> BlockTable:
-    """Distribution of ((x_0,g_0)..(x_{L-1},g_{L-1})), pairs coded as x*|G2|+g."""
-    sys = mu.system
-    n1, fib = sys.base.alphabet.order, sys.fiber
-    pairs = n1 * fib.order
-    k = sys.window
-    need = length + k - 1
-    if n1**need * fib.order > DEPTH_GUARD_STATES:
-        raise DepthLimitExceeded("joint block enumeration exceeds the state guard")
-    if pairs**length > 2**63:
-        raise DepthLimitExceeded(f"joint block codes ({n1}*{fib.order})^{length} exceed 2^63")
-    base = mu.base_measure.block_table(need)
-    x = base.digits()
-    fiber, den = mu._fiber_ints
-    sig = np.array(sys.fiber_automorphism.table)
-    codes, nums = [], []
-    for g0 in (g for g, w in enumerate(fiber) if w):
-        g = np.full(len(base), g0)
-        code = np.zeros(len(base), dtype=np.int64)
-        for t in range(length):
-            code = code * pairs + x[:, t] * fib.order + g
-            g = fib.np_op[sig[g], sys.np_phi[_encode(x[:, t : t + k], n1)]]
-        codes.append(code)
-        nums.append(base.nums * fiber[g0])
-    return _merged(pairs, length, np.concatenate(codes), np.concatenate(nums), base.den * den)
-
-
-def _lifted_chain_rate(mu: SkewMeasure) -> float:
-    """Closed-form rate of the lifted Markov chain on (window, fiber) states."""
-    base = mu.base_measure
-    _, _, rows, dt, _ = base._chain
-    row_entropy = [entropy_nats(Fraction(p, dt) for p in row) for row in rows]
-    windows = base.block_table(mu.system.window)
-    last = windows.codes % base.system.alphabet.order  # Bernoulli and Markov emit their states
-    # int / int is correctly rounded: each mass is the float of the exact product
-    return math.fsum(
-        num * w.numerator / (windows.den * w.denominator) * row_entropy[s]
-        for s, num in zip(last.tolist(), windows.nums.tolist())
-        for w in mu.fiber_weights
-        if w
-    )
-
-
 def skew_entropy(mu: SkewMeasure, L: int) -> EntropyEstimate:
-    """Entropy of the joint (base symbol, fiber) process.
+    """Entropy of the joint (base symbol, fiber) process, from the joint's tables.
 
-    Bernoulli and Markov bases under a Haar or point fiber get the exact
-    lifted-chain rate, and every h_L of the block trail must stay above it;
-    the trail is checked nonincreasing either way.
+    A finite fiber adds no entropy (Abramov-Rokhlin), so Bernoulli and Markov
+    bases under a Haar or point fiber get the base's closed-form rate, and
+    every h_L of the block trail must stay above it; the trail is checked
+    nonincreasing either way.
     """
     base = mu.base_measure
     closed = isinstance(base, (Bernoulli, Markov)) and mu.kind in ("haar_fiber", "point_fiber")
     return trail_estimate(
-        (table_entropy(_joint_block_table(mu, ell)) for ell in range(1, L + 1)),
+        (table_entropy(mu.joint.block_table(ell)) for ell in range(1, L + 1)),
         tol=1e-9,
-        closed_form=_lifted_chain_rate(mu) if closed else None,
+        closed_form=closed_form_entropy(base) if closed else None,
     )
 
 
@@ -310,8 +293,6 @@ def entropy_addition_report(
     sys: SkewSystem, mu0: ShiftMeasure, L: int = 4, tolerance: float = 1e-9
 ) -> EntropyAdditionReport:
     """Check h(skew, Haar extension) = h(base) + h(fiber automorphism)."""
-    from .entropy import closed_form_entropy, entropy_rate
-
     if isinstance(mu0, (Bernoulli, Markov)):
         h_base = closed_form_entropy(mu0)
     else:

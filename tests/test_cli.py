@@ -406,6 +406,19 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_entropy_addition_past_the_joint_guard_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the joint process's own guard, called at parse time; it used to trip mid-run
+    def no_run(scenarios):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("ergolab.cli.run_scenarios", no_run)
+    cfg = write_demo(tmp_path, full_config("entropy_addition", id="deep", parameters={"L": 30}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[deep].parameters.L: 2^30 * 2 joint block states exceed 2^24" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_missing_out_directory_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):
     def no_run(scenarios):
         raise AssertionError("a scenario ran")

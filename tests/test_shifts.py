@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -790,6 +793,21 @@ def test_markov_sampler_matches_per_step_walk_on_draws_at_row_bounds(monkeypatch
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(draws))
         assert np.array_equal(mu.sample(len(draws), 0), _naive_markov_walk(mu, len(draws), 0))
         monkeypatch.undo()
+
+
+def test_markov_sampler_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which costs a process about 10 ms;
+    # a fresh interpreter, because this one may have imported it already
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(shifts.__file__).parents[1])!r})
+from ergolab import cyclic
+from ergolab.shifts import Markov, shift_space
+mu = Markov.stationary(shift_space(cyclic(2)), [["2/3", "1/3"], ["1/3", "2/3"]])
+mu.sample(1000, 0)  # its cells coalesce, so the cell table is built
+assert "numpy.ma" not in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_markov_sample_of_length_zero_is_empty():

@@ -2,22 +2,33 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, identity_hom, make_hom, measure, skew
-from ergolab.entropy import block_entropy, entropy_rate
+from ergolab import cyclic, haar, identity_hom, make_hom, measure, skew, symmetric
+from ergolab.entropy import block_entropy, closed_form_entropy, entropy_rate
+from ergolab.ergodicity import is_ergodic_exact
 from ergolab.errors import (
+    DepthLimitExceeded,
     MonotonicityViolated,
     NotAutomorphism,
     PhiIncomplete,
     SystemMismatch,
 )
+from ergolab.exact import entropy_nats
+from ergolab.groups import automorphisms
 from ergolab.shifts import (
+    ONE_SIDED,
     Bernoulli,
+    BlockTable,
     Convolution,
     Markov,
     Mixture,
     PeriodicOrbit,
+    ShiftSystem,
+    _merged,
     shift_haar,
     shift_space,
 )
@@ -69,6 +80,14 @@ def test_make_skew_rejects_non_automorphism():
     doubling = make_hom(c4, c4, [(2 * x) % 4 for x in range(4)])
     with pytest.raises(NotAutomorphism):
         make_skew(shift_space(c4), c4, doubling, {(s,): 0 for s in range(4)})
+
+
+def test_make_skew_rejects_an_affine_shift_base():
+    # every skew check reads S as the plain shift, so T(x)_i = c * x_{i+1} has no skew product
+    c3 = cyclic(3)
+    affine = ShiftSystem(c3, ONE_SIDED, 1)
+    with pytest.raises(SystemMismatch, match="skew products are defined over plain shifts"):
+        make_skew(affine, c3, identity_hom(c3), first_symbol_cocycle(affine, c3))
 
 
 def test_make_skew_rejects_partial_cocycle():
@@ -192,7 +211,7 @@ def test_skew_entropy_on_composite_bases_matches_oracle(kind):
     block = [0.0]
     for length in range(1, 6):
         dist = _oracle_joint_distribution(mu, length)
-        assert skew._joint_block_table(mu, length).to_dict() == dist
+        assert mu.joint.block_table(length).to_dict() == dist
         block.append(-math.fsum(float(p) * math.log(p) for p in dist.values()))
     est = skew_entropy(mu, 5)
     assert est.method == "block_exact"
@@ -390,6 +409,9 @@ def _skew_cases():
     shifted = make_skew(
         SYS2, c5, make_hom(c5, c5, [(2 * x) % 5 for x in range(5)]), constant_cocycle(SYS2, c5, 1)
     )
+    # a window of 3 on C3, whose cocycle is the sum of the window's first and last symbols
+    window3 = make_skew(SYS2, c3, identity_hom(c3), {w: (w[0] + w[2]) % 3 for w in
+                                                     itertools.product(range(2), repeat=3)})
     markov = Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]])
     frozen = frozen_system()
     listed = invariant_measures_in_fiber(frozen, bern14())
@@ -404,6 +426,8 @@ def _skew_cases():
         point_fiber_measure(shifted, markov, 4),
         # point fiber 0 is moved by the first-symbol cocycle wherever w0 = 1
         SkewMeasure(first_symbol_system(), bern14(), (F(1), F(0))),
+        haar_extension(Mixture(SYS2, ((F(1, 2), markov), (F(1, 2), bern14()))), window3),
+        SkewMeasure(window3, PeriodicOrbit(SYS2, (0, 0, 1)), (F(1, 2), F(1, 2), F(0))),
     ]
 
 
@@ -414,7 +438,7 @@ def test_skew_verifiers_match_naive_oracle(case):
     for mu0 in (mu.base_measure, bern14(), shift_haar(SYS2)):
         assert haar_absorption_check(mu, mu0, 4) == _oracle_haar_absorption(mu, mu0, 4)
     for length in range(1, 5):
-        assert skew._joint_block_table(mu, length).to_dict() == _oracle_joint_distribution(mu, length)
+        assert mu.joint.block_table(length).to_dict() == _oracle_joint_distribution(mu, length)
 
 
 def test_non_fixed_point_fiber_is_not_invariant():
@@ -432,7 +456,169 @@ def test_absorption_fails_against_another_base():
 
 def test_skew_entropy_checks_the_trail_against_the_closed_form(monkeypatch):
     he = haar_extension(bern14(), first_symbol_system())
-    true_rate = skew._lifted_chain_rate(he)
-    monkeypatch.setattr(skew, "_lifted_chain_rate", lambda mu: true_rate + 1e-3)
+    true_rate = skew.closed_form_entropy(he.base_measure)
+    monkeypatch.setattr(skew, "closed_form_entropy", lambda mu: true_rate + 1e-3)
     with pytest.raises(MonotonicityViolated, match="h_2 = .* below the closed-form rate"):
         skew_entropy(he, 4)
+
+
+# -- the joint process as a chain ------------------------------------------------------------
+
+
+def _pullback_is_skew_invariant(mu, depth):
+    """The pull-back check that the joint process replaced: P(T^-1([w] x {g})) = P([w] x {g}).
+
+    The preimage fixes base positions 1..|w| and reads the cocycle from the length-k prefix,
+    so it is a union over length-max(k, |w|+1) base words v, each carrying its base mass
+    times the fiber mass at sigma^-1(g phi(v)^-1), one fiber element g at a time.
+    """
+    sys = mu.system
+    n, fib = sys.base.alphabet.order, sys.fiber
+    sig_inv = np.argsort(sys.fiber_automorphism.table)
+    inv = np.array(fib.inverse_table)
+    k = sys.window
+    fiber = np.array(mu._fiber_ints[0], dtype=object)
+    for length in range(1, depth + 1):
+        ext = max(k, length + 1)
+        longer = mu.base_measure.block_table(ext)
+        words = longer.codes // n ** (ext - length - 1) % n**length
+        c_inv = inv[sys.np_phi[longer.codes // n ** (ext - k)]]
+        table = mu.base_measure.block_table(length)
+        for g in fib.elements():
+            prev = sig_inv[fib.np_op[g, c_inv]]
+            pulled = _merged(n, length, words, longer.nums * fiber[prev], longer.den)
+            if pulled != BlockTable(n, length, table.codes, table.nums * fiber[g], table.den):
+                return False
+    return True
+
+
+def _lifted_chain_rate(mu):
+    """The closed-form rate of the lifted chain on (window, fiber) states, summed per state."""
+    base = mu.base_measure
+    _, _, rows, dt, _ = base._chain
+    row_entropy = [entropy_nats(F(p, dt) for p in row) for row in rows]
+    windows = base.block_table(mu.system.window)
+    last = windows.codes % base.system.alphabet.order  # Bernoulli and Markov emit their states
+    return math.fsum(
+        num * w.numerator / (windows.den * w.denominator) * row_entropy[s]
+        for s, num in zip(last.tolist(), windows.nums.tolist())
+        for w in mu.fiber_weights
+        if w
+    )
+
+
+@st.composite
+def _random_skew_measure(draw, kinds=("bernoulli", "markov", "periodic_orbit", "mixture",
+                                      "convolution", "product"), fibers=("haar", "point", "any")):
+    """A skew measure over a small base of the given kinds, with a window of 1 to 3, a fiber
+    C2, C3, C4 or S3 under a random automorphism, and a random or trivial cocycle."""
+    def probabilities(k):
+        raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        raw[draw(st.integers(0, k - 1))] += 1
+        return [F(r, sum(raw)) for r in raw]
+
+    def leaf(sys, kind):
+        k = sys.alphabet.order
+        if kind == "bernoulli":
+            return Bernoulli(sys, measure(sys.alphabet, probabilities(k)))
+        if kind == "markov":
+            try:
+                return Markov.stationary(sys, [probabilities(k) for _ in range(k)])
+            except ValueError:  # no unique stationary distribution
+                assume(False)
+        w = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
+        root = next(d for d in range(1, len(w) + 1) if w == w[:d] * (len(w) // d))
+        return PeriodicOrbit(sys, tuple(w[:root]))
+
+    kind = draw(st.sampled_from(kinds))
+    leaves = ("bernoulli", "markov", "periodic_orbit")
+    if kind == "product":
+        base = product_system(leaf(SYS2, draw(st.sampled_from(leaves))),
+                              leaf(SYS2, draw(st.sampled_from(leaves))))
+    else:
+        sys = draw(st.sampled_from([SYS2, shift_space(cyclic(3))]))
+        if kind == "mixture":
+            w = F(draw(st.integers(1, 3)), 4)
+            base = Mixture(sys, ((w, leaf(sys, draw(st.sampled_from(leaves)))),
+                                 (1 - w, leaf(sys, draw(st.sampled_from(leaves))))))
+        elif kind == "convolution":  # a periodic factor keeps the product chain small
+            base = Convolution(sys, leaf(sys, "periodic_orbit"),
+                               leaf(sys, draw(st.sampled_from(leaves))))
+        else:
+            base = leaf(sys, kind)
+    fiber = draw(st.sampled_from([C2, cyclic(3), cyclic(4), symmetric(3)]))
+    sigma = draw(st.sampled_from(automorphisms(fiber)))
+    k = draw(st.integers(1, 2 if base.system.alphabet.order == 4 else 3))
+    windows = list(itertools.product(base.system.alphabet.elements(), repeat=k))
+    if draw(st.booleans()):
+        phi = {w: draw(st.integers(0, fiber.order - 1)) for w in windows}
+    else:  # the trivial cocycle, under which sigma's fixed points are invariant point fibers
+        phi = {w: fiber.identity for w in windows}
+    sk = make_skew(base.system, fiber, sigma, phi)
+    shape = draw(st.sampled_from(fibers))
+    if shape == "haar":
+        return haar_extension(base, sk)
+    if shape == "point":
+        g = draw(st.integers(0, fiber.order - 1))
+        return SkewMeasure(sk, base, tuple(F(int(x == g)) for x in fiber.elements()))
+    return SkewMeasure(sk, base, tuple(probabilities(fiber.order)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_skew_measure(), st.integers(1, 3))
+def test_joint_invariance_matches_the_pullback_reference(mu, depth):
+    joint = is_skew_invariant(mu, depth)
+    k = mu.system.window
+    # the joint's cylinders refine the sets [w] x {g}, and are unions of those k - 1 longer
+    assert not joint or _pullback_is_skew_invariant(mu, depth)
+    assert joint or not _pullback_is_skew_invariant(mu, depth + k - 1)
+    if k == 1:  # the same cylinders
+        assert joint == _pullback_is_skew_invariant(mu, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_skew_measure(kinds=("bernoulli", "markov"), fibers=("haar", "point")))
+def test_closed_form_matches_the_lifted_chain_rate(mu):
+    assert closed_form_entropy(mu.base_measure) == pytest.approx(_lifted_chain_rate(mu), abs=1e-15)
+
+
+def test_entropy_addition_reaches_l4_on_c12_over_c12():
+    # 12^4 * 12 joint block states, under the 2^24 guard
+    c12 = cyclic(12)
+    sys12 = shift_space(c12)
+    sk = make_skew(sys12, c12, identity_hom(c12), first_symbol_cocycle(sys12, c12))
+    rep = entropy_addition_report(sk, shift_haar(sys12), L=4)
+    assert rep.passed and rep.skew_entropy == pytest.approx(math.log(12), abs=1e-12)
+
+
+def test_joint_state_guard_trips_exactly_past_2_24():
+    # 2^(L + k - 1) * |G2| joint block states with a window of 2 and a C2 fiber: 2^24 at L = 22
+    sk = make_skew(SYS2, C2, identity_hom(C2), {w: w[0] ^ w[1] for w in
+                                                itertools.product(range(2), repeat=2)})
+    joint = haar_extension(bern14(), sk).joint
+    joint._guard(22)
+    with pytest.raises(DepthLimitExceeded, match=r"^2\^24 \* 2 joint block states exceed 2\^24$"):
+        joint.block_table(23)
+
+
+def test_joint_code_guard_keeps_path_keys_in_int64():
+    # (2 * 64)^L * 128 states: 2^63 at L = 8, under the state guard's 2^9 * 64 at L = 9
+    c64 = cyclic(64)
+    sk = make_skew(SYS2, c64, identity_hom(c64), constant_cocycle(SYS2, c64, 1))
+    joint = haar_extension(bern14(), sk).joint
+    joint._guard(8)
+    message = r"^\(2\*64\)\^9 \* 128 joint path keys exceed 2\^63$"
+    with pytest.raises(DepthLimitExceeded, match=message):
+        joint._guard(9)
+
+
+def test_skew_measures_get_exact_ergodicity_verdicts():
+    frozen = invariant_measures_in_fiber(frozen_system(), bern14())
+    for point in frozen[:2]:
+        assert is_ergodic_exact(point.joint).verdict == "ergodic"
+    # the frozen Haar extension is the even mixture of its two point fibers
+    v = is_ergodic_exact(frozen[2].joint)
+    assert (v.verdict, v.method) == ("non_ergodic", "exact_skew_joint")
+    assert v.witness == "closed classes 0 and 1 disagree at depth 1"
+    lift = haar_extension(bern14(), first_symbol_system())
+    assert is_ergodic_exact(lift.joint).verdict == "ergodic"
