@@ -3,11 +3,13 @@
 Everything is in nats. Probabilities arrive as exact rationals and are
 converted to float only inside the logarithm; float sums go through
 `math.fsum` for order-independent results. An exact block table's entropy
-takes one logarithm per distinct mass, and `math.fsum` runs over the terms
-repeated by their multiplicity, so the sum is the same correctly rounded
-value as one term per word. The canonical estimator for the
-entropy rate of a stationary measure is the conditional block entropy
-h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
+takes one logarithm per distinct mass, its numerator a Python int over the
+table's denominator (read from int64 while the denominator fits, see
+`shifts.BlockTable`), and `math.fsum` runs over the terms repeated by their
+multiplicity, so the sum is the same correctly rounded value as one term per
+word. The canonical estimator for the entropy rate of a stationary measure is
+the conditional block entropy h_L = H_L - H_{L-1}, a nonincreasing upper
+bound on the rate.
 """
 
 from __future__ import annotations
@@ -41,11 +43,21 @@ class EntropyEstimate:
 
 
 def table_entropy(table: BlockTable) -> float:
-    """-sum p ln p over an exact block table, one logarithm per distinct mass."""
+    """-sum p ln p over an exact block table, one logarithm per distinct mass.
+
+    The distinct numerators and their counts come from the runs of the
+    sorted numerators on an int64 table, and from a Counter on Python ints.
+    """
     den = table.den
+    if table.nums.dtype == object:
+        counts = Counter(table.nums.tolist()).items()
+    else:
+        nums = np.sort(table.nums)
+        last = np.flatnonzero(nums[:-1] != nums[1:]).tolist() + [len(nums) - 1]  # of each run
+        counts = zip(nums[last].tolist(), [b - a for a, b in zip([-1] + last, last)])
     # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction));
     # fsum is correctly rounded, so the repeated terms sum as one term per word would
-    terms = (repeat(neg_xlogx(num / den), n) for num, n in Counter(table.nums.tolist()).items())
+    terms = (repeat(neg_xlogx(num / den), n) for num, n in counts)
     return math.fsum(chain.from_iterable(terms))
 
 

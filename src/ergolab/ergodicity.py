@@ -67,6 +67,7 @@ def _disagreement(mu: ShiftMeasure, a: np.ndarray, b: np.ndarray) -> Optional[in
     Vectors are exact integer multiples of the rational ones, divided by their gcd.
     """
     rows, _, emit = mu._arrays
+    rows = rows.astype(object, copy=False)  # the vectors outgrow int64: Python ints
     init = rows[-1]  # the start state's row
     diff = np.zeros(len(init), dtype=object)
     diff[a] = init[a] * init[b].sum()  # init on a over its mass, minus init on b over its

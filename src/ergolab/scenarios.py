@@ -328,6 +328,15 @@ def _circle_measure(value, path, parsed):
     _fail(path, "expected 'lebesgue' or {'periodic_atomic': 'p/q'}")
 
 
+def _guard_at(path: str, length: int, *measures) -> None:
+    """Each measure's own guard at the deepest length a run reads, checked before a table is built."""
+    try:
+        for mu in measures:
+            mu._guard(length)
+    except DepthLimitExceeded as exc:
+        _fail(path, str(exc))
+
+
 def _convolution_entropy(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASURE, L_max=COUNT,
                          expected=NUMBER.optional(None)):
     ln_g = math.log(alphabet.order)
@@ -363,6 +372,10 @@ def _convolution_entropy(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASURE,
     return rows, plots, estimates
 
 
+def _convolution_depth(path, alphabet, left, right, L_max, expected):
+    _guard_at(f"{path}.L_max", L_max, left, right, convolve_shift(left, right))
+
+
 def _haar_maximality(seed, tol, alphabet=GROUP, measures=_list_of(MEASURE), L_max=COUNT):
     ln_g = math.log(alphabet.order)
     h_haar = entropy_rate(shift_haar(shift_space(alphabet)), L_max).value
@@ -374,6 +387,10 @@ def _haar_maximality(seed, tol, alphabet=GROUP, measures=_list_of(MEASURE), L_ma
         else:
             rows.append(bounded_row(f"measure_{i}_gap", h, 0.0, ln_g - tol["min_gap"], 0.0))
     return rows, {}, {}
+
+
+def _maximality_depth(path, alphabet, measures, L_max):
+    _guard_at(f"{path}.L_max", L_max, shift_haar(shift_space(alphabet)), *measures)
 
 
 def _addition_skew(alphabet, fiber, phi):
@@ -393,11 +410,7 @@ def _entropy_addition(seed, tol, alphabet=GROUP, base=MEASURE, fiber=GROUP,
 
 
 def _addition_depth(path, alphabet, base, fiber, phi, L):
-    """The joint process's guard at L, checked before a table is built."""
-    try:
-        haar_extension(base, _addition_skew(alphabet, fiber, phi)).joint._guard(L)
-    except DepthLimitExceeded as exc:
-        _fail(f"{path}.L", str(exc))
+    _guard_at(f"{path}.L", L, haar_extension(base, _addition_skew(alphabet, fiber, phi)).joint)
 
 
 def _independence(seed, tol, group=GROUP,
@@ -422,6 +435,11 @@ def _natural_extension(seed, tol, alphabet=GROUP, measure=MEASURE, L=COUNT):
         bounded_row("max_block_entropy_discrepancy", worst, 0.0, 0.0, tol["entropy"]),
     ]
     return rows, {}, {}
+
+
+def _extension_depth(path, alphabet, measure, L):
+    # verify_extension reads the length-(L + 1) tables of the measure and its extension
+    _guard_at(f"{path}.L", L + 1, measure, natural_extension(measure))
 
 
 def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASURE,
@@ -496,22 +514,29 @@ def _product_entropy(seed, tol, left_alphabet=GROUP, left=_measure_on("left_alph
     return rows, {}, {}
 
 
+def _product_depth(path, left_alphabet, left, right_alphabet, right, L):
+    _guard_at(f"{path}.L", L, left, right, product_system(left, right))
+
+
 SCENARIO_KINDS = {
     "convolution_entropy": Kind(
-        _convolution_entropy, "Lemma 2.3; Theorem 2.1; Corollary 2.2", {"value": 1e-9}
+        _convolution_entropy, "Lemma 2.3; Theorem 2.1; Corollary 2.2", {"value": 1e-9},
+        _convolution_depth,
     ),
     "haar_maximality": Kind(
-        _haar_maximality, "Corollary 3.4; Theorem 3.3", {"haar": 1e-12, "min_gap": 1e-3}
+        _haar_maximality, "Corollary 3.4; Theorem 3.3", {"haar": 1e-12, "min_gap": 1e-3},
+        _maximality_depth,
     ),
     "entropy_addition": Kind(_entropy_addition, "Lemma 2.2; Lemma 3.2; Lemma 3.3", {"value": 1e-9},
                              _addition_depth),
     "independence": Kind(_independence, "Lemma 3.12"),
-    "natural_extension": Kind(_natural_extension, "Lemma 3.15; Theorem 3.3", {"entropy": 1e-12}),
+    "natural_extension": Kind(_natural_extension, "Lemma 3.15; Theorem 3.3", {"entropy": 1e-12},
+                              _extension_depth),
     "convolution_ergodicity": Kind(
         _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": DISPERSION_THRESHOLD}
     ),
     "circle": Kind(_circle, "Corollary 3.4; Theorem 2.2", {"value": 0.02}, _circle_data),
-    "product_entropy": Kind(_product_entropy, "Lemma 2.2", {"per_level": 1e-12}),
+    "product_entropy": Kind(_product_entropy, "Lemma 2.2", {"per_level": 1e-12}, _product_depth),
 }
 
 THEOREM_TAGS = {kind: spec.theorem for kind, spec in SCENARIO_KINDS.items()}

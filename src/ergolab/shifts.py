@@ -9,10 +9,11 @@ and the full distribution of length-L blocks up to the enumeration guard.
 Fractions are the API boundary: `cylinder` and `block_distribution` return
 `fractions.Fraction`, and verifier witnesses print them. Weights pass
 `exact.exact_vector`, so a float raises TypeError. Inside, a length-L block
-distribution is a `BlockTable`: integer numerators (Python ints, as
-denominators outgrow 64 bits) over one common denominator. Every exact
-verifier, here and in `skew` and `ergodicity`, compares tables, taking
-marginals by dropping the first or the last symbol of a longer table.
+distribution is a `BlockTable`: integer numerators over one common
+denominator, int64 while the denominator is below 2^63 and Python ints past
+it (`_num_dtype`). Every exact verifier, here and in `skew` and
+`ergodicity`, compares tables, taking marginals by dropping the first or the
+last symbol of a longer table.
 
 All six kinds are functions of finite stationary Markov chains (Blackwell
 1957), and `ShiftMeasure` gives every cylinder and table by forward products
@@ -91,9 +92,12 @@ class BlockTable:
     """A length-L block distribution in integer form: P([word]) = num / den.
 
     `codes` are the support words as base-|G| integers, first symbol most
-    significant, strictly ascending; `nums` are their numerators as Python
-    ints in an object array, positive in a measure's own tables (a scaled or
-    pulled-back table may hold zeros); `den` is shared by every entry.
+    significant, strictly ascending; `nums` are their numerators, positive in
+    a measure's own tables (a scaled or pulled-back table may hold zeros);
+    `den` is shared by every entry. A numerator is at most `den`, so `nums`
+    is int64 while `den < 2^63` and Python ints in an object array past it
+    (`_num_dtype`); an arithmetic step that can leave [0, den] picks its
+    dtype from the bound it can reach.
     """
 
     base: int
@@ -129,8 +133,10 @@ class BlockTable:
         return _merged(self.base, self.length - 1, self.codes // self.base, self.nums, self.den)
 
     def scaled(self, w: Fraction) -> "BlockTable":
-        """The table of w * P."""
-        return BlockTable(self.base, self.length, self.codes, self.nums * w.numerator,
+        """The table of w * P, for w >= 0."""
+        # each product num * w.numerator is at most den * max(w.numerator, w.denominator)
+        nums = self.nums.astype(_num_dtype(self.den * max(w.numerator, w.denominator)), copy=False)
+        return BlockTable(self.base, self.length, self.codes, nums * w.numerator,
                           self.den * w.denominator)
 
     def __eq__(self, other: "BlockTable") -> bool:
@@ -143,6 +149,11 @@ class BlockTable:
             tuple(word): Fraction(num, den)
             for word, num in zip(self.digits().tolist(), self.nums.tolist())
         }
+
+
+def _num_dtype(bound: int) -> np.dtype:
+    """The numerator dtype for integers in [0, bound]: int64 below 2^63, else Python ints."""
+    return np.dtype(np.int64) if bound < 2**63 else np.dtype(object)
 
 
 def _place_values(base: int, length: int) -> np.ndarray:
@@ -171,7 +182,11 @@ def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
     codes = np.concatenate((a.codes, b.codes))  # np.union1d would import numpy.ma
     codes.sort()
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    differs = np.flatnonzero(a.lookup(codes) * b.den != b.lookup(codes) * a.den)
+    # the masses over the lcm of the denominators, where each is at most that lcm
+    den = math.lcm(a.den, b.den)
+    wide = _num_dtype(den)
+    differs = np.flatnonzero(a.lookup(codes).astype(wide, copy=False) * (den // a.den)
+                             != b.lookup(codes).astype(wide, copy=False) * (den // b.den))
     if len(differs) == 0:
         return None
     return tuple((codes[differs[0]] // _place_values(a.base, a.length) % a.base).tolist())
@@ -221,7 +236,7 @@ class ShiftMeasure:
             self._guard(length)
             if length == 0:
                 n = self.system.alphabet.order
-                table = BlockTable(n, 0, np.zeros(1, np.int64), np.ones(1, object), 1)
+                table = BlockTable(n, 0, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
             else:
                 table = self._build_table(length)
             self._tables[length] = table
@@ -247,7 +262,7 @@ class ShiftMeasure:
     def _build_table(self, length: int) -> BlockTable:
         """The length-L table for L >= 1, summed over the paths of each word."""
         codes, last, nums = self._paths(length)
-        den = self._chain[1] * self._chain[3] ** (length - 1)
+        den = self._den(length)
         if last is not None:  # the paths are in (word, last state) order
             codes, nums = _sum_runs(codes, nums)
         return BlockTable(self.system.alphabet.order, length, codes, nums, den)
@@ -258,7 +273,9 @@ class ShiftMeasure:
         Under the identity emission the paths are their words, in code order,
         and `last` is None. Otherwise the paths that share their word and last
         state merge, in (word, last state) order, so a level holds at most
-        |G|^L * |states| of them.
+        |G|^L * |states| of them. A level's numerators are at most its
+        denominator and take its `_num_dtype`: the parent level's turn into
+        Python ints before the multiply whose level first passes 2^63.
         """
         paths = self._path_memo.get(length)
         if paths is None:
@@ -266,6 +283,7 @@ class ShiftMeasure:
             rows, steps, emit = self._arrays
             codes, prev, nums = self._paths(length - 1)
             prev = codes % n if prev is None else prev
+            nums = nums.astype(_num_dtype(self._den(length)), copy=False)
             keep = steps[prev]  # every path steps to every state; the zero steps are dropped
             codes, nums = (codes[:, None] * n + emit)[keep], (nums[:, None] * rows[prev])[keep]
             if self._chain[4] == tuple(range(n)):
@@ -281,13 +299,22 @@ class ShiftMeasure:
     @cached_property
     def _path_memo(self) -> dict:
         # the empty path, in a start state whose row is init; it dies with its measure
-        return {0: (np.zeros(1, np.int64), np.array([len(self._chain[0])]), np.ones(1, object))}
+        return {0: (np.zeros(1, np.int64), np.array([len(self._chain[0])]), np.ones(1, np.int64))}
+
+    def _den(self, length: int) -> int:
+        """The common denominator d0 * dt^(L-1) of the length-L paths, L >= 1."""
+        return self._chain[1] * self._chain[3] ** (length - 1)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows, with init as a last (start) row, in Python ints; their nonzero mask; emit."""
-        init, _, rows, _, emit = self._chain
-        rows = np.array(rows + (init,), dtype=object)
+        """The rows, with init as a last (start) row; their nonzero mask; emit.
+
+        Init's entries are at most d0 and the rows' at most dt, so the rows take
+        `_num_dtype(max(d0, dt))`, built straight from the chain's tuples; a dt
+        past 2^63 makes every level's numerators Python ints, the first one's too.
+        """
+        init, d0, rows, dt, emit = self._chain
+        rows = np.array(rows + (init,), dtype=_num_dtype(max(d0, dt)))
         return rows, rows != 0, np.array(emit, dtype=np.int64)
 
 

@@ -419,6 +419,40 @@ def test_entropy_addition_past_the_joint_guard_is_a_config_error(tmp_path, capsy
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, parameters, message",
+    [
+        pytest.param("convolution_entropy", {"L_max": 30}, "L_max: 2^30 block states exceed 2^24",
+                     id="convolution_entropy"),
+        pytest.param("haar_maximality",
+                     {"alphabet": {"family": "cyclic", "n": 300}, "measures": ["haar"]},
+                     "L_max: 300^3 block states exceed 2^24", id="haar_maximality"),
+        # verify_extension reads length L + 1, so L = 24 is one past the guard
+        pytest.param("natural_extension", {"L": 24}, "L: 2^25 block states exceed 2^24",
+                     id="natural_extension"),
+        pytest.param("product_entropy", {"right_alphabet": C2, "L": 20},
+                     "L: 4^20 block states exceed 2^24", id="product_entropy"),
+    ],
+)
+def test_depth_past_the_guard_is_a_config_error(tmp_path, capsys, monkeypatch, kind, parameters,
+                                                message):
+    # each measure's own guard at the run's deepest length, called at parse time
+    def no_run(scenarios):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("ergolab.cli.run_scenarios", no_run)
+    cfg = write_demo(tmp_path, full_config(kind, id="deep", parameters=parameters))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"scenarios[deep].parameters.{message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_depth_at_the_guard_parses():
+    for kind, parameters in [("convolution_entropy", {"L_max": 24}), ("natural_extension", {"L": 23}),
+                             ("product_entropy", {"right_alphabet": C2, "L": 12})]:
+        assert parse_config(json.dumps(full_config(kind, parameters=parameters)))
+
+
 def test_missing_out_directory_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):
     def no_run(scenarios):
         raise AssertionError("a scenario ran")

@@ -308,11 +308,14 @@ def test_table_entropy_of_a_scaled_table_with_zero_numerators():
 
 @st.composite
 def _random_table(draw):
-    # a small pool of masses makes repeats, the case the distinct-mass sum groups
-    pool = draw(st.lists(st.integers(0, 2**80), min_size=1, max_size=6))
+    # a small pool of masses makes repeats, the case the distinct-mass sum groups;
+    # the numerators are int64 below a 2^63 denominator, as in a measure's tables
+    pool = draw(st.lists(st.integers(0, draw(st.sampled_from([2**20, 2**80]))), min_size=1,
+                         max_size=6))
     nums = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
-    den = max(sum(nums), 1) * draw(st.integers(1, 2**70))
-    return BlockTable(2, 6, np.arange(len(nums)), np.array(nums, object), den)
+    den = max(sum(nums), 1) * draw(st.integers(1, draw(st.sampled_from([2**30, 2**70]))))
+    dtype = np.int64 if den < 2**63 else object
+    return BlockTable(2, 6, np.arange(len(nums)), np.array(nums, dtype), den)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from ergolab.shifts import (
     ONE_SIDED,
     PeriodicOrbit,
     ProductMeasure,
+    ShiftMeasure,
     ShiftSystem,
     convolve_shift,
     is_shift_invariant,
@@ -385,11 +387,9 @@ def test_product_measure_cylinders_multiply():
 
 def _oracle_cylinder(mu, word):
     """P([word]) from the definition of a non-composite kind, in Fractions."""
-    if isinstance(mu, Bernoulli):
-        p = F(1)
-        for s in word:
-            p *= mu.marginal.weights[s]
-        return p
+    if isinstance(mu, Bernoulli):  # the product of the weights, reduced once
+        weights = [mu.marginal.weights[s] for s in word]
+        return F(math.prod(w.numerator for w in weights), math.prod(w.denominator for w in weights))
     if isinstance(mu, Markov):
         if not word:
             return F(1)
@@ -965,7 +965,9 @@ def test_leaves_draw_alike_from_an_int_and_its_seed_sequence(leaf):
 
 def _union1d_first_difference(a, b):
     codes = np.union1d(a.codes, b.codes)
-    differs = np.flatnonzero(a.lookup(codes) * b.den != b.lookup(codes) * a.den)
+    # cross-multiplied in Python ints, which int64 numerators would wrap past 2^63
+    mass_a, mass_b = a.lookup(codes).astype(object), b.lookup(codes).astype(object)
+    differs = np.flatnonzero(mass_a * b.den != mass_b * a.den)
     if len(differs) == 0:
         return None
     return tuple((codes[differs[0]] // shifts._place_values(a.base, a.length) % a.base).tolist())
@@ -1007,3 +1009,65 @@ def test_first_difference_matches_union1d_reference(pair):
     a, b = pair
     assert shifts._first_difference(a, b) == _union1d_first_difference(a, b)
     assert shifts._first_difference(b, a) == _union1d_first_difference(b, a)
+
+
+# -- numerators at the 2^63 boundary ------------------------------------------------
+
+
+def test_table_numerators_are_int64_below_a_2_63_denominator_and_python_ints_past_it():
+    # den = 17^L, and 17^15 < 2^63 < 17^16
+    mu = bern("12/17")
+    for length, dtype in ((15, np.int64), (16, object)):
+        table = mu.block_table(length)
+        assert table.den == 17**length and table.nums.dtype == dtype
+        assert mu.block_distribution(length) == _oracle_dist(mu, length)
+
+
+@dataclass(frozen=True)
+class _StartedChain(ShiftMeasure):
+    """The output of an integer chain `_chain` whose start need not be stationary."""
+
+    system: ShiftSystem
+    _chain: tuple
+    kind = "started_chain"
+
+
+def test_first_witness_where_the_squared_denominator_passes_2_63_is_found():
+    # a 9-cycle emitting 0^8 1, started at (8, 1, ..., 1) / 16: the start and its shift differ
+    # on phases 0 and 1 alone, whose futures first part at the eighth symbol
+    cycle = tuple(tuple(int(t == (s + 1) % 9) for t in range(9)) for s in range(9))
+    started = _StartedChain(SYS2, ((8,) + (1,) * 8, 16, cycle, 1, (0,) * 8 + (1,)))
+    # a /64 Bernoulli half lifts den to 2^(6L + 1); the mass differences stay multiples of
+    # 1/32, so the cross-multiplied ones are multiples of 2^64, which int64 wraps to 0
+    mu = Mixture(SYS2, ((F(1, 2), started), (F(1, 2), bern("1/64"))))
+    for length in (8, 9):
+        table = mu.block_table(length)
+        assert table.den == 2 ** (6 * length + 1) and table.nums.dtype == np.int64
+    assert mu.block_table(8).den * mu.block_table(9).den > 2**63
+    assert is_shift_invariant(mu, 7)
+    assert not is_shift_invariant(mu, 8)
+    rep = verify_extension(mu, 9)
+    assert not rep.passed and rep.witness.startswith("prepend inconsistency at ")
+    _check_verifiers(mu, 9)
+
+
+def test_invariance_across_the_2_63_denominator():
+    # the length-15 table is int64 and the length-16 one Python ints; 17 times the
+    # numerator 16^15 of 0^15 passes 2^63
+    mu = bern("1/17")
+    assert mu.block_table(15).nums.dtype == np.int64 and mu.block_table(16).nums.dtype == object
+    assert is_shift_invariant(mu, 15)
+    assert verify_extension(mu, 15).passed
+
+
+def test_scaling_past_a_2_63_denominator():
+    table = bern("12/17").block_table(10)
+    w = F(2**62 + 1, 2**62 + 3)  # an int64 numerator, and a den past 2^63 once scaled
+    scaled = table.scaled(w)
+    assert table.nums.dtype == np.int64 and scaled.nums.dtype == object
+    assert scaled.den == table.den * (2**62 + 3)
+    assert scaled.to_dict() == {word: w * p for word, p in table.to_dict().items()}
+    assert scaled != table and scaled == table.scaled(F(1)).scaled(w)
+    small = table.scaled(F(1, 3))
+    assert small.nums.dtype == np.int64
+    assert small.to_dict() == {word: p / 3 for word, p in table.to_dict().items()}
