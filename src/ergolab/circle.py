@@ -5,10 +5,10 @@ exact arithmetic for rational starting points. Lebesgue-typical sampling
 draws a fresh high-precision random dyadic point per 40-symbol block rather
 than shadowing one float orbit, which loses a bit of precision per step.
 
-A block's coding stays exact through one integer product: for a point x in
-[0, 1), floor(k^i x) = floor(floor(k^L x) / k^(L-i)) for i <= L, so the
-itinerary floor(k^(i+1) x) mod k, i < L, is the L base-k digits of the single
-integer floor(k^L x), most significant first.
+A block's coding stays exact on integers: for x = num / 2^P, each step
+multiplies num by k, and the part above P bits is the symbol. The blocks of
+a sample take that step together, on the 32-bit limbs of their points, and
+one call to the generator draws every point (`_coded_blocks`).
 """
 
 from __future__ import annotations
@@ -88,31 +88,35 @@ def symbolic_coding(
 def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.ndarray:
     """Exact itineraries of `count` fresh random dyadic points, one row each.
 
-    The point x = num / 2^precision codes to the L base-k digits of the one
-    integer floor(k^L x) = (num * k^L) >> precision. Each such integer is split
-    into chunks of `width` digits, and the digits of all rows are then peeled
-    off at once. For k <= 2^62 a chunk is below k^width <= 2^62 and fits int64;
-    a larger k takes one digit per chunk, and chunks and digits stay Python ints.
+    The point x = num / 2^precision, num = rng.getrandbits(precision), codes
+    to the digits of the per-step loop: num *= k, the part above the precision
+    is the digit, and the rest is the next num. Every point runs that loop at
+    once, on its m = ceil(precision / 32) limbs, least significant first: m - 1
+    of 32 bits and a top one of the precision's last bits, whose carry out is
+    the digit. getrandbits(precision) joins m 32-bit outputs of the generator,
+    the last shifted right to those bits, so one getrandbits(32 m count) holds
+    every point's outputs, and it leaves the generator as `count` calls would.
+    Limbs are uint64 for k < 2^32, where limb * k + carry < 2^64, and Python
+    ints past it.
     """
     bits_per_symbol = max(1, (k - 1).bit_length())
     precision = length * bits_per_symbol + 64
-    n_chunks = -(-length // max(1, 62 // bits_per_symbol))
-    width = -(-length // n_chunks)
-    scale, size = k**length, k**width
-    int_type, digit_type = (np.int64, np.min_scalar_type(-k)) if k <= 2**62 else (object, object)
-    chunks = []
-    for _ in range(count):
-        value = (rng.getrandbits(precision) * scale) >> precision
-        for _ in range(n_chunks):
-            value, c = divmod(value, size)
-            chunks.append(c)
-    cols = np.array(chunks, dtype=int_type).reshape(count, n_chunks)
-    digits = np.empty((count, n_chunks * width), dtype=digit_type)
-    for j in range(n_chunks * width):  # the j-th digit from the right
-        col = cols[:, j // width]
-        digits[:, -1 - j] = col % k
-        col //= k
-    return digits[:, n_chunks * width - length :]
+    m = -(-precision // 32)
+    outputs = rng.getrandbits(32 * m * count).to_bytes(4 * m * count, "little")
+    limbs = np.frombuffer(outputs, dtype="<u4").reshape(count, m).T
+    limbs = limbs.astype(np.uint64 if k < 2**32 else object, order="C")
+    widths = [32] * (m - 1) + [precision - 32 * (m - 1)]
+    limbs[-1] >>= 32 - widths[-1]
+    digits = np.empty((count, length), dtype=np.min_scalar_type(-k))
+    for j in range(length):
+        carry = 0
+        for limb, width in zip(limbs, widths):
+            limb *= k
+            limb += carry
+            carry = limb >> width
+            limb &= (1 << width) - 1
+        digits[:, j] = carry
+    return digits
 
 
 def sample_lebesgue_coding(sys: CircleSystem, n_symbols: int, seed: int) -> list[np.ndarray]:

@@ -173,10 +173,11 @@ def _window_counts(word: np.ndarray, observables: list[Word], n_steps: int, base
     One base-|G| window code is rolled in place from length 1 to the longest
     observable, and each observable is counted by equality at its own length.
     Codes and symbols share the narrowest dtype that holds |G|^max_len codes
-    (`shifts._code_dtype`), so every pass is a same-dtype pass.
+    (`shifts._code_dtype`), so every pass is a same-dtype pass; a sample comes
+    in `_code_dtype(|G|)`, and where that already holds the codes it is not copied.
     """
     max_len = max(map(len, observables))
-    word = word.astype(_code_dtype(base**max_len))
+    word = word.astype(_code_dtype(base**max_len), copy=False)
     code = word[:n_steps].copy()
     counts = [n_steps] * len(observables)  # the empty word fits every window
     for level in range(1, max_len + 1):

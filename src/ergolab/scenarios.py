@@ -475,6 +475,14 @@ def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASU
     return rows, {}, {}
 
 
+def _ergodicity_depth(path, alphabet, left, right, certificate, steps, seed_count,
+                      expect_rejection):
+    # is_shift_invariant(conv, 6) reads the length-7 table, unless a factor's
+    # rejection, which the config expects, stops the run before it
+    if not expect_rejection:
+        _guard_at(f"{path}.alphabet", 7, convolve_shift(left, right))
+
+
 def _circle(seed, tol, k=_int_at_least(2),
             measure=Param("'lebesgue'|{'periodic_atomic': rational}", _circle_measure), L=COUNT,
             symbols=COUNT.optional(10**6), seed_count=COUNT.optional(1)):
@@ -533,7 +541,8 @@ SCENARIO_KINDS = {
     "natural_extension": Kind(_natural_extension, "Lemma 3.15; Theorem 3.3", {"entropy": 1e-12},
                               _extension_depth),
     "convolution_ergodicity": Kind(
-        _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": DISPERSION_THRESHOLD}
+        _convolution_ergodicity, "Theorem 4.1; Theorem 2.2", {"dispersion": DISPERSION_THRESHOLD},
+        _ergodicity_depth,
     ),
     "circle": Kind(_circle, "Corollary 3.4; Theorem 2.2", {"value": 0.02}, _circle_data),
     "product_entropy": Kind(_product_entropy, "Lemma 2.2", {"per_level": 1e-12}, _product_depth),

@@ -216,7 +216,12 @@ class ShiftMeasure:
         return Fraction(sum(nums.values()), d0 * dt ** (len(word) - 1))
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """A length-n word per the marginals; deterministic in seed, an int or a SeedSequence."""
+        """A length-n word per the marginals; deterministic in seed, an int or a SeedSequence.
+
+        Every kind returns its symbols in `_code_dtype(|G|)`, uint8 up to 256
+        symbols. Arithmetic in that dtype wraps silently, so a caller that
+        computes on symbols (a pair or window code) widens them first.
+        """
         raise NotImplementedError
 
     def _extended(self) -> "ShiftMeasure":
@@ -344,13 +349,13 @@ class Bernoulli(ShiftMeasure):
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         u = rng.random(n)
+        dtype = _code_dtype(len(cdf))
         if len(cdf) > BERNOULLI_COUNT_MAX_SYMBOLS:
-            return cdf.searchsorted(u, side="right")
-        idx = np.zeros(n, dtype=np.uint8)  # a count below the cut-over fits a byte
+            return cdf.searchsorted(u, side="right").astype(dtype)
+        idx = np.zeros(n, dtype=dtype)
         for bound in cdf[:-1]:  # every draw is below the last bound, 1.0
             idx += u >= bound
-        del u
-        return idx.astype(np.int64)
+        return idx
 
 
 def shift_haar(system: ShiftSystem) -> Bernoulli:
@@ -462,10 +467,10 @@ class Markov(ShiftMeasure):
         a Python loop; the steps left run as the per-step walk, in increasing
         order. Every symbol equals the per-step walk's.
         """
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        rng = np.random.default_rng(seed)
         n_sym = self.system.alphabet.order
+        if n == 0:
+            return np.empty(0, dtype=_code_dtype(n_sym))
+        rng = np.random.default_rng(seed)
         init = np.array([float(p) for p in self.initial])
         init /= init.sum()
         rows = np.array([[float(p) for p in row] for row in self.transition])
@@ -474,7 +479,7 @@ class Markov(ShiftMeasure):
         # bisect_right makes the comparisons of searchsorted(side="right"); an infinite
         # last bound sends a draw at or above a row total rounded below 1 to the last state
         cum[:, -1] = np.inf
-        walk = np.empty(n, dtype=np.int64)
+        walk = np.empty(n, dtype=_code_dtype(n_sym))
         walk[0] = rng.choice(n_sym, p=init)
         u = rng.random(n)
         rows = [array("d", row) for row in cum]  # 8 bytes a bound, not a float object's 32
@@ -525,7 +530,7 @@ class PeriodicOrbit(ShiftMeasure):
         rng = np.random.default_rng(seed)
         phase = int(rng.integers(self.period))
         reps = n // self.period + 2
-        tiled = np.tile(np.array(self.word, dtype=np.int64), reps)
+        tiled = np.tile(np.array(self.word, dtype=_code_dtype(self.system.alphabet.order)), reps)
         return tiled[phase : phase + n]
 
 
@@ -622,11 +627,12 @@ class Convolution(ShiftMeasure):
 
     def sample(self, n, seed):
         g = self.system.alphabet
-        # np_op by the flat index u * |G| + v, built in u, so v is freed before the output exists
-        u = self.left.sample(n, _child_stream(seed, 0))
+        # np_op by the flat index u * |G| + v, built in u widened to hold |G|^2 codes,
+        # so v is freed before the output exists
+        u = self.left.sample(n, _child_stream(seed, 0)).astype(_code_dtype(g.order**2), copy=False)
         u *= g.order
         u += self.right.sample(n, _child_stream(seed, 1))
-        return g.np_op.ravel()[u]
+        return np.take(g.np_op.ravel().astype(_code_dtype(g.order)), u)
 
     def _extended(self):
         return convolve_shift(self.left._extended(), self.right._extended())
@@ -659,10 +665,12 @@ class ProductMeasure(ShiftMeasure):
         return _product_chain(self.left, self.right, lambda a, b: a * m + b)
 
     def sample(self, n, seed):
-        m = self.right.system.alphabet.order
+        # the pair index u * |H| + v, built in u widened to hold |G| * |H| codes
         u = self.left.sample(n, _child_stream(seed, 0))
-        v = self.right.sample(n, _child_stream(seed, 1))
-        return u * m + v
+        u = u.astype(_code_dtype(self.system.alphabet.order), copy=False)
+        u *= self.right.system.alphabet.order
+        u += self.right.sample(n, _child_stream(seed, 1))
+        return u
 
     def _extended(self):
         return ProductMeasure(

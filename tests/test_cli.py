@@ -432,6 +432,10 @@ def test_entropy_addition_past_the_joint_guard_is_a_config_error(tmp_path, capsy
                      id="natural_extension"),
         pytest.param("product_entropy", {"right_alphabet": C2, "L": 20},
                      "L: 4^20 block states exceed 2^24", id="product_entropy"),
+        # is_shift_invariant at depth 6 reads length 7; it used to trip mid-run with exit 1
+        pytest.param("convolution_ergodicity",
+                     {"alphabet": {"family": "cyclic", "n": 11}, "left": "haar"},
+                     "alphabet: 11^7 block states exceed 2^24", id="convolution_ergodicity"),
     ],
 )
 def test_depth_past_the_guard_is_a_config_error(tmp_path, capsys, monkeypatch, kind, parameters,
@@ -449,8 +453,22 @@ def test_depth_past_the_guard_is_a_config_error(tmp_path, capsys, monkeypatch, k
 
 def test_depth_at_the_guard_parses():
     for kind, parameters in [("convolution_entropy", {"L_max": 24}), ("natural_extension", {"L": 23}),
-                             ("product_entropy", {"right_alphabet": C2, "L": 12})]:
+                             ("product_entropy", {"right_alphabet": C2, "L": 12}),
+                             ("convolution_ergodicity",
+                              {"alphabet": {"family": "cyclic", "n": 10}, "left": "haar"})]:
         assert parse_config(json.dumps(full_config(kind, parameters=parameters)))
+
+
+def test_expected_rejection_past_the_guard_still_runs():
+    # a non-ergodic factor stops the run before the convolution's length-7 table
+    parameters = {"alphabet": {"family": "cyclic", "n": 11},
+                  "left": {"kind": "mixture", "components": [["1/2", "haar"],
+                                                             ["1/2", {"kind": "periodic_orbit",
+                                                                      "word": [0]}]]},
+                  "expect_rejection": True}
+    (sc,) = parse_config(json.dumps(full_config("convolution_ergodicity", parameters=parameters)))
+    (result,) = run_scenarios([sc])
+    assert [(r.quantity, r.passed) for r in result.rows] == [("rejected_with_factor_not_ergodic", True)]
 
 
 def test_missing_out_directory_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):

@@ -734,7 +734,7 @@ MARKOV_CHAINS = [
 def test_markov_sampler_matches_per_step_walk(mu, n):
     for seed in (0, 17):
         got = mu.sample(n, seed)
-        assert got.dtype == np.int64
+        assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
         assert np.array_equal(got, _naive_markov_walk(mu, n, seed))
 
 
@@ -815,7 +815,7 @@ def test_markov_sample_of_length_zero_is_empty():
     for mu in MARKOV_CHAINS + [bern("1/4"), PeriodicOrbit(SYS2, (0, 1))]:
         got = mu.sample(0, 3)
         assert got.shape == (0,)
-        assert got.dtype == np.int64
+        assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -869,7 +869,7 @@ def test_bernoulli_sampler_matches_rng_choice(mu, cut_over, monkeypatch):
     for n in (0, 1, 10**5 + 3):
         for seed in (0, 17):
             got = mu.sample(n, seed)
-            assert got.dtype == np.int64
+            assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
             assert np.array_equal(got, _choice_oracle(mu, n, seed))
 
 
@@ -901,8 +901,62 @@ def test_convolution_sampler_matches_2d_index():
         for n, seed in ((0, 0), (1, 4), (10**4 + 3, 9)):
             got = Convolution(sys_s3, left, right).sample(n, seed)
             want = s3.np_op[left.sample(n, _child(seed, 0)), right.sample(n, _child(seed, 1))]
-            assert got.dtype == want.dtype
+            assert got.dtype == shifts._code_dtype(s3.order)
             assert np.array_equal(got, want)
+
+
+def _int64_sample(mu, n, seed):
+    """What mu.sample draws, composed in int64: each leaf from its own oracle, the pair
+    codes and the op table in int64, and a mixture's choice redrawn from its stream."""
+    if isinstance(mu, Bernoulli):
+        return _choice_oracle(mu, n, seed)
+    if isinstance(mu, Markov):
+        return _naive_markov_walk(mu, n, seed)
+    if isinstance(mu, PeriodicOrbit):
+        phase = int(np.random.default_rng(seed).integers(mu.period))
+        return np.array(mu.word, dtype=np.int64)[(phase + np.arange(n)) % mu.period]
+    if isinstance(mu, Mixture):
+        u = np.random.default_rng(shifts._child_stream(seed, 0)).random()
+        bounds = itertools.accumulate(float(w) for w, _ in mu.components)
+        chosen = next((m for (_, m), b in zip(mu.components, bounds) if u < b), mu.components[-1][1])
+        return _int64_sample(chosen, n, shifts._child_stream(seed, 1))
+    u, v = (_int64_sample(part, n, shifts._child_stream(seed, i))
+            for i, part in enumerate((mu.left, mu.right)))
+    if isinstance(mu, Convolution):
+        return mu.system.alphabet.np_op[u, v]
+    return u * mu.right.system.alphabet.order + v
+
+
+def _random_bernoulli(group, seed):
+    raw = [int(r) for r in np.random.default_rng(seed).integers(1, 6, size=group.order)]
+    return Bernoulli(shift_space(group), measure(group, [F(r, sum(raw)) for r in raw]))
+
+
+SYS_120 = shift_space(direct_product(symmetric(4), cyclic(5)))  # |G|^2 pair codes need uint16
+_BERN_120 = _random_bernoulli(SYS_120.alphabet, 1)  # past BERNOULLI_COUNT_MAX_SYMBOLS: the search path
+_ORBIT_120 = PeriodicOrbit(SYS_120, (7, 119, 64, 3))
+_MARKOV_120 = _dense_chain(SYS_120.alphabet, 2)
+WIDENING_CASES = [
+    pytest.param(Convolution(SYS_120, _BERN_120, _ORBIT_120), id="convolution-120"),
+    pytest.param(product_system(_random_bernoulli(cyclic(17), 3), _permutation_chain(cyclic(17), 4)),
+                 id="product-289"),
+    pytest.param(_BERN_120, id="bernoulli-120"),
+    pytest.param(_random_bernoulli(cyclic(300), 5), id="bernoulli-300"),
+    pytest.param(Mixture(SYS_120, ((F(1, 2), Convolution(SYS_120, _ORBIT_120, _MARKOV_120)),
+                                   (F(1, 2), _BERN_120))), id="mixture-120"),
+    pytest.param(Convolution(SYS_120, Convolution(SYS_120, _BERN_120, _MARKOV_120),
+                             Convolution(SYS_120, _ORBIT_120, _BERN_120)), id="nested-120"),
+]
+
+
+@pytest.mark.parametrize("mu", WIDENING_CASES)
+def test_samplers_widen_before_arithmetic_on_symbols(mu):
+    # symbols come in _code_dtype(|G|), and uint8 arithmetic wraps silently: each
+    # pair code must be built in a dtype that holds it
+    for n, seed in ((1, 0), (10**4 + 3, 9), (10**4 + 3, 10)):
+        got = mu.sample(n, seed)
+        assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
+        assert np.array_equal(got, _int64_sample(mu, n, seed))
 
 
 def _child(seed, i):
