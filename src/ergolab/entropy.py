@@ -3,21 +3,19 @@
 Everything is in nats. Probabilities arrive as exact rationals and are
 converted to float only inside the logarithm; float sums go through
 `math.fsum` for order-independent results. An exact block table's entropy
-takes one logarithm per distinct mass, its numerator a Python int over the
-table's denominator (read from int64 while the denominator fits, see
-`shifts.BlockTable`), and `math.fsum` runs over the terms repeated by their
-multiplicity, so the sum is the same correctly rounded value as one term per
-word. The canonical estimator for the entropy rate of a stationary measure is
-the conditional block entropy h_L = H_L - H_{L-1}, a nonincreasing upper
-bound on the rate.
+reads only its distinct masses and their counts (`shifts.BlockTable.masses`):
+one correctly rounded `num / den` and one logarithm per mass, and the term
+times its count enters `math.fsum` as two exact halves (Dekker 1971), so the
+sum is the same correctly rounded value as one term per word. The canonical
+estimator for the entropy rate of a stationary measure is the conditional
+block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +25,9 @@ from .exact import entropy_nats, neg_xlogx
 from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
 
 MONOTONE_SLACK = 1e-12
+VELTKAMP = 2.0**27 + 1  # splits a double into two halves of 26 significant bits
+SPLIT_MIN_TERM = 2.0**-969
+SPLIT_MAX_COUNT = 2**26
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,24 @@ class EntropyEstimate:
 def table_entropy(table: BlockTable) -> float:
     """-sum p ln p over an exact block table, one logarithm per distinct mass.
 
-    The distinct numerators and their counts come from the runs of the
-    sorted numerators on an int64 table, and from a Counter on Python ints.
+    Each mass's term is Veltkamp-split into hi + lo, each of at most 26
+    significant bits, so count * hi and count * lo are exact for a count below
+    2^26 and a term above 2^-969, where lo stays a normal float; fsum of those
+    exact halves is the correctly rounded sum of the terms repeated by their
+    counts. A term outside that range is repeated.
     """
     den = table.den
-    if table.nums.dtype == object:
-        counts = Counter(table.nums.tolist()).items()
-    else:
-        nums = np.sort(table.nums)
-        last = np.flatnonzero(nums[:-1] != nums[1:]).tolist() + [len(nums) - 1]  # of each run
-        counts = zip(nums[last].tolist(), [b - a for a, b in zip([-1] + last, last)])
-    # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction));
-    # fsum is correctly rounded, so the repeated terms sum as one term per word would
-    terms = (repeat(neg_xlogx(num / den), n) for num, n in counts)
-    return math.fsum(chain.from_iterable(terms))
+    terms = []
+    for num, count in zip(*table.mass_counts()):
+        # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
+        x = neg_xlogx(num / den)
+        if x < SPLIT_MIN_TERM or count >= SPLIT_MAX_COUNT:
+            terms += repeat(x, count)
+        else:
+            t = VELTKAMP * x
+            hi = t - (t - x)
+            terms += (count * hi, count * (x - hi))
+    return math.fsum(terms)
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:

@@ -28,6 +28,7 @@ from .ergodicity import (
     MIN_BIRKHOFF_STEPS,
     DisjointnessCertificate,
     convolution_ergodicity_scenario,
+    is_ergodic_exact,
     same_measure,
 )
 from .errors import DepthLimitExceeded, FactorNotErgodic, InsufficientData, ParseError, SchemaError
@@ -478,9 +479,12 @@ def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASU
 def _ergodicity_depth(path, alphabet, left, right, certificate, steps, seed_count,
                       expect_rejection):
     # is_shift_invariant(conv, 6) reads the length-7 table, unless a factor's
-    # rejection, which the config expects, stops the run before it
-    if not expect_rejection:
-        _guard_at(f"{path}.alphabet", 7, convolve_shift(left, right))
+    # rejection stops the run before it; the factors are decided only past the guard
+    try:
+        convolve_shift(left, right)._guard(7)
+    except DepthLimitExceeded as exc:
+        if all(is_ergodic_exact(mu).verdict == "ergodic" for mu in (left, right)):
+            _fail(f"{path}.alphabet", str(exc))
 
 
 def _circle(seed, tol, k=_int_at_least(2),

@@ -34,6 +34,7 @@ import dataclasses
 import math
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -97,7 +98,10 @@ class BlockTable:
     `den` is shared by every entry. A numerator is at most `den`, so `nums`
     is int64 while `den < 2^63` and Python ints in an object array past it
     (`_num_dtype`); an arithmetic step that can leave [0, den] picks its
-    dtype from the bound it can reach.
+    dtype from the bound it can reach. `masses` holds the distinct numerators,
+    as Python ints, with the number of entries that hold each: an interned
+    level of `ShiftMeasure._paths` supplies them, and `mass_counts` finds
+    them once for any other table.
     """
 
     base: int
@@ -105,6 +109,7 @@ class BlockTable:
     codes: np.ndarray
     nums: np.ndarray
     den: int
+    masses: Optional[tuple[list[int], list[int]]] = None
 
     def __post_init__(self):
         # tables are memoized and shared by every caller
@@ -117,6 +122,23 @@ class BlockTable:
     def digits(self) -> np.ndarray:
         """The support words, one row of symbols each."""
         return self.codes[:, None] // _place_values(self.base, self.length) % self.base
+
+    def mass_counts(self) -> tuple[list[int], list[int]]:
+        """`masses`, found at the first call unless the table came with them.
+
+        They are the runs of the sorted numerators on an int64 table, and a
+        Counter over Python ints.
+        """
+        if self.masses is None:
+            if self.nums.dtype == object:
+                counts = Counter(self.nums.tolist())
+                masses = list(counts), list(counts.values())
+            else:
+                nums = np.sort(self.nums)
+                last = np.flatnonzero(nums[:-1] != nums[1:]).tolist() + [len(nums) - 1]  # of a run
+                masses = nums[last].tolist(), [b - a for a, b in zip([-1] + last, last)]
+            object.__setattr__(self, "masses", masses)  # the table is frozen; this is a cache
+        return self.masses
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Numerators of the words with the given codes; 0 off the support."""
@@ -169,6 +191,31 @@ def _sum_runs(keys: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The distinct keys of sorted keys, and the sum of the numerators of each."""
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.add.reduceat(nums, starts)
+
+
+def _intern(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int64 keys, all in range(bound), ascending, and each key's index among them.
+
+    A bound of at most 8 per key ranks them in a table over range(bound), in
+    linear time; a larger one by a sort, whose memory does not grow with it.
+    """
+    if bound > 8 * len(keys):
+        return np.unique(keys, return_inverse=True)
+    present = np.zeros(bound, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
+def _distinct(items) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's index among the distinct items, and those items in first-seen order.
+
+    Equal items merge by hash in C-level loops (`dict.fromkeys`, `map`), so
+    Python ints cost no Python-level step each.
+    """
+    distinct = dict.fromkeys(items)
+    index = dict(zip(distinct, range(len(distinct))))
+    return (np.fromiter(map(index.__getitem__, items), np.int64, len(items)),
+            np.fromiter(distinct, object, len(distinct)))
 
 
 def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: int) -> BlockTable:
@@ -270,7 +317,11 @@ class ShiftMeasure:
         den = self._den(length)
         if last is not None:  # the paths are in (word, last state) order
             codes, nums = _sum_runs(codes, nums)
-        return BlockTable(self.system.alphabet.order, length, codes, nums, den)
+        masses = None
+        if length in self._classes:  # an interned level: its words are its paths
+            ids, values = self._classes[length]
+            masses = values.tolist(), np.bincount(ids).tolist()
+        return BlockTable(self.system.alphabet.order, length, codes, nums, den, masses)
 
     def _paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
@@ -279,8 +330,9 @@ class ShiftMeasure:
         and `last` is None. Otherwise the paths that share their word and last
         state merge, in (word, last state) order, so a level holds at most
         |G|^L * |states| of them. A level's numerators are at most its
-        denominator and take its `_num_dtype`: the parent level's turn into
-        Python ints before the multiply whose level first passes 2^63.
+        denominator and take its `_num_dtype`: past 2^63 they are Python ints,
+        multiplied by the rows as Python ints (`_object_rows`). An identity-emission
+        level past 2^63 is interned (`_interned_level`).
         """
         paths = self._path_memo.get(length)
         if paths is None:
@@ -288,23 +340,56 @@ class ShiftMeasure:
             rows, steps, emit = self._arrays
             codes, prev, nums = self._paths(length - 1)
             prev = codes % n if prev is None else prev
-            nums = nums.astype(_num_dtype(self._den(length)), copy=False)
             keep = steps[prev]  # every path steps to every state; the zero steps are dropped
-            codes, nums = (codes[:, None] * n + emit)[keep], (nums[:, None] * rows[prev])[keep]
-            if self._chain[4] == tuple(range(n)):
-                paths = (codes, None, nums)
+            codes = (codes[:, None] * n + emit)[keep]
+            identity, wide = self._chain[4] == tuple(range(n)), self._den(length) >= 2**63
+            if identity and wide:
+                paths = (codes, None, self._interned_level(length, prev, keep, nums))
             else:
-                key = codes * len(emit) + np.nonzero(keep)[1]  # (word, last state)
-                order = np.argsort(key, kind="stable")
-                key, nums = _sum_runs(key[order], nums[order])
-                paths = (key // len(emit), key % len(emit), nums)
+                if wide:
+                    rows, nums = self._object_rows, nums.astype(object, copy=False)
+                nums = (nums[:, None] * rows[prev])[keep]
+                if identity:
+                    paths = (codes, None, nums)
+                else:
+                    key = codes * len(emit) + np.nonzero(keep)[1]  # (word, last state)
+                    order = np.argsort(key, kind="stable")
+                    key, nums = _sum_runs(key[order], nums[order])
+                    paths = (key // len(emit), key % len(emit), nums)
             self._path_memo[length] = paths
         return paths
+
+    def _interned_level(self, length: int, prev: np.ndarray, keep: np.ndarray,
+                        nums: np.ndarray) -> np.ndarray:
+        """The numerators of an identity-emission level past 2^63, given the parent level's.
+
+        The level is held in `_classes` as int64 class ids into its distinct
+        numerators; the first such level interns its parent's. A child path is
+        labelled by its parent's class and its row entry's class, each distinct
+        label's value is one Python multiply, and equal values merge in C-level
+        loops (`_distinct`), so the Python-int work scales with the distinct
+        masses, not the paths. The numerators returned are the exact gather
+        values[ids].
+        """
+        parent = self._classes.get(length - 1)
+        ids, values = _distinct(nums.tolist()) if parent is None else parent
+        entry, entries = self._row_classes
+        labels, at = _intern((ids[:, None] * len(entries) + entry[prev])[keep],
+                             len(values) * len(entries))
+        classes, values = _distinct(values[labels // len(entries)] * entries[labels % len(entries)])
+        ids = classes[at]
+        self._classes[length] = (ids, values)
+        return values[ids]
 
     @cached_property
     def _path_memo(self) -> dict:
         # the empty path, in a start state whose row is init; it dies with its measure
         return {0: (np.zeros(1, np.int64), np.array([len(self._chain[0])]), np.ones(1, np.int64))}
+
+    @cached_property
+    def _classes(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        # the interned levels: each path's class id, and the distinct numerators
+        return {}
 
     def _den(self, length: int) -> int:
         """The common denominator d0 * dt^(L-1) of the length-L paths, L >= 1."""
@@ -321,6 +406,18 @@ class ShiftMeasure:
         init, d0, rows, dt, emit = self._chain
         rows = np.array(rows + (init,), dtype=_num_dtype(max(d0, dt)))
         return rows, rows != 0, np.array(emit, dtype=np.int64)
+
+    @cached_property
+    def _object_rows(self) -> np.ndarray:
+        """The rows of `_arrays` as Python ints, converted once for the levels past 2^63."""
+        return self._arrays[0].astype(object)
+
+    @cached_property
+    def _row_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class of each entry of the rows of `_arrays`, and the distinct entries."""
+        rows = self._arrays[0]
+        entry, entries = _distinct(rows.ravel().tolist())
+        return entry.reshape(rows.shape), entries
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,12 @@ def test_entropy_addition_past_the_joint_guard_is_a_config_error(tmp_path, capsy
         pytest.param("convolution_ergodicity",
                      {"alphabet": {"family": "cyclic", "n": 11}, "left": "haar"},
                      "alphabet: 11^7 block states exceed 2^24", id="convolution_ergodicity"),
+        # both factors are ergodic, so a run that expects a rejection still reads length 7
+        pytest.param("convolution_ergodicity",
+                     {"alphabet": {"family": "cyclic", "n": 11}, "left": "haar",
+                      "right": {"kind": "periodic_orbit", "word": [0, 1]}, "expect_rejection": True},
+                     "alphabet: 11^7 block states exceed 2^24",
+                     id="convolution_ergodicity_expecting_a_rejection"),
     ],
 )
 def test_depth_past_the_guard_is_a_config_error(tmp_path, capsys, monkeypatch, kind, parameters,

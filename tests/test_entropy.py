@@ -312,6 +312,7 @@ def _random_table(draw):
     # the numerators are int64 below a 2^63 denominator, as in a measure's tables
     pool = draw(st.lists(st.integers(0, draw(st.sampled_from([2**20, 2**80]))), min_size=1,
                          max_size=6))
+    pool += [0] * draw(st.integers(0, 1))  # a zero mass, as in a scaled or pulled-back table
     nums = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
     den = max(sum(nums), 1) * draw(st.integers(1, draw(st.sampled_from([2**30, 2**70]))))
     dtype = np.int64 if den < 2**63 else object
@@ -322,6 +323,31 @@ def _random_table(draw):
 @given(_random_table())
 def test_table_entropy_equals_per_entry_sum_on_random_tables(table):
     assert table_entropy(table) == _per_entry_table_entropy(table)
+
+
+@pytest.mark.parametrize("repeats", [2, 3, 2**10 + 1, 2**20])
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "python_ints"])
+def test_table_entropy_of_one_mass_repeated_many_times(repeats, wide):
+    # count * term enters fsum as two exact halves; a count this large shows a lost half
+    rng = random.Random(repeats)
+    den = rng.randrange(2**80, 2**81) if wide else rng.randrange(2**61, 2**62)
+    mass = rng.randrange(1, den // (4 * repeats))
+    others = [rng.randrange(1, den // 8) for _ in range(5)]
+    nums = [mass] * repeats + others + [0, den - mass * repeats - sum(others)]
+    table = BlockTable(2, 21, np.arange(len(nums)), np.array(nums, object if wide else np.int64),
+                       den)
+    assert table_entropy(table) == _per_entry_table_entropy(table)
+
+
+def test_table_entropy_of_terms_below_the_split_range():
+    # 2^20 / 2^1000 has a term near 2^-970.6, so count * lo could lose bits: the term repeats
+    den, tiny = 2**1000, 2**20
+    assert 0 < neg_xlogx(tiny / den) < 2.0**-969
+    nums = [tiny] * 7 + [3 * tiny] * 2 + [den // 3, den - den // 3 - 13 * tiny]
+    table = BlockTable(2, 4, np.arange(len(nums)), np.array(nums, object), den)
+    assert table_entropy(table) == _per_entry_table_entropy(table)
+    small = BlockTable(2, 2, np.arange(3), np.array([tiny, tiny, den - 2 * tiny], object), den)
+    assert table_entropy(small) == _per_entry_table_entropy(small)
 
 
 # -- convolution entropy inequalities (estimator-level shadows) -----------------------

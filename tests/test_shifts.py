@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, measure, shifts, symmetric
+from ergolab import cyclic, haar, identity_hom, measure, shifts, skew, symmetric
+from ergolab.acceptance import _random_stochastic_rows
 from ergolab.groups import direct_product
-from ergolab.entropy import block_entropy
+from ergolab.entropy import block_entropy, table_entropy
 from ergolab.errors import (
     DepthLimitExceeded,
     SystemMismatch,
@@ -413,8 +415,9 @@ def _oracle_dist(mu, length):
                 dist[word] = dist.get(word, 0) + w * p
     elif isinstance(mu, (Convolution, ProductMeasure)):
         g, m = mu.system.alphabet, mu.right.system.alphabet.order
+        right = _oracle_dist(mu.right, length)
         for u, p in _oracle_dist(mu.left, length).items():
-            for v, q in _oracle_dist(mu.right, length).items():
+            for v, q in right.items():
                 if isinstance(mu, Convolution):
                     word = tuple(g.op(a, b) for a, b in zip(u, v))
                 else:
@@ -1125,3 +1128,137 @@ def test_scaling_past_a_2_63_denominator():
     small = table.scaled(F(1, 3))
     assert small.nums.dtype == np.int64
     assert small.to_dict() == {word: p / 3 for word, p in table.to_dict().items()}
+
+
+# -- interned levels past 2^63 --------------------------------------------------------
+
+
+def _criterion_5_chains():
+    """Criterion 5's ten seed-505 chains: six on C2, then four on C3."""
+    rng = random.Random(505)
+    return [Markov.stationary(shift_space(cyclic(n)), _random_stochastic_rows(rng, n))
+            for n in (2,) * 6 + (3,) * 4]
+
+
+def _plain_paths(mu, length):
+    """The identity-emission levels 1..L as (codes, numerators), by the plain
+    `nums[:, None] * rows[prev]` product over Python ints, without interning."""
+    n = mu.system.alphabet.order
+    init, _, rows, _, _ = mu._chain
+    rows = np.array(rows + (init,), dtype=object)
+    codes, prev, nums = np.zeros(1, np.int64), np.array([len(init)]), np.ones(1, dtype=object)
+    levels = []
+    for _ in range(length):
+        keep = rows[prev] != 0
+        codes, nums = (codes[:, None] * n + np.arange(n))[keep], (nums[:, None] * rows[prev])[keep]
+        prev = codes % n
+        levels.append((codes, nums))
+    return levels
+
+
+def _markov_oracle_levels(mu, length):
+    """P([w]) for every word of lengths 1..L in code order, one Fraction product per word."""
+    n = mu.system.alphabet.order
+    words, probs = [(a,) for a in range(n)], list(mu.initial)
+    levels = [probs]
+    for _ in range(length - 1):
+        probs = [p * mu.transition[w[-1]][b] for w, p in zip(words, probs) for b in range(n)]
+        words = [w + (b,) for w in words for b in range(n)]
+        levels.append(probs)
+    return levels
+
+
+def _check_interned_levels(mu, L_max, first_wide):
+    """Every table up to L_max equals the plain product; exactly the levels past 2^63 are interned."""
+    assert [mu._den(length) >= 2**63 for length in range(1, first_wide + 1)] == [
+        False] * (first_wide - 1) + [True]
+    for length, (codes, nums) in enumerate(_plain_paths(mu, L_max), start=1):
+        table = mu.block_table(length)
+        assert np.array_equal(table.codes, codes) and table.den == mu._den(length)
+        assert table.nums.dtype == (object if length >= first_wide else np.int64)
+        assert table.nums.tolist() == nums.tolist(), length
+        assert (length in mu._classes) == (length >= first_wide)
+        if length >= first_wide:
+            values, counts = table.masses
+            assert dict(zip(values, counts)) == Counter(nums.tolist())
+        if len(nums) <= 2**16:  # the per-entry sum, the oracle of the distinct-mass sum
+            den = table.den
+            assert table_entropy(table) == math.fsum(neg_xlogx(num / den) for num in nums.tolist())
+
+
+@pytest.mark.parametrize("case", [6, 9])
+def test_interned_markov_levels_match_the_plain_product_and_the_fraction_oracle(case):
+    # the two C3 chains of criterion 5 whose denominators pass 2^63 at L = 6
+    mu = _criterion_5_chains()[case]
+    _check_interned_levels(mu, 10, 6)
+    for length, probs in enumerate(_markov_oracle_levels(mu, 10), start=1):
+        table = mu.block_table(length)
+        den = table.den
+        assert len(table) == len(probs)
+        assert all(p.numerator * den == num * p.denominator
+                   for p, num in zip(probs, table.nums.tolist())), length
+
+
+def test_interned_product_levels_match_the_plain_product_and_the_fraction_oracle():
+    # C2 x C2: the product's denominator passes 2^63 at L = 8
+    markov = Markov.stationary(SYS2, [["1/3", "2/3"], ["2/5", "3/5"]])
+    mu = product_system(markov, bern("16/17"))
+    _check_interned_levels(mu, 10, 8)
+    assert mu.block_distribution(8) == _oracle_dist(mu, 8)
+
+
+def test_skew_joint_over_an_interned_base_is_unchanged():
+    # the base's window paths are interned; a copy whose memo holds the plain product's
+    # paths gives the joint chain and tables the base gave before interning. Staying has
+    # mass a and moving b, so paths with as many moves share a mass: ab = ba at L = 3
+    q = 2**62 + 3
+    a, b = F(15, q), F(2**61 - 6, q)
+    base = Markov.stationary(SYS3, [[a, b, b], [b, a, b], [b, b, a]])
+    k = 3
+    assert base._den(1) < 2**63 <= base._den(2)
+    system = skew.make_skew(SYS3, C2, identity_hom(C2),
+                            {w: sum(w) % 2 for w in itertools.product(range(3), repeat=k)})
+    plain = Markov(SYS3, base.transition, base.initial)
+    for length, (codes, nums) in enumerate(_plain_paths(plain, k), start=1):
+        plain._path_memo[length] = (codes, None, nums)
+    mu, ref = skew.haar_extension(base, system), skew.haar_extension(plain, system)
+    assert mu.joint._chain == ref.joint._chain
+    assert k in base._classes and not plain._classes
+    for length in range(1, 6):
+        a, b = mu.joint.block_table(length), ref.joint.block_table(length)
+        assert np.array_equal(a.codes, b.codes) and a.nums.tolist() == b.nums.tolist()
+        assert a.den == b.den
+
+
+def test_hidden_emission_table_past_2_63_matches_the_fraction_oracle():
+    # a convolution's levels past 2^63 multiply Python-int numerators by the object rows
+    rng = random.Random(2063)
+    raw = [[rng.randint(1, 2**12) for _ in range(3)] for _ in range(3)]
+    markov = Markov.stationary(SYS3, [[F(x, sum(row)) for x in row] for row in raw])
+    mu = Convolution(SYS3, markov, PeriodicOrbit(SYS3, (0, 1, 2)))
+    wide = [length for length in range(1, 6) if mu._den(length) >= 2**63]
+    assert wide and wide[0] > 1
+    for length in range(1, 6):
+        table = mu.block_table(length)
+        assert table.nums.dtype == (object if length in wide else np.int64)
+        assert mu.block_distribution(length) == _oracle_dist(mu, length), length
+
+
+@pytest.mark.parametrize("spread", [1, 8, 9, 1000], ids=lambda s: f"bound_{s}_per_key")
+def test_intern_ranks_keys_as_unique_does(spread):
+    # up to 8 per key the keys are ranked in a table over range(bound), past it by a sort
+    rng = np.random.default_rng(spread)
+    keys = rng.integers(0, 50 * spread, 50)
+    values, index = shifts._intern(keys, 50 * spread)
+    expected, inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(values, expected) and np.array_equal(index, inverse)
+
+
+def test_interned_levels_with_many_distinct_row_entries():
+    # 8 states and 72 distinct row entries, and d0 past 2^63: the labels of every level
+    # reach past 8 per path, so they are ranked by a sort
+    rng = random.Random(808)
+    raw = [[rng.randint(1, 2**20) for _ in range(8)] for _ in range(8)]
+    mu = Markov.stationary(shift_space(cyclic(8)), [[F(x, sum(row)) for x in row] for row in raw])
+    assert len(mu._row_classes[1]) == 72
+    _check_interned_levels(mu, 4, 1)
