@@ -7,7 +7,6 @@ the logarithm boundary.
 """
 
 from .groups import (
-    AffineMap,
     DenseMeasure,
     FiniteGroup,
     GroupHom,
@@ -21,14 +20,12 @@ from .groups import (
     identity_hom,
     independence_check,
     is_invariant,
-    make_group,
     make_hom,
     measure,
     symmetric,
 )
 
 __all__ = [
-    "AffineMap",
     "DenseMeasure",
     "FiniteGroup",
     "GroupHom",
@@ -42,7 +39,6 @@ __all__ = [
     "identity_hom",
     "independence_check",
     "is_invariant",
-    "make_group",
     "make_hom",
     "measure",
     "symmetric",

@@ -1,7 +1,8 @@
 """Circle endomorphisms x -> kx mod 1: the non-symbolic carrier.
 
 Itineraries through the generating partition [i/k, (i+1)/k) are computed in
-exact arithmetic for rational starting points. Lebesgue-typical sampling
+exact arithmetic; starting points are exact rationals only, so a float start
+raises TypeError in `parse_ratio`. Lebesgue-typical sampling
 draws a fresh high-precision random dyadic point per 40-symbol block rather
 than shadowing one float orbit, which loses a bit of precision per step.
 
@@ -13,9 +14,7 @@ one call to the generator draws every point (`_coded_blocks`).
 
 from __future__ import annotations
 
-import math
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -30,7 +29,6 @@ from .groups import cyclic
 from .shifts import PeriodicOrbit, shift_space
 
 BLOCK_SYMBOLS = 40
-FLOAT_PRECISION_BUDGET_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -48,34 +46,15 @@ def times_k(k: int) -> CircleSystem:
     return CircleSystem(k)
 
 
-def symbolic_coding(
-    sys: CircleSystem, x0: Union[Fraction, int, str, float], n: int
-) -> np.ndarray:
-    """Itinerary of x0 through the generating partition, length n.
+def symbolic_coding(sys: CircleSystem, x0: Union[Fraction, int, str], n: int) -> np.ndarray:
+    """Exact itinerary of the rational x0 through the generating partition, length n.
 
-    Rational starting points iterate exactly; float starting points iterate
-    in double precision with a warning once the orbit outruns the precision
-    budget (about 40 doublings).
+    x0 is a Fraction, an int or a string such as "1/3"; a float raises TypeError.
     """
     if n < 1:
         raise ValueError("itinerary length must be >= 1")
     k = sys.k
     out = np.empty(n, dtype=np.int64)
-    if isinstance(x0, float):
-        if n * math.log2(k) > FLOAT_PRECISION_BUDGET_BITS:
-            warnings.warn(
-                f"float orbit of length {n} exceeds the {FLOAT_PRECISION_BUDGET_BITS}-bit "
-                "precision budget; symbols beyond it are unreliable",
-                stacklevel=2,
-            )
-        x = x0 % 1.0
-        for i in range(n):
-            x *= k
-            s = int(x)
-            s = k - 1 if s >= k else s
-            out[i] = s
-            x -= s
-        return out
     x = parse_ratio(x0) % 1
     for i in range(n):
         x *= k

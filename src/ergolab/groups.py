@@ -1,20 +1,22 @@
-"""Finite groups, homomorphisms, affine maps, and exact measures on them.
+"""Finite groups, verified homomorphisms, and exact measures on them.
 
 Elements of a group of order n are the indices 0..n-1; the identity need not
 be index 0 (explicit tables may place it anywhere). Measure weights are exact
 (`int` or `fractions.Fraction`); validation, invariance, convolution and
 independence checks run on integer numerators over the weights' one common
-denominator, so they are exact.
+denominator, so they are exact. The only maps are verified homomorphisms
+(`GroupHom`): invariance takes an endomorphism, and orbits an automorphism.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .errors import (
     MissingIdentity,
     MissingInverse,
     NonAssociative,
-    NotAutomorphism,
     NotBijective,
     NotHomomorphism,
 )
@@ -69,7 +70,7 @@ class FiniteGroup:
 
 def _validate_table(table: Sequence[Sequence[int]], label: str) -> FiniteGroup:
     n = len(table)
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    rows = tuple(tuple(operator.index(v) for v in row) for row in table)
     for row in rows:
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise ValueError(f"{label}: table is not {n}x{n} over 0..{n - 1}")
@@ -160,22 +161,6 @@ def dihedral(n: int) -> FiniteGroup:
 def explicit_group(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGroup:
     """Build and fully validate a group from an explicit multiplication table."""
     return _validate_table(table, label)
-
-
-def make_group(spec: dict) -> FiniteGroup:
-    """Constructor dispatch from a descriptor, as used by scenario configs."""
-    family = spec.get("family")
-    if family == "cyclic":
-        return cyclic(int(spec["n"]))
-    if family == "symmetric":
-        return symmetric(int(spec["n"]))
-    if family == "dihedral":
-        return dihedral(int(spec["n"]))
-    if family == "direct_product":
-        return direct_product(make_group(spec["left"]), make_group(spec["right"]))
-    if family == "explicit":
-        return explicit_group(spec["table"], spec.get("label", "G"))
-    raise ValueError(f"unknown group family: {family!r}")
 
 
 @dataclass(frozen=True)
@@ -272,31 +257,8 @@ def automorphisms(g: FiniteGroup) -> list[GroupHom]:
     return result
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> a * A(x) for an automorphism A; always a bijection of the group."""
-
-    group: FiniteGroup
-    translation: int
-    automorphism: GroupHom
-
-    def __post_init__(self):
-        a = self.automorphism
-        if a.source is not self.group or a.target is not self.group or not a.bijective:
-            raise NotAutomorphism("affine maps require an automorphism of the same group")
-
-    def __call__(self, x: int) -> int:
-        return self.group.op(self.translation, self.automorphism(x))
-
-
-Transform = Union[GroupHom, AffineMap]
-
-
-def _check_endomorphism(mu_group: FiniteGroup, t: Transform) -> None:
-    if isinstance(t, AffineMap):
-        if t.group != mu_group:
-            raise GroupMismatch("map acts on a different group")
-    elif t.source != mu_group or t.source != t.target:
+def _check_endomorphism(mu_group: FiniteGroup, t: GroupHom) -> None:
+    if t.source != mu_group or t.source != t.target:
         raise GroupMismatch("need an endomorphism of the measure's group")
 
 
@@ -347,7 +309,7 @@ def convolve(mu: DenseMeasure, nu: DenseMeasure) -> DenseMeasure:
     return DenseMeasure(g, tuple(Fraction(int(n), den) for n in nums))
 
 
-def _fiber_nums(mu: DenseMeasure, t: Transform) -> list[int]:
+def _fiber_nums(mu: DenseMeasure, t: GroupHom) -> list[int]:
     """The numerators of mu o T^-1 over mu's common denominator."""
     _check_endomorphism(mu.group, t)
     fibers = [0] * mu.group.order
@@ -356,7 +318,7 @@ def _fiber_nums(mu: DenseMeasure, t: Transform) -> list[int]:
     return fibers
 
 
-def is_invariant(mu: DenseMeasure, t: Transform) -> bool:
+def is_invariant(mu: DenseMeasure, t: GroupHom) -> bool:
     return _fiber_nums(mu, t) == list(mu._ints[0])
 
 
@@ -416,10 +378,10 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
     return IndependenceReport(True, None, "singleton scan (order > 8)")
 
 
-def _orbits(group: FiniteGroup, t: Transform) -> tuple[tuple[int, ...], ...]:
-    """The orbits of a bijective endomorphism or affine map, in order of their least element."""
+def _orbits(group: FiniteGroup, t: GroupHom) -> tuple[tuple[int, ...], ...]:
+    """The orbits of an automorphism, in order of their least element."""
     _check_endomorphism(group, t)
-    if isinstance(t, GroupHom) and not t.bijective:
+    if not t.bijective:
         raise NotBijective("orbit decomposition needs a bijective map")
     seen = [False] * group.order
     orbits = []
@@ -446,9 +408,9 @@ def random_measure(
 
 
 def random_invariant_measure(
-    group: FiniteGroup, t: Transform, rng: random.Random, max_weight: int = 20
+    group: FiniteGroup, t: GroupHom, rng: random.Random, max_weight: int = 20
 ) -> DenseMeasure:
-    """Random measure constant on the orbits of a bijective map, hence invariant."""
+    """Random measure constant on the orbits of an automorphism, hence invariant."""
     raw = {orbit: rng.randint(1, max_weight) for orbit in _orbits(group, t)}
     total = sum(r * len(o) for o, r in raw.items())
     weights = [Fraction(0)] * group.order

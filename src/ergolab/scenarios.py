@@ -32,8 +32,9 @@ from .ergodicity import (
     same_measure,
 )
 from .errors import DepthLimitExceeded, FactorNotErgodic, InsufficientData, ParseError, SchemaError
-from .groups import FiniteGroup, haar, identity_hom, make_group, measure
-from .groups import independence_check
+from .errors import MissingIdentity, MissingInverse, NonAssociative
+from .groups import FiniteGroup, cyclic, dihedral, direct_product, explicit_group, haar
+from .groups import identity_hom, independence_check, measure, symmetric
 from .shifts import (
     Bernoulli,
     Markov,
@@ -178,19 +179,26 @@ def _as_ratio(value, path: str, parsed=None) -> Fraction:
         _fail(path, f"bad rational literal {value!r}")
 
 
-def parse_group(desc, path: str) -> FiniteGroup:
+def _build(kinds: dict[str, Callable], tag: str, desc, path: str, parsed: dict):
+    """`kinds[desc[tag]]` called on desc's other fields, each parsed by its `Param` spec."""
     if not isinstance(desc, dict):
-        _fail(path, "group descriptor must be an object with a 'family' field")
-    try:
-        return make_group(desc)
-    except (KeyError, ValueError, TypeError) as exc:
-        _fail(path, f"bad group descriptor: {exc}")
+        _fail(path, f"must be an object with a {tag!r} field")
+    name = desc.get(tag)
+    if not isinstance(name, str) or name not in kinds:
+        _fail(f"{path}.{tag}", f"unknown {tag} {name!r}; expected one of {', '.join(kinds)}")
+    make = kinds[name]
+    fields = {key: v for key, v in desc.items() if key != tag}
+    try:  # the constructor's own checks, e.g. that an explicit table is a group
+        return make(**_parse_fields(_fields(make), fields, path, parsed))
+    except (ValueError, MissingIdentity, MissingInverse, NonAssociative) as exc:
+        _fail(path, str(exc))
 
 
 COUNT = _int_at_least(1)
 NATURAL = _int_at_least(0)
 BOOL = _scalar("bool", lambda v: isinstance(v, bool))
 NUMBER = _scalar("float", lambda v: type(v) in (int, float))
+STRING = _scalar("str", lambda v: isinstance(v, str))
 GROUP = Param("group", lambda value, path, parsed: parse_group(value, path))
 
 
@@ -209,6 +217,35 @@ def _list_of(item: Param, per_symbol: bool = False) -> Param:
 
 RATIONALS = _list_of(Param("rational", _as_ratio))
 WEIGHTS = _list_of(Param("rational", _as_ratio), per_symbol=True)
+
+
+def _cyclic(n=COUNT):
+    return cyclic(n)
+
+
+def _symmetric(n=COUNT):
+    return symmetric(n)
+
+
+def _dihedral(n=COUNT):
+    return dihedral(n)
+
+
+def _direct_product(left=GROUP, right=GROUP):
+    return direct_product(left, right)
+
+
+def _explicit(table=_list_of(_list_of(NATURAL)), label=STRING.optional("G")):
+    return explicit_group(table, label)
+
+
+GROUP_FAMILIES = {
+    f.__name__[1:]: f for f in (_cyclic, _symmetric, _dihedral, _direct_product, _explicit)
+}
+
+
+def parse_group(desc, path: str) -> FiniteGroup:
+    return _build(GROUP_FAMILIES, "family", desc, path, {})
 
 
 def _component(value, path, parsed):
@@ -250,18 +287,7 @@ MEASURE_KINDS = {f.__name__[1:]: f for f in (_bernoulli, _markov, _periodic_orbi
 def parse_measure(desc, system: ShiftSystem, path: str) -> ShiftMeasure:
     if desc == "haar":
         return shift_haar(system)
-    if not isinstance(desc, dict):
-        _fail(path, "measure descriptor must be an object or 'haar'")
-    kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in MEASURE_KINDS:
-        _fail(path, f"unknown measure kind {kind!r}")
-    make = MEASURE_KINDS[kind]
-    fields = {key: v for key, v in desc.items() if key != "kind"}
-    parsed = _parse_fields(_fields(make), fields, path, {"system": system})
-    try:
-        return make(**parsed)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _build(MEASURE_KINDS, "kind", desc, path, {"system": system})
 
 
 # -- scenario kinds ---------------------------------------------------------------------
@@ -297,8 +323,8 @@ def _cocycle(value, path, parsed) -> dict:
         if system.alphabet.order != fiber.order:
             _fail(path, "first_symbol needs matching alphabet and fiber")
         return first_symbol_cocycle(system, fiber)
-    if isinstance(value, dict) and "constant" in value:
-        c = NATURAL.parse(value["constant"], f"{path}.constant")
+    if isinstance(value, dict):
+        c = _parse_fields({"constant": NATURAL}, value, path, {})["constant"]
         if c >= fiber.order:
             _fail(f"{path}.constant", "outside the fiber group")
         return constant_cocycle(system, fiber, c)
@@ -313,19 +339,23 @@ def _group_measure(value, path, parsed):
     return measure(parsed["group"], RATIONALS.parse(value["weights"], f"{path}.weights", parsed))
 
 
+CERTIFICATE_FIELDS = {
+    "kind": _scalar("point_mass|periodic_vs_mixing|declared",
+                    lambda v: v in ("point_mass", "periodic_vs_mixing", "declared")),
+    "justification": STRING.optional(""),
+}
+
+
 def _certificate(value, path, parsed) -> DisjointnessCertificate:
-    if not isinstance(value, dict) or "kind" not in value:
-        _fail(path, "need an object with a 'kind'")
-    if value["kind"] not in ("point_mass", "periodic_vs_mixing", "declared"):
-        _fail(f"{path}.kind", f"unknown kind {value['kind']!r}")
-    return DisjointnessCertificate(value["kind"], value.get("justification", ""))
+    return DisjointnessCertificate(**_parse_fields(CERTIFICATE_FIELDS, value, path, {}))
 
 
 def _circle_measure(value, path, parsed):
     if value == "lebesgue":
         return lebesgue()
-    if isinstance(value, dict) and "periodic_atomic" in value:
-        return periodic_atomic(times_k(parsed["k"]), _as_ratio(value["periodic_atomic"], path))
+    if isinstance(value, dict):
+        fields = _parse_fields({"periodic_atomic": Param("rational", _as_ratio)}, value, path, {})
+        return periodic_atomic(times_k(parsed["k"]), fields["periodic_atomic"])
     _fail(path, "expected 'lebesgue' or {'periodic_atomic': 'p/q'}")
 
 

@@ -57,31 +57,21 @@ TWO_SIDED = "two_sided"
 
 @dataclass(frozen=True)
 class ShiftSystem:
-    """A shift or affine-shift dynamical system on G^N or G^Z."""
+    """The shift (Tx)_i = x_{i+1} on G^N or G^Z, a surjective homomorphism of the group."""
 
     alphabet: FiniteGroup
     sidedness: str = ONE_SIDED
-    affine_constant: Optional[int] = None  # c in T(x)_i = c * x_{i+1}; None = shift
 
     def __post_init__(self):
         if self.sidedness not in (ONE_SIDED, TWO_SIDED):
             raise ValueError(f"bad sidedness: {self.sidedness!r}")
-        if self.affine_constant is not None:
-            if not 0 <= self.affine_constant < self.alphabet.order:
-                raise ValueError("affine constant must be an alphabet element")
-            if self.affine_constant == self.alphabet.identity:
-                object.__setattr__(self, "affine_constant", None)
-
-    @property
-    def map_kind(self) -> str:
-        return "shift" if self.affine_constant is None else "affine_shift"
 
     @property
     def one_sided(self) -> bool:
         return self.sidedness == ONE_SIDED
 
     def two_sided_version(self) -> "ShiftSystem":
-        return ShiftSystem(self.alphabet, TWO_SIDED, self.affine_constant)
+        return ShiftSystem(self.alphabet, TWO_SIDED)
 
 
 def shift_space(alphabet: FiniteGroup, sidedness: str = ONE_SIDED) -> ShiftSystem:
@@ -180,11 +170,6 @@ def _num_dtype(bound: int) -> np.dtype:
 
 def _place_values(base: int, length: int) -> np.ndarray:
     return base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-
-
-def _encode(digits: np.ndarray, base: int) -> np.ndarray:
-    """The code of each row of a symbol array."""
-    return digits @ _place_values(base, digits.shape[-1])
 
 
 def _sum_runs(keys: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -799,21 +784,14 @@ def convolve_shift(mu: ShiftMeasure, nu: ShiftMeasure) -> ShiftMeasure:
 def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     """Check mu(T^-1 [w]) = mu([w]) exactly for all words up to the depth.
 
-    For the shift, T^-1[w] is the union over first symbols g of [g w], so its
-    masses are the length-(L+1) table with the first symbol summed out; for an
-    affine shift with constant c the continuation symbols pick up c^-1, so the
-    mass of T^-1[w] sits at the word c^-1 w.
+    T^-1[w] is the union over first symbols g of [g w], so its masses are the
+    length-(L+1) table with the first symbol summed out.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     mu._guard(depth + 1)
-    g = mu.system.alphabet
-    c = mu.system.affine_constant
     for length in range(1, depth + 1):
         table = mu.block_table(length)
-        if c is not None:
-            moved = g.np_op[g.inv(c)][table.digits()]
-            table = _merged(g.order, length, _encode(moved, g.order), table.nums, table.den)
         if mu.block_table(length + 1).drop_first() != table:
             return False
     return True

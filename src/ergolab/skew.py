@@ -63,8 +63,6 @@ def make_skew(
     phi: dict[Word, int],
 ) -> SkewSystem:
     """Validated construction: sigma bijective, phi total on length-k windows."""
-    if base.map_kind != "shift":
-        raise SystemMismatch("skew products are defined over plain shifts")
     if sigma.source != fiber or sigma.target != fiber or not sigma.bijective:
         raise NotAutomorphism("fiber map must be an automorphism of the fiber group")
     if not phi:
@@ -307,8 +305,6 @@ def product_system(mu: ShiftMeasure, nu: ShiftMeasure) -> ProductMeasure:
     """Product measure over the direct-product alphabet, cylinders multiplying."""
     if mu.system.sidedness != nu.system.sidedness:
         raise SystemMismatch("product factors must share sidedness")
-    if mu.system.map_kind != "shift" or nu.system.map_kind != "shift":
-        raise SystemMismatch("product systems are defined for plain shifts")
     alphabet = direct_product(mu.system.alphabet, nu.system.alphabet)
     system = ShiftSystem(alphabet, mu.system.sidedness)
     return ProductMeasure(system, mu, nu)

@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -51,21 +50,10 @@ def test_coding_one_third_alternates():
     assert list(symbolic_coding(times_k(2), F(1, 3), 8)) == [0, 1] * 4
 
 
-def test_float_coding_warns_beyond_budget():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        symbolic_coding(times_k(2), 0.3, 50)
-    assert any("precision budget" in str(w.message) for w in caught)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        symbolic_coding(times_k(2), 0.3, 20)
-    assert not caught
-
-
-def test_float_and_exact_coding_agree_within_budget():
-    exact = symbolic_coding(times_k(2), F(3, 10), 20)
-    floats = symbolic_coding(times_k(2), 0.3, 20)
-    assert list(exact) == list(floats)
+def test_float_start_is_rejected():
+    # orbits are exact: a float start has no exact value to iterate
+    with pytest.raises(TypeError, match="not an exact rational"):
+        symbolic_coding(times_k(2), 0.3, 8)
 
 
 def test_lebesgue_sampler_symbol_frequency():

@@ -330,6 +330,28 @@ def test_list_output_stable_and_complete():
         ("circle", {"parameters": {"symbols": 800, "seed_count": 800}},
          r"\.seed_count: 800 seeds of 800 symbols leave 1 symbols per seed, fewer than L = 3"),
         ("convolution_entropy", {"id": "a/b"}, r"scenarios\[0\]\.id: 'a/b' holds a path separator"),
+        ("independence", {"parameters": {"group": {"family": "cyclic", "n": 2.7}}},
+         r"\.group\.n: expected int >= 1, got 2\.7"),
+        ("independence", {"parameters": {"group": {"family": "cyclic", "n": True}}},
+         r"\.group\.n: expected int >= 1, got True"),
+        ("independence", {"parameters": {"group": {"family": "cyclic", "n": "3"}}},
+         r"\.group\.n: expected int >= 1, got '3'"),
+        ("independence", {"parameters": {"group": {"family": "cyclic", "n": 2, "order": 2}}},
+         r"\.group: unknown field 'order'; expected one of n"),
+        ("independence", {"parameters": {"group": {"family": "explicit", "table": [[0, 1], [1.9, 0]]}}},
+         r"\.group\.table\[1\]\[0\]: expected int >= 0, got 1\.9"),
+        ("independence", {"parameters": {"group": {"family": "explicit", "table": [[0, 1], [1, 1]]}}},
+         r"\.group: G: element 1 has no two-sided inverse"),
+        ("entropy_addition", {"parameters": {"phi": {"constant": 0, "junk": 5}}},
+         r"\.phi: unknown field 'junk'; expected one of constant"),
+        ("convolution_ergodicity",
+         {"parameters": {"certificate": {"kind": "periodic_vs_mixing", "junk": 1}}},
+         r"\.certificate: unknown field 'junk'; expected one of kind, justification"),
+        ("convolution_ergodicity",
+         {"parameters": {"certificate": {"kind": "periodic_vs_mixing", "justification": 5}}},
+         r"\.certificate\.justification: expected str, got 5"),
+        ("circle", {"parameters": {"measure": {"periodic_atomic": "1/3", "junk": 1}}},
+         r"\.measure: unknown field 'junk'; expected one of periodic_atomic"),
     ],
 )
 def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, message):

@@ -28,7 +28,6 @@ from ergolab.shifts import (
     Convolution,
     Markov,
     Mixture,
-    ONE_SIDED,
     PeriodicOrbit,
     ProductMeasure,
     ShiftMeasure,
@@ -218,17 +217,6 @@ def test_convolution_of_invariant_measures_invariant():
         SYS2, bern("1/4"), Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]])
     )
     assert is_shift_invariant(conv, 6)
-
-
-def test_affine_shift_preserves_uniform_bernoulli():
-    for g in (C2, C3):
-        for c in g.elements():
-            sysc = ShiftSystem(g, ONE_SIDED, c)
-            assert is_shift_invariant(shift_haar(sysc), 6 if g.order == 2 else 4)
-
-
-def test_affine_shift_of_identity_is_shift():
-    assert ShiftSystem(C2, ONE_SIDED, C2.identity) == shift_space(C2)
 
 
 # -- kolmogorov consistency (property) -------------------------------------------
@@ -584,11 +572,9 @@ def test_nested_convolution_paths_merge_per_word_and_last_state():
 def _oracle_is_shift_invariant(mu, depth):
     """mu(T^-1 [w]) = mu([w]) word by word, one cylinder per preimage piece."""
     g = mu.system.alphabet
-    c = mu.system.affine_constant
     for length in range(1, depth + 1):
         for word in itertools.product(g.elements(), repeat=length):
-            target = word if c is None else tuple(g.op(g.inv(c), s) for s in word)
-            pulled = sum((mu.cylinder((first,) + target) for first in g.elements()), F(0))
+            pulled = sum((mu.cylinder((first,) + word) for first in g.elements()), F(0))
             if pulled != mu.cylinder(word):
                 return False
     return True
@@ -648,26 +634,6 @@ def test_forced_markov_verifiers_match_naive_oracle(chain, depth):
     system, rows, initial = chain
     forced = Markov(system, tuple(map(tuple, rows)), tuple(initial), validate=False)
     _check_verifiers(forced, depth)
-
-
-@pytest.mark.parametrize("c", [1, 2])
-def test_affine_verifiers_match_naive_oracle(c):
-    system = ShiftSystem(C3, ONE_SIDED, c)
-    cases = [
-        Bernoulli(system, measure(C3, ["1/2", "1/3", "1/6"])),
-        shift_haar(system),
-        Markov.stationary(system, [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]]),
-        Markov.stationary(system, [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]),
-        PeriodicOrbit(system, (0, 1, 2)),
-    ]
-    for mu in cases:
-        _check_verifiers(mu, 3)
-
-
-def test_nonuniform_bernoulli_not_affine_invariant():
-    mu = Bernoulli(ShiftSystem(C2, ONE_SIDED, 1), measure(C2, ["3/4", "1/4"]))
-    assert not is_shift_invariant(mu, 1)
-    assert not _oracle_is_shift_invariant(mu, 1)
 
 
 def test_unvalidated_markov_extension_reports_prepend_witness():

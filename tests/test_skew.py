@@ -20,14 +20,12 @@ from ergolab.errors import (
 from ergolab.exact import entropy_nats
 from ergolab.groups import automorphisms
 from ergolab.shifts import (
-    ONE_SIDED,
     Bernoulli,
     BlockTable,
     Convolution,
     Markov,
     Mixture,
     PeriodicOrbit,
-    ShiftSystem,
     _merged,
     shift_haar,
     shift_space,
@@ -80,14 +78,6 @@ def test_make_skew_rejects_non_automorphism():
     doubling = make_hom(c4, c4, [(2 * x) % 4 for x in range(4)])
     with pytest.raises(NotAutomorphism):
         make_skew(shift_space(c4), c4, doubling, {(s,): 0 for s in range(4)})
-
-
-def test_make_skew_rejects_an_affine_shift_base():
-    # every skew check reads S as the plain shift, so T(x)_i = c * x_{i+1} has no skew product
-    c3 = cyclic(3)
-    affine = ShiftSystem(c3, ONE_SIDED, 1)
-    with pytest.raises(SystemMismatch, match="skew products are defined over plain shifts"):
-        make_skew(affine, c3, identity_hom(c3), first_symbol_cocycle(affine, c3))
 
 
 def test_make_skew_rejects_partial_cocycle():
