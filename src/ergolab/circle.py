@@ -8,8 +8,10 @@ than shadowing one float orbit, which loses a bit of precision per step.
 
 A block's coding stays exact on integers: for x = num / 2^P, each step
 multiplies num by k, and the part above P bits is the symbol. The blocks of
-a sample take that step together, on the 32-bit limbs of their points, and
-one call to the generator draws every point (`_coded_blocks`).
+a sample take c such steps together, on the 32-bit limbs of their points:
+one multiply by k^c, the largest power below 2^32, whose part above P bits
+holds the next c symbols as one base-k number. One call to the generator
+draws every point (`_coded_blocks`).
 """
 
 from __future__ import annotations
@@ -69,14 +71,19 @@ def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.nda
 
     The point x = num / 2^precision, num = rng.getrandbits(precision), codes
     to the digits of the per-step loop: num *= k, the part above the precision
-    is the digit, and the rest is the next num. Every point runs that loop at
-    once, on its m = ceil(precision / 32) limbs, least significant first: m - 1
-    of 32 bits and a top one of the precision's last bits, whose carry out is
-    the digit. getrandbits(precision) joins m 32-bit outputs of the generator,
-    the last shifted right to those bits, so one getrandbits(32 m count) holds
-    every point's outputs, and it leaves the generator as `count` calls would.
-    Limbs are uint64 for k < 2^32, where limb * k + carry < 2^64, and Python
-    ints past it.
+    is the digit, and the rest is the next num. c steps of that loop are one
+    step num *= k^c, whose part above the precision is the next c digits as
+    one base-k number, first digit most significant (radix conversion by a
+    power of the radix; Knuth, TAOCP Vol. 2, 4.4). c is the largest count
+    with k^c < 2^32. Every point runs that step at once, on its
+    m = ceil(precision / 32) limbs, least significant first: m - 1 of 32 bits
+    and a top one of the precision's last bits, whose carry out is the c
+    digits, split by c - 1 divisions by k. A limb is below 2^32 and the carry
+    into it below k^c, so limb * k^c + carry < 2^64 and the limbs are uint64
+    for k < 2^32; past it they are Python ints, with c = 1.
+    getrandbits(precision) joins m 32-bit outputs of the generator, the last
+    shifted right to those bits, so one getrandbits(32 m count) holds every
+    point's outputs, and it leaves the generator as `count` calls would.
     """
     bits_per_symbol = max(1, (k - 1).bit_length())
     precision = length * bits_per_symbol + 64
@@ -86,15 +93,23 @@ def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.nda
     limbs = limbs.astype(np.uint64 if k < 2**32 else object, order="C")
     widths = [32] * (m - 1) + [precision - 32 * (m - 1)]
     limbs[-1] >>= 32 - widths[-1]
+    c = 1  # digits per pass: the largest c with k^c < 2^32, 1 on Python-int limbs
+    while k ** (c + 1) < 2**32:
+        c += 1
     digits = np.empty((count, length), dtype=np.min_scalar_type(-k))
-    for j in range(length):
+    for start in range(0, length, c):
+        end = min(start + c, length)
         carry = 0
         for limb, width in zip(limbs, widths):
-            limb *= k
+            limb *= k ** (end - start)
             limb += carry
             carry = limb >> width
             limb &= (1 << width) - 1
-        digits[:, j] = carry
+        for j in range(end - 1, start, -1):  # the carry's base-k digits, last first
+            q = carry // k
+            digits[:, j] = carry - q * k
+            carry = q
+        digits[:, start] = carry
     return digits
 
 

@@ -192,7 +192,7 @@ class GroupHom:
 
 def make_hom(source: FiniteGroup, target: FiniteGroup, table: Sequence[int]) -> GroupHom:
     """Verify the homomorphism law on every pair and return the hom."""
-    tab = tuple(int(v) for v in table)
+    tab = tuple(operator.index(v) for v in table)
     if len(tab) != source.order or any(not (0 <= v < target.order) for v in tab):
         raise ValueError("hom table must map every source element into the target")
     for a in range(source.order):

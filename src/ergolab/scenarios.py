@@ -36,6 +36,7 @@ from .errors import MissingIdentity, MissingInverse, NonAssociative
 from .groups import FiniteGroup, cyclic, dihedral, direct_product, explicit_group, haar
 from .groups import identity_hom, independence_check, measure, symmetric
 from .shifts import (
+    DEPTH_GUARD_STATES,
     Bernoulli,
     Markov,
     Mixture,
@@ -219,11 +220,18 @@ RATIONALS = _list_of(Param("rational", _as_ratio))
 WEIGHTS = _list_of(Param("rational", _as_ratio), per_symbol=True)
 
 
+def _guard_order(order: int, text: str) -> None:
+    """Refuse a group before it is built when its order^2-entry table would pass 2^24."""
+    if order * order > DEPTH_GUARD_STATES:
+        raise ValueError(f"{text} gives order {order}: its {order}^2 table entries exceed 2^24")
+
+
 def _cyclic(n=COUNT):
+    _guard_order(n, f"n = {n}")
     return cyclic(n)
 
 
-def _symmetric(n=COUNT):
+def _symmetric(n=COUNT):  # `symmetric` and `dihedral` refuse n > 4 and n > 8 before building
     return symmetric(n)
 
 
@@ -232,6 +240,7 @@ def _dihedral(n=COUNT):
 
 
 def _direct_product(left=GROUP, right=GROUP):
+    _guard_order(left.order * right.order, f"{left.order} * {right.order}")
     return direct_product(left, right)
 
 

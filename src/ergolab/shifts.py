@@ -611,8 +611,12 @@ class PeriodicOrbit(ShiftMeasure):
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
         phase = int(rng.integers(self.period))
-        reps = n // self.period + 2
-        tiled = np.tile(np.array(self.word, dtype=_code_dtype(self.system.alphabet.order)), reps)
+        filled = self.period
+        tiled = np.empty(n + filled, dtype=_code_dtype(self.system.alphabet.order))
+        tiled[:filled] = self.word
+        while filled < len(tiled):  # copy the filled prefix after itself, doubling it
+            tiled[filled : 2 * filled] = tiled[: min(filled, len(tiled) - filled)]
+            filled *= 2
         return tiled[phase : phase + n]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from ergolab.circle import (
     CircleSystem,
+    _coded_blocks,
     circle_entropy_report,
     lebesgue,
     periodic_atomic,
@@ -136,13 +137,35 @@ def _naive_lebesgue_coding(k, n_symbols, seed):
     return words
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 7, 10, 16])
-@pytest.mark.parametrize("n", [1, 17, 40, 120, 123, 4017])
+# c digits a limb pass, the largest c with k^c < 2^32: c = 31 at k = 2, 20 at k = 3,
+# 9 at k = 10, 4 at k = 255 and 256, 2 at k = 65535, and 1 from k = 65536 on; from
+# k = 2^32 on the limbs are Python ints. Blocks of c - 1, c and c + 1 symbols (30-32 at
+# k = 2, 19-21 at k = 3), alone or as the tail after a full block (71, 72), end on a short
+# pass, on a full one, or on a one-digit pass after a full one.
+@pytest.mark.parametrize(
+    "k", [2, 3, 5, 7, 10, 16, 255, 256, 65535, 65536, 2**31 + 11, 2**32 - 1, 2**32, 2**32 + 1]
+)
+@pytest.mark.parametrize("n", [1, 17, 40, 120, 123, 4017, 19, 20, 21, 30, 31, 32, 71, 72])
 def test_lebesgue_coding_matches_bigint_loop(k, n):
     for seed in (0, 9):
         words = sample_lebesgue_coding(CircleSystem(k), n, seed)
         assert [w.tolist() for w in words] == _naive_lebesgue_coding(k, n, seed)
-        assert all(w.dtype == np.int8 for w in words)
+        assert all(w.dtype == np.min_scalar_type(-k) for w in words)
+    if k <= 16:
+        assert words[0].dtype == np.int8
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 65535, 2**32 + 1])
+@pytest.mark.parametrize("length, count", [(40, 3), (31, 1), (71, 2)])
+def test_coded_blocks_leave_the_generator_as_the_naive_loop(k, length, count):
+    # one getrandbits call for every point leaves the shared generator where `count`
+    # per-point calls leave it, whatever the number of digits a pass takes
+    rng, naive_rng = random.Random(11), random.Random(11)
+    rng.random(), naive_rng.random()
+    digits = _coded_blocks(rng, k, length, count)
+    assert digits.tolist() == [_naive_coded_block(naive_rng, k, length) for _ in range(count)]
+    assert rng.getstate() == naive_rng.getstate()
+    assert rng.random() == naive_rng.random()
 
 
 @pytest.mark.parametrize("k", [2**40 + 15, 2**62, 2**62 + 1, 2**63 + 5, 3**90])

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -485,6 +486,39 @@ def test_depth_at_the_guard_parses():
                              ("convolution_ergodicity",
                               {"alphabet": {"family": "cyclic", "n": 10}, "left": "haar"})]:
         assert parse_config(json.dumps(full_config(kind, parameters=parameters)))
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        pytest.param({"family": "cyclic", "n": 4097},
+                     "n = 4097 gives order 4097: its 4097^2 table entries exceed 2^24",
+                     id="cyclic"),
+        pytest.param({"family": "symmetric", "n": 9}, "symmetric group supported for 1 <= n <= 4",
+                     id="symmetric"),
+        pytest.param({"family": "direct_product", "left": {"family": "cyclic", "n": 100},
+                      "right": {"family": "cyclic", "n": 100}},
+                     "100 * 100 gives order 10000: its 10000^2 table entries exceed 2^24",
+                     id="direct_product"),
+    ],
+)
+def test_group_order_past_the_guard_is_a_config_error(tmp_path, capsys, group, message):
+    # refused from the order alone, before any order^2 table is built
+    cfg = write_demo(tmp_path, full_config("independence", id="big", parameters={"group": group}))
+    start = time.perf_counter()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert f"scenarios[big].parameters.group: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_group_order_at_the_guard_parses(monkeypatch):
+    product = {"family": "direct_product", "left": {"family": "cyclic", "n": 2},
+               "right": {"family": "dihedral", "n": 8}}
+    assert scenarios.parse_group(product, "g").order == 32
+    # 4096^2 = 2^24 entries is at the guard, not past it; a stub stands in for the slow build
+    monkeypatch.setattr(scenarios, "cyclic", lambda n: scenarios.explicit_group([[0]], f"C{n}"))
+    assert scenarios.parse_group({"family": "cyclic", "n": 4096}, "g").label == "C4096"
 
 
 def test_expected_rejection_past_the_guard_still_runs():

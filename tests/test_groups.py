@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,13 @@ def test_not_homomorphism_has_witness():
     g = cyclic(4)
     with pytest.raises(NotHomomorphism):
         make_hom(g, g, [0, 1, 2, 0])
+
+
+def test_make_hom_refuses_a_float_entry():
+    # read through operator.index, as group tables are: 1.9 is not truncated to 1
+    with pytest.raises(TypeError):
+        make_hom(cyclic(2), cyclic(2), [0, 1.9])
+    assert make_hom(cyclic(2), cyclic(2), [0, np.int64(1)]).table == (0, 1)
 
 
 def test_automorphism_counts():

@@ -262,6 +262,26 @@ def test_periodic_sampler_support():
         assert all(w[i] != w[i + 1] for i in range(10))
 
 
+@pytest.mark.parametrize("group", [cyclic(2), cyclic(5), symmetric(3)], ids=["C2", "C5", "S3"])
+@pytest.mark.parametrize("word", [(1,), (0, 1), (0, 1, 1), (0, 1, 0, 1, 1, 1, 1)],
+                         ids=lambda w: f"p{len(w)}")
+def test_periodic_sampler_matches_np_tile(group, word):
+    # the doubling fill gives the symbols and dtype of tiling the word and slicing at the phase
+    mu = PeriodicOrbit(shift_space(group), word)
+    p = len(word)
+    dtype = shifts._code_dtype(group.order)
+    phases = set()
+    for n in sorted({0, 1, p - 1, p, p + 1, 10**6 + 1}):
+        for seed in range(3):
+            phase = int(np.random.default_rng(seed).integers(p))
+            phases.add(phase)
+            want = np.tile(np.array(word, dtype=dtype), n // p + 2)[phase : phase + n]
+            got = mu.sample(n, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    assert len(phases) == min(p, 2)  # seeds 0-2 start at two phases of every word longer than 1
+
+
 def test_bernoulli_sampler_frequency():
     w = sample(shift_haar(SYS2), 10**6, 7)
     freq = float((w == 0).mean())
