@@ -113,14 +113,21 @@ def _coded_blocks(rng: random.Random, k: int, length: int, count: int) -> np.nda
     return digits
 
 
-def sample_lebesgue_coding(sys: CircleSystem, n_symbols: int, seed: int) -> list[np.ndarray]:
-    """Blocks of coded symbols from independent Lebesgue-distributed points."""
+def sample_lebesgue_coding(
+    sys: CircleSystem, n_symbols: int, seed: int
+) -> Union[np.ndarray, list[np.ndarray]]:
+    """Blocks of coded symbols from independent Lebesgue-distributed points.
+
+    A sequence of 1-D words either way: when every block is full, the
+    (blocks, 40) digit array itself, one block a row; otherwise its rows and
+    the shorter tail block.
+    """
     rng = random.Random(seed)
     full, tail = divmod(max(0, n_symbols), BLOCK_SYMBOLS)
-    words = list(_coded_blocks(rng, sys.k, BLOCK_SYMBOLS, full))
-    if tail:
-        words.extend(_coded_blocks(rng, sys.k, tail, 1))
-    return words
+    blocks = _coded_blocks(rng, sys.k, BLOCK_SYMBOLS, full)
+    if not tail:
+        return blocks
+    return [*blocks, *_coded_blocks(rng, sys.k, tail, 1)]
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,8 @@ def circle_entropy_report(
         word = symbolic_coding(sys, mu.orbit[0], period)
         coded = PeriodicOrbit(shift_space(cyclic(sys.k)), tuple(int(s) for s in word))
         return entropy_rate(coded, max(2, period + 1), tol=1e-12)
-    words: list[np.ndarray] = []
     per_seed, extra = divmod(n_symbols, seeds)
-    for s in range(seeds):
-        words.extend(sample_lebesgue_coding(sys, per_seed + (s < extra), base_seed + s))
+    samples = [sample_lebesgue_coding(sys, per_seed + (s < extra), base_seed + s)
+               for s in range(seeds)]
+    words = samples[0] if seeds == 1 else [w for sample in samples for w in sample]
     return empirical_block_entropy(words, depth, alphabet_size=sys.k)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientData, MonotonicityViolated, UnsupportedKind
 from .exact import entropy_nats, neg_xlogx
-from .shifts import Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
+from .shifts import CHUNK_SYMBOLS, Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
 
 MONOTONE_SLACK = 1e-12
 VELTKAMP = 2.0**27 + 1  # splits a double into two halves of 26 significant bits
@@ -145,7 +145,7 @@ def _level_counts(digits: np.ndarray, sizes: np.ndarray, k: int, length: int) ->
     n_codes = k**length
     dtype = _code_dtype(n_codes + 1)
     digits = digits.astype(dtype)
-    n_win = len(digits) - length + 1
+    n_win = max(0, len(digits) - length + 1)
     codes = digits[:n_win].copy()
     for i in range(1, length):
         codes *= k
@@ -165,6 +165,45 @@ def _level_counts(digits: np.ndarray, sizes: np.ndarray, k: int, length: int) ->
     return counts[::-1]
 
 
+def _runs(words) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The nonempty words in runs of whole words, about CHUNK_SYMBOLS symbols each.
+
+    Each run is its words' symbols laid end to end and their lengths; a word
+    longer than a chunk is a run of its own. The rows of a 2-D array are its
+    words, and a run of them is a slice of its rows, raveled.
+    """
+    if isinstance(words, np.ndarray) and words.ndim == 2:
+        rows, width = words.shape
+        step = max(1, CHUNK_SYMBOLS // width)
+        for start in range(0, rows, step):
+            run = words[start : start + step]
+            yield run.ravel(), np.full(len(run), width)
+        return
+    words = [w for w in words if len(w)]
+    ends = np.cumsum([len(w) for w in words])
+    head = 0
+    while head < len(words):
+        before = int(ends[head - 1]) if head else 0
+        tail = max(head + 1, int(ends.searchsorted(before + CHUNK_SYMBOLS, side="right")))
+        yield np.concatenate(words[head:tail]), np.diff(ends[head:tail], prepend=before)
+        head = tail
+
+
+def _word_counts(words, k: int, length: int) -> list[np.ndarray]:
+    """`_level_counts` of the words, run by run (`_runs`); a symbol outside range(k) raises.
+
+    No window crosses a word, so the runs' exact counts add up to the words'.
+    """
+    counts = None
+    for digits, sizes in _runs(words):
+        if digits.min() < 0 or digits.max() >= k:
+            bad = digits[(digits < 0) | (digits >= k)][0]
+            raise ValueError(f"symbol {bad} outside range({k})")
+        run = _level_counts(digits, sizes, k, length)
+        counts = run if counts is None else [a + b for a, b in zip(counts, run)]
+    return counts
+
+
 def empirical_block_entropy(
     words: Sequence[Sequence[int]],
     length: int,
@@ -172,35 +211,36 @@ def empirical_block_entropy(
 ) -> EntropyEstimate:
     """Plug-in conditional block entropy from sampled words.
 
-    Requires at least 100 * |alphabet|^L symbols, every one in
+    `words` is a sequence of 1-D words or a 2-D array, whose rows are its
+    words. Requires at least 100 * |alphabet|^L symbols, every one in
     range(|alphabet|), and a word of length >= L. Each level's estimate is
     the conditional plug-in over one window table: h_L sums (c_w/T) times
     ln(c_prefix/c_w), so deterministic continuations give exactly 0. The
     window counts are exact integers, taken once at depth L and summed down
-    level by level (`_level_counts`). The note reports the Miller-Madow bias
-    correction magnitude for the underlying block entropy rather than
-    applying it.
+    level by level (`_level_counts`), per run of whole words of about
+    CHUNK_SYMBOLS symbols (`_runs`), so the working memory is one run's. The
+    note reports the Miller-Madow bias correction magnitude for the
+    underlying block entropy rather than applying it.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    if isinstance(words, np.ndarray) and words.ndim == 2:
+        n_symbols, longest = words.size, words.shape[1] if len(words) else 0
+    else:
+        sizes = [len(w) for w in words]
+        n_symbols, longest = sum(sizes), max(sizes, default=0)
     if alphabet_size is None:
-        if not any(len(w) for w in words):
+        if not n_symbols:
             raise InsufficientData(f"0 symbols < 100 * k^{length}: no word has a symbol")
-        alphabet_size = 1 + max(int(max(w)) for w in words if len(w))
+        alphabet_size = 1 + max(int(np.max(w)) for w in words if len(w))
     k = alphabet_size
-    sizes = [len(w) for w in words]
-    require_symbols(sum(sizes), k, length)
-    if max(sizes) < length:
+    require_symbols(n_symbols, k, length)
+    if longest < length:
         raise InsufficientData(
-            f"no window of length L={length}: the longest word has {max(sizes)} symbols"
+            f"no window of length L={length}: the longest word has {longest} symbols"
         )
-    digits = np.concatenate([w for w in words if len(w)])
-    if digits.min() < 0 or digits.max() >= k:
-        bad = digits[(digits < 0) | (digits >= k)][0]
-        raise ValueError(f"symbol {bad} outside range({k})")
-    sizes = np.array([n for n in sizes if n])
     h_levels = []
-    for ell, counts in enumerate(_level_counts(digits, sizes, k, length), start=1):
+    for ell, counts in enumerate(_word_counts(words, k, length), start=1):
         total = int(counts.sum())
         seen = np.flatnonzero(counts)
         if ell == 1:

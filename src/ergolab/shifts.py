@@ -48,6 +48,7 @@ from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 
 DEPTH_GUARD_STATES = 2**24
 BERNOULLI_COUNT_MAX_SYMBOLS = 96  # above it a binary search beats one pass per bound
+CHUNK_SYMBOLS = 1 << 16  # symbols per pass of a sampler's or the estimator's wide temporaries
 
 Word = tuple[int, ...]
 
@@ -423,21 +424,29 @@ class Bernoulli(ShiftMeasure):
         object.__setattr__(self, "_chain", (nums, den, (nums,) * len(nums), den, states))
 
     def sample(self, n, seed):
-        # Generator.choice(k, size=n, p=probs): searchsorted(cdf, rng.random(n), side="right"),
-        # which for few symbols is cheaper as the count of bounds at or below each draw
+        """Generator.choice(|G|, size=n, p=marginal), symbol for symbol.
+
+        That is searchsorted(cdf, rng.random(n), side="right"). The uniforms are
+        drawn CHUNK_SYMBOLS at a time, the same stream as one rng.random(n), and
+        each chunk is coded into its slice of the output; for few symbols as the
+        count of bounds at or below each draw, which is cheaper than the search.
+        """
+        _check_length(n)
         rng = np.random.default_rng(seed)
         probs = np.array([float(w) for w in self.marginal.weights])
         probs /= probs.sum()
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        u = rng.random(n)
-        dtype = _code_dtype(len(cdf))
-        if len(cdf) > BERNOULLI_COUNT_MAX_SYMBOLS:
-            return cdf.searchsorted(u, side="right").astype(dtype)
-        idx = np.zeros(n, dtype=dtype)
-        for bound in cdf[:-1]:  # every draw is below the last bound, 1.0
-            idx += u >= bound
-        return idx
+        out = np.zeros(n, dtype=_code_dtype(len(cdf)))
+        for start in range(0, n, CHUNK_SYMBOLS):
+            u = rng.random(min(CHUNK_SYMBOLS, n - start))
+            idx = out[start : start + len(u)]
+            if len(cdf) > BERNOULLI_COUNT_MAX_SYMBOLS:
+                idx[:] = cdf.searchsorted(u, side="right")
+            else:
+                for bound in cdf[:-1]:  # every draw is below the last bound, 1.0
+                    idx += u >= bound
+        return out
 
 
 def shift_haar(system: ShiftSystem) -> Bernoulli:
@@ -454,6 +463,12 @@ def _code_dtype(n_codes: int) -> np.dtype:
         if n_codes <= np.iinfo(dtype).max + 1:
             return np.dtype(dtype)
     return np.dtype(np.int64)
+
+
+def _check_length(n: int) -> None:
+    """A leaf sampler's length check: composite kinds pass n down to their leaves."""
+    if n < 0:
+        raise ValueError(f"sample length must be >= 0, got n={n}")
 
 
 def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[tuple[int, int]]:
@@ -549,6 +564,7 @@ class Markov(ShiftMeasure):
         a Python loop; the steps left run as the per-step walk, in increasing
         order. Every symbol equals the per-step walk's.
         """
+        _check_length(n)
         n_sym = self.system.alphabet.order
         if n == 0:
             return np.empty(0, dtype=_code_dtype(n_sym))
@@ -609,6 +625,7 @@ class PeriodicOrbit(ShiftMeasure):
         return len(self.word)
 
     def sample(self, n, seed):
+        _check_length(n)
         rng = np.random.default_rng(seed)
         phase = int(rng.integers(self.period))
         filled = self.period
@@ -712,13 +729,21 @@ class Convolution(ShiftMeasure):
         return _product_chain(self.left, self.right, self.system.alphabet.op)
 
     def sample(self, n, seed):
+        """np_op by the flat index u * |G| + v, built in u widened to hold |G|^2 codes.
+
+        v is freed before the output exists, and the table is gathered
+        CHUNK_SYMBOLS indices at a time, so the index's intp copy is one chunk.
+        """
         g = self.system.alphabet
-        # np_op by the flat index u * |G| + v, built in u widened to hold |G|^2 codes,
-        # so v is freed before the output exists
         u = self.left.sample(n, _child_stream(seed, 0)).astype(_code_dtype(g.order**2), copy=False)
         u *= g.order
         u += self.right.sample(n, _child_stream(seed, 1))
-        return np.take(g.np_op.ravel().astype(_code_dtype(g.order)), u)
+        table = g.np_op.ravel().astype(_code_dtype(g.order))
+        out = np.empty(n, dtype=table.dtype)
+        for start in range(0, n, CHUNK_SYMBOLS):
+            end = start + CHUNK_SYMBOLS
+            np.take(table, u[start:end], out=out[start:end])
+        return out
 
     def _extended(self):
         return convolve_shift(self.left._extended(), self.right._extended())

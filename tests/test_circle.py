@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from ergolab.circle import (
     symbolic_coding,
     times_k,
 )
+from ergolab.entropy import empirical_block_entropy
 from ergolab.errors import BadK
 
 
@@ -173,6 +175,32 @@ def test_lebesgue_coding_of_a_large_multiplier(k):
     # one digit per chunk: int64 chunks up to k = 2^62, Python ints above it
     words = sample_lebesgue_coding(CircleSystem(k), 45, 2)
     assert [w.tolist() for w in words] == _naive_lebesgue_coding(k, 45, 2)
+
+
+@pytest.mark.parametrize("n", [0, 40, 4000, 39, 4001, 4039])
+def test_lebesgue_sample_is_one_array_when_every_block_is_full(n):
+    words = sample_lebesgue_coding(times_k(3), n, 5)
+    if n % 40 == 0:
+        assert isinstance(words, np.ndarray) and words.shape == (n // 40, 40)
+    else:
+        assert isinstance(words, list) and [len(w) for w in words] == [40] * (n // 40) + [n % 40]
+    assert [w.tolist() for w in words] == _naive_lebesgue_coding(3, n, 5)
+
+
+def test_lebesgue_estimate_keeps_its_working_memory_to_a_chunk():
+    # concatenating the sample's rows and bincounting its intp window codes in one
+    # pass peaked at about 13.7 MB; a run of rows is a view, counted a chunk at a time
+    words = sample_lebesgue_coding(times_k(2), 10**6, seed=4)
+    empirical_block_entropy(words[:3000], 2, alphabet_size=2)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        est = empirical_block_entropy(words, 12, alphabet_size=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10**6
+    assert est == empirical_block_entropy(list(words), 12, alphabet_size=2)
+    assert est == circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=10**6, base_seed=4)
 
 
 def test_circle_entropy_report_uses_every_symbol(monkeypatch):

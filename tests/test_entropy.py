@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import cyclic, haar, measure
+from ergolab import cyclic, entropy, haar, measure
 from ergolab.entropy import (
     EntropyEstimate,
     _level_counts,
@@ -517,6 +517,53 @@ def test_level_counts_match_per_level_masked_bincount(case):
     for ell, (a, b) in enumerate(zip(got, counts), start=1):
         assert a.dtype == np.int64 and np.array_equal(a, b), f"level {ell}"
     assert empirical_block_entropy(words, length, alphabet_size=k).upper_bounds == h_levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ragged_source(), st.integers(1, 400))
+def test_counts_run_by_run_match_one_pass(case, chunk):
+    # runs end mid-list, a word can outrun a chunk, and a run of short words can
+    # hold fewer than L symbols, so none of its windows reaches level L
+    words, length, k = case
+    nonempty = [w for w in words if len(w)]
+    one_pass = _level_counts(np.concatenate(nonempty), np.array([len(w) for w in nonempty]), k,
+                             length)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(entropy, "CHUNK_SYMBOLS", chunk)
+        runs = list(entropy._runs(words))
+        by_runs = entropy._word_counts(words, k, length)
+    assert [s.tolist() for _, s in runs] == [[len(w) for w in nonempty][i:j] for i, j in
+                                             _run_bounds([len(w) for w in nonempty], chunk)]
+    for ell, (a, b) in enumerate(zip(by_runs, one_pass), start=1):
+        assert a.dtype == np.int64 and np.array_equal(a, b), f"level {ell}"
+
+
+def _run_bounds(sizes, chunk):
+    """[head, tail) of each run: whole words while they fit in the chunk, at least one."""
+    bounds, head = [], 0
+    while head < len(sizes):
+        tail, total = head + 1, sizes[head]
+        while tail < len(sizes) and total + sizes[tail] <= chunk:
+            total += sizes[tail]
+            tail += 1
+        bounds.append((head, tail))
+        head = tail
+    return bounds
+
+
+@pytest.mark.parametrize("chunk", [1, 6, 7, 50, 2**16])
+@pytest.mark.parametrize("width", [3, 7])
+def test_empirical_entropy_reads_a_2d_array_like_its_rows(chunk, width, monkeypatch):
+    # a run of a 2-D array is a slice of its rows, raveled, whatever the chunk
+    monkeypatch.setattr(entropy, "CHUNK_SYMBOLS", chunk)
+    rows = np.random.default_rng(width).integers(0, 3, size=(1000, width), dtype=np.int8)
+    for k in (3, None):
+        got = empirical_block_entropy(rows, 3, alphabet_size=k)
+        assert got == empirical_block_entropy(list(rows), 3, alphabet_size=k)
+        assert got == empirical_block_entropy(rows.tolist(), 3, alphabet_size=k)
+    rows[999, 2] = 3
+    with pytest.raises(ValueError, match="symbol 3 outside range\\(3\\)"):
+        empirical_block_entropy(rows, 3, alphabet_size=3)
 
 
 def test_empirical_entropy_reads_numpy_rows_like_lists():

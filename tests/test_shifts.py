@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -756,7 +757,7 @@ def test_code_dtype_is_the_narrowest_that_holds_the_codes():
 
 
 class _FixedDraws:
-    """Stands in for a numpy Generator: first state 0, then the given uniforms."""
+    """Stands in for a numpy Generator: first state 0, then the given uniforms, in order."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64)
@@ -765,7 +766,8 @@ class _FixedDraws:
         return 0
 
     def random(self, n):
-        return self.draws[:n].copy()
+        out, self.draws = self.draws[:n].copy(), self.draws[n:]
+        return out
 
 
 def test_markov_sampler_matches_per_step_walk_on_draws_at_row_bounds(monkeypatch):
@@ -807,6 +809,28 @@ def test_markov_sample_of_length_zero_is_empty():
         assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
 
 
+SIX_KINDS = [
+    bern("1/4"),
+    MARKOV_CHAINS[0],
+    PeriodicOrbit(SYS2, (0, 1, 1)),
+    Mixture(SYS2, ((F(1, 3), bern("1/4")), (F(2, 3), PeriodicOrbit(SYS2, (0, 1, 1))))),
+    Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1, 1))),
+    product_system(bern("1/4"), MARKOV_CHAINS[0]),
+]
+
+
+@pytest.mark.parametrize("mu", SIX_KINDS, ids=lambda m: m.kind)
+def test_samplers_reject_a_negative_length(mu):
+    # Bernoulli and Markov raised numpy's negative-dimensions error, and a periodic
+    # orbit returned an empty array or raised a broadcast error, by its word
+    for n in (-1, -2, -(10**6)):
+        with pytest.raises(ValueError, match=f"sample length must be >= 0, got n={n}"):
+            mu.sample(n, 3)
+    got = mu.sample(0, 3)
+    assert got.shape == (0,)
+    assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([SYS2, SYS3]).flatmap(
@@ -827,6 +851,20 @@ def test_markov_sampler_matches_per_step_walk_on_random_chains(chain, n, seed):
 
 
 # -- Bernoulli and convolution samplers against the calls they replace ----------------
+
+
+CHUNK = shifts.CHUNK_SYMBOLS
+CHUNK_EDGES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (3, 10**4), (CHUNK, 1), (CHUNK - 1, CHUNK + 7)])
+def test_generator_random_in_two_calls_is_one_stream(a, b):
+    # the samplers draw their uniforms a chunk at a time, bit-identical to one draw of
+    # them all only while Generator.random turns each 64-bit output into one double
+    whole, split = np.random.default_rng(5), np.random.default_rng(5)
+    first, second = split.random(a), split.random(b)
+    assert np.array_equal(np.concatenate([first, second]), whole.random(a + b))
+    assert np.array_equal(split.random(3), whole.random(3))
 
 
 def _choice_oracle(mu, n, seed):
@@ -860,13 +898,18 @@ def test_bernoulli_sampler_matches_rng_choice(mu, cut_over, monkeypatch):
             got = mu.sample(n, seed)
             assert got.dtype == shifts._code_dtype(mu.system.alphabet.order)
             assert np.array_equal(got, _choice_oracle(mu, n, seed))
+    if mu.marginal.weights.index(0) == 0:  # one zero position per alphabet at the chunk edges
+        for n in CHUNK_EDGES:
+            assert np.array_equal(mu.sample(n, 5), _choice_oracle(mu, n, 5)), n
 
 
 @pytest.mark.parametrize("cut_over", [0, 10**3], ids=["search", "count"])
 def test_bernoulli_sampler_on_draws_at_cdf_bounds(cut_over, monkeypatch):
     # a draw equal to a bound lies past it, as in searchsorted(side="right"), which
-    # Generator.choice runs on its cdf; random draws almost never hit a bound
+    # Generator.choice runs on its cdf; random draws almost never hit a bound. Chunks
+    # of 7 draws end inside the bounds' run, so the draws come in several calls
     monkeypatch.setattr(shifts, "BERNOULLI_COUNT_MAX_SYMBOLS", cut_over)
+    monkeypatch.setattr(shifts, "CHUNK_SYMBOLS", 7)
     for mu in BERNOULLI_CASES:
         probs = np.array([float(w) for w in mu.marginal.weights])
         probs /= probs.sum()
@@ -887,11 +930,25 @@ def test_convolution_sampler_matches_2d_index():
     bern_s3 = Bernoulli(sys_s3, measure(s3, [F(k, 21) for k in range(1, 7)]))
     orbit = PeriodicOrbit(sys_s3, (1, 2, 5))
     for left, right in ((bern_s3, orbit), (orbit, bern_s3)):
-        for n, seed in ((0, 0), (1, 4), (10**4 + 3, 9)):
+        for n, seed in ((0, 0), (1, 4), (10**4 + 3, 9), *((n, 2) for n in CHUNK_EDGES)):
             got = Convolution(sys_s3, left, right).sample(n, seed)
             want = s3.np_op[left.sample(n, _child(seed, 0)), right.sample(n, _child(seed, 1))]
             assert got.dtype == shifts._code_dtype(s3.order)
             assert np.array_equal(got, want)
+
+
+def test_convolution_sample_keeps_its_working_memory_to_a_chunk():
+    # one pass over all 10^6 symbols held their float64 uniforms and the intp copy of
+    # the gather index, about a 10 MB peak; the narrow operands and output take 2 MB
+    mu = Convolution(SYS2, bern("5/17"), PeriodicOrbit(SYS2, (0, 0, 1)))
+    mu.sample(10, 0)  # numpy's first-call set-up is not working memory
+    tracemalloc.start()
+    try:
+        mu.sample(10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 10**6
 
 
 def _int64_sample(mu, n, seed):
