@@ -20,6 +20,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="-")
     args = ap.parse_args()
+    if args.symbols < 1:
+        ap.error(f"--symbols must be >= 1, got {args.symbols}")
 
     sys_k = times_k(args.k)
     sink = sys.stdout if args.out == "-" else open(args.out, "w")

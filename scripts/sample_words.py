@@ -14,7 +14,7 @@ import sys
 
 from ergolab import cyclic
 from ergolab.scenarios import parse_measure
-from ergolab.shifts import sample, shift_space
+from ergolab.shifts import shift_space
 
 
 def main() -> int:
@@ -26,6 +26,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="-", help="output path or - for stdout")
     args = ap.parse_args()
+    if args.length < 1:
+        ap.error(f"--length must be >= 1, got {args.length}")
+    if args.count < 0:
+        ap.error(f"--count must be >= 0, got {args.count}")
 
     text = args.measure
     if text.startswith("@"):
@@ -36,7 +40,7 @@ def main() -> int:
     sink = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         for i in range(args.count):
-            word = sample(mu, args.length, args.seed + i)
+            word = mu.sample(args.length, args.seed + i)
             sink.write("".join(str(int(s)) for s in word) + "\n")
     finally:
         if sink is not sys.stdout:

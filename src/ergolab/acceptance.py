@@ -5,10 +5,14 @@ detail string, and its runtime; `run_suite` selects the exact suite
 (criteria 1-9), the statistical suite (10-11), or all. The same functions
 back `ergolab verify` and tests/test_acceptance.py. Seeds are fixed here so
 the suite is deterministic.
+
+Criteria 10 and 11 are built-in scenario configs, `SCENARIO_CONFIGS`, parsed
+and run as `ergolab run` runs a user's; each passes when all its rows pass.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -17,14 +21,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import groups
-from .circle import circle_entropy_report, lebesgue, periodic_atomic, times_k
 from .entropy import block_entropy, closed_form_entropy, entropy_rate
-from .ergodicity import (
-    DisjointnessCertificate,
-    convolution_ergodicity_scenario,
-    is_ergodic_exact,
-)
-from .errors import FactorNotErgodic
+from .ergodicity import is_ergodic_exact
 from .groups import (
     automorphisms,
     convolve,
@@ -37,11 +35,11 @@ from .groups import (
     random_measure,
     symmetric,
 )
+from .scenarios import parse_config, run_scenarios
 from .shifts import (
     Bernoulli,
     Convolution,
     Markov,
-    Mixture,
     PeriodicOrbit,
     convolve_shift,
     natural_extension,
@@ -356,65 +354,51 @@ def criterion_9() -> CriterionResult:
     return _timed(9, "natural extension preserves marginals and entropy", 10.0, body)
 
 
-def criterion_10() -> CriterionResult:
-    def body():
-        c2 = cyclic(2)
-        sys2 = shift_space(c2)
-        b14 = Bernoulli(sys2, groups.measure(c2, ["3/4", "1/4"]))
-        per = PeriodicOrbit(sys2, (0, 1))
-        rep = convolution_ergodicity_scenario(
-            b14,
-            per,
-            DisjointnessCertificate("periodic_vs_mixing"),
-            n_steps=10**6,
-            n_seeds=100,
-            base_seed=41,
-        )
-        if not rep.invariance_exact:
-            return False, "convolution failed the exact invariance precheck"
-        if rep.verdict != "ergodic-consistent":
-            bad = [r for r in rep.birkhoff.rows if not r.passed]
-            return False, f"birkhoff evidence inconsistent on {len(bad)} observables"
-        bad_factor = Mixture(
-            sys2,
-            (
-                (Fraction(1, 2), b14),
-                (Fraction(1, 2), Bernoulli(sys2, groups.measure(c2, ["1/4", "3/4"]))),
-            ),
-        )
-        try:
-            convolution_ergodicity_scenario(
-                b14, bad_factor, DisjointnessCertificate("declared"), n_steps=10**4, n_seeds=2
-            )
-            return False, "non-ergodic mixture factor was not rejected"
-        except FactorNotErgodic:
-            pass
-        max_disp = max(r.dispersion for r in rep.birkhoff.rows)
-        return True, (
-            f"100 seeds x 1e6 steps: means within 3 sigma, max dispersion {max_disp:.1e}; "
-            "control factor rejected"
-        )
+C2 = {"family": "cyclic", "n": 2}
+B14 = {"kind": "bernoulli", "marginal": ["3/4", "1/4"]}
 
-    return _timed(10, "convolution ergodicity evidence and control", 600.0, body)
+SCENARIO_CONFIGS = {
+    10: {"scenarios": [
+        {"id": "evidence", "kind": "convolution_ergodicity", "seed": 41, "parameters": {
+            "alphabet": C2, "left": B14, "right": {"kind": "periodic_orbit", "word": [0, 1]},
+            "certificate": {"kind": "periodic_vs_mixing"}, "steps": 10**6, "seed_count": 100}},
+        {"id": "control", "kind": "convolution_ergodicity", "parameters": {
+            "alphabet": C2, "left": B14, "right": {"kind": "mixture", "components": [
+                ["1/2", B14], ["1/2", {"kind": "bernoulli", "marginal": ["1/4", "3/4"]}]]},
+            "certificate": {"kind": "declared"}, "steps": 10**4, "seed_count": 2,
+            "expect_rejection": True}},
+    ]},
+    11: {"scenarios": [
+        {"id": "lebesgue", "kind": "circle", "seed": 7, "parameters": {
+            "k": 2, "measure": "lebesgue", "L": 12, "symbols": 10**7, "seed_count": 10}},
+        {"id": "atomic", "kind": "circle", "parameters": {
+            "k": 2, "measure": {"periodic_atomic": "1/3"}, "L": 4}},
+    ]},
+}
+
+
+def _scenario_criterion(number: int, title: str, budget: float) -> CriterionResult:
+    """Run `SCENARIO_CONFIGS[number]`; it passes exactly when every row passes."""
+
+    def body():
+        results = run_scenarios(parse_config(json.dumps(SCENARIO_CONFIGS[number])))
+        rows = [(res.scenario.id, r) for res in results for r in res.rows]
+        detail = f"{sum(r.passed for _, r in rows)} of {len(rows)} rows passed"
+        for sid, r in rows:
+            if not r.passed:
+                return False, (f"{detail}; {sid}:{r.quantity} = {r.value:.6g}, bounds "
+                               f"[{r.lower:.6g}, {r.upper:.6g}] +/- {r.tolerance:.3g}")
+        return True, detail
+
+    return _timed(number, title, budget, body)
+
+
+def criterion_10() -> CriterionResult:
+    return _scenario_criterion(10, "convolution ergodicity evidence and control", 600.0)
 
 
 def criterion_11() -> CriterionResult:
-    def body():
-        sys = times_k(2)
-        est = circle_entropy_report(
-            sys, lebesgue(), depth=12, n_symbols=10**7, seeds=10, base_seed=7
-        )
-        if abs(est.value - LN2) > 0.02:
-            return False, f"doubling-map empirical entropy {est.value:.4f} vs ln 2"
-        atomic = circle_entropy_report(sys, periodic_atomic(sys, "1/3"), depth=4)
-        if atomic.value != 0.0:
-            return False, f"periodic atomic entropy {atomic.value} != 0"
-        return True, (
-            f"lebesgue coding at L=12 gave {est.value:.5f} (ln 2 = {LN2:.5f}); "
-            "atomic orbit exactly 0"
-        )
-
-    return _timed(11, "circle doubling map instance", 300.0, body)
+    return _scenario_criterion(11, "circle doubling map instance", 300.0)
 
 
 CRITERIA: dict[int, Callable[[], CriterionResult]] = {

@@ -157,7 +157,8 @@ def _level_counts(digits: np.ndarray, sizes: np.ndarray, k: int, length: int) ->
         starts = (ends - i)[inside]  # the i-th last start of each word, whose window leaves it
         codes[starts[starts < n_win]] = n_codes
         suffix *= k
-        suffix += digits[ends - i] * inside
+        # a word shorter than i reads before its start, zeroed by inside; clip keeps it in the run
+        suffix += np.take(digits, ends - i, mode="clip") * inside
     counts = [np.bincount(codes, minlength=n_codes + 1)[:n_codes]]
     for ell in range(length - 1, 0, -1):
         tails = np.bincount(suffix[sizes >= ell] % k**ell, minlength=k**ell)

@@ -10,7 +10,9 @@ calibrated heuristic, never a proof, and the report says so.
 
 Disjointness of two factor systems is certified structurally (trivial
 factor, or periodic against full-support mixing), never computed; the
-`declared` escape hatch is flagged as unverified in the report.
+`declared` escape hatch is flagged as unverified in the report. The
+Theorem 4.1 check that combines these pieces is the `convolution_ergodicity`
+scenario kind in `scenarios`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificateInvalid, DepthLimitExceeded, FactorNotErgodic, InsufficientSteps
+from .errors import CertificateInvalid, DepthLimitExceeded, InsufficientSteps
 from .shifts import (
     Bernoulli,
     Mixture,
@@ -31,8 +33,6 @@ from .shifts import (
     ShiftSystem,
     Word,
     _code_dtype,
-    convolve_shift,
-    is_shift_invariant,
 )
 
 MIN_BIRKHOFF_STEPS = 10_000
@@ -263,48 +263,3 @@ def validate_certificate(
     if cert.kind == "declared":
         return False
     raise CertificateInvalid(f"unknown certificate kind {cert.kind!r}")
-
-
-@dataclass(frozen=True)
-class ConvolutionErgodicityReport:
-    certificate: DisjointnessCertificate
-    certificate_verified: bool
-    invariance_exact: bool
-    invariance_depth: int
-    birkhoff: BirkhoffReport
-    verdict: str  # ergodic-consistent | inconsistent
-
-
-def convolution_ergodicity_scenario(
-    mu: ShiftMeasure,
-    nu: ShiftMeasure,
-    cert: DisjointnessCertificate,
-    n_steps: int = 10**6,
-    n_seeds: int = 100,
-    base_seed: int = 0,
-    invariance_depth: int = 6,
-    observable_seed: int = 0,
-    dispersion_threshold: float = DISPERSION_THRESHOLD,
-) -> ConvolutionErgodicityReport:
-    """Theorem-style scenario: ergodic factors, certificate, convolution evidence."""
-    for name, factor in (("left", mu), ("right", nu)):
-        verdict = is_ergodic_exact(factor)
-        if verdict.verdict != "ergodic":
-            raise FactorNotErgodic(
-                f"{name} factor is {verdict.verdict} ({verdict.witness or verdict.method})"
-            )
-    verified = validate_certificate(cert, mu, nu)
-    conv = convolve_shift(mu, nu)
-    invariant = is_shift_invariant(conv, invariance_depth)
-    report = birkhoff_report(
-        conv,
-        default_observables(mu.system, observable_seed),
-        n_steps,
-        n_seeds,
-        base_seed,
-        dispersion_threshold,
-    )
-    verdict = "ergodic-consistent" if (invariant and report.consistent) else "inconsistent"
-    return ConvolutionErgodicityReport(
-        cert, verified, invariant, invariance_depth, report, verdict
-    )

@@ -73,10 +73,6 @@ class InsufficientSteps(ErgolabError):
     pass
 
 
-class FactorNotErgodic(ErgolabError):
-    pass
-
-
 class CertificateInvalid(ErgolabError):
     pass
 

@@ -27,12 +27,14 @@ from .ergodicity import (
     DISPERSION_THRESHOLD,
     MIN_BIRKHOFF_STEPS,
     DisjointnessCertificate,
-    convolution_ergodicity_scenario,
+    birkhoff_report,
+    default_observables,
     is_ergodic_exact,
     same_measure,
+    validate_certificate,
 )
-from .errors import DepthLimitExceeded, FactorNotErgodic, InsufficientData, ParseError, SchemaError
-from .errors import MissingIdentity, MissingInverse, NonAssociative
+from .errors import DepthLimitExceeded, InsufficientData, ParseError, SchemaError
+from .errors import CertificateInvalid, MissingIdentity, MissingInverse, NonAssociative
 from .groups import FiniteGroup, cyclic, dihedral, direct_product, explicit_group, haar
 from .groups import identity_hom, independence_check, measure, symmetric
 from .shifts import (
@@ -44,6 +46,7 @@ from .shifts import (
     ShiftMeasure,
     ShiftSystem,
     convolve_shift,
+    is_shift_invariant,
     natural_extension,
     shift_haar,
     shift_space,
@@ -482,45 +485,52 @@ def _extension_depth(path, alphabet, measure, L):
     _guard_at(f"{path}.L", L + 1, measure, natural_extension(measure))
 
 
+INVARIANCE_DEPTH = 6  # the depth of a convolution_ergodicity run's exact invariance check
+
+
 def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASURE,
                             certificate=Param("{kind, justification?}", _certificate),
                             steps=_int_at_least(MIN_BIRKHOFF_STEPS).optional(10**6),
                             seed_count=COUNT.optional(100), expect_rejection=BOOL.optional(False)):
-    try:
-        rep = convolution_ergodicity_scenario(
-            left,
-            right,
-            certificate,
-            n_steps=steps,
-            n_seeds=seed_count,
-            base_seed=seed,
-            observable_seed=seed,
-            dispersion_threshold=tol["dispersion"],
-        )
-    except FactorNotErgodic:
-        return [flag_row("rejected_with_factor_not_ergodic", expect_rejection)], {}, {}
-    if expect_rejection:
-        return [flag_row("rejected_with_factor_not_ergodic", False)], {}, {}
+    """Theorem 4.1: two disjoint ergodic factors have an ergodic convolution.
+
+    A factor that `is_ergodic_exact` finds non-ergodic, or an expected rejection, ends the
+    run with one `rejected_with_factor_not_ergodic` row, passing when both hold. Otherwise
+    the rows are the convolution's exact invariance and its Birkhoff evidence over
+    `default_observables` drawn from the scenario's seed.
+    """
+    rejected = not all(is_ergodic_exact(mu).verdict == "ergodic" for mu in (left, right))
+    if expect_rejection or rejected:
+        return [flag_row("rejected_with_factor_not_ergodic", expect_rejection and rejected)], {}, {}
+    conv = convolve_shift(left, right)
+    invariant = is_shift_invariant(conv, INVARIANCE_DEPTH)
+    rep = birkhoff_report(conv, default_observables(conv.system, seed), steps, seed_count, seed,
+                          tol["dispersion"])
     rows = [
-        flag_row("certificate_verified", rep.certificate_verified or certificate.kind == "declared"),
-        flag_row("convolution_invariant_exact", rep.invariance_exact),
+        flag_row("certificate_verified",
+                 validate_certificate(certificate, left, right) or certificate.kind == "declared"),
+        flag_row("convolution_invariant_exact", invariant),
     ]
-    for r in rep.birkhoff.rows:
+    for r in rep.rows:
         word = "".join(str(s) for s in r.word)
         # the verdict's own comparisons, so a row fails exactly when it breaks the verdict
         rows.append(Row(f"mean[{word}]", r.mean, r.exact, r.exact, r.bound, r.mean_ok))
         rows.append(Row(f"dispersion[{word}]", r.dispersion, 0.0, float(tol["dispersion"]), 0.0,
                         r.dispersion_ok))
-    rows.append(flag_row("ergodic_consistent", rep.verdict == "ergodic-consistent"))
+    rows.append(flag_row("ergodic_consistent", invariant and rep.consistent))
     return rows, {}, {}
 
 
 def _ergodicity_depth(path, alphabet, left, right, certificate, steps, seed_count,
                       expect_rejection):
-    # is_shift_invariant(conv, 6) reads the length-7 table, unless a factor's
+    try:
+        validate_certificate(certificate, left, right)
+    except CertificateInvalid as exc:
+        _fail(f"{path}.certificate", str(exc))
+    # the invariance check reads the length-(INVARIANCE_DEPTH + 1) table, unless a factor's
     # rejection stops the run before it; the factors are decided only past the guard
     try:
-        convolve_shift(left, right)._guard(7)
+        convolve_shift(left, right)._guard(INVARIANCE_DEPTH + 1)
     except DepthLimitExceeded as exc:
         if all(is_ergodic_exact(mu).verdict == "ergodic" for mu in (left, right)):
             _fail(f"{path}.alphabet", str(exc))

@@ -826,12 +826,6 @@ def is_shift_invariant(mu: ShiftMeasure, depth: int) -> bool:
     return True
 
 
-def sample(mu: ShiftMeasure, n: int, seed) -> np.ndarray:
-    if n < 1:
-        raise ValueError("sample length must be >= 1")
-    return mu.sample(n, seed)
-
-
 def natural_extension(mu: ShiftMeasure) -> ShiftMeasure:
     """The two-sided stationary measure with the same finite marginals."""
     if not mu.system.one_sided:

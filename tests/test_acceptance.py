@@ -10,9 +10,11 @@ above the limit, and the bound contracts too slowly for any feasible depth to
 reach 1e-6. The test stays faithful rather than loosened.
 """
 
-import pytest
+import json
 
-from ergolab.acceptance import CRITERIA
+from ergolab import acceptance
+from ergolab.acceptance import CRITERIA, SCENARIO_CONFIGS
+from ergolab.scenarios import parse_config
 
 
 def _run(number: int):
@@ -67,3 +69,32 @@ def test_criterion_10_convolution_ergodicity():
 
 def test_criterion_11_circle_instance():
     _run(11)
+
+
+def test_scenario_criteria_configs_parse():
+    parsed = {n: parse_config(json.dumps(doc)) for n, doc in SCENARIO_CONFIGS.items()}
+    assert {n: [(sc.id, sc.kind, sc.seed) for sc in scs] for n, scs in parsed.items()} == {
+        10: [("evidence", "convolution_ergodicity", 41), ("control", "convolution_ergodicity", 0)],
+        11: [("lebesgue", "circle", 7), ("atomic", "circle", 0)],
+    }
+    evidence, control = parsed[10]
+    assert (evidence.parameters["steps"], evidence.parameters["seed_count"]) == (10**6, 100)
+    assert control.parameters["expect_rejection"]
+    lebesgue, atomic = parsed[11]
+    assert (lebesgue.parameters["L"], lebesgue.parameters["symbols"]) == (12, 10**7)
+    assert lebesgue.tolerances == {"value": 0.02}
+    assert (atomic.parameters["measure"].kind, atomic.parameters["L"]) == ("periodic_atomic", 4)
+
+
+def test_scenario_criterion_fails_naming_its_failing_row(monkeypatch):
+    tight = {"scenarios": [
+        {"id": "atomic", "kind": "circle", "parameters": {
+            "k": 2, "measure": {"periodic_atomic": "1/3"}, "L": 2}},
+        {"id": "tight", "kind": "circle", "tolerances": {"value": 0}, "parameters": {
+            "k": 2, "measure": "lebesgue", "L": 2, "symbols": 1000}},
+    ]}
+    monkeypatch.setitem(acceptance.SCENARIO_CONFIGS, 11, tight)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.detail.startswith("1 of 2 rows passed; tight:empirical_entropy_vs_ln_k = ")
+    assert result.detail.endswith("bounds [0.693147, 0.693147] +/- 0")

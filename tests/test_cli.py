@@ -353,6 +353,11 @@ def test_list_output_stable_and_complete():
          r"\.certificate\.justification: expected str, got 5"),
         ("circle", {"parameters": {"measure": {"periodic_atomic": "1/3", "junk": 1}}},
          r"\.measure: unknown field 'junk'; expected one of periodic_atomic"),
+        ("convolution_ergodicity",
+         {"parameters": {"right": BERN, "certificate": {"kind": "point_mass"}}},
+         r"scenarios\[s\]\.parameters\.certificate: point_mass needs a factor on a single fixed point"),
+        ("convolution_ergodicity", {"parameters": {"right": BERN}},
+         r"scenarios\[s\]\.parameters\.certificate: periodic_vs_mixing needs a periodic orbit"),
     ],
 )
 def test_bad_field_fails_at_parse_time_naming_it(tmp_path, kind, changes, message):
@@ -527,7 +532,7 @@ def test_expected_rejection_past_the_guard_still_runs():
                   "left": {"kind": "mixture", "components": [["1/2", "haar"],
                                                              ["1/2", {"kind": "periodic_orbit",
                                                                       "word": [0]}]]},
-                  "expect_rejection": True}
+                  "certificate": {"kind": "declared"}, "expect_rejection": True}
     (sc,) = parse_config(json.dumps(full_config("convolution_ergodicity", parameters=parameters)))
     (result,) = run_scenarios([sc])
     assert [(r.quantity, r.passed) for r in result.rows] == [("rejected_with_factor_not_ergodic", True)]

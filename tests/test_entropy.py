@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cyclic, entropy, haar, measure
@@ -28,7 +28,6 @@ from ergolab.shifts import (
     Mixture,
     PeriodicOrbit,
     ProductMeasure,
-    sample,
     shift_haar,
     shift_space,
 )
@@ -206,7 +205,7 @@ def test_closed_form_agrees_with_blocks():
 
 def test_empirical_periodic_orbit_is_deterministic():
     per = PeriodicOrbit(SYS2, (0, 1))
-    words = [sample(per, 500, s) for s in range(3)]
+    words = [per.sample(500, s) for s in range(3)]
     est = empirical_block_entropy(words, 2, alphabet_size=2)
     assert est.value == 0.0
     assert est.method == "empirical"
@@ -214,13 +213,13 @@ def test_empirical_periodic_orbit_is_deterministic():
 
 
 def test_empirical_bernoulli_half():
-    words = [sample(shift_haar(SYS2), 10**6, 21)]
+    words = [shift_haar(SYS2).sample(10**6, 21)]
     est = empirical_block_entropy(words, 8, alphabet_size=2)
     assert abs(est.value - LN2) < 0.01
 
 
 def test_empirical_markov():
-    words = [sample(MARKOV_23, 10**6, 22)]
+    words = [MARKOV_23.sample(10**6, 22)]
     est = empirical_block_entropy(words, 10, alphabet_size=2)
     assert abs(est.value - MARKOV_23_RATE) < 0.01
 
@@ -521,6 +520,7 @@ def test_level_counts_match_per_level_masked_bincount(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_ragged_source(), st.integers(1, 400))
+@example(([[0, 1, 0, 1, 1], [1]], 4, 2), 5)  # a last run of fewer than L - 1 symbols
 def test_counts_run_by_run_match_one_pass(case, chunk):
     # runs end mid-list, a word can outrun a chunk, and a run of short words can
     # hold fewer than L symbols, so none of its windows reaches level L

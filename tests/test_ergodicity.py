@@ -15,7 +15,6 @@ from ergolab.ergodicity import (
     DisjointnessCertificate,
     ErgodicityVerdict,
     birkhoff_report,
-    convolution_ergodicity_scenario,
     default_observables,
     is_ergodic_exact,
     same_measure,
@@ -24,7 +23,6 @@ from ergolab.ergodicity import (
 from ergolab.errors import (
     CertificateInvalid,
     DepthLimitExceeded,
-    FactorNotErgodic,
     InsufficientSteps,
 )
 from ergolab.exact import stationary_distribution
@@ -416,29 +414,31 @@ def test_declared_certificate_flagged_unverified():
 # -- the theorem scenario --------------------------------------------------------------
 
 
+BERN_1_4 = {"kind": "bernoulli", "marginal": ["3/4", "1/4"]}
+
+
+def _theorem_rows(left, right, certificate, **parameters):
+    """The rows of one `convolution_ergodicity` scenario, by quantity."""
+    doc = {"scenarios": [{"id": "t", "kind": "convolution_ergodicity", "parameters": {
+        "alphabet": {"family": "cyclic", "n": 2}, "left": left, "right": right,
+        "certificate": {"kind": certificate}, **parameters}}]}
+    (sc,) = parse_config(json.dumps(doc))
+    return {r.quantity: r for r in run_scenario(sc).rows}
+
+
 def test_scenario_point_mass_factor():
-    rep = convolution_ergodicity_scenario(
-        bern("1/4"),
-        PeriodicOrbit(SYS2, (C2.identity,)),
-        DisjointnessCertificate("point_mass"),
-        n_steps=10**5,
-        n_seeds=10,
-    )
-    assert rep.certificate_verified
-    assert rep.invariance_exact
-    assert rep.verdict == "ergodic-consistent"
+    rows = _theorem_rows(BERN_1_4, {"kind": "periodic_orbit", "word": [0]}, "point_mass",
+                         steps=10**5, seed_count=10)
+    assert rows["certificate_verified"].passed
+    assert rows["convolution_invariant_exact"].passed
+    assert rows["ergodic_consistent"].passed
 
 
 def test_scenario_periodic_vs_mixing():
-    rep = convolution_ergodicity_scenario(
-        bern("1/4"),
-        PeriodicOrbit(SYS2, (0, 1)),
-        DisjointnessCertificate("periodic_vs_mixing"),
-        n_steps=10**5,
-        n_seeds=10,
-    )
-    assert rep.invariance_exact
-    assert rep.verdict == "ergodic-consistent"
+    rows = _theorem_rows(BERN_1_4, {"kind": "periodic_orbit", "word": [0, 1]},
+                         "periodic_vs_mixing", steps=10**5, seed_count=10)
+    assert rows["convolution_invariant_exact"].passed
+    assert rows["ergodic_consistent"].passed
 
 
 def test_scenario_accepts_factor_with_zero_weight_component():
@@ -468,15 +468,14 @@ def test_scenario_accepts_factor_with_zero_weight_component():
 
 
 def test_scenario_rejects_non_ergodic_factor():
-    bad = Mixture(SYS2, ((F(1, 2), bern("1/4")), (F(1, 2), bern("3/4"))))
-    with pytest.raises(FactorNotErgodic):
-        convolution_ergodicity_scenario(
-            bern("1/4"),
-            bad,
-            DisjointnessCertificate("declared"),
-            n_steps=10**4,
-            n_seeds=2,
-        )
+    bad = {"kind": "mixture", "components": [
+        ["1/2", BERN_1_4], ["1/2", {"kind": "bernoulli", "marginal": ["1/4", "3/4"]}]]}
+    for expect_rejection in (True, False):
+        rows = _theorem_rows(BERN_1_4, bad, "declared", steps=10**4, seed_count=2,
+                             expect_rejection=expect_rejection)
+        # the non-ergodic factor ends the run: one row, passing when the rejection was expected
+        assert list(rows) == ["rejected_with_factor_not_ergodic"]
+        assert rows["rejected_with_factor_not_ergodic"].passed is expect_rejection
 
 
 # -- birkhoff window counts against the per-observable boolean loop -------------------

@@ -58,3 +58,23 @@ def test_convolution_entropy_curve(monkeypatch, tmp_path, capsys):
     assert all(a >= b for a, b in zip(curve, curve[1:]))
     assert curve[-1] > -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
     assert "limit (bernoulli factor rate): 0.562335145" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("sample_words", ["--length", "0"], "--length must be >= 1, got 0"),
+        ("sample_words", ["--count", "-1"], "--count must be >= 0, got -1"),
+        ("circle_coding", ["--symbols", "0"], "--symbols must be >= 1, got 0"),
+        ("circle_coding", ["--x0", "1/3", "--symbols", "-5"], "--symbols must be >= 1, got -5"),
+    ],
+)
+def test_scripts_refuse_a_bad_count_with_exit_2(monkeypatch, tmp_path, capsys, name, args, message):
+    if name == "sample_words":
+        args = ['{"kind": "bernoulli", "marginal": ["1/2", "1/2"]}', *args]
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, name, *args, "--out", str(out))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -36,7 +36,6 @@ from ergolab.shifts import (
     convolve_shift,
     is_shift_invariant,
     natural_extension,
-    sample,
     shift_haar,
     shift_space,
     verify_extension,
@@ -259,7 +258,7 @@ def test_consistency_on_symmetric3_alphabet():
 def test_periodic_sampler_support():
     per = PeriodicOrbit(SYS2, (0, 1))
     for seed in range(5):
-        w = sample(per, 11, seed)
+        w = per.sample(11, seed)
         assert all(w[i] != w[i + 1] for i in range(10))
 
 
@@ -284,7 +283,7 @@ def test_periodic_sampler_matches_np_tile(group, word):
 
 
 def test_bernoulli_sampler_frequency():
-    w = sample(shift_haar(SYS2), 10**6, 7)
+    w = shift_haar(SYS2).sample(10**6, 7)
     freq = float((w == 0).mean())
     assert abs(freq - 0.5) < 0.002  # 3 sigma binomial at n = 1e6
 
@@ -292,7 +291,7 @@ def test_bernoulli_sampler_frequency():
 def test_convolution_sampler_matches_exact_cylinders():
     conv = Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1)))
     n = 10**6
-    w = sample(conv, n + 2, 13)
+    w = conv.sample(n + 2, 13)
     for word in _words(2, 3):
         arr = np.array(word)
         hits = np.ones(n, dtype=bool)
@@ -305,7 +304,7 @@ def test_convolution_sampler_matches_exact_cylinders():
 
 def test_sampler_deterministic():
     mu = Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1)))
-    assert np.array_equal(sample(mu, 1000, 5), sample(mu, 1000, 5))
+    assert np.array_equal(mu.sample(1000, 5), mu.sample(1000, 5))
 
 
 # -- natural extension -------------------------------------------------------------
@@ -1017,7 +1016,7 @@ def test_nested_convolution_samples_its_exact_cylinders():
                      Convolution(SYS2, bern("1/5"), bern("1/7")))
     assert mu.cylinder((1,)) == F(16, 35)
     n = 10**6
-    w = sample(mu, n + 1, 0)
+    w = mu.sample(n + 1, 0)
     for word in itertools.chain(_words(2, 1), _words(2, 2)):
         hits = np.ones(n, dtype=bool)
         for j, s in enumerate(word):
@@ -1043,7 +1042,7 @@ def test_no_two_leaves_of_a_measure_tree_share_a_stream(monkeypatch):
     tree = product_system(Convolution(SYS2, Convolution(SYS2, b, m), either), Mixture(
         SYS2, ((F(1, 3), b), (F(2, 3), Convolution(SYS2, m, per)))))
     for seed in range(6):  # consecutive seeds, as a Birkhoff report draws them
-        sample(tree, 50, seed)
+        tree.sample(50, seed)
     assert len(streams) >= 6 * 5
     assert len(set(streams)) == len(streams)
 
