@@ -16,7 +16,6 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -35,6 +34,7 @@ from .groups import (
     random_measure,
     symmetric,
 )
+from .record import Record
 from .scenarios import parse_config, run_scenarios
 from .shifts import (
     Bernoulli,
@@ -72,8 +72,7 @@ def binary_entropy(p: Fraction) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     title: str
     passed: bool

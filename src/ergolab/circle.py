@@ -17,7 +17,6 @@ draws every point (`_coded_blocks`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -28,13 +27,13 @@ from .entropy import EntropyEstimate, empirical_block_entropy, entropy_rate
 from .errors import BadK
 from .exact import parse_ratio
 from .groups import cyclic
+from .record import Record
 from .shifts import PeriodicOrbit, shift_space
 
 BLOCK_SYMBOLS = 40
 
 
-@dataclass(frozen=True)
-class CircleSystem:
+class CircleSystem(Record):
     """x -> kx mod 1 with the generating partition into k equal intervals."""
 
     k: int
@@ -130,8 +129,7 @@ def sample_lebesgue_coding(
     return [*blocks, *_coded_blocks(rng, sys.k, tail, 1)]
 
 
-@dataclass(frozen=True)
-class CircleMeasure:
+class CircleMeasure(Record):
     kind: str  # lebesgue | periodic_atomic
     orbit: tuple[Fraction, ...] = ()
 
@@ -179,5 +177,6 @@ def circle_entropy_report(
     per_seed, extra = divmod(n_symbols, seeds)
     samples = [sample_lebesgue_coding(sys, per_seed + (s < extra), base_seed + s)
                for s in range(seeds)]
-    words = samples[0] if seeds == 1 else [w for sample in samples for w in sample]
-    return empirical_block_entropy(words, depth, alphabet_size=sys.k)
+    if any(isinstance(sample, list) for sample in samples):  # rows and a short tail block
+        samples = [w for sample in samples for w in sample]
+    return empirical_block_entropy(samples, depth, alphabet_size=sys.k)

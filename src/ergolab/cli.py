@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .acceptance import format_results, run_suite
 from .errors import ParseError, SchemaError
+from .record import replace
 from .scenarios import NATURAL, list_kinds, parse_config, run_scenarios, write_reports
 
 log = logging.getLogger("ergolab")

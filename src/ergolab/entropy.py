@@ -14,7 +14,6 @@ block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import InsufficientData, MonotonicityViolated, UnsupportedKind
 from .exact import entropy_nats, neg_xlogx
+from .record import Record
 from .shifts import CHUNK_SYMBOLS, Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
 
 MONOTONE_SLACK = 1e-12
@@ -30,8 +30,7 @@ SPLIT_MIN_TERM = 2.0**-969
 SPLIT_MAX_COUNT = 2**26
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Record):
     """An entropy value with its h_L trail and convergence status."""
 
     value: float
@@ -166,19 +165,31 @@ def _level_counts(digits: np.ndarray, sizes: np.ndarray, k: int, length: int) ->
     return counts[::-1]
 
 
+def _arrays(words) -> Optional[list[np.ndarray]]:
+    """The 2-D arrays whose rows are the words: a 2-D array, or a sequence of them; else None."""
+    if isinstance(words, np.ndarray):
+        return [words] if words.ndim == 2 else None
+    if all(isinstance(w, np.ndarray) and w.ndim == 2 for w in words):
+        return list(words)
+    return None
+
+
 def _runs(words) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The nonempty words in runs of whole words, about CHUNK_SYMBOLS symbols each.
 
     Each run is its words' symbols laid end to end and their lengths; a word
     longer than a chunk is a run of its own. The rows of a 2-D array are its
-    words, and a run of them is a slice of its rows, raveled.
+    words, and a run of them is a slice of its rows, raveled; a sequence of
+    2-D arrays gives each array's runs in turn.
     """
-    if isinstance(words, np.ndarray) and words.ndim == 2:
-        rows, width = words.shape
-        step = max(1, CHUNK_SYMBOLS // width)
-        for start in range(0, rows, step):
-            run = words[start : start + step]
-            yield run.ravel(), np.full(len(run), width)
+    arrays = _arrays(words)
+    if arrays is not None:
+        for array in (a for a in arrays if a.size):
+            width = array.shape[1]
+            step = max(1, CHUNK_SYMBOLS // width)
+            for start in range(0, len(array), step):
+                run = array[start : start + step]
+                yield run.ravel(), np.full(len(run), width)
         return
     words = [w for w in words if len(w)]
     ends = np.cumsum([len(w) for w in words])
@@ -212,11 +223,12 @@ def empirical_block_entropy(
 ) -> EntropyEstimate:
     """Plug-in conditional block entropy from sampled words.
 
-    `words` is a sequence of 1-D words or a 2-D array, whose rows are its
-    words. Requires at least 100 * |alphabet|^L symbols, every one in
-    range(|alphabet|), and a word of length >= L. Each level's estimate is
-    the conditional plug-in over one window table: h_L sums (c_w/T) times
-    ln(c_prefix/c_w), so deterministic continuations give exactly 0. The
+    `words` is a sequence of 1-D words, a 2-D array whose rows are its
+    words, or a sequence of such arrays. Requires at least 100 *
+    |alphabet|^L symbols, every one in range(|alphabet|), and a word of
+    length >= L. Each level's estimate is the conditional plug-in over one
+    window table: h_L sums (c_w/T) times ln(c_prefix/c_w), so deterministic
+    continuations give exactly 0. The
     window counts are exact integers, taken once at depth L and summed down
     level by level (`_level_counts`), per run of whole words of about
     CHUNK_SYMBOLS symbols (`_runs`), so the working memory is one run's. The
@@ -225,15 +237,19 @@ def empirical_block_entropy(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if isinstance(words, np.ndarray) and words.ndim == 2:
-        n_symbols, longest = words.size, words.shape[1] if len(words) else 0
-    else:
-        sizes = [len(w) for w in words]
+    arrays = _arrays(words)
+    if arrays is None:
+        parts = [w for w in words if len(w)]
+        sizes = [len(w) for w in parts]
         n_symbols, longest = sum(sizes), max(sizes, default=0)
+    else:
+        parts = [a for a in arrays if a.size]
+        n_symbols = sum(a.size for a in parts)
+        longest = max((a.shape[1] for a in parts), default=0)
     if alphabet_size is None:
         if not n_symbols:
             raise InsufficientData(f"0 symbols < 100 * k^{length}: no word has a symbol")
-        alphabet_size = 1 + max(int(np.max(w)) for w in words if len(w))
+        alphabet_size = 1 + max(int(np.max(w)) for w in parts)
     k = alphabet_size
     require_symbols(n_symbols, k, length)
     if longest < length:

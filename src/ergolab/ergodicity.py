@@ -17,7 +17,6 @@ scenario kind in `scenarios`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
@@ -25,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificateInvalid, DepthLimitExceeded, InsufficientSteps
+from .record import Record
 from .shifts import (
     Bernoulli,
     Mixture,
@@ -39,8 +39,7 @@ MIN_BIRKHOFF_STEPS = 10_000
 DISPERSION_THRESHOLD = 5e-3
 
 
-@dataclass(frozen=True)
-class ErgodicityVerdict:
+class ErgodicityVerdict(Record):
     verdict: str  # ergodic | non_ergodic
     method: str  # exact_<kind>: bernoulli, markov, orbit, mixture, convolution, product, skew_joint
     witness: Optional[str] = None
@@ -131,8 +130,7 @@ def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
     return ErgodicityVerdict("ergodic", method)
 
 
-@dataclass(frozen=True)
-class BirkhoffRow:
+class BirkhoffRow(Record):
     word: Word
     exact: float
     mean: float
@@ -146,8 +144,7 @@ class BirkhoffRow:
         return self.mean_ok and self.dispersion_ok
 
 
-@dataclass(frozen=True)
-class BirkhoffReport:
+class BirkhoffReport(Record):
     rows: tuple[BirkhoffRow, ...]
     n_steps: int
     n_seeds: int
@@ -228,8 +225,7 @@ def birkhoff_report(
     )
 
 
-@dataclass(frozen=True)
-class DisjointnessCertificate:
+class DisjointnessCertificate(Record):
     kind: str  # point_mass | periodic_vs_mixing | declared
     justification: str = ""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
@@ -29,12 +28,12 @@ from .errors import (
     NotHomomorphism,
 )
 from .exact import exact_vector, parse_ratio
+from .record import Record
 
 EXHAUSTIVE_INDEPENDENCE_MAX_ORDER = 8
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group given by its full multiplication table."""
 
     order: int
@@ -163,8 +162,7 @@ def explicit_group(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGr
     return _validate_table(table, label)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """A verified homomorphism between finite groups, stored as an image table."""
 
     source: FiniteGroup
@@ -262,8 +260,7 @@ def _check_endomorphism(mu_group: FiniteGroup, t: GroupHom) -> None:
         raise GroupMismatch("need an endomorphism of the measure's group")
 
 
-@dataclass(frozen=True)
-class DenseMeasure:
+class DenseMeasure(Record):
     """An exact probability vector over the elements of a finite group."""
 
     group: FiniteGroup
@@ -322,8 +319,7 @@ def is_invariant(mu: DenseMeasure, t: GroupHom) -> bool:
     return _fiber_nums(mu, t) == list(mu._ints[0])
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(Record):
     independent: bool
     witness: Optional[tuple[frozenset[int], frozenset[int]]] = None
     detail: str = ""

@@ -16,7 +16,6 @@ import inspect
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -37,6 +36,7 @@ from .errors import DepthLimitExceeded, InsufficientData, ParseError, SchemaErro
 from .errors import CertificateInvalid, MissingIdentity, MissingInverse, NonAssociative
 from .groups import FiniteGroup, cyclic, dihedral, direct_product, explicit_group, haar
 from .groups import identity_hom, independence_check, measure, symmetric
+from .record import Record, factory, replace
 from .shifts import (
     DEPTH_GUARD_STATES,
     Bernoulli,
@@ -62,8 +62,7 @@ from .skew import (
 )
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     quantity: str
     value: float
     lower: float
@@ -81,19 +80,17 @@ def flag_row(quantity, ok: bool) -> Row:
     return Row(quantity, 1.0 if ok else 0.0, 1.0, 1.0, 0.0, bool(ok))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A parsed scenario: its kind's parsed inputs and every tolerance the kind reads."""
 
     id: str
     kind: str
     parameters: dict
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = factory(dict)
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(Record, frozen=False):
     scenario: Scenario
     theorem: str
     rows: list[Row]
@@ -119,8 +116,7 @@ def _estimate_fields(est) -> dict:
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     """A config field: its type text, `parse(value, path, fields parsed before)`, its default."""
 
     type: str
@@ -305,8 +301,7 @@ def parse_measure(desc, system: ShiftSystem, path: str) -> ShiftMeasure:
 # -- scenario kinds ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(Record):
     """A scenario kind: `run(seed, tolerances, **parsed fields)`, its theorem tags and tolerances.
 
     `check(path, **parsed fields)`, if given, fails at parse time on fields
@@ -315,7 +310,7 @@ class Kind:
 
     run: Callable[..., tuple[list[Row], dict, dict]]
     theorem: str
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = factory(dict)
     check: Callable[..., None] | None = None
 
 
@@ -506,9 +501,11 @@ def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASU
     invariant = is_shift_invariant(conv, INVARIANCE_DEPTH)
     rep = birkhoff_report(conv, default_observables(conv.system, seed), steps, seed_count, seed,
                           tol["dispersion"])
+    # a declared certificate is unverified (0), not refuted: its row passes within [0, 1]
+    verified = validate_certificate(certificate, left, right)
     rows = [
-        flag_row("certificate_verified",
-                 validate_certificate(certificate, left, right) or certificate.kind == "declared"),
+        bounded_row("certificate_verified", float(verified),
+                    0.0 if certificate.kind == "declared" else 1.0, 1.0, 0.0),
         flag_row("convolution_invariant_exact", invariant),
     ]
     for r in rep.rows:

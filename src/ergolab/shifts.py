@@ -30,12 +30,10 @@ words are plain tuples of element indices.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -45,6 +43,7 @@ import numpy as np
 from .errors import DepthLimitExceeded, SystemMismatch, UnsupportedKind
 from .exact import exact_vector, parse_ratio, stationary_distribution
 from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
+from .record import Record, replace
 
 DEPTH_GUARD_STATES = 2**24
 BERNOULLI_COUNT_MAX_SYMBOLS = 96  # above it a binary search beats one pass per bound
@@ -56,8 +55,7 @@ ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
 
 
-@dataclass(frozen=True)
-class ShiftSystem:
+class ShiftSystem(Record):
     """The shift (Tx)_i = x_{i+1} on G^N or G^Z, a surjective homomorphism of the group."""
 
     alphabet: FiniteGroup
@@ -79,8 +77,7 @@ def shift_space(alphabet: FiniteGroup, sidedness: str = ONE_SIDED) -> ShiftSyste
     return ShiftSystem(alphabet, sidedness)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockTable:
+class BlockTable(Record):
     """A length-L block distribution in integer form: P([word]) = num / den.
 
     `codes` are the support words as base-|G| integers, first symbol most
@@ -259,7 +256,7 @@ class ShiftMeasure:
 
     def _extended(self) -> "ShiftMeasure":
         """The same measure on the two-sided system; composite kinds extend their parts."""
-        return dataclasses.replace(self, system=self.system.two_sided_version())
+        return replace(self, system=self.system.two_sided_version())
 
     def block_distribution(self, length: int) -> dict[Word, Fraction]:
         """Exact distribution of length-L blocks; guarded at 2^24 states."""
@@ -406,8 +403,7 @@ class ShiftMeasure:
         return entry.reshape(rows.shape), entries
 
 
-@dataclass(frozen=True)
-class Bernoulli(ShiftMeasure):
+class Bernoulli(ShiftMeasure, Record):
     """Product measure with a fixed exact marginal per coordinate."""
 
     system: ShiftSystem
@@ -521,8 +517,7 @@ def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[
     return list(zip(todo[np.r_[0, cut]].tolist(), (todo[np.r_[cut - 1, -1]] + 1).tolist()))
 
 
-@dataclass(frozen=True)
-class Markov(ShiftMeasure):
+class Markov(ShiftMeasure, Record):
     """Stationary Markov measure; the initial row must be exactly stationary."""
 
     system: ShiftSystem
@@ -592,8 +587,7 @@ class Markov(ShiftMeasure):
         return walk
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit(ShiftMeasure):
+class PeriodicOrbit(ShiftMeasure, Record):
     """Uniform measure on the shift orbit of a periodic point."""
 
     system: ShiftSystem
@@ -656,8 +650,7 @@ def _product_chain(left: ShiftMeasure, right: ShiftMeasure, op) -> tuple:
     return init, d0_l * d0_r, rows, dt_l * dt_r, emit
 
 
-@dataclass(frozen=True)
-class Mixture(ShiftMeasure):
+class Mixture(ShiftMeasure, Record):
     """Exact convex combination of measures on one system."""
 
     system: ShiftSystem
@@ -708,8 +701,7 @@ class Mixture(ShiftMeasure):
         )
 
 
-@dataclass(frozen=True)
-class Convolution(ShiftMeasure):
+class Convolution(ShiftMeasure, Record):
     """Lazy convolution: the image of left x right under pointwise products."""
 
     system: ShiftSystem
@@ -749,8 +741,7 @@ class Convolution(ShiftMeasure):
         return convolve_shift(self.left._extended(), self.right._extended())
 
 
-@dataclass(frozen=True)
-class ProductMeasure(ShiftMeasure):
+class ProductMeasure(ShiftMeasure, Record):
     """Product of two shift measures, over the direct-product alphabet.
 
     Symbol (a, b) of the product alphabet has index a*|H| + b, matching
@@ -833,8 +824,7 @@ def natural_extension(mu: ShiftMeasure) -> ShiftMeasure:
     return mu._extended()
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(Record):
     passed: bool
     witness: str = ""
 

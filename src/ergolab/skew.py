@@ -13,7 +13,6 @@ tables, invariance and ergodicity come from the shift-measure chain core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -26,14 +25,14 @@ from .entropy import table_entropy, trail_estimate
 from .errors import DepthLimitExceeded, NotAutomorphism, PhiIncomplete, SystemMismatch
 from .exact import exact_vector
 from .groups import DenseMeasure, FiniteGroup, GroupHom, convolve, direct_product, haar
+from .record import Record
 from .shifts import DEPTH_GUARD_STATES, Bernoulli, Markov, ProductMeasure, ShiftMeasure
 from .shifts import ShiftSystem, Word, is_shift_invariant
 
 MAX_COCYCLE_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class SkewSystem:
+class SkewSystem(Record):
     """Base shift, fiber group, fiber automorphism, and window cocycle."""
 
     base: ShiftSystem
@@ -95,8 +94,7 @@ def constant_cocycle(base: ShiftSystem, fiber: FiniteGroup, value: int) -> dict[
     return {(s,): value for s in base.alphabet.elements()}
 
 
-@dataclass(frozen=True)
-class SkewMeasure:
+class SkewMeasure(Record):
     """base measure x fiber distribution on the skew phase space."""
 
     system: SkewSystem
@@ -128,8 +126,7 @@ class SkewMeasure:
         return SkewJoint(pairs, self)
 
 
-@dataclass(frozen=True)
-class SkewJoint(ShiftMeasure):
+class SkewJoint(ShiftMeasure, Record):
     """The joint process of a skew measure, the pair (x, g) coded x * |G2| + g.
 
     It is the output of a chain (Blackwell 1957) whose state (s, w, g) at time
@@ -277,8 +274,7 @@ def skew_entropy(mu: SkewMeasure, L: int) -> EntropyEstimate:
     )
 
 
-@dataclass(frozen=True)
-class EntropyAdditionReport:
+class EntropyAdditionReport(Record):
     base_entropy: float
     fiber_entropy: float  # always 0 for a finite fiber; reported explicitly
     skew_entropy: float

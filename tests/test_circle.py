@@ -203,6 +203,25 @@ def test_lebesgue_estimate_keeps_its_working_memory_to_a_chunk():
     assert est == circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=10**6, base_seed=4)
 
 
+def test_multi_seed_lebesgue_estimate_reads_each_seed_array():
+    # flattening every seed's (blocks, 40) array into one list of row views peaked at
+    # 10.4 MB here, and the estimator concatenated the views again; each array's runs
+    # of rows are views, counted a chunk at a time
+    circle_entropy_report(times_k(2), lebesgue(), 2, n_symbols=10**4, seeds=2)  # set-up
+    tracemalloc.start()
+    try:
+        est = circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=2 * 10**6, seeds=4,
+                                    base_seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 10**6
+    samples = [sample_lebesgue_coding(times_k(2), 5 * 10**5, seed) for seed in range(4, 8)]
+    rows = [w for sample in samples for w in sample]
+    assert est == empirical_block_entropy(samples, 12, alphabet_size=2)
+    assert est.upper_bounds == empirical_block_entropy(rows, 12, alphabet_size=2).upper_bounds
+
+
 def test_circle_entropy_report_uses_every_symbol(monkeypatch):
     from ergolab import circle
 

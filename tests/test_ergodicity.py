@@ -441,6 +441,18 @@ def test_scenario_periodic_vs_mixing():
     assert rows["ergodic_consistent"].passed
 
 
+def test_declared_certificate_row_reads_unverified_and_passes():
+    # declared is unverified, not refuted: value 0 within [0, 1]; a checked kind reads 1
+    declared = _theorem_rows(BERN_1_4, {"kind": "periodic_orbit", "word": [0, 1]}, "declared",
+                             steps=10**4, seed_count=2)["certificate_verified"]
+    assert (declared.value, declared.lower, declared.upper) == (0.0, 0.0, 1.0)
+    assert declared.passed
+    checked = _theorem_rows(BERN_1_4, {"kind": "periodic_orbit", "word": [0, 1]},
+                            "periodic_vs_mixing", steps=10**4, seed_count=2)["certificate_verified"]
+    assert (checked.value, checked.lower, checked.upper) == (1.0, 1.0, 1.0)
+    assert checked.passed
+
+
 def test_scenario_accepts_factor_with_zero_weight_component():
     left = {
         "kind": "mixture",

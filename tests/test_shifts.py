@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from ergolab.errors import (
     UnsupportedKind,
 )
 from ergolab.exact import neg_xlogx
+from ergolab.record import Record
 from ergolab.shifts import (
     Bernoulli,
     Convolution,
@@ -1122,8 +1122,7 @@ def test_table_numerators_are_int64_below_a_2_63_denominator_and_python_ints_pas
         assert mu.block_distribution(length) == _oracle_dist(mu, length)
 
 
-@dataclass(frozen=True)
-class _StartedChain(ShiftMeasure):
+class _StartedChain(ShiftMeasure, Record):
     """The output of an integer chain `_chain` whose start need not be stationary."""
 
     system: ShiftSystem
