@@ -121,12 +121,18 @@ def sample_lebesgue_coding(
     (blocks, 40) digit array itself, one block a row; otherwise its rows and
     the shorter tail block.
     """
+    blocks, *tail = _lebesgue_blocks(sys, n_symbols, seed)
+    return [*blocks, *tail[0]] if tail else blocks
+
+
+def _lebesgue_blocks(sys: CircleSystem, n_symbols: int, seed: int) -> list[np.ndarray]:
+    """`sample_lebesgue_coding`'s words as 2-D arrays: the full blocks, then a (1, tail) one."""
     rng = random.Random(seed)
     full, tail = divmod(max(0, n_symbols), BLOCK_SYMBOLS)
-    blocks = _coded_blocks(rng, sys.k, BLOCK_SYMBOLS, full)
-    if not tail:
-        return blocks
-    return [*blocks, *_coded_blocks(rng, sys.k, tail, 1)]
+    arrays = [_coded_blocks(rng, sys.k, BLOCK_SYMBOLS, full)]
+    if tail:
+        arrays.append(_coded_blocks(rng, sys.k, tail, 1))
+    return arrays
 
 
 class CircleMeasure(Record):
@@ -175,8 +181,6 @@ def circle_entropy_report(
         coded = PeriodicOrbit(shift_space(cyclic(sys.k)), tuple(int(s) for s in word))
         return entropy_rate(coded, max(2, period + 1), tol=1e-12)
     per_seed, extra = divmod(n_symbols, seeds)
-    samples = [sample_lebesgue_coding(sys, per_seed + (s < extra), base_seed + s)
-               for s in range(seeds)]
-    if any(isinstance(sample, list) for sample in samples):  # rows and a short tail block
-        samples = [w for sample in samples for w in sample]
-    return empirical_block_entropy(samples, depth, alphabet_size=sys.k)
+    arrays = [array for s in range(seeds)
+              for array in _lebesgue_blocks(sys, per_seed + (s < extra), base_seed + s)]
+    return empirical_block_entropy(arrays, depth, alphabet_size=sys.k)

@@ -228,12 +228,12 @@ def empirical_block_entropy(
     |alphabet|^L symbols, every one in range(|alphabet|), and a word of
     length >= L. Each level's estimate is the conditional plug-in over one
     window table: h_L sums (c_w/T) times ln(c_prefix/c_w), so deterministic
-    continuations give exactly 0. The
-    window counts are exact integers, taken once at depth L and summed down
-    level by level (`_level_counts`), per run of whole words of about
-    CHUNK_SYMBOLS symbols (`_runs`), so the working memory is one run's. The
-    note reports the Miller-Madow bias correction magnitude for the
-    underlying block entropy rather than applying it.
+    continuations give exactly 0. The window counts are exact integers,
+    taken once at depth L and summed down level by level (`_level_counts`),
+    per run of whole words of about CHUNK_SYMBOLS symbols (`_runs`), so the
+    working memory is one run's. The note reports the Miller-Madow bias
+    correction magnitude for the underlying block entropy rather than
+    applying it.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

@@ -3,11 +3,11 @@
 A `Record` subclass's fields are its record bases' fields, then the names in
 its own annotations; a class attribute of a field's name is its default, and
 `factory(make)` makes one afresh per record. A record is built by position or
-by name, then runs `__post_init__`; it compares and hashes by class and field
-tuple and prints as `X(field=value, ...)`, unless the class defines its own
-`__eq__` or `__repr__`. It refuses assignment and deletion unless declared
-`class X(Record, frozen=False)`, which makes it unhashable. A `@dataclass`
-costs an `exec` per generated method at import; a record class costs none.
+by name, then runs `__post_init__`; it refuses assignment and deletion,
+compares and hashes by class and field tuple, and prints as
+`X(field=value, ...)`, unless the class defines its own `__eq__` or
+`__repr__`. A `@dataclass` costs an `exec` per generated method at import; a
+record class costs none.
 """
 
 from operator import attrgetter
@@ -17,7 +17,7 @@ _setattr = object.__setattr__
 
 
 class FrozenRecordError(AttributeError):
-    """An assignment to, or a deletion of, an attribute of a frozen record."""
+    """An assignment to, or a deletion of, an attribute of a record."""
 
 
 class factory:
@@ -30,7 +30,7 @@ class factory:
 class Record:
     """The base of every record class; the module docstring says what it provides."""
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = {}  # name -> default; a base outside Record declares no field
         for klass in reversed(cls.__mro__):
@@ -38,45 +38,34 @@ class Record:
                 for name in vars(klass).get("__annotations__", ()):
                     fields[name] = vars(klass).get(name, _MISSING)
         cls._fields = names = tuple(fields)
-        cls._defaults = {name: d for name, d in fields.items() if d is not _MISSING}
-        cls._tail = ()  # the trailing plain defaults, which a positional call may leave out
-        for default in reversed(fields.values()):
-            if default is _MISSING or isinstance(default, factory):
-                break
-            cls._tail = (default,) + cls._tail
+        cls._defaults = fields
         # the field tuple, as attrgetter gives it for two or more fields
         cls._key = staticmethod(attrgetter(*names) if len(names) > 1 else
                                 lambda r: tuple(getattr(r, name) for name in names))
         cls._post_init = getattr(cls, "__post_init__", None)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = _setattr, object.__delattr__, None
 
     def __init__(self, *args, **kwargs):
         cls = self.__class__
-        left_out = len(cls._fields) - len(args)
-        if kwargs or not 0 <= left_out <= len(cls._tail):
-            args = cls._arguments(args, kwargs)
-        elif left_out:
-            args += cls._tail[-left_out:]
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}; "
+                            f"got {len(args)} by position")
         for name, value in zip(cls._fields, args):
             _setattr(self, name, value)  # as a frozen dataclass sets them
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            else:
+                value = cls._defaults[name]
+                if value is _MISSING:
+                    raise TypeError(f"{cls.__name__}() missing field {name!r}")
+                if isinstance(value, factory):
+                    value = value.make()
+            _setattr(self, name, value)
+        if kwargs:  # a name that is no field, or one already given by position
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}; "
+                            f"got {sorted(kwargs)} besides")
         if cls._post_init is not None:
             cls._post_init(self)
-
-    @classmethod
-    def _arguments(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value in order, from the arguments and the defaults."""
-        if len(args) > len(cls._fields) or not kwargs.keys() <= set(cls._fields[len(args):]):
-            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}; got "
-                            f"{len(args)} by position and {sorted(kwargs)} by name")
-        given = {**dict(zip(cls._fields, args)), **kwargs}
-        for name in cls._fields:
-            if name not in given:
-                if name not in cls._defaults:
-                    raise TypeError(f"{cls.__name__}() missing field {name!r}")
-                default = cls._defaults[name]
-                given[name] = default.make() if isinstance(default, factory) else default
-        return [given[name] for name in cls._fields]
 
     def __setattr__(self, name, value):
         raise FrozenRecordError(f"cannot assign to field {name!r}")

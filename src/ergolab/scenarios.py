@@ -90,7 +90,7 @@ class Scenario(Record):
     tolerances: dict = factory(dict)
 
 
-class ScenarioResult(Record, frozen=False):
+class ScenarioResult(Record):
     scenario: Scenario
     theorem: str
     rows: list[Row]

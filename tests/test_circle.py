@@ -203,23 +203,28 @@ def test_lebesgue_estimate_keeps_its_working_memory_to_a_chunk():
     assert est == circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=10**6, base_seed=4)
 
 
-def test_multi_seed_lebesgue_estimate_reads_each_seed_array():
+@pytest.mark.parametrize("sizes, last", [
+    ([5 * 10**5] * 4, [40] * 4),
+    ([5 * 10**5 + 3] * 2 + [5 * 10**5 + 2] * 2, [3, 3, 2, 2]),  # short tail blocks
+])
+def test_multi_seed_lebesgue_estimate_reads_each_seed_array(sizes, last):
     # flattening every seed's (blocks, 40) array into one list of row views peaked at
-    # 10.4 MB here, and the estimator concatenated the views again; each array's runs
-    # of rows are views, counted a chunk at a time
-    circle_entropy_report(times_k(2), lebesgue(), 2, n_symbols=10**4, seeds=2)  # set-up
+    # 10.4 MB here, 10.9 MB with short tail blocks, whose seeds went as 1-D words, and
+    # the estimator concatenated them again; each seed's full blocks and its (1, tail)
+    # block go as 2-D arrays, whose runs of rows are views, counted a chunk at a time
+    circle_entropy_report(times_k(2), lebesgue(), 2, n_symbols=10**4 + 3, seeds=2)  # set-up
     tracemalloc.start()
     try:
-        est = circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=2 * 10**6, seeds=4,
+        est = circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=sum(sizes), seeds=4,
                                     base_seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 10**6
-    samples = [sample_lebesgue_coding(times_k(2), 5 * 10**5, seed) for seed in range(4, 8)]
+    samples = [sample_lebesgue_coding(times_k(2), n, 4 + s) for s, n in enumerate(sizes)]
+    assert [len(sample[-1]) for sample in samples] == last
     rows = [w for sample in samples for w in sample]
-    assert est == empirical_block_entropy(samples, 12, alphabet_size=2)
-    assert est.upper_bounds == empirical_block_entropy(rows, 12, alphabet_size=2).upper_bounds
+    assert est == empirical_block_entropy(rows, 12, alphabet_size=2)
 
 
 def test_circle_entropy_report_uses_every_symbol(monkeypatch):
@@ -229,9 +234,10 @@ def test_circle_entropy_report_uses_every_symbol(monkeypatch):
 
     def recording(sys, n_symbols, seed):
         drawn.append((n_symbols, seed))
-        return sample_lebesgue_coding(sys, n_symbols, seed)
+        return lebesgue_blocks(sys, n_symbols, seed)
 
-    monkeypatch.setattr(circle, "sample_lebesgue_coding", recording)
+    lebesgue_blocks = circle._lebesgue_blocks
+    monkeypatch.setattr(circle, "_lebesgue_blocks", recording)
     circle_entropy_report(times_k(2), lebesgue(), 3, n_symbols=10**4 + 1, seeds=3, base_seed=5)
     # the first n_symbols % seeds seeds take one extra symbol each
     assert drawn == [(3334, 5), (3334, 6), (3333, 7)]

@@ -62,9 +62,9 @@ def test_construction_by_position_by_name_and_with_defaults():
 
 @pytest.mark.parametrize("args, kwargs, message", [
     ((), {}, "missing field 'x'"),
-    ((1,), {"y": 2, "w": 3}, r"got 1 by position and \['w', 'y'\] by name"),
+    ((1,), {"y": 2, "w": 3}, r"got \['w'\] besides"),
     ((1, 2, 3), {}, "got 3 by position"),
-    ((1,), {"x": 2}, r"got 1 by position and \['x'\] by name"),
+    ((1,), {"x": 2}, r"got \['x'\] besides"),
 ])
 def test_a_missing_extra_or_repeated_field_raises(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
@@ -113,11 +113,9 @@ def test_block_table_keeps_its_own_exact_equality():
     assert BlockTable.__hash__ is None
 
 
-def test_scenario_result_is_mutable_and_unhashable():
+def test_a_record_holding_a_list_is_unhashable():
     res = ScenarioResult(Scenario("s", "k", {}), "t", [], {}, {}, 1.0)
-    res.runtime_seconds = 2.0
-    assert res.runtime_seconds == 2.0
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="unhashable"):
         hash(res)
 
 
