@@ -131,38 +131,38 @@ def require_symbols(n_symbols: int, k: int, length: int) -> None:
         raise InsufficientData(f"{n_symbols} symbols < 100 * {k}^{length}")
 
 
-def _level_counts(digits: np.ndarray, sizes: np.ndarray, k: int, length: int) -> list[np.ndarray]:
-    """Counts of the in-word windows at levels 1..L, over words laid end to end.
+def _level_counts(
+    digits: np.ndarray, sizes: np.ndarray, k: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of the in-word windows of length L and of the words' tails, words end to end.
 
     `digits` holds the words' symbols in range(k), `sizes` their lengths, all
     at least 1. The base-k window codes are rolled once, to depth L, in the
     narrowest code dtype; the last L - 1 starts of each word take the code k^L,
-    which no window has, and one bincount gives level L. A window of level
-    ell - 1 is a prefix of one of level ell, or the last ell - 1 symbols of a
-    word with at least ell - 1: the word's suffix code mod k^(ell - 1).
+    which no window has, and one bincount counts the rest. A word's tails are
+    its last ell < L symbols, coded base k: one (L - 1, words) gather of the
+    last L - 1 symbols, whose running sums are every tail code, and one
+    bincount, level ell's k^ell codes shifted past the lower levels', count them.
     """
     n_codes = k**length
-    dtype = _code_dtype(n_codes + 1)
+    dtype = _code_dtype(n_codes + length)  # also holds the shifted tail codes, below k^L + L
     digits = digits.astype(dtype)
     n_win = max(0, len(digits) - length + 1)
     codes = digits[:n_win].copy()
     for i in range(1, length):
         codes *= k
         codes += digits[i : i + n_win]
-    ends = np.cumsum(sizes)
-    suffix = np.zeros(len(sizes), dtype)  # code of each word's last min(size, L - 1) symbols
-    for i in range(length - 1, 0, -1):
-        inside = sizes >= i
-        starts = (ends - i)[inside]  # the i-th last start of each word, whose window leaves it
-        codes[starts[starts < n_win]] = n_codes
-        suffix *= k
-        # a word shorter than i reads before its start, zeroed by inside; clip keeps it in the run
-        suffix += np.take(digits, ends - i, mode="clip") * inside
-    counts = [np.bincount(codes, minlength=n_codes + 1)[:n_codes]]
-    for ell in range(length - 1, 0, -1):
-        tails = np.bincount(suffix[sizes >= ell] % k**ell, minlength=k**ell)
-        counts.append(counts[-1].reshape(-1, k).sum(1) + tails)
-    return counts[::-1]
+    back = np.arange(1, length)[:, None]
+    last = np.cumsum(sizes) - back  # row i - 1: the i-th last symbol of each word, i < L
+    inside = sizes >= back
+    starts = last[inside]  # the i-th last start of each word, whose window leaves it
+    codes[starts[starts < n_win]] = n_codes
+    width = k**back
+    # a word shorter than i reads before its start, dropped by inside; clip keeps it in the run
+    suffix = np.cumsum(np.take(digits, last, mode="clip") * (width // k).astype(dtype), 0, dtype)
+    suffix += (np.cumsum(width, 0) - width).astype(dtype)
+    tails = np.bincount(suffix[inside], minlength=int(width.sum()))
+    return np.bincount(codes, minlength=n_codes + 1)[:n_codes], tails
 
 
 def _arrays(words) -> Optional[list[np.ndarray]]:
@@ -202,18 +202,24 @@ def _runs(words) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _word_counts(words, k: int, length: int) -> list[np.ndarray]:
-    """`_level_counts` of the words, run by run (`_runs`); a symbol outside range(k) raises.
+    """Counts of the in-word windows at levels 1..L; a symbol outside range(k) raises.
 
-    No window crosses a word, so the runs' exact counts add up to the words'.
+    No window crosses a word, so the exact counts of `_level_counts` add up run
+    by run (`_runs`). A window of level ell is a prefix of one of level ell + 1
+    or a word's tail of length ell, so the levels below L are summed down once.
     """
-    counts = None
+    counts = tails = 0
     for digits, sizes in _runs(words):
         if digits.min() < 0 or digits.max() >= k:
             bad = digits[(digits < 0) | (digits >= k)][0]
             raise ValueError(f"symbol {bad} outside range({k})")
-        run = _level_counts(digits, sizes, k, length)
-        counts = run if counts is None else [a + b for a, b in zip(counts, run)]
-    return counts
+        top, tail = _level_counts(digits, sizes, k, length)
+        counts, tails = counts + top, tails + tail
+    counts = [counts]
+    for ell in range(length - 1, 0, -1):  # level ell's tails end where level ell + 1's begin
+        counts.append(counts[-1].reshape(-1, k).sum(1) + tails[len(tails) - k**ell :])
+        tails = tails[: len(tails) - k**ell]
+    return counts[::-1]
 
 
 def empirical_block_entropy(
@@ -229,7 +235,7 @@ def empirical_block_entropy(
     length >= L. Each level's estimate is the conditional plug-in over one
     window table: h_L sums (c_w/T) times ln(c_prefix/c_w), so deterministic
     continuations give exactly 0. The window counts are exact integers,
-    taken once at depth L and summed down level by level (`_level_counts`),
+    taken once at depth L and summed down level by level (`_word_counts`),
     per run of whole words of about CHUNK_SYMBOLS symbols (`_runs`), so the
     working memory is one run's. The note reports the Miller-Madow bias
     correction magnitude for the underlying block entropy rather than
@@ -260,15 +266,13 @@ def empirical_block_entropy(
     for ell, counts in enumerate(_word_counts(words, k, length), start=1):
         total = int(counts.sum())
         seen = np.flatnonzero(counts)
-        if ell == 1:
-            h = math.fsum(neg_xlogx(c / total) for c in counts[seen].tolist())
-        else:
-            prefix = counts.reshape(-1, k).sum(1)
-            h = math.fsum(
-                (c / total) * math.log(p / c)
-                for c, p in zip(counts[seen].tolist(), prefix[seen // k].tolist())
-            )
-        h_levels.append(h)
+        # each term is -(c/T) ln(c/T) at level 1, else (c/T) ln(prefix/c). The counts are
+        # below 2^53, so every float64 division is correctly rounded, as Python's int / int;
+        # the logarithm is libm's through math.log, which numpy's vector log need not match
+        c = counts[seen]
+        x = c / total if ell == 1 else counts.reshape(-1, k).sum(1)[seen // k] / c
+        logs = np.fromiter(map(math.log, x.tolist()), float, len(x))
+        h_levels.append(math.fsum((-x * logs if ell == 1 else c / total * logs).tolist()))
     mm = (len(seen) - 1) / (2 * total)
     gap = abs(h_levels[-1] - h_levels[-2]) if length >= 2 else float("inf")
     return EntropyEstimate(

@@ -490,7 +490,8 @@ def _convolution_ergodicity(seed, tol, alphabet=GROUP, left=MEASURE, right=MEASU
     """Theorem 4.1: two disjoint ergodic factors have an ergodic convolution.
 
     A factor that `is_ergodic_exact` finds non-ergodic, or an expected rejection, ends the
-    run with one `rejected_with_factor_not_ergodic` row, passing when both hold. Otherwise
+    run with one `rejected_with_factor_not_ergodic` row, passing when both hold; `steps`
+    and `seed_count` are then validated but size nothing. Otherwise
     the rows are the convolution's exact invariance and its Birkhoff evidence over
     `default_observables` drawn from the scenario's seed.
     """

@@ -436,12 +436,7 @@ class Bernoulli(ShiftMeasure, Record):
         out = np.zeros(n, dtype=_code_dtype(len(cdf)))
         for start in range(0, n, CHUNK_SYMBOLS):
             u = rng.random(min(CHUNK_SYMBOLS, n - start))
-            idx = out[start : start + len(u)]
-            if len(cdf) > BERNOULLI_COUNT_MAX_SYMBOLS:
-                idx[:] = cdf.searchsorted(u, side="right")
-            else:
-                for bound in cdf[:-1]:  # every draw is below the last bound, 1.0
-                    idx += u >= bound
+            _cells(cdf[:-1], u, out[start : start + len(u)])  # every draw is below 1.0
         return out
 
 
@@ -467,22 +462,34 @@ def _check_length(n: int) -> None:
         raise ValueError(f"sample length must be >= 0, got n={n}")
 
 
+def _cells(bounds: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """searchsorted(bounds, u, side="right") written into `out`, which is zero on entry."""
+    if len(bounds) >= BERNOULLI_COUNT_MAX_SYMBOLS:
+        out[:] = bounds.searchsorted(u, side="right")
+    else:  # for few cells, the count of bounds at or below each draw is cheaper
+        for bound in bounds:
+            out += u >= bound
+    return out
+
+
 def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[tuple[int, int]]:
     """Fill the steps t >= 1 of a Markov walk that whole-array passes can; return the rest.
 
-    Step t is bisect_right(cum[walk[t - 1]], u[t]), and walk[0] is set. The
+    Step t is bisect_right(cum[walk[t - 1]], u[t - 1]), and walk[0] is set. The
     finite bounds of all rows cut [0, 1) into cells, and nxt[state, cell] is
     each row's index on a cell. A step whose cell sends every state to one
     successor needs no predecessor: the coalescence of a grand coupling (Propp
-    and Wilson, 1996). The other steps resolve in rounds, each taking every
-    step whose predecessor is known, while a round resolves at least half of
-    what is left. The rest come back as runs [head, end) of steps, in order.
+    and Wilson, 1996). Each draw's cell is one `_cells` pass, and every step
+    takes state 0's successor first; the other steps are rewritten in rounds,
+    each taking every step whose predecessor is known, while a round resolves
+    at least half of what is left. The rest come back as runs [head, end) of
+    steps, in order, for the per-step walk to rewrite.
 
     The coalescing cells' total length is the share a round is expected to
     resolve; below one half, or when the table would outgrow the draws, the
     passes cost more than the loop steps they save, and every step comes back.
     """
-    n, n_sym = len(u), len(cum)
+    n, n_sym = len(walk), len(cum)
     # every state steps to j exactly on [max_s cum[s, j - 1], min_s cum[s, j])
     lo = np.concatenate([[0.0], cum[:, :-1].max(axis=0)])
     if (np.minimum(cum.min(axis=0), 1.0) - lo).clip(0.0).sum() < 0.5:
@@ -497,16 +504,15 @@ def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[
         return [(1, n)]
     nxt = np.array([row.searchsorted(reps, side="right") for row in cum], dtype=dtype)
     agree = (nxt == nxt[0]).all(axis=0)
-    cell = bounds.searchsorted(u, side="right").astype(_code_dtype(len(reps)))
-    known = agree[cell]
-    known[0] = False  # u[0] is not a step's draw
-    walk[known] = nxt[0, cell[known]]
-    known[0] = True
+    cell = _cells(bounds, u, np.zeros(len(u), dtype=_code_dtype(len(reps))))
+    known = np.ones(n, dtype=bool)  # walk[0] is set
+    np.take(agree, cell, out=known[1:])
+    np.take(nxt[0], cell, out=walk[1:])
     todo = np.flatnonzero(~known)
     while todo.size:
         ready = known[todo - 1]
         step = todo[ready]
-        walk[step] = nxt[walk[step - 1], cell[step]]
+        walk[step] = nxt.take(np.ravel_multi_index((walk[step - 1], cell[step - 1]), nxt.shape))
         known[step] = True
         todo = todo[~ready]
         if 2 * step.size < step.size + todo.size:
@@ -555,9 +561,11 @@ class Markov(ShiftMeasure, Record):
         """The per-step walk s_t = bisect_right(cdf row of s_{t-1}, u[t]), mostly in numpy.
 
         It draws s_0 = rng.choice(|G|, p=initial), then u = rng.random(n), and
-        step t reads u[t]. `_resolve_by_cells` fills every step it can without
-        a Python loop; the steps left run as the per-step walk, in increasing
-        order. Every symbol equals the per-step walk's.
+        step t reads u[t]. The uniforms are drawn CHUNK_SYMBOLS at a time, the
+        same stream as one rng.random(n), and each chunk's steps are resolved
+        from the last state before it: `_resolve_by_cells` fills every step it
+        can without a Python loop, and the steps left run as the per-step walk,
+        in increasing order. Every symbol equals the per-step walk's.
         """
         _check_length(n)
         n_sym = self.system.alphabet.order
@@ -574,16 +582,18 @@ class Markov(ShiftMeasure, Record):
         cum[:, -1] = np.inf
         walk = np.empty(n, dtype=_code_dtype(n_sym))
         walk[0] = rng.choice(n_sym, p=init)
-        u = rng.random(n)
         rows = [array("d", row) for row in cum]  # 8 bytes a bound, not a float object's 32
-        draws = memoryview(u)
-        for head, end in _resolve_by_cells(walk, u, cum):  # the per-step walk over each run left
-            s = int(walk[head - 1])
-            run = array("q")
-            for x in draws[head:end]:
-                s = bisect_right(rows[s], x)
-                run.append(s)
-            walk[head:end] = np.frombuffer(run, dtype=np.int64)
+        for start in range(0, n, CHUNK_SYMBOLS):
+            u = rng.random(min(CHUNK_SYMBOLS, n - start))
+            lead = min(start, 1)  # u[0] is no step's draw; a later chunk starts on the last state
+            part, draws = walk[start - lead : start + len(u)], u[1 - lead :]
+            for head, end in _resolve_by_cells(part, draws, cum):  # the per-step walk over each run
+                s = int(part[head - 1])
+                run = array("q")
+                for x in memoryview(draws)[head - 1 : end - 1]:
+                    s = bisect_right(rows[s], x)
+                    run.append(s)
+                part[head:end] = np.frombuffer(run, dtype=np.int64)
         return walk
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ergolab import cyclic, entropy, haar, measure
 from ergolab.entropy import (
     EntropyEstimate,
-    _level_counts,
     block_entropy,
     closed_form_entropy,
     empirical_block_entropy,
@@ -507,11 +506,14 @@ def _masked_bincount_levels(words, length, k):
 
 @settings(max_examples=40, deadline=None)
 @given(_ragged_source())
+@example(([[0, 1, 1] * 534, [1], [0, 1]], 4, 2))  # words shorter than L - 1
+@example(([[1, 0] * 801, [0, 1, 1], [1, 1, 0, 1]], 4, 2))  # a word of exactly L - 1
+@example(([[0, 1] * 800, [1]], 4, 2))  # a word's last starts past n_win, not only the last word's
+@example(([[0] * 300, [0] * 299, [0]], 300, 1))  # 299 shifted tail codes past uint8 for k = 1
 def test_level_counts_match_per_level_masked_bincount(case):
     words, length, k = case
     counts, h_levels = _masked_bincount_levels(words, length, k)
-    nonempty = [w for w in words if len(w)]
-    got = _level_counts(np.concatenate(nonempty), np.array([len(w) for w in nonempty]), k, length)
+    got = entropy._word_counts(words, k, length)  # one run: every case is below CHUNK_SYMBOLS
     assert len(got) == length
     for ell, (a, b) in enumerate(zip(got, counts), start=1):
         assert a.dtype == np.int64 and np.array_equal(a, b), f"level {ell}"
@@ -526,8 +528,7 @@ def test_counts_run_by_run_match_one_pass(case, chunk):
     # hold fewer than L symbols, so none of its windows reaches level L
     words, length, k = case
     nonempty = [w for w in words if len(w)]
-    one_pass = _level_counts(np.concatenate(nonempty), np.array([len(w) for w in nonempty]), k,
-                             length)
+    one_pass = entropy._word_counts(words, k, length)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(entropy, "CHUNK_SYMBOLS", chunk)
         runs = list(entropy._runs(words))

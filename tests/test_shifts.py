@@ -727,6 +727,17 @@ def test_markov_sampler_matches_per_step_walk(mu, n):
         assert np.array_equal(got, _naive_markov_walk(mu, n, seed))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("mu", MARKOV_CHAINS, ids=lambda m: f"C{m.system.alphabet.order}")
+def test_markov_sampler_carries_the_walk_across_chunks(mu, chunk, monkeypatch):
+    # the flip chain leaves every step to the per-step walk, so its runs cross every
+    # chunk edge; the other chains' chunks start on a carried state, resolved or not
+    monkeypatch.setattr(shifts, "CHUNK_SYMBOLS", chunk)
+    for n in (1, chunk, chunk + 1, 2 * chunk + 3, 500):
+        for seed in (0, 17):
+            assert np.array_equal(mu.sample(n, seed), _naive_markov_walk(mu, n, seed)), n
+
+
 def _permutation_chain(group, seed):
     """A doubly stochastic chain (so Haar is stationary) with mostly zero entries."""
     n = group.order
@@ -940,6 +951,20 @@ def test_convolution_sample_keeps_its_working_memory_to_a_chunk():
     # one pass over all 10^6 symbols held their float64 uniforms and the intp copy of
     # the gather index, about a 10 MB peak; the narrow operands and output take 2 MB
     mu = Convolution(SYS2, bern("5/17"), PeriodicOrbit(SYS2, (0, 0, 1)))
+    mu.sample(10, 0)  # numpy's first-call set-up is not working memory
+    tracemalloc.start()
+    try:
+        mu.sample(10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 10**6
+
+
+def test_markov_sample_keeps_its_working_memory_to_a_chunk():
+    # one pass over all 10^6 steps held their float64 uniforms, cells and flags,
+    # about an 18 MB peak; the uint8 walk takes 1 MB
+    mu = Markov.stationary(SYS2, [["7/17", "10/17"], ["9/17", "8/17"]])
     mu.sample(10, 0)  # numpy's first-call set-up is not working memory
     tracemalloc.start()
     try:
