@@ -28,7 +28,7 @@ from .errors import BadK
 from .exact import parse_ratio
 from .groups import cyclic
 from .record import Record
-from .shifts import PeriodicOrbit, shift_space
+from .shifts import PeriodicOrbit, _check_length, shift_space
 
 BLOCK_SYMBOLS = 40
 
@@ -127,8 +127,9 @@ def sample_lebesgue_coding(
 
 def _lebesgue_blocks(sys: CircleSystem, n_symbols: int, seed: int) -> list[np.ndarray]:
     """`sample_lebesgue_coding`'s words as 2-D arrays: the full blocks, then a (1, tail) one."""
+    _check_length(n_symbols)
     rng = random.Random(seed)
-    full, tail = divmod(max(0, n_symbols), BLOCK_SYMBOLS)
+    full, tail = divmod(n_symbols, BLOCK_SYMBOLS)
     arrays = [_coded_blocks(rng, sys.k, BLOCK_SYMBOLS, full)]
     if tail:
         arrays.append(_coded_blocks(rng, sys.k, tail, 1))
@@ -180,6 +181,7 @@ def circle_entropy_report(
         word = symbolic_coding(sys, mu.orbit[0], period)
         coded = PeriodicOrbit(shift_space(cyclic(sys.k)), tuple(int(s) for s in word))
         return entropy_rate(coded, max(2, period + 1), tol=1e-12)
+    _check_length(n_symbols)  # before the split, which would name one seed's share
     per_seed, extra = divmod(n_symbols, seeds)
     arrays = [array for s in range(seeds)
               for array in _lebesgue_blocks(sys, per_seed + (s < extra), base_seed + s)]

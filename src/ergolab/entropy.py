@@ -131,139 +131,80 @@ def require_symbols(n_symbols: int, k: int, length: int) -> None:
         raise InsufficientData(f"{n_symbols} symbols < 100 * {k}^{length}")
 
 
-def _level_counts(
-    digits: np.ndarray, sizes: np.ndarray, k: int, length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of the in-word windows of length L and of the words' tails, words end to end.
+def _runs(arrays: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each array's nonempty rows in runs of whole rows, about CHUNK_SYMBOLS symbols each.
 
-    `digits` holds the words' symbols in range(k), `sizes` their lengths, all
-    at least 1. The base-k window codes are rolled once, to depth L, in the
-    narrowest code dtype; the last L - 1 starts of each word take the code k^L,
-    which no window has, and one bincount counts the rest. A word's tails are
-    its last ell < L symbols, coded base k: one (L - 1, words) gather of the
-    last L - 1 symbols, whose running sums are every tail code, and one
-    bincount, level ell's k^ell codes shifted past the lower levels', count them.
+    A run is a view, a slice of one array's rows; a row longer than a chunk is
+    a run of its own.
     """
-    n_codes = k**length
-    dtype = _code_dtype(n_codes + length)  # also holds the shifted tail codes, below k^L + L
-    digits = digits.astype(dtype)
-    n_win = max(0, len(digits) - length + 1)
-    codes = digits[:n_win].copy()
-    for i in range(1, length):
-        codes *= k
-        codes += digits[i : i + n_win]
-    back = np.arange(1, length)[:, None]
-    last = np.cumsum(sizes) - back  # row i - 1: the i-th last symbol of each word, i < L
-    inside = sizes >= back
-    starts = last[inside]  # the i-th last start of each word, whose window leaves it
-    codes[starts[starts < n_win]] = n_codes
-    width = k**back
-    # a word shorter than i reads before its start, dropped by inside; clip keeps it in the run
-    suffix = np.cumsum(np.take(digits, last, mode="clip") * (width // k).astype(dtype), 0, dtype)
-    suffix += (np.cumsum(width, 0) - width).astype(dtype)
-    tails = np.bincount(suffix[inside], minlength=int(width.sum()))
-    return np.bincount(codes, minlength=n_codes + 1)[:n_codes], tails
+    for array in (a for a in arrays if a.size):
+        step = max(1, CHUNK_SYMBOLS // array.shape[1])
+        for start in range(0, len(array), step):
+            yield array[start : start + step]
 
 
-def _arrays(words) -> Optional[list[np.ndarray]]:
-    """The 2-D arrays whose rows are the words: a 2-D array, or a sequence of them; else None."""
-    if isinstance(words, np.ndarray):
-        return [words] if words.ndim == 2 else None
-    if all(isinstance(w, np.ndarray) and w.ndim == 2 for w in words):
-        return list(words)
-    return None
+def _word_counts(arrays: Sequence[np.ndarray], k: int, length: int) -> list[np.ndarray]:
+    """Counts of the in-row windows at levels 1..L; a symbol outside range(k) raises.
 
-
-def _runs(words) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The nonempty words in runs of whole words, about CHUNK_SYMBOLS symbols each.
-
-    Each run is its words' symbols laid end to end and their lengths; a word
-    longer than a chunk is a run of its own. The rows of a 2-D array are its
-    words, and a run of them is a slice of its rows, raveled; a sequence of
-    2-D arrays gives each array's runs in turn.
+    Every row of the 2-D arrays is a word, and no window crosses a row, so the
+    exact counts add up run by run (`_runs`). A run's windows of length L are
+    base-k codes, rolled once over the start columns 0..w - L in the narrowest
+    code dtype and counted by one bincount; its rows' tails, their last
+    ell < L symbols, are counted level by level. A window of level ell is
+    a prefix of one of level ell + 1 or a row's tail of length ell, so the
+    levels below L are summed down once, from the totals.
     """
-    arrays = _arrays(words)
-    if arrays is not None:
-        for array in (a for a in arrays if a.size):
-            width = array.shape[1]
-            step = max(1, CHUNK_SYMBOLS // width)
-            for start in range(0, len(array), step):
-                run = array[start : start + step]
-                yield run.ravel(), np.full(len(run), width)
-        return
-    words = [w for w in words if len(w)]
-    ends = np.cumsum([len(w) for w in words])
-    head = 0
-    while head < len(words):
-        before = int(ends[head - 1]) if head else 0
-        tail = max(head + 1, int(ends.searchsorted(before + CHUNK_SYMBOLS, side="right")))
-        yield np.concatenate(words[head:tail]), np.diff(ends[head:tail], prepend=before)
-        head = tail
-
-
-def _word_counts(words, k: int, length: int) -> list[np.ndarray]:
-    """Counts of the in-word windows at levels 1..L; a symbol outside range(k) raises.
-
-    No window crosses a word, so the exact counts of `_level_counts` add up run
-    by run (`_runs`). A window of level ell is a prefix of one of level ell + 1
-    or a word's tail of length ell, so the levels below L are summed down once.
-    """
-    counts = tails = 0
-    for digits, sizes in _runs(words):
-        if digits.min() < 0 or digits.max() >= k:
-            bad = digits[(digits < 0) | (digits >= k)][0]
+    dtype = _code_dtype(k**length)
+    counts = [np.zeros(k**ell, np.int64) for ell in range(1, length + 1)]  # level ell at ell - 1
+    for run in _runs(arrays):
+        if run.min() < 0 or run.max() >= k:
+            bad = run[(run < 0) | (run >= k)][0]
             raise ValueError(f"symbol {bad} outside range({k})")
-        top, tail = _level_counts(digits, sizes, k, length)
-        counts, tails = counts + top, tails + tail
-    counts = [counts]
+        run = run.astype(dtype)
+        width = run.shape[1]
+        n_win = width - length + 1
+        if n_win > 0:
+            codes = run[:, :n_win].copy()
+            for i in range(1, length):
+                codes *= k
+                codes += run[:, i : i + n_win]
+            counts[-1] += np.bincount(codes.ravel(), minlength=k**length)
+        tail = np.zeros(len(run), dtype)
+        for ell in range(1, min(length, width + 1)):
+            tail += run[:, width - ell] * dtype.type(k ** (ell - 1))
+            counts[ell - 1] += np.bincount(tail, minlength=k**ell)
     for ell in range(length - 1, 0, -1):  # level ell's tails end where level ell + 1's begin
-        counts.append(counts[-1].reshape(-1, k).sum(1) + tails[len(tails) - k**ell :])
-        tails = tails[: len(tails) - k**ell]
-    return counts[::-1]
+        counts[ell - 1] += counts[ell].reshape(-1, k).sum(1)
+    return counts
 
 
 def empirical_block_entropy(
-    words: Sequence[Sequence[int]],
-    length: int,
-    alphabet_size: Optional[int] = None,
+    arrays: Sequence[np.ndarray], length: int, alphabet_size: int
 ) -> EntropyEstimate:
-    """Plug-in conditional block entropy from sampled words.
+    """Plug-in conditional block entropy from sampled words, the rows of 2-D arrays.
 
-    `words` is a sequence of 1-D words, a 2-D array whose rows are its
-    words, or a sequence of such arrays. Requires at least 100 *
-    |alphabet|^L symbols, every one in range(|alphabet|), and a word of
-    length >= L. Each level's estimate is the conditional plug-in over one
-    window table: h_L sums (c_w/T) times ln(c_prefix/c_w), so deterministic
-    continuations give exactly 0. The window counts are exact integers,
-    taken once at depth L and summed down level by level (`_word_counts`),
-    per run of whole words of about CHUNK_SYMBOLS symbols (`_runs`), so the
-    working memory is one run's. The note reports the Miller-Madow bias
-    correction magnitude for the underlying block entropy rather than
-    applying it.
+    `arrays` is a sequence of 2-D integer arrays, which may differ in width;
+    each row is one word. Requires at least 100 * |alphabet|^L symbols, every
+    one in range(|alphabet|), and a row of length >= L. Each level's estimate
+    is the conditional plug-in over one window table: h_L sums (c_w/T) times
+    ln(c_prefix/c_w), so deterministic continuations give exactly 0. The
+    window counts are exact integers, taken once at depth L and summed down
+    level by level (`_word_counts`), per run of whole rows of about
+    CHUNK_SYMBOLS symbols (`_runs`), so the working memory is one run's. The
+    note reports the Miller-Madow bias correction magnitude for the
+    underlying block entropy rather than applying it.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    arrays = _arrays(words)
-    if arrays is None:
-        parts = [w for w in words if len(w)]
-        sizes = [len(w) for w in parts]
-        n_symbols, longest = sum(sizes), max(sizes, default=0)
-    else:
-        parts = [a for a in arrays if a.size]
-        n_symbols = sum(a.size for a in parts)
-        longest = max((a.shape[1] for a in parts), default=0)
-    if alphabet_size is None:
-        if not n_symbols:
-            raise InsufficientData(f"0 symbols < 100 * k^{length}: no word has a symbol")
-        alphabet_size = 1 + max(int(np.max(w)) for w in parts)
     k = alphabet_size
-    require_symbols(n_symbols, k, length)
+    require_symbols(sum(a.size for a in arrays), k, length)
+    longest = max((a.shape[1] for a in arrays if a.size), default=0)
     if longest < length:
         raise InsufficientData(
             f"no window of length L={length}: the longest word has {longest} symbols"
         )
     h_levels = []
-    for ell, counts in enumerate(_word_counts(words, k, length), start=1):
+    for ell, counts in enumerate(_word_counts(arrays, k, length), start=1):
         total = int(counts.sum())
         seen = np.flatnonzero(counts)
         # each term is -(c/T) ln(c/T) at level 1, else (c/T) ln(prefix/c). The counts are

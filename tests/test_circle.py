@@ -190,16 +190,15 @@ def test_lebesgue_sample_is_one_array_when_every_block_is_full(n):
 def test_lebesgue_estimate_keeps_its_working_memory_to_a_chunk():
     # concatenating the sample's rows and bincounting its intp window codes in one
     # pass peaked at about 13.7 MB; a run of rows is a view, counted a chunk at a time
-    words = sample_lebesgue_coding(times_k(2), 10**6, seed=4)
-    empirical_block_entropy(words[:3000], 2, alphabet_size=2)  # numpy's first-call set-up
+    blocks = sample_lebesgue_coding(times_k(2), 10**6, seed=4)
+    empirical_block_entropy([blocks[:3000]], 2, alphabet_size=2)  # numpy's first-call set-up
     tracemalloc.start()
     try:
-        est = empirical_block_entropy(words, 12, alphabet_size=2)
+        est = empirical_block_entropy([blocks], 12, alphabet_size=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 10**6
-    assert est == empirical_block_entropy(list(words), 12, alphabet_size=2)
     assert est == circle_entropy_report(times_k(2), lebesgue(), 12, n_symbols=10**6, base_seed=4)
 
 
@@ -223,8 +222,9 @@ def test_multi_seed_lebesgue_estimate_reads_each_seed_array(sizes, last):
     assert peak <= 4 * 10**6
     samples = [sample_lebesgue_coding(times_k(2), n, 4 + s) for s, n in enumerate(sizes)]
     assert [len(sample[-1]) for sample in samples] == last
-    rows = [w for sample in samples for w in sample]
-    assert est == empirical_block_entropy(rows, 12, alphabet_size=2)
+    arrays = [np.array(part) for n, sample in zip(sizes, samples)
+              for part in (sample[: n // 40], sample[n // 40 :])]
+    assert est == empirical_block_entropy(arrays, 12, alphabet_size=2)
 
 
 def test_circle_entropy_report_uses_every_symbol(monkeypatch):
@@ -250,3 +250,12 @@ def test_circle_entropy_report_uses_every_symbol(monkeypatch):
 def test_circle_entropy_report_needs_a_seed(mu):
     with pytest.raises(ValueError, match="at least 1 seed, got 0"):
         circle_entropy_report(times_k(2), mu, 3, n_symbols=10**4, seeds=0)
+
+
+def test_negative_symbol_count_is_rejected():
+    # it was read as 0: an empty (0, 40) sample, and a report of "0 symbols < 100 * 2^3"
+    with pytest.raises(ValueError, match="must be >= 0, got n=-5"):
+        sample_lebesgue_coding(times_k(2), -5, 0)
+    for seeds in (1, 3):
+        with pytest.raises(ValueError, match="must be >= 0, got n=-5"):
+            circle_entropy_report(times_k(2), lebesgue(), 3, n_symbols=-5, seeds=seeds)

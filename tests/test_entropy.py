@@ -14,7 +14,6 @@ from ergolab.entropy import (
     closed_form_entropy,
     empirical_block_entropy,
     entropy_rate,
-    empirical_block_entropy as _ebe,
     table_entropy,
 )
 from ergolab.errors import InsufficientData, MonotonicityViolated, UnsupportedKind
@@ -204,35 +203,38 @@ def test_closed_form_agrees_with_blocks():
 
 def test_empirical_periodic_orbit_is_deterministic():
     per = PeriodicOrbit(SYS2, (0, 1))
-    words = [per.sample(500, s) for s in range(3)]
-    est = empirical_block_entropy(words, 2, alphabet_size=2)
+    arrays = [per.sample(500, s)[None] for s in range(3)]
+    est = empirical_block_entropy(arrays, 2, alphabet_size=2)
     assert est.value == 0.0
     assert est.method == "empirical"
     assert "Miller-Madow" in est.note
 
 
 def test_empirical_bernoulli_half():
-    words = [shift_haar(SYS2).sample(10**6, 21)]
-    est = empirical_block_entropy(words, 8, alphabet_size=2)
+    arrays = [shift_haar(SYS2).sample(10**6, 21)[None]]
+    est = empirical_block_entropy(arrays, 8, alphabet_size=2)
     assert abs(est.value - LN2) < 0.01
 
 
 def test_empirical_markov():
-    words = [MARKOV_23.sample(10**6, 22)]
-    est = empirical_block_entropy(words, 10, alphabet_size=2)
+    arrays = [MARKOV_23.sample(10**6, 22)[None]]
+    est = empirical_block_entropy(arrays, 10, alphabet_size=2)
     assert abs(est.value - MARKOV_23_RATE) < 0.01
 
 
 def test_empirical_insufficient_data():
     with pytest.raises(InsufficientData):
-        empirical_block_entropy([[0, 1] * 10], 8, alphabet_size=2)
+        empirical_block_entropy([np.array([[0, 1] * 10])], 8, alphabet_size=2)
 
 
-@pytest.mark.parametrize("words", [[[]], [[], []], []])
+@pytest.mark.parametrize("words", [
+    [np.empty((0, 5), np.int8)],
+    [np.empty((1, 0), np.int8), np.empty((0, 0), np.int64)],
+    [],
+])
 def test_empirical_entropy_without_symbols_names_the_data_requirement(words):
-    # with no alphabet size given, the alphabet cannot be read off an empty sample
-    with pytest.raises(InsufficientData, match=r"0 symbols < 100 \* k\^3"):
-        empirical_block_entropy(words, 3)
+    with pytest.raises(InsufficientData, match=r"0 symbols < 100 \* 2\^3"):
+        empirical_block_entropy(words, 3, alphabet_size=2)
 
 
 # -- exact table entropy against the per-entry sum ------------------------------------
@@ -441,27 +443,41 @@ def _dict_count_h_levels(words, length):
     return tuple(h_levels), len(counts), total
 
 
+def _rows(arrays):
+    """The words the estimator reads: every row of every array."""
+    return [row for array in arrays for row in array]
+
+
+def _one_row_each(*words):
+    """Each word as a one-row array."""
+    return [np.array([w]) for w in words]
+
+
 @st.composite
-def _ragged_source(draw):
-    """Words over range(k) with empty and short words, enough symbols for L."""
+def _row_source(draw):
+    """2-D arrays over range(k) of mixed widths, some empty, with enough symbols for L."""
     k = draw(st.integers(1, 5))
     length = draw(st.integers(1, max(L for L in range(1, 5) if k**L <= 250)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     weights = [rng.choice([0, 1, 2, 5]) for _ in range(k)]
     weights[rng.randrange(k)] += 1
-    sizes = draw(st.lists(st.sampled_from([0, 1, length - 1, length, length + 2, 57]), max_size=8))
-    while sum(sizes) < 100 * k**length or max(sizes, default=0) < length:
-        sizes.append(rng.choice([0, length - 1, 40, 300]))
-    words = [rng.choices(range(k), weights, k=n) for n in sizes]
-    return words, length, k
+    widths = [1, length - 1, length, length + 2, 57]
+    shapes = draw(st.lists(st.tuples(st.sampled_from([0, 1, 2, 7]), st.sampled_from(widths)),
+                           max_size=6))
+    while (sum(r * w for r, w in shapes) < 100 * k**length
+           or max((w for r, w in shapes if r), default=0) < length):
+        shapes.append((rng.choice([0, 1, 3, 20]), rng.choice(widths + [300])))
+    arrays = [np.array(rng.choices(range(k), weights, k=r * w), rng.choice([np.int8, np.int64]))
+              .reshape(r, w) for r, w in shapes]
+    return arrays, length, k
 
 
 @settings(max_examples=40, deadline=None)
-@given(_ragged_source())
+@given(_row_source())
 def test_empirical_entropy_matches_dict_counts(case):
-    words, length, k = case
-    est = empirical_block_entropy(words, length, alphabet_size=k)
-    h_levels, observed, total = _dict_count_h_levels(words, length)
+    arrays, length, k = case
+    est = empirical_block_entropy(arrays, length, alphabet_size=k)
+    h_levels, observed, total = _dict_count_h_levels(_rows(arrays), length)
     assert est.upper_bounds == h_levels
     assert est.value == h_levels[-1]
     mm = (observed - 1) / (2 * total)
@@ -505,85 +521,68 @@ def _masked_bincount_levels(words, length, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_ragged_source())
-@example(([[0, 1, 1] * 534, [1], [0, 1]], 4, 2))  # words shorter than L - 1
-@example(([[1, 0] * 801, [0, 1, 1], [1, 1, 0, 1]], 4, 2))  # a word of exactly L - 1
-@example(([[0, 1] * 800, [1]], 4, 2))  # a word's last starts past n_win, not only the last word's
-@example(([[0] * 300, [0] * 299, [0]], 300, 1))  # 299 shifted tail codes past uint8 for k = 1
+@given(_row_source())
+@example((_one_row_each([0, 1, 1] * 534, [1], [0, 1]), 4, 2))  # rows shorter than L - 1
+@example((_one_row_each([1, 0] * 801, [0, 1, 1], [1, 1, 0, 1]), 4, 2))  # a row of exactly L - 1
+@example(([np.array([[0, 1] * 800]), np.array([[1, 1, 0], [0, 1, 1]])], 4, 2))  # L - 1 wide
+@example((_one_row_each([0] * 300, [0] * 299, [0]), 300, 1))  # one code per level for k = 1
 def test_level_counts_match_per_level_masked_bincount(case):
-    words, length, k = case
-    counts, h_levels = _masked_bincount_levels(words, length, k)
-    got = entropy._word_counts(words, k, length)  # one run: every case is below CHUNK_SYMBOLS
+    arrays, length, k = case
+    counts, h_levels = _masked_bincount_levels(_rows(arrays), length, k)
+    got = entropy._word_counts(arrays, k, length)
     assert len(got) == length
     for ell, (a, b) in enumerate(zip(got, counts), start=1):
         assert a.dtype == np.int64 and np.array_equal(a, b), f"level {ell}"
-    assert empirical_block_entropy(words, length, alphabet_size=k).upper_bounds == h_levels
+    assert empirical_block_entropy(arrays, length, alphabet_size=k).upper_bounds == h_levels
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ragged_source(), st.integers(1, 400))
-@example(([[0, 1, 0, 1, 1], [1]], 4, 2), 5)  # a last run of fewer than L - 1 symbols
+@given(_row_source(), st.integers(1, 400))
+@example((_one_row_each([0, 1, 0, 1, 1], [1]), 4, 2), 5)  # a last run of fewer than L - 1 symbols
 def test_counts_run_by_run_match_one_pass(case, chunk):
-    # runs end mid-list, a word can outrun a chunk, and a run of short words can
-    # hold fewer than L symbols, so none of its windows reaches level L
-    words, length, k = case
-    nonempty = [w for w in words if len(w)]
-    one_pass = entropy._word_counts(words, k, length)
+    # runs end mid-array, a row can outrun a chunk, and a run of short rows
+    # has no window of length L
+    arrays, length, k = case
+    one_pass = entropy._word_counts(arrays, k, length)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(entropy, "CHUNK_SYMBOLS", chunk)
-        runs = list(entropy._runs(words))
-        by_runs = entropy._word_counts(words, k, length)
-    assert [s.tolist() for _, s in runs] == [[len(w) for w in nonempty][i:j] for i, j in
-                                             _run_bounds([len(w) for w in nonempty], chunk)]
+        runs = list(entropy._runs(arrays))
+        by_runs = entropy._word_counts(arrays, k, length)
+    steps = [(a, max(1, chunk // a.shape[1])) for a in arrays if a.size]
+    expected = [a[i : i + step] for a, step in steps for i in range(0, len(a), step)]
+    assert len(runs) == len(expected)
+    for run, rows in zip(runs, expected):  # whole rows, as views
+        assert run.shape == rows.shape and np.shares_memory(run, rows)
     for ell, (a, b) in enumerate(zip(by_runs, one_pass), start=1):
         assert a.dtype == np.int64 and np.array_equal(a, b), f"level {ell}"
-
-
-def _run_bounds(sizes, chunk):
-    """[head, tail) of each run: whole words while they fit in the chunk, at least one."""
-    bounds, head = [], 0
-    while head < len(sizes):
-        tail, total = head + 1, sizes[head]
-        while tail < len(sizes) and total + sizes[tail] <= chunk:
-            total += sizes[tail]
-            tail += 1
-        bounds.append((head, tail))
-        head = tail
-    return bounds
 
 
 @pytest.mark.parametrize("chunk", [1, 6, 7, 50, 2**16])
 @pytest.mark.parametrize("width", [3, 7])
 def test_empirical_entropy_reads_a_2d_array_like_its_rows(chunk, width, monkeypatch):
-    # a run of a 2-D array is a slice of its rows, raveled, whatever the chunk
+    # a run is a slice of one array's rows, whatever the chunk, so an array reads
+    # like its rows cut into arrays anywhere
     monkeypatch.setattr(entropy, "CHUNK_SYMBOLS", chunk)
     rows = np.random.default_rng(width).integers(0, 3, size=(1000, width), dtype=np.int8)
-    for k in (3, None):
-        got = empirical_block_entropy(rows, 3, alphabet_size=k)
-        assert got == empirical_block_entropy(list(rows), 3, alphabet_size=k)
-        assert got == empirical_block_entropy(rows.tolist(), 3, alphabet_size=k)
+    got = empirical_block_entropy([rows], 3, alphabet_size=3)
+    assert got == empirical_block_entropy(np.split(rows, [1, 2, 300, 999]), 3, alphabet_size=3)
+    assert got == empirical_block_entropy([row[None] for row in rows], 3, alphabet_size=3)
+    assert got.upper_bounds == _dict_count_h_levels(rows, 3)[0]
     rows[999, 2] = 3
     with pytest.raises(ValueError, match="symbol 3 outside range\\(3\\)"):
-        empirical_block_entropy(rows, 3, alphabet_size=3)
-
-
-def test_empirical_entropy_reads_numpy_rows_like_lists():
-    words = [[0, 1, 1, 0, 2] * 150, [], [2, 2], [1, 0, 2, 1] * 40]
-    arrays = [np.array(w, dtype=np.int8) for w in words]
-    assert empirical_block_entropy(arrays, 2, 3) == empirical_block_entropy(words, 2, 3)
-    assert empirical_block_entropy(words, 2, 3).upper_bounds == _dict_count_h_levels(words, 2)[0]
+        empirical_block_entropy([rows], 3, alphabet_size=3)
 
 
 @pytest.mark.parametrize("k, bad", [(3, 2), (2, -1)])
 def test_empirical_entropy_rejects_symbols_outside_the_alphabet(k, bad):
     # a uniform C3 source read as binary once passed 2 off as a word break
-    words = [random.Random(3).choices(range(k), k=1000)]
-    words[0][500] = bad
+    arrays = [np.array([random.Random(3).choices(range(k), k=1000)])]
+    arrays[0][0, 500] = bad
     with pytest.raises(ValueError, match=f"symbol {bad} outside range\\(2\\)"):
-        empirical_block_entropy(words, 2, alphabet_size=2)
+        empirical_block_entropy(arrays, 2, alphabet_size=2)
 
 
 def test_empirical_entropy_needs_a_word_as_long_as_L():
-    words = [[0, 1, 1]] * 1000
+    arrays = [np.array([[0, 1, 1]] * 1000), np.empty((0, 9), np.int8)]
     with pytest.raises(InsufficientData, match="L=4: the longest word has 3 symbols"):
-        empirical_block_entropy(words, 4, alphabet_size=2)
+        empirical_block_entropy(arrays, 4, alphabet_size=2)
