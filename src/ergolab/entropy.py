@@ -14,7 +14,8 @@ block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
+from operator import truediv
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ MONOTONE_SLACK = 1e-12
 VELTKAMP = 2.0**27 + 1  # splits a double into two halves of 26 significant bits
 SPLIT_MIN_TERM = 2.0**-969
 SPLIT_MAX_COUNT = 2**26
+ENTROPY_ARRAY_MIN_MASSES = 64  # the measured crossover: below it the per-mass loop is faster
 
 
 class EntropyEstimate(Record):
@@ -50,19 +52,35 @@ def table_entropy(table: BlockTable) -> float:
     2^26 and a term above 2^-969, where lo stays a normal float; fsum of those
     exact halves is the correctly rounded sum of the terms repeated by their
     counts. A term outside that range is repeated.
+
+    From ENTROPY_ARRAY_MIN_MASSES masses on, the division (float64 below 2^53,
+    exact operands), split and products are array passes; math.log maps over them.
     """
     den = table.den
-    terms = []
-    for num, count in zip(*table.mass_counts()):
-        # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
-        x = neg_xlogx(num / den)
-        if x < SPLIT_MIN_TERM or count >= SPLIT_MAX_COUNT:
-            terms += repeat(x, count)
-        else:
+    masses, counts = table.mass_counts()
+    if len(masses) < ENTROPY_ARRAY_MIN_MASSES:
+        terms = []
+        for num, count in zip(masses, counts):
+            # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
+            x = neg_xlogx(num / den)
             t = VELTKAMP * x
             hi = t - (t - x)
-            terms += (count * hi, count * (x - hi))
-    return math.fsum(terms)
+            rare = x < SPLIT_MIN_TERM or count >= SPLIT_MAX_COUNT
+            terms += repeat(x, count) if rare else (count * hi, count * (x - hi))
+        return math.fsum(terms)
+    p = (np.array(masses, dtype=float) / den if den < 2**53
+         else np.fromiter(map(truediv, masses, repeat(den)), float, len(masses)))
+    # a zero mass (or quotient) takes log(1.0), so a zero term, which fsum ignores
+    x = -1.0 * p * np.fromiter(map(math.log, memoryview(p + (p == 0.0))), float, len(p))
+    counts = np.array(counts, dtype=float)
+    rare = np.flatnonzero((x < SPLIT_MIN_TERM) | (counts >= SPLIT_MAX_COUNT))
+    terms = [term for term, count in zip(x[rare].tolist(), counts[rare].tolist())
+             for term in repeat(term, int(count))]
+    x[rare] = 0.0  # a rare term repeats in place of its halves
+    t = VELTKAMP * x
+    hi = t - (t - x)
+    # a memoryview yields its floats one at a time, where a list would hold them all
+    return math.fsum(chain(terms, memoryview(counts * hi), memoryview(counts * (x - hi))))
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:

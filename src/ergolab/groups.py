@@ -339,38 +339,29 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
     a, den = mu._ints  # mu = a/den, integers
 
     # joint(E, F) = (1/n) sum_{x in E} mu(x^-1 F); product = |E| |F| / n^2.
-    # Equality <=> n * sum_{x in E, f in F} a[x^-1 f] == |E| * |F| * den.
+    # Equality <=> n * sum_{x in E, f in F} a[x^-1 f] == |E| * |F| * den; both
+    # sides are at most n * n * den: int64 below 2^63, else Python ints.
+    dtype = np.int64 if n * n * den < 2**63 else object
+    v = n * np.array(a, dtype=dtype)[g.np_op[[g.inv(x) for x in range(n)]]]  # [x, f]: n a[x^-1 f]
     if n <= EXHAUSTIVE_INDEPENDENCE_MAX_ORDER:
-        # row[x][Fmask] = sum_{f in F} a[x^-1 f], filled by lowest-bit recursion
-        row = [[0] * (1 << n) for _ in range(n)]
-        for x in range(n):
-            xinv = g.inv(x)
-            vals = [a[g.op(xinv, f)] for f in range(n)]
-            rx = row[x]
-            for mask in range(1, 1 << n):
-                low = (mask & -mask).bit_length() - 1
-                rx[mask] = rx[mask ^ (1 << low)] + vals[low]
-        members = [[x for x in range(n) if mask >> x & 1] for mask in range(1 << n)]
-        sizes = [len(m) for m in members]
+        members = np.arange(1 << n)[:, None] // 2 ** np.arange(n) % 2  # [F, f]: is f in F
+        sizes = members.sum(axis=1).astype(dtype)
+        row, sizes_den = v @ members.T, sizes * den  # row[x, F] = n sum_{f in F} a[x^-1 f]
+        # joint[E] = n sum_{x in E, f in F} a[x^-1 f] for every F, by lowest-bit recursion
+        joint = np.zeros((1 << n, 1 << n), dtype)
         for emask in range(1, 1 << n):
-            es = members[emask]
-            for fmask in range(1, 1 << n):
-                s = 0
-                for x in es:
-                    s += row[x][fmask]
-                if n * s != sizes[emask] * sizes[fmask] * den:
-                    e_set = frozenset(es)
-                    f_set = frozenset(members[fmask])
-                    return IndependenceReport(False, (e_set, f_set), "subset pair scan")
+            low = (emask & -emask).bit_length() - 1
+            joint[emask] = joint[emask & (emask - 1)] + row[low]
+            fails = np.flatnonzero(joint[emask] != sizes[emask] * sizes_den)
+            if len(fails):
+                e_set = frozenset(np.flatnonzero(members[emask]).tolist())
+                f_set = frozenset(np.flatnonzero(members[fails[0]]).tolist())
+                return IndependenceReport(False, (e_set, f_set), "subset pair scan")
         return IndependenceReport(True, None, "exhaustive over all subset pairs")
-
-    for x in range(n):
-        xinv = g.inv(x)
-        for f in range(n):
-            if n * a[g.op(xinv, f)] != den:
-                return IndependenceReport(
-                    False, (frozenset([x]), frozenset([f])), "singleton scan"
-                )
+    fails = np.argwhere(v != den)  # in (x, f) order
+    if len(fails):
+        x, f = fails[0].tolist()
+        return IndependenceReport(False, (frozenset([x]), frozenset([f])), "singleton scan")
     return IndependenceReport(True, None, "singleton scan (order > 8)")
 
 

@@ -172,7 +172,7 @@ def _place_values(base: int, length: int) -> np.ndarray:
 
 def _sum_runs(keys: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys of sorted keys, and the sum of the numerators of each."""
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
     return keys[starts], np.add.reduceat(nums, starts)
 
 
@@ -309,46 +309,57 @@ class ShiftMeasure:
     def _paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
 
+        A level steps each path along its last state's nonzero entries (`_steps`),
+        in ascending state order.
         Under the identity emission the paths are their words, in code order,
         and `last` is None. Otherwise the paths that share their word and last
         state merge, in (word, last state) order, so a level holds at most
         |G|^L * |states| of them. A level's numerators are at most its
         denominator and take its `_num_dtype`: past 2^63 they are Python ints,
-        multiplied by the rows as Python ints (`_object_rows`). An identity-emission
-        level past 2^63 is interned (`_interned_level`).
+        multiplied by the entries as Python ints. An identity-emission level
+        past 2^63 is interned (`_interned_level`).
         """
         paths = self._path_memo.get(length)
         if paths is None:
             n = self.system.alphabet.order
-            rows, steps, emit = self._arrays
             codes, prev, nums = self._paths(length - 1)
+            start, succ, entries = self._steps
             prev = codes % n if prev is None else prev
-            keep = steps[prev]  # every path steps to every state; the zero steps are dropped
-            codes = (codes[:, None] * n + emit)[keep]
+            deg = start[prev + 1] - start[prev]
+            ends = deg.cumsum() - deg  # each path's first child's place
+            at = np.repeat(start[prev] - ends, deg)  # each child's index into the entries
+            at += np.arange(len(at))
+            states = succ[at]
             identity, wide = self._chain[4] == tuple(range(n)), self._den(length) >= 2**63
+            # `at` is rebound to its gather, so each wide temporary is freed before the next
             if identity and wide:
-                paths = (codes, None, self._interned_level(length, prev, keep, nums))
-            else:
-                if wide:
-                    rows, nums = self._object_rows, nums.astype(object, copy=False)
-                nums = (nums[:, None] * rows[prev])[keep]
-                if identity:
-                    paths = (codes, None, nums)
-                else:
-                    key = codes * len(emit) + np.nonzero(keep)[1]  # (word, last state)
-                    order = np.argsort(key, kind="stable")
-                    key, nums = _sum_runs(key[order], nums[order])
-                    paths = (key // len(emit), key % len(emit), nums)
+                at = self._entry_classes[0][at]  # each child's entry class
+                nums = self._interned_level(length, deg, at, nums)
+            else:  # object times int64 is Python-int arithmetic
+                at = (entries.astype(object) if wide else entries)[at]  # each child's entry
+                at *= np.repeat(nums, deg)
+                nums = at
+            if identity:
+                codes = np.repeat(codes * n, deg)
+                codes += states
+                paths = (codes, None, nums)
+            else:  # the key (word, last state) of a child is its parent's word's plus its state's
+                size = len(self._chain[4])
+                key = (np.array(self._chain[4]) * size + np.arange(size))[states]
+                key += np.repeat(codes * (n * size), deg)
+                order = np.argsort(key, kind="stable")
+                key, nums = _sum_runs(key[order], nums[order])
+                paths = (key // size, key % size, nums)
             self._path_memo[length] = paths
         return paths
 
-    def _interned_level(self, length: int, prev: np.ndarray, keep: np.ndarray,
+    def _interned_level(self, length: int, deg: np.ndarray, entry: np.ndarray,
                         nums: np.ndarray) -> np.ndarray:
         """The numerators of an identity-emission level past 2^63, given the parent level's.
 
         The level is held in `_classes` as int64 class ids into its distinct
         numerators; the first such level interns its parent's. A child path is
-        labelled by its parent's class and its row entry's class, each distinct
+        labelled by its parent's class and its entry's class, each distinct
         label's value is one Python multiply, and equal values merge in C-level
         loops (`_distinct`), so the Python-int work scales with the distinct
         masses, not the paths. The numerators returned are the exact gather
@@ -356,9 +367,10 @@ class ShiftMeasure:
         """
         parent = self._classes.get(length - 1)
         ids, values = _distinct(nums.tolist()) if parent is None else parent
-        entry, entries = self._row_classes
-        labels, at = _intern((ids[:, None] * len(entries) + entry[prev])[keep],
-                             len(values) * len(entries))
+        entries = self._entry_classes[1]
+        labels = np.repeat(ids * len(entries), deg)
+        labels += entry
+        labels, at = _intern(labels, len(values) * len(entries))
         classes, values = _distinct(values[labels // len(entries)] * entries[labels % len(entries)])
         ids = classes[at]
         self._classes[length] = (ids, values)
@@ -380,27 +392,38 @@ class ShiftMeasure:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows, with init as a last (start) row; their nonzero mask; emit.
+        """The dense rows (`_dense_rows`), their nonzero mask, and emit, for `ergodicity`."""
+        rows = _dense_rows(self._chain)
+        return rows, rows != 0, np.array(self._chain[4], dtype=np.int64)
 
-        Init's entries are at most d0 and the rows' at most dt, so the rows take
-        `_num_dtype(max(d0, dt))`, built straight from the chain's tuples; a dt
-        past 2^63 makes every level's numerators Python ints, the first one's too.
+    @cached_property
+    def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows compressed (Saad 2003, section 3.4), not kept dense: (start, succ, entries).
+
+        Row s steps to succ[start[s]:start[s + 1]], ascending, in `_code_dtype`, by the
+        nonzero entries at the same places, in the dense rows' dtype.
         """
-        init, d0, rows, dt, emit = self._chain
-        rows = np.array(rows + (init,), dtype=_num_dtype(max(d0, dt)))
-        return rows, rows != 0, np.array(emit, dtype=np.int64)
+        rows = _dense_rows(self._chain)
+        steps = rows != 0
+        states = np.broadcast_to(np.arange(rows.shape[1], dtype=_code_dtype(rows.shape[1])),
+                                 rows.shape)
+        return np.concatenate(([0], steps.sum(axis=1).cumsum())), states[steps], rows[steps]
 
     @cached_property
-    def _object_rows(self) -> np.ndarray:
-        """The rows of `_arrays` as Python ints, converted once for the levels past 2^63."""
-        return self._arrays[0].astype(object)
+    def _entry_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class of each of `_steps`' entries, in `_code_dtype`, and the distinct entries."""
+        entry, entries = _distinct(self._steps[2].tolist())
+        return entry.astype(_code_dtype(len(entries))), entries
 
-    @cached_property
-    def _row_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class of each entry of the rows of `_arrays`, and the distinct entries."""
-        rows = self._arrays[0]
-        entry, entries = _distinct(rows.ravel().tolist())
-        return entry.reshape(rows.shape), entries
+
+def _dense_rows(chain: tuple) -> np.ndarray:
+    """A chain's rows with init as a last (start) row, in `_num_dtype(max(d0, dt))`.
+
+    Init's entries are at most d0 and the rows' at most dt; a dt past 2^63 makes
+    every level's numerators Python ints, the first one's too.
+    """
+    init, d0, rows, dt, _ = chain
+    return np.array(rows + (init,), dtype=_num_dtype(max(d0, dt)))
 
 
 class Bernoulli(ShiftMeasure, Record):
@@ -472,39 +495,46 @@ def _cells(bounds: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, cum: np.ndarray) -> list[tuple[int, int]]:
-    """Fill the steps t >= 1 of a Markov walk that whole-array passes can; return the rest.
+def _cell_table(cum: np.ndarray, draws: int) -> Optional[tuple]:
+    """A Markov sample's cells, built once: (bounds, nxt, agree), or None where they cost more.
 
-    Step t is bisect_right(cum[walk[t - 1]], u[t - 1]), and walk[0] is set. The
-    finite bounds of all rows cut [0, 1) into cells, and nxt[state, cell] is
-    each row's index on a cell. A step whose cell sends every state to one
-    successor needs no predecessor: the coalescence of a grand coupling (Propp
-    and Wilson, 1996). Each draw's cell is one `_cells` pass, and every step
-    takes state 0's successor first; the other steps are rewritten in rounds,
-    each taking every step whose predecessor is known, while a round resolves
-    at least half of what is left. The rest come back as runs [head, end) of
-    steps, in order, for the per-step walk to rewrite.
-
-    The coalescing cells' total length is the share a round is expected to
-    resolve; below one half, or when the table would outgrow the draws, the
-    passes cost more than the loop steps they save, and every step comes back.
+    The rows' finite bounds cut [0, 1) into cells; nxt[state, cell] is a row's index on a
+    cell, and agree flags the cells that send every state to one successor. Their length is
+    the share a round of `_resolve_by_cells` resolves; the passes save more than they cost
+    when it is at least one half and the table fits in `draws` float64 draws (a chunk's).
     """
-    n, n_sym = len(walk), len(cum)
+    n_sym = len(cum)
     # every state steps to j exactly on [max_s cum[s, j - 1], min_s cum[s, j])
     lo = np.concatenate([[0.0], cum[:, :-1].max(axis=0)])
     if (np.minimum(cum.min(axis=0), 1.0) - lo).clip(0.0).sum() < 0.5:
-        return [(1, n)]
+        return None
     bounds = np.sort(cum[:, :-1], axis=None)  # np.unique would import numpy.ma
     bounds = bounds[np.diff(bounds, prepend=-np.inf) != 0]
     # each row's index is constant on a cell [bounds[c - 1], bounds[c]), so the
     # cell's lower end (-inf for the first cell) stands for all of it
     reps = np.concatenate([[-np.inf], bounds])
     dtype = _code_dtype(n_sym)
-    if n_sym * len(reps) * dtype.itemsize > u.nbytes:
-        return [(1, n)]
+    if n_sym * len(reps) * dtype.itemsize > 8 * draws:
+        return None
     nxt = np.array([row.searchsorted(reps, side="right") for row in cum], dtype=dtype)
-    agree = (nxt == nxt[0]).all(axis=0)
-    cell = _cells(bounds, u, np.zeros(len(u), dtype=_code_dtype(len(reps))))
+    return bounds, nxt, (nxt == nxt[0]).all(axis=0)
+
+
+def _resolve_by_cells(walk: np.ndarray, u: np.ndarray, table) -> list[tuple[int, int]]:
+    """Fill the steps t >= 1 of a Markov walk that whole-array passes can; return the rest.
+
+    Step t is bisect_right(cum[walk[t - 1]], u[t - 1]), and walk[0] is set. A
+    step whose cell sends every state to one successor (`_cell_table`) needs no
+    predecessor: the coalescence of a grand coupling (Propp and Wilson, 1996).
+    Every step takes state 0's successor first; the others are rewritten in
+    rounds while a round resolves at least half of what is left. The rest (every
+    step, with no table) come back as runs [head, end) for the per-step walk.
+    """
+    n = len(walk)
+    if table is None:
+        return [(1, n)]
+    bounds, nxt, agree = table
+    cell = _cells(bounds, u, np.zeros(len(u), dtype=_code_dtype(len(bounds) + 1)))
     known = np.ones(n, dtype=bool)  # walk[0] is set
     np.take(agree, cell, out=known[1:])
     np.take(nxt[0], cell, out=walk[1:])
@@ -561,11 +591,10 @@ class Markov(ShiftMeasure, Record):
         """The per-step walk s_t = bisect_right(cdf row of s_{t-1}, u[t]), mostly in numpy.
 
         It draws s_0 = rng.choice(|G|, p=initial), then u = rng.random(n), and
-        step t reads u[t]. The uniforms are drawn CHUNK_SYMBOLS at a time, the
-        same stream as one rng.random(n), and each chunk's steps are resolved
-        from the last state before it: `_resolve_by_cells` fills every step it
-        can without a Python loop, and the steps left run as the per-step walk,
-        in increasing order. Every symbol equals the per-step walk's.
+        step t reads u[t], drawn CHUNK_SYMBOLS at a time (one rng.random(n)'s
+        stream). Each chunk's steps are resolved from the last state before it:
+        `_resolve_by_cells` fills every step it can from one `_cell_table`, and
+        the rest run as the per-step walk, whose symbols they all equal.
         """
         _check_length(n)
         n_sym = self.system.alphabet.order
@@ -583,11 +612,12 @@ class Markov(ShiftMeasure, Record):
         walk = np.empty(n, dtype=_code_dtype(n_sym))
         walk[0] = rng.choice(n_sym, p=init)
         rows = [array("d", row) for row in cum]  # 8 bytes a bound, not a float object's 32
+        cells = _cell_table(cum, min(n, CHUNK_SYMBOLS))
         for start in range(0, n, CHUNK_SYMBOLS):
             u = rng.random(min(CHUNK_SYMBOLS, n - start))
             lead = min(start, 1)  # u[0] is no step's draw; a later chunk starts on the last state
             part, draws = walk[start - lead : start + len(u)], u[1 - lead :]
-            for head, end in _resolve_by_cells(part, draws, cum):  # the per-step walk over each run
+            for head, end in _resolve_by_cells(part, draws, cells):  # the per-step walk per run
                 s = int(part[head - 1])
                 run = array("q")
                 for x in memoryview(draws)[head - 1 : end - 1]:

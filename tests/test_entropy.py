@@ -350,6 +350,86 @@ def test_table_entropy_of_terms_below_the_split_range():
     assert table_entropy(small) == _per_entry_table_entropy(small)
 
 
+ARRAY_MIN = entropy.ENTROPY_ARRAY_MIN_MASSES
+
+
+def _table_with_masses(k, den, rng, zero=False):
+    """A table of exactly k distinct masses over den, each small one on 1-3 words, and a
+    zero numerator if asked, as in a scaled or pulled-back table."""
+    small = set()
+    while len(small) < k - 1:
+        small.add(rng.randrange(1, den // (4 * k)))
+    nums = [m for m in small for _ in range(rng.randint(1, 3))]
+    nums += [den - sum(nums)] + [0] * zero
+    dtype = np.int64 if den < 2**63 else object
+    return BlockTable(2, 20, np.arange(len(nums)), np.array(nums, dtype), den)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("den_bits", [40, 60, 90])
+def test_table_entropy_at_the_array_crossover(offset, den_bits):
+    # below the crossover the per-mass loop sums, from it on the array passes
+    rng = random.Random(3 * den_bits + offset)
+    table = _table_with_masses(ARRAY_MIN + offset, rng.randrange(2 ** (den_bits - 1),
+                                                                 2**den_bits), rng)
+    assert len(table.mass_counts()[0]) == ARRAY_MIN + offset
+    assert table_entropy(table) == _per_entry_table_entropy(table)
+
+
+def test_table_entropy_array_path_with_a_zero_numerator():
+    table = _table_with_masses(ARRAY_MIN, 2**40 + 7, random.Random(0), zero=True)
+    assert 0 in table.mass_counts()[0] and len(table.mass_counts()[0]) == ARRAY_MIN + 1
+    assert table_entropy(table) == _per_entry_table_entropy(table)
+
+
+def _exact_repeated_sum(masses, counts, den):
+    """The correctly rounded sum of each mass's term repeated by its count, as fsum of the
+    repeated terms gives it, from one exact rational sum."""
+    return float(sum(F(neg_xlogx(num / den)) * count for num, count in zip(masses, counts)))
+
+
+def test_table_entropy_array_path_repeats_terms_outside_the_split_range(monkeypatch):
+    # terms below 2^-969 and counts from SPLIT_MAX_COUNT on repeat. The count bound is
+    # lowered from 2^26 to 2^12 so that the repeated list stays small; the masses come
+    # with their counts, as their table would hold 2^13 words
+    monkeypatch.setattr(entropy, "SPLIT_MAX_COUNT", 2**12)
+    den = 2**1000
+    masses = [2**20 + i for i in range(8)]  # terms near 2^-970.6
+    masses += [den >> 40, (den >> 40) + 1]  # on 2^12 and 2^12 + 3 words
+    masses += [(den >> 8) + 977 * i for i in range(ARRAY_MIN)]
+    counts = [5] * 8 + [2**12, 2**12 + 3] + [1 + i % 4 for i in range(ARRAY_MIN)]
+    assert all(0 < neg_xlogx(m / den) < entropy.SPLIT_MIN_TERM for m in masses[:8])
+    assert sum(m * c for m, c in zip(masses, counts)) < den
+    table = BlockTable(2, 40, np.arange(1), np.ones(1, object), den, (masses, counts))
+    h = table_entropy(table)
+    assert h == _exact_repeated_sum(masses, counts, den)
+    monkeypatch.setattr(entropy, "ENTROPY_ARRAY_MIN_MASSES", 10**9)
+    assert table_entropy(table) == h  # the per-mass loop
+
+
+def test_exact_repeated_sum_is_the_per_entry_oracle():
+    table = _table_with_masses(ARRAY_MIN, 2**61 + 1, random.Random(5))
+    assert _exact_repeated_sum(*table.mass_counts(), table.den) == _per_entry_table_entropy(table)
+
+
+def test_table_entropy_divides_exactly_past_2_53():
+    # an int64 table with 2^53 <= den < 2^63: float64 operands would round den and the
+    # two large masses, and that float division changes this table's sum (seed chosen so)
+    rng = random.Random(3)
+    den = 2**62 + 2**40 + 1
+    small = sorted({rng.randrange(1, 2**20) for _ in range(ARRAY_MIN + 3)})
+    rest = den - sum(small)
+    nums = small + [rest // 3 + rng.randrange(2**30)]
+    nums.append(rest - nums[-1])
+    table = BlockTable(2, 20, np.arange(len(nums)), np.array(nums, np.int64), den)
+    masses, counts = table.mass_counts()
+    assert len(masses) >= ARRAY_MIN
+    rounded = (np.array(masses, dtype=float) / float(den)).tolist()
+    naive = math.fsum(-p * math.log(p) * count for p, count in zip(rounded, counts))
+    assert naive != _per_entry_table_entropy(table)
+    assert table_entropy(table) == _per_entry_table_entropy(table)
+
+
 # -- convolution entropy inequalities (estimator-level shadows) -----------------------
 
 

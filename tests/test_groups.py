@@ -658,3 +658,16 @@ def test_validation_matches_fraction_sums(case):
 )
 def test_independence_check_matches_fraction_denominator(mu):
     assert independence_check(mu) == _fraction_independence_check(mu)
+
+
+@pytest.mark.parametrize("d", [2**54 - 1, 2**54 + 1, 2**80 + 1],
+                         ids=["int64", "python_ints", "python_ints_far"])
+@pytest.mark.parametrize("group", [cyclic(8), dihedral(4)], ids=lambda g: g.label)
+def test_independence_check_on_both_sides_of_the_int64_bound(group, d):
+    # n * n * den < 2^63 keeps the sums in int64; den = 8 d puts 8 * 8 * den just
+    # below 2^63 for d = 2^54 - 1 and past it for d = 2^54 + 1
+    weights = [F(1, 8) - F(1, d), F(1, 8) + F(1, d)] + [F(1, 8)] * 6
+    for mu in (DenseMeasure(group, tuple(weights)), DenseMeasure(group, tuple(weights[::-1]))):
+        assert mu._ints[1] == 8 * d
+        assert independence_check(mu) == _fraction_independence_check(mu)
+    assert independence_check(haar(group)) == _fraction_independence_check(haar(group))

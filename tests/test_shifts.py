@@ -1326,5 +1326,163 @@ def test_interned_levels_with_many_distinct_row_entries():
     rng = random.Random(808)
     raw = [[rng.randint(1, 2**20) for _ in range(8)] for _ in range(8)]
     mu = Markov.stationary(shift_space(cyclic(8)), [[F(x, sum(row)) for x in row] for row in raw])
-    assert len(mu._row_classes[1]) == 72
+    assert len(mu._entry_classes[1]) == 72
     _check_interned_levels(mu, 4, 1)
+
+
+# -- the sparse successor step against the dense gather -------------------------------
+
+
+def _dense_gather_levels(mu, length):
+    """Levels 1..L as (codes, last, numerators) and the interned classes, by the dense
+    gather: every path steps to every state of `_arrays`' rows, the zero steps are dropped,
+    and the interned labels take the classes of all row entries, zeros included."""
+    n = mu.system.alphabet.order
+    rows, steps, emit = mu._arrays
+    entry, entries = shifts._distinct(rows.ravel().tolist())
+    entry = entry.reshape(rows.shape)
+    codes, prev, nums = np.zeros(1, np.int64), np.array([len(rows) - 1]), np.ones(1, np.int64)
+    levels, classes = [], {}
+    for level in range(1, length + 1):
+        prev = codes % n if prev is None else prev
+        keep = steps[prev]
+        codes = (codes[:, None] * n + emit)[keep]
+        identity, wide = mu._chain[4] == tuple(range(n)), mu._den(level) >= 2**63
+        if identity and wide:
+            ids, values = classes.get(level - 1) or shifts._distinct(nums.tolist())
+            labels, at = shifts._intern((ids[:, None] * len(entries) + entry[prev])[keep],
+                                        len(values) * len(entries))
+            ids, values = shifts._distinct(values[labels // len(entries)]
+                                           * entries[labels % len(entries)])
+            classes[level] = (ids[at], values)
+            nums, prev = values[ids[at]], None
+        else:
+            wide_rows = rows.astype(object) if wide else rows
+            nums = ((nums.astype(object) if wide else nums)[:, None] * wide_rows[prev])[keep]
+            prev = None
+            if not identity:
+                key = codes * len(emit) + np.nonzero(keep)[1]
+                order = np.argsort(key, kind="stable")
+                key, nums = shifts._sum_runs(key[order], nums[order])
+                codes, prev = key // len(emit), key % len(emit)
+        levels.append((codes, prev, nums))
+    return levels, classes
+
+
+def _skew_joint_with_window_2():
+    # a C2 fiber over a C3 Markov base with zeros, moved by the sum of a 2-window
+    base = _markov_with_zeros()
+    system = skew.make_skew(SYS3, C2, identity_hom(C2),
+                            {w: sum(w) % 2 for w in itertools.product(range(3), repeat=2)})
+    return skew.haar_extension(base, system).joint
+
+
+def _wide_markov(n, seed):
+    """A chain on C_n whose denominators pass 2^63 within a few levels; past C2 it has
+    zeros on the diagonal."""
+    rng = random.Random(seed)
+    raw = [[0 if i == j and n > 2 else rng.randint(1, 2**12) for j in range(n)] for i in range(n)]
+    return Markov.stationary(shift_space(cyclic(n)), [[F(x, sum(row)) for x in row] for row in raw])
+
+
+SPARSE_STEP_CASES = [
+    ("periodic_convolution", lambda: Convolution(SYS3, _markov_with_zeros(),
+                                                 PeriodicOrbit(SYS3, (0, 0, 1))), 7),
+    ("bernoulli_periodic_convolution", lambda: Convolution(SYS2, bern("5/17"),
+                                                           PeriodicOrbit(SYS2, (0, 1, 1))), 9),
+    ("mixture", lambda: Mixture(SYS3, ((F(1, 3), PeriodicOrbit(SYS3, (0, 1, 2))),
+                                       (F(2, 3), _markov_with_zeros()))), 7),
+    ("skew_joint_window_2", _skew_joint_with_window_2, 4),
+    # state 1 is transient, so the init row has a zero
+    ("init_with_zeros", lambda: Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]]), 8),
+    ("hidden_past_2_63", lambda: Convolution(SYS3, _wide_markov(3, 2063),
+                                             PeriodicOrbit(SYS3, (0, 1, 2))), 6),
+    ("interned_past_2_63", lambda: _wide_markov(3, 63), 7),
+    ("interned_product_past_2_63", lambda: product_system(
+        _wide_markov(2, 64), Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]])), 6),
+]
+
+
+@pytest.mark.parametrize("make, length", [pytest.param(make, length, id=name)
+                                          for name, make, length in SPARSE_STEP_CASES])
+def test_sparse_step_matches_the_dense_gather(make, length):
+    mu = make()
+    levels, classes = _dense_gather_levels(mu, length)
+    for level, (codes, last, nums) in enumerate(levels, start=1):
+        got_codes, got_last, got_nums = mu._paths(level)
+        assert np.array_equal(got_codes, codes) and got_codes.dtype == codes.dtype, level
+        assert (got_last is None) == (last is None), level
+        assert last is None or np.array_equal(got_last, last), level
+        assert got_nums.dtype == nums.dtype and got_nums.tolist() == nums.tolist(), level
+    assert mu._classes.keys() == classes.keys()
+    for level, (ids, values) in classes.items():
+        assert np.array_equal(mu._classes[level][0], ids) and mu._classes[level][1].tolist() == (
+            values.tolist()), level
+
+
+def test_sparse_step_cases_reach_what_they_name():
+    # zero entries in every case, and hidden-emission and interned levels past 2^63
+    made = {name: (make(), length) for name, make, length in SPARSE_STEP_CASES}
+    for name, (mu, length) in made.items():
+        assert (mu._arrays[0] == 0).any(), name
+    assert 0 in made["init_with_zeros"][0]._chain[0]
+    hidden, length = made["hidden_past_2_63"]
+    assert hidden._chain[4] != tuple(range(3)) and hidden._den(length) >= 2**63
+    for name in ("interned_past_2_63", "interned_product_past_2_63"):
+        mu, length = made[name]
+        mu._paths(length)
+        assert mu._classes, name
+
+
+def test_steps_hold_each_row_s_nonzero_entries_in_state_order():
+    mu = Mixture(SYS3, ((F(1, 3), PeriodicOrbit(SYS3, (0, 1, 2))), (F(2, 3), _markov_with_zeros())))
+    start, succ, entries = mu._steps
+    rows = mu._arrays[0]
+    assert succ.dtype == shifts._code_dtype(rows.shape[1]) and entries.dtype == rows.dtype
+    for s, row in enumerate(rows):
+        assert succ[start[s] : start[s + 1]].tolist() == np.flatnonzero(row).tolist()
+        assert entries[start[s] : start[s + 1]].tolist() == row[row != 0].tolist()
+    assert start[-1] == len(succ) == len(entries) == np.count_nonzero(rows)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_skew_report_on_c12_over_c12_keeps_its_memory_to_the_sparse_rows():
+    # the dense gather held a full row per path: a 54 MB peak at L = 4, where the
+    # fiber roll over one base table took 20.1 MB
+    c12 = cyclic(12)
+    sys12 = shift_space(c12)
+    sk = skew.make_skew(sys12, c12, identity_hom(c12), skew.first_symbol_cocycle(sys12, c12))
+    base = shift_haar(sys12)
+    skew.entropy_addition_report(sk, base, L=1)  # numpy's first-call set-up is not working memory
+    assert _traced_peak(lambda: skew.entropy_addition_report(sk, base, L=4)) <= 20.1e6
+
+
+def test_dense_bernoulli_table_on_576_symbols_keeps_the_dense_gather_memory():
+    # every row is dense here; the dense gather took an 11.4 MB peak
+    g = direct_product(symmetric(4), symmetric(4))
+    system = shift_space(g)
+    Bernoulli(SYS2, haar(C2)).block_table(2)  # numpy's first-call set-up is not working memory
+    assert _traced_peak(lambda: Bernoulli(system, haar(g)).block_table(2)) <= 11.4e6
+
+
+def test_markov_sample_builds_its_cell_table_once(monkeypatch):
+    # 16 chunks share one table, and every symbol stays the per-step walk's
+    real, built = shifts._cell_table, []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(shifts, "_cell_table", counted)
+    monkeypatch.setattr(shifts, "CHUNK_SYMBOLS", 64)
+    mu = Markov.stationary(SYS2, [["7/17", "10/17"], ["9/17", "8/17"]])
+    assert np.array_equal(mu.sample(1000, 5), _naive_markov_walk(mu, 1000, 5))
+    assert len(built) == 1 and built[0] is not None
