@@ -235,7 +235,7 @@ def _is_fixed_point_mass(mu: ShiftMeasure) -> bool:
 
 
 def _is_full_support_bernoulli(mu: ShiftMeasure) -> bool:
-    return isinstance(mu, Bernoulli) and all(w > 0 for w in mu.marginal.weights)
+    return isinstance(mu, Bernoulli) and all(mu.marginal.nums)
 
 
 def validate_certificate(

@@ -1,19 +1,22 @@
 """Finite groups, verified homomorphisms, and exact measures on them.
 
 Elements of a group of order n are the indices 0..n-1; the identity need not
-be index 0 (explicit tables may place it anywhere). Measure weights are exact
-(`int` or `fractions.Fraction`); validation, invariance, convolution and
-independence checks run on integer numerators over the weights' one common
-denominator, so they are exact. The only maps are verified homomorphisms
-(`GroupHom`): invariance takes an endomorphism, and orbits an automorphism.
+be index 0 (explicit tables may place it anywhere). A measure is held as
+integer numerators over one common denominator, in lowest terms; `measure`
+builds one from exact weights (`int`, `fractions.Fraction` or "p/q"), and
+Fractions are made only when a caller reads `DenseMeasure.weights`.
+Invariance, convolution and independence checks run on the integers, so they
+are exact. The only maps are verified homomorphisms (`GroupHom`): invariance
+takes an endomorphism, and orbits an automorphism.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations, product
 from typing import Optional, Sequence
 
@@ -45,9 +48,6 @@ class FiniteGroup(Record):
     def op(self, a: int, b: int) -> int:
         return self.op_table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse_table[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -62,6 +62,11 @@ class FiniteGroup(Record):
     def np_op(self) -> np.ndarray:
         """Multiplication table as an array, for vectorized paths."""
         return np.array(self.op_table, dtype=np.int64)
+
+    @cached_property
+    def np_quotient(self) -> np.ndarray:
+        """Left quotients as an array: [h, z] holds h^-1 z."""
+        return self.np_op[list(self.inverse_table)]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -184,6 +189,25 @@ class GroupHom(Record):
     def bijective(self) -> bool:
         return self.source.order == self.target.order and self.surjective
 
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits of a bijective self-map, in order of their least element."""
+        if not self.bijective:
+            raise NotBijective("orbit decomposition needs a bijective map")
+        seen = [False] * self.source.order
+        orbits = []
+        for x in self.source.elements():
+            if seen[x]:
+                continue
+            orbit = []
+            y = x
+            while not seen[y]:
+                seen[y] = True
+                orbit.append(y)
+                y = self.table[y]
+            orbits.append(tuple(orbit))
+        return tuple(orbits)
+
     def __repr__(self) -> str:
         return f"GroupHom({self.source.label}->{self.target.label})"
 
@@ -261,68 +285,88 @@ def _check_endomorphism(mu_group: FiniteGroup, t: GroupHom) -> None:
 
 
 class DenseMeasure(Record):
-    """An exact probability vector over the elements of a finite group."""
+    """An exact probability vector over a finite group: nums[x] / den at element x.
+
+    The numerators are nonnegative ints summing to den, and are stored in
+    lowest terms, so equal measures are equal records with equal hashes.
+    """
 
     group: FiniteGroup
-    weights: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if len(self.weights) != self.group.order:
+        nums, den = self.nums, self.den
+        if len(nums) != self.group.order:
             raise ValueError("one weight per group element required")
-        # the weights as integer numerators over their least common denominator
-        object.__setattr__(self, "_ints", exact_vector(self.weights))
+        if den < 1 or min(nums) < 0 or sum(nums) != den:
+            raise ValueError("numerators must be nonnegative and sum to the denominator")
+        common = math.gcd(*nums)  # it divides their sum, den
+        if common > 1:
+            object.__setattr__(self, "nums", tuple(n // common for n in nums))
+            object.__setattr__(self, "den", den // common)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights as Fractions, made on first read."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __call__(self, g: int) -> Fraction:
-        return self.weights[g]
+        return Fraction(self.nums[g], self.den)
 
     def __repr__(self) -> str:
         return f"DenseMeasure({self.group.label}, {[str(w) for w in self.weights]})"
 
 
 def measure(group: FiniteGroup, weights) -> DenseMeasure:
-    return DenseMeasure(group, tuple(parse_ratio(w) for w in weights))
+    """The measure with the given exact weights, checked by `exact_vector`."""
+    weights = tuple(parse_ratio(w) for w in weights)
+    if len(weights) != group.order:
+        raise ValueError("one weight per group element required")
+    return DenseMeasure(group, *exact_vector(weights))
 
 
 def haar(group: FiniteGroup) -> DenseMeasure:
-    w = Fraction(1, group.order)
-    return DenseMeasure(group, (w,) * group.order)
+    return DenseMeasure(group, (1,) * group.order, group.order)
 
 
 def convolve(mu: DenseMeasure, nu: DenseMeasure) -> DenseMeasure:
     """(mu*nu)(g) = sum_h mu(h) nu(h^-1 g): the image of mu x nu under (x,y) -> xy."""
     if mu.group != nu.group:
         raise GroupMismatch("convolution needs measures on the same group")
-    g = mu.group
-    # integer numerators over each factor's common denominator, on its support
-    parts = []
-    for m in (mu, nu):
-        nums, den = m._ints
-        support = [x for x, n in enumerate(nums) if n]
-        parts.append((support, np.array([nums[x] for x in support], dtype=object), den))
-    (left, a, den_mu), (right, b, den_nu) = parts
-    nums = np.zeros(g.order, dtype=object)
-    np.add.at(nums, g.np_op[left][:, right].ravel(), np.multiply.outer(a, b).ravel())
-    den = den_mu * den_nu
-    return DenseMeasure(g, tuple(Fraction(int(n), den) for n in nums))
+    den = mu.den * nu.den
+    # every partial sum is at most den: int64 below 2^63, else Python ints
+    dtype = np.int64 if den < 2**63 else object
+    b = np.array(nu.nums, dtype)[mu.group.np_quotient]  # [h, g]: nu's numerator at h^-1 g
+    return DenseMeasure(mu.group, tuple((np.array(mu.nums, dtype) @ b).tolist()), den)
 
 
 def _fiber_nums(mu: DenseMeasure, t: GroupHom) -> list[int]:
     """The numerators of mu o T^-1 over mu's common denominator."""
     _check_endomorphism(mu.group, t)
     fibers = [0] * mu.group.order
-    for x, n in enumerate(mu._ints[0]):
+    for x, n in enumerate(mu.nums):
         fibers[t(x)] += n
     return fibers
 
 
 def is_invariant(mu: DenseMeasure, t: GroupHom) -> bool:
-    return _fiber_nums(mu, t) == list(mu._ints[0])
+    return _fiber_nums(mu, t) == list(mu.nums)
 
 
 class IndependenceReport(Record):
     independent: bool
     witness: Optional[tuple[frozenset[int], frozenset[int]]] = None
     detail: str = ""
+
+
+@cache
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership [F, f] of f in each subset F of 0..n-1, F read as a bit mask, and |F|."""
+    members = np.arange(1 << n)[:, None] // 2 ** np.arange(n) % 2
+    sizes = members.sum(axis=1)
+    members.flags.writeable = sizes.flags.writeable = False  # shared by every call
+    return members, sizes
 
 
 def independence_check(mu: DenseMeasure) -> IndependenceReport:
@@ -335,23 +379,26 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
     failure of uniformity.
     """
     g = mu.group
-    n = g.order
-    a, den = mu._ints  # mu = a/den, integers
+    n, den = g.order, mu.den
 
     # joint(E, F) = (1/n) sum_{x in E} mu(x^-1 F); product = |E| |F| / n^2.
-    # Equality <=> n * sum_{x in E, f in F} a[x^-1 f] == |E| * |F| * den; both
-    # sides are at most n * n * den: int64 below 2^63, else Python ints.
+    # Equality <=> n * sum_{x in E, f in F} a[x^-1 f] == |E| * |F| * den, with
+    # mu = a / den; both sides are at most n * n * den: int64 below 2^63, else
+    # Python ints.
     dtype = np.int64 if n * n * den < 2**63 else object
-    v = n * np.array(a, dtype=dtype)[g.np_op[[g.inv(x) for x in range(n)]]]  # [x, f]: n a[x^-1 f]
+    v = n * np.array(mu.nums, dtype)[g.np_quotient]  # [x, f]: n a[x^-1 f]
     if n <= EXHAUSTIVE_INDEPENDENCE_MAX_ORDER:
-        members = np.arange(1 << n)[:, None] // 2 ** np.arange(n) % 2  # [F, f]: is f in F
-        sizes = members.sum(axis=1).astype(dtype)
-        row, sizes_den = v @ members.T, sizes * den  # row[x, F] = n sum_{f in F} a[x^-1 f]
-        # joint[E] = n sum_{x in E, f in F} a[x^-1 f] for every F, by lowest-bit recursion
-        joint = np.zeros((1 << n, 1 << n), dtype)
+        members, sizes = _subsets(n)
+        sizes = sizes.astype(dtype, copy=False)
+        sizes_den = sizes * den
+        # joint[E] = n sum_{x in E, f in F} a[x^-1 f] for every F, by lowest-bit
+        # recursion; the row of x, n sum_{f in F} a[x^-1 f], is made when E = {x}
+        rows, joint = [], [np.zeros(1 << n, dtype)]
         for emask in range(1, 1 << n):
             low = (emask & -emask).bit_length() - 1
-            joint[emask] = joint[emask & (emask - 1)] + row[low]
+            if emask == 1 << low:
+                rows.append(v[low] @ members.T)
+            joint.append(joint[emask & (emask - 1)] + rows[low])
             fails = np.flatnonzero(joint[emask] != sizes[emask] * sizes_den)
             if len(fails):
                 e_set = frozenset(np.flatnonzero(members[emask]).tolist())
@@ -366,42 +413,26 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
 
 
 def _orbits(group: FiniteGroup, t: GroupHom) -> tuple[tuple[int, ...], ...]:
-    """The orbits of an automorphism, in order of their least element."""
+    """The orbits of an automorphism of the group, in order of their least element."""
     _check_endomorphism(group, t)
-    if not t.bijective:
-        raise NotBijective("orbit decomposition needs a bijective map")
-    seen = [False] * group.order
-    orbits = []
-    for x in group.elements():
-        if seen[x]:
-            continue
-        orbit = []
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            orbit.append(y)
-            y = t(y)
-        orbits.append(tuple(orbit))
-    return tuple(orbits)
+    return t.orbits
 
 
 def random_measure(
     group: FiniteGroup, rng: random.Random, max_weight: int = 20
 ) -> DenseMeasure:
     """Random strictly positive rational measure (for randomized exact tests)."""
-    raw = [rng.randint(1, max_weight) for _ in group.elements()]
-    total = sum(raw)
-    return DenseMeasure(group, tuple(Fraction(r, total) for r in raw))
+    raw = tuple(rng.randint(1, max_weight) for _ in group.elements())
+    return DenseMeasure(group, raw, sum(raw))
 
 
 def random_invariant_measure(
     group: FiniteGroup, t: GroupHom, rng: random.Random, max_weight: int = 20
 ) -> DenseMeasure:
     """Random measure constant on the orbits of an automorphism, hence invariant."""
-    raw = {orbit: rng.randint(1, max_weight) for orbit in _orbits(group, t)}
-    total = sum(r * len(o) for o, r in raw.items())
-    weights = [Fraction(0)] * group.order
-    for orbit, r in raw.items():
+    nums = [0] * group.order
+    for orbit in _orbits(group, t):
+        r = rng.randint(1, max_weight)
         for x in orbit:
-            weights[x] = Fraction(r, total)
-    return DenseMeasure(group, tuple(weights))
+            nums[x] = r
+    return DenseMeasure(group, tuple(nums), sum(nums))

@@ -438,7 +438,8 @@ class Bernoulli(ShiftMeasure, Record):
     def __post_init__(self):
         if self.marginal.group != self.system.alphabet:
             raise SystemMismatch("marginal must live on the alphabet group")
-        nums, den = self.marginal._ints  # one state per symbol, every row the marginal
+        # one state per symbol, every row the marginal
+        nums, den = self.marginal.nums, self.marginal.den
         states = tuple(range(len(nums)))
         object.__setattr__(self, "_chain", (nums, den, (nums,) * len(nums), den, states))
 
@@ -452,7 +453,8 @@ class Bernoulli(ShiftMeasure, Record):
         """
         _check_length(n)
         rng = np.random.default_rng(seed)
-        probs = np.array([float(w) for w in self.marginal.weights])
+        den = self.marginal.den  # n / den is correctly rounded, as float(Fraction) is
+        probs = np.array([n / den for n in self.marginal.nums])
         probs /= probs.sum()
         cdf = probs.cumsum()
         cdf /= cdf[-1]

@@ -235,7 +235,7 @@ def haar_absorption_check(mu: SkewMeasure, mu0: ShiftMeasure, depth: int) -> boo
     """
     sys = mu.system
     ext = haar_extension(mu0, sys)
-    conv = convolve(haar(sys.fiber), DenseMeasure(sys.fiber, mu.fiber_weights)).weights
+    conv = convolve(haar(sys.fiber), DenseMeasure(sys.fiber, *mu._fiber_ints)).weights
     for length in range(1, depth + 1):
         ours = mu.base_measure.block_table(length)
         target = ext.base_measure.block_table(length)

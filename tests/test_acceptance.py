@@ -35,6 +35,19 @@ def test_criterion_02_haar_absorption():
     _run(2)
 
 
+def test_criterion_02_names_a_failed_group_absorption(monkeypatch):
+    monkeypatch.setattr(acceptance, "convolve", lambda haar_g, mu: mu)
+    result = CRITERIA[2]()
+    assert not result.passed and result.detail.startswith("haar absorption failed on ")
+
+
+def test_criterion_02_names_the_first_non_uniform_cylinder(monkeypatch):
+    # the first target, bernoulli(3/4, 1/4), in place of its convolution with haar
+    monkeypatch.setattr(acceptance, "Convolution", lambda system, haar_mu, mu: mu)
+    result = CRITERIA[2]()
+    assert (result.passed, result.detail) == (False, "cylinder (0,) of haar*bernoulli is 3/4")
+
+
 def test_criterion_03_convolution_entropy_inequalities():
     _run(3)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ergolab import cyclic, identity_hom
 from ergolab.exact import exact_vector, stationary_distribution
-from ergolab.groups import DenseMeasure
+from ergolab.groups import measure
 from ergolab.shifts import Bernoulli, Markov, Mixture, shift_haar, shift_space
 from ergolab.skew import SkewMeasure, constant_cocycle, make_skew, mix_skew
 
@@ -24,7 +24,7 @@ C2 = cyclic(2)
 SYS2 = shift_space(C2)
 SKEW2 = make_skew(SYS2, C2, identity_hom(C2), constant_cocycle(SYS2, C2, 0))
 HALF = (F(1, 2), F(1, 2))
-B14 = Bernoulli(SYS2, DenseMeasure(C2, (F(3, 4), F(1, 4))))
+B14 = Bernoulli(SYS2, measure(C2, (F(3, 4), F(1, 4))))
 
 
 def _fiber(weights):
@@ -33,7 +33,7 @@ def _fiber(weights):
 
 # each site builds an object whose only weight vector under test is w, on two entries
 SITES = {
-    "DenseMeasure": lambda w: DenseMeasure(C2, w),
+    "DenseMeasure": lambda w: measure(C2, w),
     "Markov row": lambda w: Markov(SYS2, (w, HALF), HALF, validate=False),
     "Markov initial": lambda w: Markov(SYS2, (HALF, HALF), w, validate=False),
     "Mixture": lambda w: Mixture(SYS2, tuple(zip(w, (B14, shift_haar(SYS2))))),

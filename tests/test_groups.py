@@ -23,6 +23,7 @@ from ergolab import (
     measure,
     symmetric,
 )
+from ergolab.acceptance import _small_groups
 from ergolab.errors import (
     GroupMismatch,
     MissingIdentity,
@@ -61,8 +62,7 @@ def point_mass(g, x):
 
 def pushforward(mu, t):
     """mu o T^-1, from the numerators that `is_invariant` compares with mu's own."""
-    den = mu._ints[1]
-    return DenseMeasure(mu.group, tuple(F(n, den) for n in _fiber_nums(mu, t)))
+    return DenseMeasure(mu.group, tuple(_fiber_nums(mu, t)), mu.den)
 
 
 def brute_convolve(mu, nu):
@@ -471,6 +471,132 @@ def test_convolve_matches_double_loop_with_zeros_and_large_denominators(g):
         assert all(type(w) is F for w in got.weights)
 
 
+# -- integer form -------------------------------------------------------------
+
+
+def test_unreduced_numerators_compare_and_hash_equal():
+    g = cyclic(3)
+    reduced = DenseMeasure(g, (1, 2, 3), 6)
+    for scale in (2, 7, 10**20 + 7):
+        scaled = DenseMeasure(g, (scale, 2 * scale, 3 * scale), 6 * scale)
+        assert scaled == reduced and hash(scaled) == hash(reduced)
+        assert (scaled.nums, scaled.den) == ((1, 2, 3), 6)
+    assert measure(g, [F(2, 12), F(4, 12), F(6, 12)]) == reduced
+    assert {reduced, measure(g, ["1/6", "1/3", "1/2"])} == {reduced}
+    assert reduced != DenseMeasure(g, (3, 2, 1), 6)
+
+
+def test_weights_are_the_numerators_over_the_denominator():
+    mu = DenseMeasure(cyclic(3), (4, 0, 2), 6)
+    assert mu.weights == (F(2, 3), F(0), F(1, 3))
+    assert all(type(w) is F for w in mu.weights)
+    assert [mu(x) for x in range(3)] == list(mu.weights)
+
+
+@pytest.mark.parametrize("nums, den", [((1, 2), 3), ((3, -1, 0), 2), ((1, 1, 1), 4),
+                                       ((0, 0, 0), 0)], ids=["length", "negative", "sum", "zero"])
+def test_numerators_must_form_a_probability_vector(nums, den):
+    with pytest.raises(ValueError):
+        DenseMeasure(cyclic(3), nums, den)
+
+
+def test_measure_keeps_the_exact_weight_errors():
+    g = cyclic(2)
+    with pytest.raises(TypeError, match="0.5"):
+        measure(g, [0.5, 0.5])
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        measure(g, [F(3, 2), F(-1, 2)])
+    with pytest.raises(ValueError, match="must sum to exactly 1"):
+        measure(g, [F(1, 2), F(1, 3)])
+
+
+def _fraction_random_measure(group, rng, max_weight=20):
+    """random_measure as it drew Fraction weights before the integer form."""
+    raw = [rng.randint(1, max_weight) for _ in group.elements()]
+    total = sum(raw)
+    return tuple(F(r, total) for r in raw)
+
+
+def _fraction_random_invariant_measure(group, t, rng, max_weight=20):
+    """random_invariant_measure as it drew Fraction weights before the integer form."""
+    raw = {orbit: rng.randint(1, max_weight) for orbit in _orbits(group, t)}
+    total = sum(r * len(o) for o, r in raw.items())
+    weights = [F(0)] * group.order
+    for orbit, r in raw.items():
+        for x in orbit:
+            weights[x] = F(r, total)
+    return tuple(weights)
+
+
+def _draw_both(rng, draw, fraction_draw):
+    """One draw by each, from the same rng state; both must consume the same numbers."""
+    state = rng.getstate()
+    want = fraction_draw(rng)
+    after = rng.getstate()
+    rng.setstate(state)
+    got = draw(rng)
+    assert rng.getstate() == after
+    assert got.weights == want
+    return got
+
+
+def test_criterion_1_draws_keep_their_fraction_weights():
+    rng = random.Random(101)
+    pool = [(g, automorphisms(g)) for g in _small_groups()]
+    for _ in range(200):
+        g, auts = pool[rng.randrange(len(pool))]
+        a = auts[rng.randrange(len(auts))]
+        mu, nu = (_draw_both(rng, lambda r: random_invariant_measure(g, a, r),
+                             lambda r: _fraction_random_invariant_measure(g, a, r))
+                  for _ in range(2))
+        assert convolve(mu, nu).weights == brute_convolve(mu, nu)
+
+
+def test_criterion_2_draws_keep_their_fraction_weights():
+    rng = random.Random(202)
+    pool = [g for g in _small_groups() + [dihedral(4), dihedral(6)] if g.order <= 12]
+    for _ in range(100):
+        g = pool[rng.randrange(len(pool))]
+        mu = _draw_both(rng, lambda r: random_measure(g, r),
+                        lambda r: _fraction_random_measure(g, r))
+        assert convolve(haar(g), mu) == haar(g)
+        assert brute_convolve(haar(g), mu) == haar(g).weights
+
+
+def test_criterion_8_draws_keep_their_fraction_weights():
+    rng = random.Random(808)
+    for g in [cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3)]:
+        uniform, done = haar(g), 0
+        while done < 50:
+            mu = _draw_both(rng, lambda r: random_measure(g, r),
+                            lambda r: _fraction_random_measure(g, r))
+            assert (mu == uniform) == (mu.weights == uniform.weights)
+            if mu != uniform:
+                assert not independence_check(mu).independent
+                done += 1
+
+
+# den_mu * den_nu just below 2^63, at it, and far past it
+_DEN_PAIRS = [(21870289, (2**63 - 1) // 21870289), (2**32, 2**31), (2**70 + 1, 3)]
+
+
+@pytest.mark.parametrize("den_mu, den_nu", _DEN_PAIRS, ids=["2^63-1", "2^63", "2^71"])
+@pytest.mark.parametrize("g", [cyclic(4), symmetric(3)], ids=lambda g: g.label)
+def test_convolve_matches_double_loop_on_both_sides_of_a_2_63_denominator(g, den_mu, den_nu):
+    # the heavy numerators meet in one product of about den_mu * den_nu
+    assert den_mu * den_nu in (2**63 - 1, 2**63) or den_mu * den_nu > 2**70
+    for x, y in product(g.elements(), repeat=2):
+        a = [0] * g.order
+        b = [0] * g.order
+        a[x], a[(x + 1) % g.order] = den_mu - 1, 1
+        b[y], b[(y + 2) % g.order] = den_nu - 1, 1
+        mu, nu = DenseMeasure(g, tuple(a), den_mu), DenseMeasure(g, tuple(b), den_nu)
+        got = convolve(mu, nu)
+        assert got.weights == brute_convolve(mu, nu)
+        assert math.gcd(got.den, *got.nums) == 1 and den_mu * den_nu % got.den == 0
+        assert all(type(n) is int for n in got.nums)
+
+
 # -- exact weights ------------------------------------------------------------
 
 
@@ -481,12 +607,12 @@ def test_convolve_matches_double_loop_with_zeros_and_large_denominators(g):
 )
 def test_float_weights_are_rejected(g, weights):
     with pytest.raises(TypeError, match=repr(weights[0])):
-        DenseMeasure(g, weights)
+        measure(g, weights)
 
 
 def test_float_weight_is_named_after_exact_ones():
     with pytest.raises(TypeError, match="0.5"):
-        DenseMeasure(cyclic(3), (F(1, 2), 0, 0.5))
+        measure(cyclic(3), (F(1, 2), 0, 0.5))
 
 
 # -- integer numerators against the Fraction arithmetic they replace ------------
@@ -525,7 +651,7 @@ def _fraction_independence_check(mu):
     if n <= EXHAUSTIVE_INDEPENDENCE_MAX_ORDER:
         row = [[0] * (1 << n) for _ in range(n)]
         for x in range(n):
-            xinv = g.inv(x)
+            xinv = g.inverse_table[x]
             vals = [a[g.op(xinv, f)] for f in range(n)]
             for mask in range(1, 1 << n):
                 low = (mask & -mask).bit_length() - 1
@@ -540,7 +666,7 @@ def _fraction_independence_check(mu):
         return IndependenceReport(True, None, "exhaustive over all subset pairs")
     for x in range(n):
         for f in range(n):
-            if n * a[g.op(g.inv(x), f)] != den:
+            if n * a[g.op(g.inverse_table[x], f)] != den:
                 return IndependenceReport(
                     False, (frozenset([x]), frozenset([f])), "singleton scan"
                 )
@@ -576,7 +702,7 @@ def _weights(draw, g):
 @st.composite
 def _measure_and_map(draw):
     g = draw(st.sampled_from(ORACLE_GROUPS))
-    mu = DenseMeasure(g, draw(_weights(g)))
+    mu = measure(g, draw(_weights(g)))
     aut = draw(st.sampled_from(ORACLE_AUTS[g.label]))
     kind = draw(st.sampled_from(["automorphism", "power"]))
     abelian = all(g.op(a, b) == g.op(b, a) for a in g.elements() for b in g.elements())
@@ -643,7 +769,7 @@ def test_validation_matches_fraction_sums(case):
     except ValueError as exc:
         expected = str(exc)
     try:
-        DenseMeasure(g, weights)
+        measure(g, weights)
         got = None
     except ValueError as exc:
         got = str(exc)
@@ -653,7 +779,7 @@ def test_validation_matches_fraction_sums(case):
 @settings(max_examples=50, deadline=None)
 @given(
     st.sampled_from(ORACLE_GROUPS + [cyclic(9), dihedral(5)]).flatmap(
-        lambda g: st.one_of(_weights(g), st.just(haar(g).weights)).map(lambda w: DenseMeasure(g, w))
+        lambda g: st.one_of(_weights(g), st.just(haar(g).weights)).map(lambda w: measure(g, w))
     )
 )
 def test_independence_check_matches_fraction_denominator(mu):
@@ -667,7 +793,7 @@ def test_independence_check_on_both_sides_of_the_int64_bound(group, d):
     # n * n * den < 2^63 keeps the sums in int64; den = 8 d puts 8 * 8 * den just
     # below 2^63 for d = 2^54 - 1 and past it for d = 2^54 + 1
     weights = [F(1, 8) - F(1, d), F(1, 8) + F(1, d)] + [F(1, 8)] * 6
-    for mu in (DenseMeasure(group, tuple(weights)), DenseMeasure(group, tuple(weights[::-1]))):
-        assert mu._ints[1] == 8 * d
+    for mu in (measure(group, weights), measure(group, weights[::-1])):
+        assert mu.den == 8 * d
         assert independence_check(mu) == _fraction_independence_check(mu)
     assert independence_check(haar(group)) == _fraction_independence_check(haar(group))

@@ -913,6 +913,23 @@ def test_bernoulli_sampler_matches_rng_choice(mu, cut_over, monkeypatch):
             assert np.array_equal(mu.sample(n, 5), _choice_oracle(mu, n, 5)), n
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**70), min_size=2, max_size=6).filter(any))
+def test_marginal_floats_are_the_fraction_floats(raw):
+    # the sampler turns numerators into floats by n / den, correctly rounded as float(Fraction) is
+    mu = measure(cyclic(len(raw)), [F(r, sum(raw)) for r in raw])
+    assert [n / mu.den for n in mu.nums] == [float(w) for w in mu.weights]
+
+
+@pytest.mark.parametrize("raw", [(1, 2**70, 3), (2**64 + 13, 10**20 + 7, 1, 5, 0)],
+                         ids=["C3", "C5"])
+def test_bernoulli_sampler_matches_rng_choice_on_large_denominators(raw):
+    g = cyclic(len(raw))
+    mu = Bernoulli(shift_space(g), measure(g, [F(r, sum(raw)) for r in raw]))
+    for seed in (0, 17):
+        assert np.array_equal(mu.sample(10**4 + 3, seed), _choice_oracle(mu, 10**4 + 3, seed))
+
+
 @pytest.mark.parametrize("cut_over", [0, 10**3], ids=["search", "count"])
 def test_bernoulli_sampler_on_draws_at_cdf_bounds(cut_over, monkeypatch):
     # a draw equal to a bound lies past it, as in searchsorted(side="right"), which

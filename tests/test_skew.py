@@ -350,7 +350,7 @@ def _oracle_is_skew_invariant(mu, depth):
                     for tail in itertools.product(g1.elements(), repeat=ext - length - 1):
                         v = (first,) + word + tail
                         c = sys.phi(v[:k])
-                        g_prev = sig_inv[g2.op(g, g2.inv(c))]
+                        g_prev = sig_inv[g2.op(g, g2.inverse_table[c])]
                         pulled += mu.base_measure.cylinder(v) * mu.fiber_weights[g_prev]
                 if pulled != mu.base_measure.cylinder(word) * mu.fiber_weights[g]:
                     return False
