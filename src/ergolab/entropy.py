@@ -2,13 +2,13 @@
 
 Everything is in nats. Probabilities arrive as exact rationals and are
 converted to float only inside the logarithm; float sums go through
-`math.fsum` for order-independent results. An exact block table's entropy
-reads only its distinct masses and their counts (`shifts.BlockTable.masses`):
-one correctly rounded `num / den` and one logarithm per mass, and the term
-times its count enters `math.fsum` as two exact halves (Dekker 1971), so the
-sum is the same correctly rounded value as one term per word. The canonical
-estimator for the entropy rate of a stationary measure is the conditional
-block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
+`math.fsum` for order-independent results. An exact block entropy reads
+only masses and how many words hold each (`mass_entropy`, which gives why
+the float equals the sum of one term per word): a table's distinct masses,
+or past 2^63, for a chain that emits its own state, the masses of its
+types (`shifts.ShiftMeasure._types`). The canonical estimator for the
+entropy rate of a stationary measure is the conditional block entropy
+h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 """
 
 from __future__ import annotations
@@ -45,19 +45,23 @@ class EntropyEstimate(Record):
 
 
 def table_entropy(table: BlockTable) -> float:
-    """-sum p ln p over an exact block table, one logarithm per distinct mass.
+    """-sum p ln p over an exact block table, one logarithm per distinct mass."""
+    return mass_entropy(*table.mass_counts(), table.den)
 
-    Each mass's term is Veltkamp-split into hi + lo, each of at most 26
-    significant bits, so count * hi and count * lo are exact for a count below
-    2^26 and a term above 2^-969, where lo stays a normal float; fsum of those
-    exact halves is the correctly rounded sum of the terms repeated by their
-    counts. A term outside that range is repeated.
 
-    From ENTROPY_ARRAY_MIN_MASSES masses on, the division (float64 below 2^53,
-    exact operands), split and products are array passes; math.log maps over them.
+def mass_entropy(masses: Sequence[int], counts: Sequence[int], den: int) -> float:
+    """-sum p ln p over words of mass num / den, `counts[i]` of them of mass `masses[i]`.
+
+    Each mass's term is Veltkamp-split into hi + lo, each of at most 26 significant bits,
+    so count * hi and count * lo are exact for a count below 2^26 and a term above 2^-969,
+    where lo stays a normal float; a term outside that range is repeated. Every term fsum
+    sees is exact, so the sum is the correctly rounded sum of one term per word, however
+    the words are grouped: a mass listed twice gives the same float.
+
+    From ENTROPY_ARRAY_MIN_MASSES masses on, the division (float64 below 2^53, exact
+    operands), split and products are array passes and math.log maps over them, so each
+    term is the per-mass loop's.
     """
-    den = table.den
-    masses, counts = table.mass_counts()
     if len(masses) < ENTROPY_ARRAY_MIN_MASSES:
         terms = []
         for num, count in zip(masses, counts):
@@ -84,9 +88,13 @@ def table_entropy(table: BlockTable) -> float:
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:
-    """H_L of the exact length-L cylinder distribution."""
+    """H_L of the exact length-L cylinder distribution; from types where `mu._has_types(L)`."""
     if length == 0:
         return 0.0
+    if mu._has_types(length):  # where a table would hold a Python int per word
+        _, masses, types, _, counts = mu._types(length)
+        counts = np.bincount(types, counts, len(masses)).astype(np.int64)
+        return mass_entropy(masses.tolist(), counts.tolist(), mu._den(length))
     return table_entropy(mu.block_table(length))
 
 

@@ -46,6 +46,8 @@ from .groups import DenseMeasure, FiniteGroup, convolve as convolve_dense, haar
 from .record import Record, replace
 
 DEPTH_GUARD_STATES = 2**24
+# above every level 2^24 block states allow on two or more symbols, so above every type count
+TYPE_RADIX = DEPTH_GUARD_STATES.bit_length()
 BERNOULLI_COUNT_MAX_SYMBOLS = 96  # above it a binary search beats one pass per bound
 CHUNK_SYMBOLS = 1 << 16  # symbols per pass of a sampler's or the estimator's wide temporaries
 
@@ -87,9 +89,8 @@ class BlockTable(Record):
     is int64 while `den < 2^63` and Python ints in an object array past it
     (`_num_dtype`); an arithmetic step that can leave [0, den] picks its
     dtype from the bound it can reach. `masses` holds the distinct numerators,
-    as Python ints, with the number of entries that hold each: an interned
-    level of `ShiftMeasure._paths` supplies them, and `mass_counts` finds
-    them once for any other table.
+    as Python ints, with the number of entries that hold each: `mass_counts`
+    finds them at its first call, unless the table was built with them.
     """
 
     base: int
@@ -297,14 +298,9 @@ class ShiftMeasure:
     def _build_table(self, length: int) -> BlockTable:
         """The length-L table for L >= 1, summed over the paths of each word."""
         codes, last, nums = self._paths(length)
-        den = self._den(length)
         if last is not None:  # the paths are in (word, last state) order
             codes, nums = _sum_runs(codes, nums)
-        masses = None
-        if length in self._classes:  # an interned level: its words are its paths
-            ids, values = self._classes[length]
-            masses = values.tolist(), np.bincount(ids).tolist()
-        return BlockTable(self.system.alphabet.order, length, codes, nums, den, masses)
+        return BlockTable(self.system.alphabet.order, length, codes, nums, self._den(length))
 
     def _paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
@@ -316,30 +312,21 @@ class ShiftMeasure:
         state merge, in (word, last state) order, so a level holds at most
         |G|^L * |states| of them. A level's numerators are at most its
         denominator and take its `_num_dtype`: past 2^63 they are Python ints,
-        multiplied by the entries as Python ints. An identity-emission level
-        past 2^63 is interned (`_interned_level`).
+        multiplied by the entries as Python ints.
         """
         paths = self._path_memo.get(length)
         if paths is None:
             n = self.system.alphabet.order
             codes, prev, nums = self._paths(length - 1)
-            start, succ, entries = self._steps
-            prev = codes % n if prev is None else prev
-            deg = start[prev + 1] - start[prev]
-            ends = deg.cumsum() - deg  # each path's first child's place
-            at = np.repeat(start[prev] - ends, deg)  # each child's index into the entries
-            at += np.arange(len(at))
+            _, succ, entries = self._steps
+            deg, at = self._children(codes % n if prev is None else prev)
             states = succ[at]
-            identity, wide = self._chain[4] == tuple(range(n)), self._den(length) >= 2**63
-            # `at` is rebound to its gather, so each wide temporary is freed before the next
-            if identity and wide:
-                at = self._entry_classes[0][at]  # each child's entry class
-                nums = self._interned_level(length, deg, at, nums)
-            else:  # object times int64 is Python-int arithmetic
-                at = (entries.astype(object) if wide else entries)[at]  # each child's entry
-                at *= np.repeat(nums, deg)
-                nums = at
-            if identity:
+            # `at` is rebound to its gather, so each wide temporary is freed before the next;
+            # object times int64 is Python-int arithmetic
+            at = (entries.astype(object) if self._den(length) >= 2**63 else entries)[at]
+            at *= np.repeat(nums, deg)
+            nums = at
+            if self._chain[4] == tuple(range(n)):
                 codes = np.repeat(codes * n, deg)
                 codes += states
                 paths = (codes, None, nums)
@@ -353,38 +340,60 @@ class ShiftMeasure:
             self._path_memo[length] = paths
         return paths
 
-    def _interned_level(self, length: int, deg: np.ndarray, entry: np.ndarray,
-                        nums: np.ndarray) -> np.ndarray:
-        """The numerators of an identity-emission level past 2^63, given the parent level's.
-
-        The level is held in `_classes` as int64 class ids into its distinct
-        numerators; the first such level interns its parent's. A child path is
-        labelled by its parent's class and its entry's class, each distinct
-        label's value is one Python multiply, and equal values merge in C-level
-        loops (`_distinct`), so the Python-int work scales with the distinct
-        masses, not the paths. The numerators returned are the exact gather
-        values[ids].
-        """
-        parent = self._classes.get(length - 1)
-        ids, values = _distinct(nums.tolist()) if parent is None else parent
-        entries = self._entry_classes[1]
-        labels = np.repeat(ids * len(entries), deg)
-        labels += entry
-        labels, at = _intern(labels, len(values) * len(entries))
-        classes, values = _distinct(values[labels // len(entries)] * entries[labels % len(entries)])
-        ids = classes[at]
-        self._classes[length] = (ids, values)
-        return values[ids]
-
     @cached_property
     def _path_memo(self) -> dict:
         # the empty path, in a start state whose row is init; it dies with its measure
         return {0: (np.zeros(1, np.int64), np.array([len(self._chain[0])]), np.ones(1, np.int64))}
 
+    def _children(self, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """How many steps leave each last state, and each step's index into `_steps`."""
+        start = self._steps[0]
+        deg = start[last + 1] - start[last]
+        at = np.repeat(start[last] - (deg.cumsum() - deg), deg)  # each first step's place
+        at += np.arange(len(at))
+        return deg, at
+
+    def _has_types(self, length: int) -> bool:
+        """Whether H_L sums over `_types`: past 2^63 on a chain that emits its own state."""
+        return (0 < length < TYPE_RADIX and self._den(length) >= 2**63
+                and self._chain[4] == tuple(range(self.system.alphabet.order)))
+
+    def _types(self, length: int) -> tuple:
+        """Level L, memoized: its types' keys and numerators, and its (type, last state)
+        classes, ascending, with their word counts (summed in float64, exact below 2^53).
+
+        A path's numerator is the product of its entries, init's included, so it depends
+        only on its type: how often it steps by each class of equal entries (the method of
+        types; Csiszar and Korner, 1981). A key is sum c_e * R^e, R = TYPE_RADIX, in int64
+        while R^E < 2^63 for E entry classes; past that, keys are None and types merge by value.
+        """
+        level = self._type_memo.get(length)
+        if level is None:
+            self._guard(length)
+            keys, masses, types, last, counts = self._types(length - 1)
+            entry, entries = self._entry_classes
+            deg, at = self._children(last)
+            n_e = len(entries)
+            labels, child = _intern(np.repeat(types * n_e, deg) + entry[at], len(masses) * n_e)
+            parent, e = labels // n_e, labels % n_e
+            if keys is None:
+                ids, masses = _distinct((masses[parent] * entries[e]).tolist())
+            else:
+                keys, first, ids = np.unique(keys[parent] + TYPE_RADIX**e, return_index=True,
+                                             return_inverse=True)
+                masses = masses[parent[first]] * entries[e[first]]
+            size = len(self._chain[0])
+            pairs, child = _intern(ids[child] * size + self._steps[1][at], len(masses) * size)
+            counts = np.bincount(child, np.repeat(counts, deg), len(pairs)).astype(np.int64)
+            level = self._type_memo[length] = (keys, masses, pairs // size, pairs % size, counts)
+        return level
+
     @cached_property
-    def _classes(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        # the interned levels: each path's class id, and the distinct numerators
-        return {}
+    def _type_memo(self) -> dict:
+        # the empty word, of the empty type, in the start state whose row is init
+        keys = np.zeros(1, np.int64) if TYPE_RADIX ** len(self._entry_classes[1]) < 2**63 else None
+        return {0: (keys, np.ones(1, object), np.zeros(1, np.int64),
+                    np.array([len(self._chain[0])]), np.ones(1, np.int64))}
 
     def _den(self, length: int) -> int:
         """The common denominator d0 * dt^(L-1) of the length-L paths, L >= 1."""
@@ -401,19 +410,18 @@ class ShiftMeasure:
         """The rows compressed (Saad 2003, section 3.4), not kept dense: (start, succ, entries).
 
         Row s steps to succ[start[s]:start[s + 1]], ascending, in `_code_dtype`, by the
-        nonzero entries at the same places, in the dense rows' dtype.
+        nonzero entries at the same places, in the dense rows' dtype (`_arrays`' once read).
         """
-        rows = _dense_rows(self._chain)
-        steps = rows != 0
-        states = np.broadcast_to(np.arange(rows.shape[1], dtype=_code_dtype(rows.shape[1])),
-                                 rows.shape)
-        return np.concatenate(([0], steps.sum(axis=1).cumsum())), states[steps], rows[steps]
+        arrays = vars(self).get("_arrays")
+        rows = _dense_rows(self._chain) if arrays is None else arrays[0]
+        state, succ = np.nonzero(rows)  # row-major, so each row's steps are one ascending run
+        return (state.searchsorted(np.arange(len(rows) + 1)),
+                succ.astype(_code_dtype(rows.shape[1])), rows[state, succ])
 
     @cached_property
     def _entry_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class of each of `_steps`' entries, in `_code_dtype`, and the distinct entries."""
-        entry, entries = _distinct(self._steps[2].tolist())
-        return entry.astype(_code_dtype(len(entries))), entries
+        """The class of each of `_steps`' entries, and the distinct entries."""
+        return _distinct(self._steps[2].tolist())
 
 
 def _dense_rows(chain: tuple) -> np.ndarray:

@@ -407,6 +407,44 @@ def test_table_entropy_array_path_repeats_terms_outside_the_split_range(monkeypa
     assert table_entropy(table) == h  # the per-mass loop
 
 
+def _split(masses, counts, i, part):
+    """The same words with mass i's count split into part and the rest, as two entries."""
+    return masses + [masses[i]], counts[:i] + [counts[i] - part] + counts[i + 1 :] + [part]
+
+
+@pytest.mark.parametrize("k", [8, ARRAY_MIN], ids=["per_mass_loop", "array_passes"])
+def test_mass_entropy_is_unchanged_when_a_mass_is_split(k, monkeypatch):
+    # the types of a chain may share a mass, so one mass can arrive as several entries; a
+    # split count's halves, or a repeated term's copies, sum exactly to the whole
+    monkeypatch.setattr(entropy, "SPLIT_MAX_COUNT", 2**12)  # so a repeated count stays small
+    den = 2**1000
+    masses = [2**20, den >> 40, (den >> 40) + 1]  # a term near 2^-970.6, and two counts of 2^12
+    masses += [(den >> 8) + 977 * i for i in range(k - len(masses))]
+    counts = [5, 2**12, 2**12 + 3] + [1 + i % 4 for i in range(k - 3)]
+    assert neg_xlogx(masses[0] / den) < entropy.SPLIT_MIN_TERM
+    h = entropy.mass_entropy(masses, counts, den)
+    assert h == _exact_repeated_sum(masses, counts, den)
+    for i, part in [(0, 2), (1, 1), (1, 2**11), (2, 4), (k - 1, 1), (k - 2, 2)]:
+        split = _split(masses, counts, i, part)
+        assert (len(split[0]) >= ARRAY_MIN) == (k == ARRAY_MIN)
+        assert entropy.mass_entropy(*split, den) == h, (i, part)
+    small = BlockTable(2, 10, np.arange(k), np.arange(1, k + 1, dtype=np.int64), k * (k + 1))
+    for i in range(k):  # one word per mass, each split off as one of two entries
+        assert entropy.mass_entropy(*_split(*small.mass_counts(), i, 1), small.den) == (
+            table_entropy(small))
+
+
+def test_mass_entropy_terms_are_the_same_on_both_paths():
+    # a mass's term is the same float in the per-mass loop and in the array passes
+    rng = random.Random(11)
+    den = rng.randrange(2**70, 2**71)
+    masses = [rng.randrange(1, den // ARRAY_MIN) for _ in range(ARRAY_MIN)]
+    loop = [entropy.mass_entropy([m], [1], den) for m in masses]
+    arrays = [entropy.mass_entropy([m] + [0] * (ARRAY_MIN - 1), [1] * ARRAY_MIN, den)
+              for m in masses]
+    assert loop == arrays == [neg_xlogx(m / den) for m in masses]
+
+
 def test_exact_repeated_sum_is_the_per_entry_oracle():
     table = _table_with_masses(ARRAY_MIN, 2**61 + 1, random.Random(5))
     assert _exact_repeated_sum(*table.mass_counts(), table.den) == _per_entry_table_entropy(table)

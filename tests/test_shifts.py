@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ergolab import cyclic, haar, identity_hom, measure, shifts, skew, symmetric
 from ergolab.acceptance import _random_stochastic_rows
 from ergolab.groups import direct_product
-from ergolab.entropy import block_entropy, table_entropy
+from ergolab.entropy import block_entropy, closed_form_entropy, mass_entropy, table_entropy
 from ergolab.errors import (
     DepthLimitExceeded,
     SystemMismatch,
@@ -1213,19 +1213,19 @@ def test_scaling_past_a_2_63_denominator():
     assert small.to_dict() == {word: p / 3 for word, p in table.to_dict().items()}
 
 
-# -- interned levels past 2^63 --------------------------------------------------------
+# -- levels past 2^63, and their entropy from types ----------------------------------
 
 
-def _criterion_5_chains():
-    """Criterion 5's ten seed-505 chains: six on C2, then four on C3."""
-    rng = random.Random(505)
+def _criterion_5_chains(seed=505):
+    """Criterion 5's ten chains at a seed (its own is 505): six on C2, then four on C3."""
+    rng = random.Random(seed)
     return [Markov.stationary(shift_space(cyclic(n)), _random_stochastic_rows(rng, n))
             for n in (2,) * 6 + (3,) * 4]
 
 
 def _plain_paths(mu, length):
     """The identity-emission levels 1..L as (codes, numerators), by the plain
-    `nums[:, None] * rows[prev]` product over Python ints, without interning."""
+    `nums[:, None] * rows[prev]` product over Python ints."""
     n = mu.system.alphabet.order
     init, _, rows, _, _ = mu._chain
     rows = np.array(rows + (init,), dtype=object)
@@ -1251,8 +1251,24 @@ def _markov_oracle_levels(mu, length):
     return levels
 
 
-def _check_interned_levels(mu, L_max, first_wide):
-    """Every table up to L_max equals the plain product; exactly the levels past 2^63 are interned."""
+def _type_masses(mu, length):
+    """The numerators of the length-L types, and how many words each type holds."""
+    _, masses, types, _, counts = mu._types(length)
+    return masses.tolist(), np.bincount(types, counts, len(masses)).astype(np.int64).tolist()
+
+
+def _type_mass_counter(mu, length):
+    """The words of each mass, summed over the types that share it."""
+    merged = Counter()
+    for mass, count in zip(*_type_masses(mu, length)):
+        merged[mass] += count
+    return merged
+
+
+def _check_wide_levels(mu, L_max, first_wide):
+    """Every table up to L_max equals the plain product, in Python ints exactly past 2^63.
+    There H_L comes from the types, whose masses are the table's; every H_L equals the
+    table's sum and, up to 2^16 words, the per-word sum."""
     assert [mu._den(length) >= 2**63 for length in range(1, first_wide + 1)] == [
         False] * (first_wide - 1) + [True]
     for length, (codes, nums) in enumerate(_plain_paths(mu, L_max), start=1):
@@ -1260,20 +1276,22 @@ def _check_interned_levels(mu, L_max, first_wide):
         assert np.array_equal(table.codes, codes) and table.den == mu._den(length)
         assert table.nums.dtype == (object if length >= first_wide else np.int64)
         assert table.nums.tolist() == nums.tolist(), length
-        assert (length in mu._classes) == (length >= first_wide)
+        assert mu._has_types(length) == (length >= first_wide)
         if length >= first_wide:
-            values, counts = table.masses
-            assert dict(zip(values, counts)) == Counter(nums.tolist())
+            assert _type_mass_counter(mu, length) == Counter(nums.tolist())
+        h = block_entropy(mu, length)
+        assert h == table_entropy(table), length
         if len(nums) <= 2**16:  # the per-entry sum, the oracle of the distinct-mass sum
             den = table.den
-            assert table_entropy(table) == math.fsum(neg_xlogx(num / den) for num in nums.tolist())
+            assert h == math.fsum(neg_xlogx(num / den) for num in nums.tolist())
 
 
 @pytest.mark.parametrize("case", [6, 9])
-def test_interned_markov_levels_match_the_plain_product_and_the_fraction_oracle(case):
+def test_wide_markov_levels_match_the_plain_product_and_the_fraction_oracle(case):
     # the two C3 chains of criterion 5 whose denominators pass 2^63 at L = 6
     mu = _criterion_5_chains()[case]
-    _check_interned_levels(mu, 10, 6)
+    _check_wide_levels(mu, 10, 6)
+    assert mu._type_memo[0][0] is not None
     for length, probs in enumerate(_markov_oracle_levels(mu, 10), start=1):
         table = mu.block_table(length)
         den = table.den
@@ -1282,18 +1300,18 @@ def test_interned_markov_levels_match_the_plain_product_and_the_fraction_oracle(
                    for p, num in zip(probs, table.nums.tolist())), length
 
 
-def test_interned_product_levels_match_the_plain_product_and_the_fraction_oracle():
+def test_wide_product_levels_match_the_plain_product_and_the_fraction_oracle():
     # C2 x C2: the product's denominator passes 2^63 at L = 8
     markov = Markov.stationary(SYS2, [["1/3", "2/3"], ["2/5", "3/5"]])
     mu = product_system(markov, bern("16/17"))
-    _check_interned_levels(mu, 10, 8)
+    _check_wide_levels(mu, 10, 8)
     assert mu.block_distribution(8) == _oracle_dist(mu, 8)
 
 
-def test_skew_joint_over_an_interned_base_is_unchanged():
-    # the base's window paths are interned; a copy whose memo holds the plain product's
-    # paths gives the joint chain and tables the base gave before interning. Staying has
-    # mass a and moving b, so paths with as many moves share a mass: ab = ba at L = 3
+def test_skew_joint_over_a_base_past_2_63_matches_the_plain_product():
+    # the base's window paths pass 2^63; a copy whose memo holds the plain product's paths
+    # gives the same joint chain and tables. Staying has mass a and moving b, so paths with
+    # as many moves share a mass: ab = ba at L = 3
     q = 2**62 + 3
     a, b = F(15, q), F(2**61 - 6, q)
     base = Markov.stationary(SYS3, [[a, b, b], [b, a, b], [b, b, a]])
@@ -1306,7 +1324,7 @@ def test_skew_joint_over_an_interned_base_is_unchanged():
         plain._path_memo[length] = (codes, None, nums)
     mu, ref = skew.haar_extension(base, system), skew.haar_extension(plain, system)
     assert mu.joint._chain == ref.joint._chain
-    assert k in base._classes and not plain._classes
+    assert base._paths(k)[2].dtype == object
     for length in range(1, 6):
         a, b = mu.joint.block_table(length), ref.joint.block_table(length)
         assert np.array_equal(a.codes, b.codes) and a.nums.tolist() == b.nums.tolist()
@@ -1337,53 +1355,133 @@ def test_intern_ranks_keys_as_unique_does(spread):
     assert np.array_equal(values, expected) and np.array_equal(index, inverse)
 
 
-def test_interned_levels_with_many_distinct_row_entries():
-    # 8 states and 72 distinct row entries, and d0 past 2^63: the labels of every level
-    # reach past 8 per path, so they are ranked by a sort
+def test_many_distinct_row_entries_merge_types_by_mass():
+    # 8 states and 72 distinct row entries, and d0 past 2^63: 25^72 keys pass int64, so
+    # the types merge by their masses; the labels of every level reach past 8 per child, so
+    # they are ranked by a sort
     rng = random.Random(808)
     raw = [[rng.randint(1, 2**20) for _ in range(8)] for _ in range(8)]
     mu = Markov.stationary(shift_space(cyclic(8)), [[F(x, sum(row)) for x in row] for row in raw])
-    assert len(mu._entry_classes[1]) == 72
-    _check_interned_levels(mu, 4, 1)
+    assert len(mu._entry_classes[1]) == 72 and mu._type_memo[0][0] is None
+    _check_wide_levels(mu, 4, 1)
+    assert mu._types(4)[0] is None
+
+
+def _wide_markov_with_zero_init():
+    # state 0 starts with mass 0: the chain's init is not stationary, which validate=False
+    # allows, and its tables are still the forward products
+    rows = _wide_markov(3, 70).transition
+    return Markov(SYS3, rows, (F(0), F(1, 3), F(2, 3)), validate=False)
+
+
+def _wide_s3_markov():
+    # 6 states with distinct rows: 36 transition entries and 6 initial ones
+    rng = random.Random(306)
+    raw = [[rng.randint(1, 2**16) for _ in range(6)] for _ in range(6)]
+    return Markov.stationary(shift_space(symmetric(3)),
+                             [[F(x, sum(row)) for x in row] for row in raw])
+
+
+TYPE_CASES = [
+    ("criterion_5_generator_seed_506_c2", lambda: _criterion_5_chains(506)[2], 9),
+    ("criterion_5_generator_seed_506_c3", lambda: _criterion_5_chains(506)[6], 7),
+    ("criterion_5_generator_seed_507_c3", lambda: _criterion_5_chains(507)[7], 7),
+    ("criterion_5_generator_seed_508_c3", lambda: _criterion_5_chains(508)[9], 7),
+    ("s3_merged_by_mass", _wide_s3_markov, 3),
+    ("zero_row_entries", lambda: _wide_markov(3, 63), 6),
+    ("zero_init_entry", _wide_markov_with_zero_init, 6),
+    ("markov_x_bernoulli", lambda: product_system(_wide_markov(2, 65), bern("5/17")), 5),
+    ("bernoulli_x_markov", lambda: product_system(bern("16/17"), _wide_markov(2, 66)), 5),
+    ("markov_x_periodic_01", lambda: product_system(_wide_markov(2, 67),
+                                                    PeriodicOrbit(SYS2, (0, 1))), 6),
+]
+
+
+@pytest.mark.parametrize("make, length", [pytest.param(make, length, id=name)
+                                          for name, make, length in TYPE_CASES])
+def test_type_entropy_matches_the_table_and_the_fraction_oracle(make, length):
+    mu = make()
+    assert mu._has_types(length)
+    for ell in range(1, length + 1):
+        oracle = _oracle_dist(mu, ell)
+        expected = math.fsum(neg_xlogx(float(p)) for p in oracle.values())
+        table = mu.block_table(ell)
+        assert block_entropy(mu, ell) == table_entropy(table) == expected, ell
+        if mu._has_types(ell):
+            assert _type_mass_counter(mu, ell) == Counter(table.nums.tolist()), ell
+
+
+def test_type_cases_reach_what_they_name():
+    made = {name: make() for name, make, _ in TYPE_CASES}
+    for name, mu in made.items():
+        assert (mu._type_memo[0][0] is None) == (name == "s3_merged_by_mass"), name
+    assert len(made["s3_merged_by_mass"]._entry_classes[1]) > 12
+    assert (made["zero_row_entries"]._arrays[0] == 0).any()
+    assert made["zero_init_entry"]._chain[0][0] == 0
+    for name in ("markov_x_bernoulli", "bernoulli_x_markov", "markov_x_periodic_01"):
+        assert isinstance(made[name], ProductMeasure), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PeriodicOrbit(SYS2, (0, 1)),
+    lambda: PeriodicOrbit(SYS3, (0, 1, 2)),
+    lambda: bern("5/17"),
+    _markov_with_zeros,
+    lambda: Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]]),
+], ids=["periodic_01", "periodic_012", "bernoulli", "markov_with_zeros", "transient_state"])
+def test_types_hold_the_table_masses_below_2_63(make):
+    # the types route is taken only past 2^63, but its masses are exact at every level
+    mu = make()
+    for length in range(1, 8):
+        table = mu.block_table(length)
+        assert not mu._has_types(length)
+        assert _type_mass_counter(mu, length) == Counter(table.nums.tolist()), length
+        assert mass_entropy(*_type_masses(mu, length), mu._den(length)) == (
+            table_entropy(table)), length
+
+
+def test_type_entropy_raises_at_the_same_depth_as_the_table():
+    # the types hold a few classes where the table would hold |G|^L words, but the 2^24
+    # guard stands: C3 stops past L = 15 and C2 past L = 24
+    q = 2**62 + 3
+    a, b = F(15, q), F(2**61 - 6, q)
+    c3 = Markov.stationary(SYS3, [[a, b, b], [b, a, b], [b, b, a]])
+    c2 = Markov.stationary(SYS2, [[a, 1 - a], [1 - a, a]])
+    for mu, deepest in [(c3, 15), (c2, 24)]:
+        assert mu._has_types(deepest) and mu._den(2) >= 2**63
+        h = block_entropy(mu, deepest) - block_entropy(mu, deepest - 1)
+        assert abs(h - closed_form_entropy(mu)) < 1e-12
+        with pytest.raises(DepthLimitExceeded):
+            mu.block_table(deepest + 1)
+        with pytest.raises(DepthLimitExceeded):
+            block_entropy(mu, deepest + 1)
 
 
 # -- the sparse successor step against the dense gather -------------------------------
 
 
 def _dense_gather_levels(mu, length):
-    """Levels 1..L as (codes, last, numerators) and the interned classes, by the dense
-    gather: every path steps to every state of `_arrays`' rows, the zero steps are dropped,
-    and the interned labels take the classes of all row entries, zeros included."""
+    """Levels 1..L as (codes, last, numerators), by the dense gather: every path steps to
+    every state of `_arrays`' rows, and the zero steps are dropped."""
     n = mu.system.alphabet.order
     rows, steps, emit = mu._arrays
-    entry, entries = shifts._distinct(rows.ravel().tolist())
-    entry = entry.reshape(rows.shape)
     codes, prev, nums = np.zeros(1, np.int64), np.array([len(rows) - 1]), np.ones(1, np.int64)
-    levels, classes = [], {}
+    levels = []
     for level in range(1, length + 1):
         prev = codes % n if prev is None else prev
         keep = steps[prev]
         codes = (codes[:, None] * n + emit)[keep]
-        identity, wide = mu._chain[4] == tuple(range(n)), mu._den(level) >= 2**63
-        if identity and wide:
-            ids, values = classes.get(level - 1) or shifts._distinct(nums.tolist())
-            labels, at = shifts._intern((ids[:, None] * len(entries) + entry[prev])[keep],
-                                        len(values) * len(entries))
-            ids, values = shifts._distinct(values[labels // len(entries)]
-                                           * entries[labels % len(entries)])
-            classes[level] = (ids[at], values)
-            nums, prev = values[ids[at]], None
-        else:
-            wide_rows = rows.astype(object) if wide else rows
-            nums = ((nums.astype(object) if wide else nums)[:, None] * wide_rows[prev])[keep]
-            prev = None
-            if not identity:
-                key = codes * len(emit) + np.nonzero(keep)[1]
-                order = np.argsort(key, kind="stable")
-                key, nums = shifts._sum_runs(key[order], nums[order])
-                codes, prev = key // len(emit), key % len(emit)
+        wide = mu._den(level) >= 2**63
+        wide_rows = rows.astype(object) if wide else rows
+        nums = ((nums.astype(object) if wide else nums)[:, None] * wide_rows[prev])[keep]
+        prev = None
+        if mu._chain[4] != tuple(range(n)):
+            key = codes * len(emit) + np.nonzero(keep)[1]
+            order = np.argsort(key, kind="stable")
+            key, nums = shifts._sum_runs(key[order], nums[order])
+            codes, prev = key // len(emit), key % len(emit)
         levels.append((codes, prev, nums))
-    return levels, classes
+    return levels
 
 
 def _skew_joint_with_window_2():
@@ -1424,21 +1522,16 @@ SPARSE_STEP_CASES = [
                                           for name, make, length in SPARSE_STEP_CASES])
 def test_sparse_step_matches_the_dense_gather(make, length):
     mu = make()
-    levels, classes = _dense_gather_levels(mu, length)
-    for level, (codes, last, nums) in enumerate(levels, start=1):
+    for level, (codes, last, nums) in enumerate(_dense_gather_levels(mu, length), start=1):
         got_codes, got_last, got_nums = mu._paths(level)
         assert np.array_equal(got_codes, codes) and got_codes.dtype == codes.dtype, level
         assert (got_last is None) == (last is None), level
         assert last is None or np.array_equal(got_last, last), level
         assert got_nums.dtype == nums.dtype and got_nums.tolist() == nums.tolist(), level
-    assert mu._classes.keys() == classes.keys()
-    for level, (ids, values) in classes.items():
-        assert np.array_equal(mu._classes[level][0], ids) and mu._classes[level][1].tolist() == (
-            values.tolist()), level
 
 
 def test_sparse_step_cases_reach_what_they_name():
-    # zero entries in every case, and hidden-emission and interned levels past 2^63
+    # zero entries in every case, and hidden- and identity-emission levels past 2^63
     made = {name: (make(), length) for name, make, length in SPARSE_STEP_CASES}
     for name, (mu, length) in made.items():
         assert (mu._arrays[0] == 0).any(), name
@@ -1447,8 +1540,8 @@ def test_sparse_step_cases_reach_what_they_name():
     assert hidden._chain[4] != tuple(range(3)) and hidden._den(length) >= 2**63
     for name in ("interned_past_2_63", "interned_product_past_2_63"):
         mu, length = made[name]
-        mu._paths(length)
-        assert mu._classes, name
+        assert mu._chain[4] == tuple(range(mu.system.alphabet.order)), name
+        assert mu._den(length) >= 2**63, name
 
 
 def test_steps_hold_each_row_s_nonzero_entries_in_state_order():
@@ -1460,6 +1553,16 @@ def test_steps_hold_each_row_s_nonzero_entries_in_state_order():
         assert succ[start[s] : start[s + 1]].tolist() == np.flatnonzero(row).tolist()
         assert entries[start[s] : start[s + 1]].tolist() == row[row != 0].tolist()
     assert start[-1] == len(succ) == len(entries) == np.count_nonzero(rows)
+
+
+@pytest.mark.parametrize("make", [_markov_with_zeros, lambda: product_system(
+    _wide_markov(2, 64), Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]]))])
+def test_steps_built_from_the_rows_of_arrays_are_the_same(make):
+    # once `_arrays` is read, the steps come from its dense rows, not from a second copy
+    own, shared = make(), make()
+    assert "_arrays" not in vars(own) and shared._arrays[0].size
+    for a, b in zip(own._steps, shared._steps):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 def _traced_peak(call):
