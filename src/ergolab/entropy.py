@@ -1,14 +1,14 @@
 """Entropy computations: block, conditional block, and empirical.
 
-Everything is in nats. Probabilities arrive as exact rationals and are
-converted to float only inside the logarithm; float sums go through
-`math.fsum` for order-independent results. An exact block entropy reads
-only masses and how many words hold each (`mass_entropy`, which gives why
-the float equals the sum of one term per word): a table's distinct masses,
-or past 2^63, for a chain that emits its own state, the masses of its
-types (`shifts.ShiftMeasure._types`). The canonical estimator for the
-entropy rate of a stationary measure is the conditional block entropy
-h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
+Everything is in nats. Probabilities arrive as exact rationals and become
+floats by one correctly rounded division each (`quotients`); float sums go
+through `math.fsum` for order-independent results. An exact block entropy
+reads only masses and how many words hold each (`mass_entropy`, which gives
+why the float equals the sum of one term per word): a table's distinct
+masses, or past 2^63, for a chain that emits its own state, its types'
+masses as fractions (`shifts.ShiftMeasure._types`). The canonical estimator
+for the entropy rate of a stationary measure is the conditional block
+entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 """
 
 from __future__ import annotations
@@ -49,8 +49,24 @@ def table_entropy(table: BlockTable) -> float:
     return mass_entropy(*table.mass_counts(), table.den)
 
 
-def mass_entropy(masses: Sequence[int], counts: Sequence[int], den: int) -> float:
-    """-sum p ln p over words of mass num / den, `counts[i]` of them of mass `masses[i]`.
+def quotients(nums: Sequence[int], dens) -> np.ndarray:
+    """float(Fraction(num, den)) for each num, over one den or its own (an array like nums).
+    IEEE division of two operands below 2^53, exact in float64, rounds correctly; so does
+    Python's int / int, which divides the others."""
+    if not isinstance(dens, np.ndarray):  # one den
+        if dens < 2**53 and max(nums, default=0) < 2**53:
+            return np.array(nums, float) / dens
+        return np.fromiter(map(truediv, np.asarray(nums, object), repeat(dens)), float, len(nums))
+    p = nums / dens  # float64 division of int64s, or int / int on Python ints
+    if p.dtype == object:
+        return p.astype(float)
+    wide = np.flatnonzero((nums >= 2**53) | (dens >= 2**53))
+    p[wide] = list(map(truediv, nums[wide].tolist(), dens[wide].tolist()))
+    return p
+
+
+def mass_entropy(masses: Sequence[int], counts: Sequence[int], den) -> float:
+    """-sum p ln p over words: `counts[i]` of them of mass `masses[i]` / den (or / den[i]).
 
     Each mass's term is Veltkamp-split into hi + lo, each of at most 26 significant bits,
     so count * hi and count * lo are exact for a count below 2^26 and a term above 2^-969,
@@ -58,11 +74,11 @@ def mass_entropy(masses: Sequence[int], counts: Sequence[int], den: int) -> floa
     sees is exact, so the sum is the correctly rounded sum of one term per word, however
     the words are grouped: a mass listed twice gives the same float.
 
-    From ENTROPY_ARRAY_MIN_MASSES masses on, the division (float64 below 2^53, exact
-    operands), split and products are array passes and math.log maps over them, so each
-    term is the per-mass loop's.
+    With one den and fewer than ENTROPY_ARRAY_MIN_MASSES masses, each term is computed
+    on its own; otherwise the `quotients`, split and products are array passes and
+    math.log maps over them, so each term is the per-mass loop's.
     """
-    if len(masses) < ENTROPY_ARRAY_MIN_MASSES:
+    if len(masses) < ENTROPY_ARRAY_MIN_MASSES and not isinstance(den, np.ndarray):
         terms = []
         for num, count in zip(masses, counts):
             # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
@@ -72,8 +88,7 @@ def mass_entropy(masses: Sequence[int], counts: Sequence[int], den: int) -> floa
             rare = x < SPLIT_MIN_TERM or count >= SPLIT_MAX_COUNT
             terms += repeat(x, count) if rare else (count * hi, count * (x - hi))
         return math.fsum(terms)
-    p = (np.array(masses, dtype=float) / den if den < 2**53
-         else np.fromiter(map(truediv, masses, repeat(den)), float, len(masses)))
+    p = quotients(masses, den)
     # a zero mass (or quotient) takes log(1.0), so a zero term, which fsum ignores
     x = -1.0 * p * np.fromiter(map(math.log, memoryview(p + (p == 0.0))), float, len(p))
     counts = np.array(counts, dtype=float)
@@ -92,9 +107,8 @@ def block_entropy(mu: ShiftMeasure, length: int) -> float:
     if length == 0:
         return 0.0
     if mu._has_types(length):  # where a table would hold a Python int per word
-        _, masses, types, _, counts = mu._types(length)
-        counts = np.bincount(types, counts, len(masses)).astype(np.int64)
-        return mass_entropy(masses.tolist(), counts.tolist(), mu._den(length))
+        _, nums, dens, types, _, counts = mu._types(length)
+        return mass_entropy(nums, np.bincount(types, counts, len(nums)).astype(np.int64), dens)
     return table_entropy(mu.block_table(length))
 
 

@@ -60,13 +60,17 @@ class FiniteGroup(Record):
 
     @cached_property
     def np_op(self) -> np.ndarray:
-        """Multiplication table as an array, for vectorized paths."""
-        return np.array(self.op_table, dtype=np.int64)
+        """Multiplication table as a read-only array (groups are shared), for vectorized paths."""
+        table = np.array(self.op_table, dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def np_quotient(self) -> np.ndarray:
-        """Left quotients as an array: [h, z] holds h^-1 z."""
-        return self.np_op[list(self.inverse_table)]
+        """Left quotients as a read-only array: [h, z] holds h^-1 z."""
+        table = self.np_op[list(self.inverse_table)]
+        table.flags.writeable = False
+        return table
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -108,6 +112,7 @@ def _validate_table(table: Sequence[Sequence[int]], label: str) -> FiniteGroup:
     return group
 
 
+@cache
 def cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition mod n."""
     if n < 1:
@@ -116,6 +121,7 @@ def cyclic(n: int) -> FiniteGroup:
     return _validate_table(table, f"C{n}")
 
 
+@cache
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product; element (a, b) has index a*|H| + b."""
     n, m = g.order, h.order
@@ -127,6 +133,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return _validate_table(table, f"{g.label}x{h.label}")
 
 
+@cache
 def symmetric(n: int) -> FiniteGroup:
     """S_n on 0..n-1, elements in lexicographic order; capped at n <= 4."""
     if not 1 <= n <= 4:
@@ -140,6 +147,7 @@ def symmetric(n: int) -> FiniteGroup:
     return _validate_table(table, f"S{n}")
 
 
+@cache
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (symmetries of the n-gon); capped at n <= 8."""
     if not 2 <= n <= 8:

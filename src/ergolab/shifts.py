@@ -177,31 +177,6 @@ def _sum_runs(keys: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[starts], np.add.reduceat(nums, starts)
 
 
-def _intern(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct int64 keys, all in range(bound), ascending, and each key's index among them.
-
-    A bound of at most 8 per key ranks them in a table over range(bound), in
-    linear time; a larger one by a sort, whose memory does not grow with it.
-    """
-    if bound > 8 * len(keys):
-        return np.unique(keys, return_inverse=True)
-    present = np.zeros(bound, dtype=bool)
-    present[keys] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
-
-
-def _distinct(items) -> tuple[np.ndarray, np.ndarray]:
-    """Each item's index among the distinct items, and those items in first-seen order.
-
-    Equal items merge by hash in C-level loops (`dict.fromkeys`, `map`), so
-    Python ints cost no Python-level step each.
-    """
-    distinct = dict.fromkeys(items)
-    index = dict(zip(distinct, range(len(distinct))))
-    return (np.fromiter(map(index.__getitem__, items), np.int64, len(items)),
-            np.fromiter(distinct, object, len(distinct)))
-
-
 def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: int) -> BlockTable:
     """A table from unsorted codes; the numerators of repeated codes are summed."""
     order = np.argsort(codes, kind="stable")
@@ -359,41 +334,69 @@ class ShiftMeasure:
                 and self._chain[4] == tuple(range(self.system.alphabet.order)))
 
     def _types(self, length: int) -> tuple:
-        """Level L, memoized: its types' keys and numerators, and its (type, last state)
-        classes, ascending, with their word counts (summed in float64, exact below 2^53).
+        """Level L, memoized: (keys, nums, dens, types, last, counts), its types' keys and
+        masses, and its (type, last state) classes, ascending, with their word counts.
 
-        A path's numerator is the product of its entries, init's included, so it depends
-        only on its type: how often it steps by each class of equal entries (the method of
-        types; Csiszar and Korner, 1981). A key is sum c_e * R^e, R = TYPE_RADIX, in int64
-        while R^E < 2^63 for E entry classes; past that, keys are None and types merge by value.
+        A path's mass is the product of its entries, init's included, so it depends only on
+        its type: how often it steps by each class of equal entries (the method of types;
+        Csiszar and Korner, 1981). One sort of the children's class keys, type key * |states|
+        + last, gives the classes and the types as its runs. A mass is the fraction nums /
+        dens, its parent's times its step's entry in lowest terms (`_type_steps`), reduced
+        where int64 dens pass 2^53, and in Python ints from where it would pass 2^63. Where
+        keys would, they are None and a type is its mass: Python ints over dens = `_den(L)`.
         """
         level = self._type_memo.get(length)
         if level is None:
             self._guard(length)
-            keys, masses, types, last, counts = self._types(length - 1)
-            entry, entries = self._entry_classes
+            keys, nums, dens, types, last, counts = self._types(length - 1)
             deg, at = self._children(last)
-            n_e = len(entries)
-            labels, child = _intern(np.repeat(types * n_e, deg) + entry[at], len(masses) * n_e)
-            parent, e = labels // n_e, labels % n_e
-            if keys is None:
-                ids, masses = _distinct((masses[parent] * entries[e]).tolist())
-            else:
-                keys, first, ids = np.unique(keys[parent] + TYPE_RADIX**e, return_index=True,
-                                             return_inverse=True)
-                masses = masses[parent[first]] * entries[e[first]]
             size = len(self._chain[0])
-            pairs, child = _intern(ids[child] * size + self._steps[1][at], len(masses) * size)
-            counts = np.bincount(child, np.repeat(counts, deg), len(pairs)).astype(np.int64)
-            level = self._type_memo[length] = (keys, masses, pairs // size, pairs % size, counts)
+            parent = np.repeat(types, deg)
+            key = (nums[parent] * self._steps[2][at] * size + self._steps[1][at] if keys is None
+                   else keys[parent] * size + self._type_steps[0][at])  # by mass, or by type
+            order = np.argsort(key)
+            key = key[order]
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            counts = np.add.reduceat(np.repeat(counts, deg)[order], starts)
+            key, last = key[starts] // size, (key[starts] % size).astype(np.int64)
+            first = np.concatenate(([True], key[1:] != key[:-1]))  # a type's first class
+            child = order[starts[first]]  # a child of each type
+            if keys is None:
+                nums, dens = key[first], self._den(length)
+            else:
+                p, step = parent[child], at[child]
+                _, v, d, top = self._type_steps
+                keys, nums, dens = key[first], nums[p], dens[p]
+                if dens.dtype != object and (dens <= top[step]).all():  # num <= den, v <= d
+                    nums, dens = nums * v[step], dens * d[step]
+                    wide = np.flatnonzero(dens >= 2**53)
+                    gcd = np.gcd(nums[wide], dens[wide])
+                    nums[wide], dens[wide] = nums[wide] // gcd, dens[wide] // gcd
+                else:  # Python ints from this level on
+                    nums, dens = nums.astype(object) * v[step], dens.astype(object) * d[step]
+            level = self._type_memo[length] = (keys, nums, dens, first.cumsum() - 1, last, counts)
         return level
 
     @cached_property
     def _type_memo(self) -> dict:
-        # the empty word, of the empty type, in the start state whose row is init
-        keys = np.zeros(1, np.int64) if TYPE_RADIX ** len(self._entry_classes[1]) < 2**63 else None
-        return {0: (keys, np.ones(1, object), np.zeros(1, np.int64),
-                    np.array([len(self._chain[0])]), np.ones(1, np.int64))}
+        # the empty word, of the empty type and mass 1, in the start state whose row is init
+        zero, one = np.zeros(1, np.int64), np.ones(1, self._steps[2].dtype)
+        level = (None, one.astype(object), 1) if self._type_steps[0] is None else (zero, one, one)
+        return {0: (*level, zero, np.array([len(self._chain[0])]), np.ones(1, np.int64))}
+
+    @cached_property
+    def _type_steps(self) -> tuple:
+        """Per step of `_steps`: its addition to a class key, R^(entry class) * |states| + succ
+        (None where R^E * |states| for E classes passes 2^63); its entry over dt (init's over
+        d0) in lowest terms; and the largest den that this denominator multiplies in int64."""
+        start, succ, v = self._steps
+        entries, entry = np.unique(v, return_inverse=True)
+        size = len(self._chain[0])
+        d = np.full(len(v), self._chain[3], v.dtype)
+        d[start[-2]:] = self._chain[1]  # the init row's
+        gcd = np.gcd(v, d)
+        return (TYPE_RADIX ** entry * size + succ if TYPE_RADIX ** len(entries) * size < 2**63
+                else None, v // gcd, d // gcd, (2**63 - 1) // (d // gcd))
 
     def _den(self, length: int) -> int:
         """The common denominator d0 * dt^(L-1) of the length-L paths, L >= 1."""
@@ -417,11 +420,6 @@ class ShiftMeasure:
         state, succ = np.nonzero(rows)  # row-major, so each row's steps are one ascending run
         return (state.searchsorted(np.arange(len(rows) + 1)),
                 succ.astype(_code_dtype(rows.shape[1])), rows[state, succ])
-
-    @cached_property
-    def _entry_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class of each of `_steps`' entries, and the distinct entries."""
-        return _distinct(self._steps[2].tolist())
 
 
 def _dense_rows(chain: tuple) -> np.ndarray:

@@ -434,6 +434,29 @@ def test_mass_entropy_is_unchanged_when_a_mass_is_split(k, monkeypatch):
             table_entropy(small))
 
 
+# operands on both sides of 2^53 (exact in float64) and of 2^63 (int64)
+_OPERANDS = st.one_of(st.integers(1, 2**53), st.integers(2**53 - 3, 2**53 + 3),
+                      st.integers(2**53, 2**63 - 1), st.integers(2**63 - 3, 2**63 + 3),
+                      st.integers(2**63, 2**90))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_OPERANDS | st.just(0), _OPERANDS), min_size=1, max_size=12),
+       as_object=st.booleans())
+@example(pairs=[(2**53 + 1, 2), (2**53 + 3, 2), (2**54 + 6, 4)], as_object=False)  # exact ties
+@example(pairs=[(2**53 + 1, 3), (2**63 - 1, 2**63 - 2)], as_object=False)  # float64 rounds twice
+@example(pairs=[(2**53 + 1, 3), (2**63 + 1, 3)], as_object=True)
+def test_quotients_are_the_fraction_floats(pairs, as_object):
+    nums, dens = (list(column) for column in zip(*pairs))
+    dtype = object if as_object or max(nums + dens) >= 2**63 else np.int64
+    expected = [float(F(n, d)) for n, d in pairs]
+    got = entropy.quotients(np.array(nums, dtype), np.array(dens, dtype))
+    assert got.dtype == np.float64 and got.tolist() == expected
+    # one denominator for every numerator, as a table has
+    got = entropy.quotients(np.array(nums, dtype), dens[0])
+    assert got.tolist() == [float(F(n, dens[0])) for n in nums]
+
+
 def test_mass_entropy_terms_are_the_same_on_both_paths():
     # a mass's term is the same float in the per-mass loop and in the array passes
     rng = random.Random(11)

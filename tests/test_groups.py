@@ -113,6 +113,21 @@ def test_symmetric_and_dihedral_orders():
     assert dihedral(8).order == 16
 
 
+@pytest.mark.parametrize("build, n, bad", [(cyclic, 5, 0), (symmetric, 3, 5), (dihedral, 4, 1)],
+                         ids=["cyclic", "symmetric", "dihedral"])
+def test_named_groups_are_built_once_and_shared_read_only(build, n, bad):
+    g = build(n)
+    assert build(n) is g
+    assert direct_product(g, cyclic(2)) is direct_product(g, cyclic(2))
+    for table in (g.np_op, g.np_quotient):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    for _ in range(2):  # an invalid order is refused on every call, not remembered
+        with pytest.raises(ValueError):
+            build(bad)
+
+
 def test_large_table_passes_exact_validation():
     g = cyclic(70)
     assert g.order == 70

@@ -1252,9 +1252,14 @@ def _markov_oracle_levels(mu, length):
 
 
 def _type_masses(mu, length):
-    """The numerators of the length-L types, and how many words each type holds."""
-    _, masses, types, _, counts = mu._types(length)
-    return masses.tolist(), np.bincount(types, counts, len(masses)).astype(np.int64).tolist()
+    """The masses of the length-L types as numerators over `mu._den(L)`, exactly, and how
+    many words each type holds."""
+    _, nums, dens, types, _, counts = mu._types(length)
+    den = mu._den(length)
+    dens = dens.tolist() if isinstance(dens, np.ndarray) else [dens] * len(nums)
+    assert all(den % d == 0 for d in dens)
+    return ([num * (den // d) for num, d in zip(nums.tolist(), dens)],
+            np.bincount(types, counts, len(nums)).astype(np.int64).tolist())
 
 
 def _type_mass_counter(mu, length):
@@ -1345,24 +1350,13 @@ def test_hidden_emission_table_past_2_63_matches_the_fraction_oracle():
         assert mu.block_distribution(length) == _oracle_dist(mu, length), length
 
 
-@pytest.mark.parametrize("spread", [1, 8, 9, 1000], ids=lambda s: f"bound_{s}_per_key")
-def test_intern_ranks_keys_as_unique_does(spread):
-    # up to 8 per key the keys are ranked in a table over range(bound), past it by a sort
-    rng = np.random.default_rng(spread)
-    keys = rng.integers(0, 50 * spread, 50)
-    values, index = shifts._intern(keys, 50 * spread)
-    expected, inverse = np.unique(keys, return_inverse=True)
-    assert np.array_equal(values, expected) and np.array_equal(index, inverse)
-
-
 def test_many_distinct_row_entries_merge_types_by_mass():
     # 8 states and 72 distinct row entries, and d0 past 2^63: 25^72 keys pass int64, so
-    # the types merge by their masses; the labels of every level reach past 8 per child, so
-    # they are ranked by a sort
+    # the types merge by their masses, Python-int numerators over the common denominator
     rng = random.Random(808)
     raw = [[rng.randint(1, 2**20) for _ in range(8)] for _ in range(8)]
     mu = Markov.stationary(shift_space(cyclic(8)), [[F(x, sum(row)) for x in row] for row in raw])
-    assert len(mu._entry_classes[1]) == 72 and mu._type_memo[0][0] is None
+    assert len(np.unique(mu._steps[2])) == 72 and mu._type_memo[0][0] is None
     _check_wide_levels(mu, 4, 1)
     assert mu._types(4)[0] is None
 
@@ -1382,6 +1376,17 @@ def _wide_s3_markov():
                              [[F(x, sum(row)) for x in row] for row in raw])
 
 
+def _product_over_17_squared():
+    # the shape of the benchmark's C2 x C2 product: entries over 17^2, past 2^63 at L = 8
+    markov = Markov.stationary(SYS2, [["5/17", "12/17"], ["9/17", "8/17"]])
+    return product_system(markov, bern("7/17"))
+
+
+def _markov_with_entries_past_2_63():
+    q = 2**64 + 13
+    return Markov.stationary(SYS2, [[F(15, q), F(q - 15, q)], [F(q - 2, q), F(2, q)]])
+
+
 TYPE_CASES = [
     ("criterion_5_generator_seed_506_c2", lambda: _criterion_5_chains(506)[2], 9),
     ("criterion_5_generator_seed_506_c3", lambda: _criterion_5_chains(506)[6], 7),
@@ -1394,6 +1399,7 @@ TYPE_CASES = [
     ("bernoulli_x_markov", lambda: product_system(bern("16/17"), _wide_markov(2, 66)), 5),
     ("markov_x_periodic_01", lambda: product_system(_wide_markov(2, 67),
                                                     PeriodicOrbit(SYS2, (0, 1))), 6),
+    ("entries_past_2_63", _markov_with_entries_past_2_63, 3),
 ]
 
 
@@ -1411,11 +1417,41 @@ def test_type_entropy_matches_the_table_and_the_fraction_oracle(make, length):
             assert _type_mass_counter(mu, ell) == Counter(table.nums.tolist()), ell
 
 
+def _type_regime(mu, length):
+    """How level L holds its masses: int64 fractions whose quotients are float64 divisions
+    or Python int / int, Python-int fractions, or, merged by mass, Python-int numerators
+    over one denominator."""
+    keys, nums, dens, *_ = mu._types(length)
+    if keys is None:
+        assert nums.dtype == object and dens == mu._den(length)
+        return "merged_by_mass"
+    assert nums.dtype == dens.dtype and (nums <= dens).all()
+    if dens.dtype == object:
+        return "python_ints"
+    return "float64_quotients" if (dens < 2**53).all() else "int_quotients"
+
+
 def test_type_cases_reach_what_they_name():
     made = {name: make() for name, make, _ in TYPE_CASES}
+    regimes = {name: [_type_regime(mu, ell) for ell in range(1, length + 1) if mu._has_types(ell)]
+               for (name, mu), (_, _, length) in zip(made.items(), TYPE_CASES)}
     for name, mu in made.items():
         assert (mu._type_memo[0][0] is None) == (name == "s3_merged_by_mass"), name
-    assert len(made["s3_merged_by_mass"]._entry_classes[1]) > 12
+    assert set(regimes["s3_merged_by_mass"]) == {"merged_by_mass"}
+    for name in [name for name in made if name.startswith("criterion_5")]:
+        assert set(regimes[name]) == {"float64_quotients"}, name
+    assert regimes["zero_row_entries"] == ["float64_quotients"] * 2 + [
+        "int_quotients"] + ["python_ints"] * 2
+    # the product's int64 fractions pass 2^63 at L = 8, its first level past 2^63 (the
+    # oracle of its tables is test_wide_product_levels_match_the_plain_product_...)
+    product = _product_over_17_squared()
+    assert [_type_regime(product, ell) for ell in (6, 7, 8)] == [
+        "float64_quotients", "int_quotients", "python_ints"]
+    assert [product._has_types(ell) for ell in (7, 8)] == [False, True]
+    assert block_entropy(product, 8) == table_entropy(product.block_table(8))
+    assert regimes["entries_past_2_63"] == ["python_ints"] * 3
+    assert made["entries_past_2_63"]._steps[2].dtype == object
+    assert len(np.unique(made["s3_merged_by_mass"]._steps[2])) > 12
     assert (made["zero_row_entries"]._arrays[0] == 0).any()
     assert made["zero_init_entry"]._chain[0][0] == 0
     for name in ("markov_x_bernoulli", "bernoulli_x_markov", "markov_x_periodic_01"):
