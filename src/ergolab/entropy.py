@@ -46,7 +46,7 @@ class EntropyEstimate(Record):
 
 def table_entropy(table: BlockTable) -> float:
     """-sum p ln p over an exact block table, one logarithm per distinct mass."""
-    return mass_entropy(*table.mass_counts(), table.den)
+    return mass_entropy(*table.mass_counts, table.den)
 
 
 def quotients(nums: Sequence[int], dens) -> np.ndarray:

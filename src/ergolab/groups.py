@@ -33,8 +33,6 @@ from .errors import (
 from .exact import exact_vector, parse_ratio
 from .record import Record
 
-EXHAUSTIVE_INDEPENDENCE_MAX_ORDER = 8
-
 
 class FiniteGroup(Record):
     """A finite group given by its full multiplication table."""
@@ -365,16 +363,6 @@ def is_invariant(mu: DenseMeasure, t: GroupHom) -> bool:
 class IndependenceReport(Record):
     independent: bool
     witness: Optional[tuple[frozenset[int], frozenset[int]]] = None
-    detail: str = ""
-
-
-@cache
-def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Membership [F, f] of f in each subset F of 0..n-1, F read as a bit mask, and |F|."""
-    members = np.arange(1 << n)[:, None] // 2 ** np.arange(n) % 2
-    sizes = members.sum(axis=1)
-    members.flags.writeable = sizes.flags.writeable = False  # shared by every call
-    return members, sizes
 
 
 def independence_check(mu: DenseMeasure) -> IndependenceReport:
@@ -382,42 +370,22 @@ def independence_check(mu: DenseMeasure) -> IndependenceReport:
 
     On G x G carrying (uniform) x mu, the events {(x, y): x in E} and
     {(x, y): xy in F} are independent for every E, F exactly when mu is the
-    uniform measure. The scan over subset pairs is exhaustive for orders up
-    to 8; above that it scans singleton pairs, which already witness every
-    failure of uniformity.
+    uniform measure. Their joint mass, (1/n) sum_{x in E, f in F} mu(x^-1 f),
+    and their product mass, |E| |F| / n^2, are both additive over disjoint
+    unions of E and of F, so every subset pair is independent exactly when
+    every singleton pair is. The witness is the first failing singleton pair
+    in (x, f) order; it is ({0}, {f}) for every non-uniform mu.
     """
     g = mu.group
     n, den = g.order, mu.den
-
-    # joint(E, F) = (1/n) sum_{x in E} mu(x^-1 F); product = |E| |F| / n^2.
-    # Equality <=> n * sum_{x in E, f in F} a[x^-1 f] == |E| * |F| * den, with
-    # mu = a / den; both sides are at most n * n * den: int64 below 2^63, else
-    # Python ints.
-    dtype = np.int64 if n * n * den < 2**63 else object
-    v = n * np.array(mu.nums, dtype)[g.np_quotient]  # [x, f]: n a[x^-1 f]
-    if n <= EXHAUSTIVE_INDEPENDENCE_MAX_ORDER:
-        members, sizes = _subsets(n)
-        sizes = sizes.astype(dtype, copy=False)
-        sizes_den = sizes * den
-        # joint[E] = n sum_{x in E, f in F} a[x^-1 f] for every F, by lowest-bit
-        # recursion; the row of x, n sum_{f in F} a[x^-1 f], is made when E = {x}
-        rows, joint = [], [np.zeros(1 << n, dtype)]
-        for emask in range(1, 1 << n):
-            low = (emask & -emask).bit_length() - 1
-            if emask == 1 << low:
-                rows.append(v[low] @ members.T)
-            joint.append(joint[emask & (emask - 1)] + rows[low])
-            fails = np.flatnonzero(joint[emask] != sizes[emask] * sizes_den)
-            if len(fails):
-                e_set = frozenset(np.flatnonzero(members[emask]).tolist())
-                f_set = frozenset(np.flatnonzero(members[fails[0]]).tolist())
-                return IndependenceReport(False, (e_set, f_set), "subset pair scan")
-        return IndependenceReport(True, None, "exhaustive over all subset pairs")
-    fails = np.argwhere(v != den)  # in (x, f) order
+    # with mu = a / den, ({x}, {f}) is independent <=> n * a[x^-1 f] == den; the
+    # left side is at most n * den: int64 below 2^63, else Python ints
+    dtype = np.int64 if n * den < 2**63 else object
+    fails = np.argwhere(n * np.array(mu.nums, dtype)[g.np_quotient] != den)  # in (x, f) order
     if len(fails):
         x, f = fails[0].tolist()
-        return IndependenceReport(False, (frozenset([x]), frozenset([f])), "singleton scan")
-    return IndependenceReport(True, None, "singleton scan (order > 8)")
+        return IndependenceReport(False, (frozenset([x]), frozenset([f])))
+    return IndependenceReport(True)
 
 
 def _orbits(group: FiniteGroup, t: GroupHom) -> tuple[tuple[int, ...], ...]:

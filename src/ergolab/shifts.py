@@ -88,9 +88,7 @@ class BlockTable(Record):
     `den` is shared by every entry. A numerator is at most `den`, so `nums`
     is int64 while `den < 2^63` and Python ints in an object array past it
     (`_num_dtype`); an arithmetic step that can leave [0, den] picks its
-    dtype from the bound it can reach. `masses` holds the distinct numerators,
-    as Python ints, with the number of entries that hold each: `mass_counts`
-    finds them at its first call, unless the table was built with them.
+    dtype from the bound it can reach.
     """
 
     base: int
@@ -98,7 +96,6 @@ class BlockTable(Record):
     codes: np.ndarray
     nums: np.ndarray
     den: int
-    masses: Optional[tuple[list[int], list[int]]] = None
 
     def __post_init__(self):
         # tables are memoized and shared by every caller
@@ -112,22 +109,19 @@ class BlockTable(Record):
         """The support words, one row of symbols each."""
         return self.codes[:, None] // _place_values(self.base, self.length) % self.base
 
+    @cached_property
     def mass_counts(self) -> tuple[list[int], list[int]]:
-        """`masses`, found at the first call unless the table came with them.
+        """The distinct numerators, as Python ints, with the number of entries that hold each.
 
         They are the runs of the sorted numerators on an int64 table, and a
         Counter over Python ints.
         """
-        if self.masses is None:
-            if self.nums.dtype == object:
-                counts = Counter(self.nums.tolist())
-                masses = list(counts), list(counts.values())
-            else:
-                nums = np.sort(self.nums)
-                last = np.flatnonzero(nums[:-1] != nums[1:]).tolist() + [len(nums) - 1]  # of a run
-                masses = nums[last].tolist(), [b - a for a, b in zip([-1] + last, last)]
-            object.__setattr__(self, "masses", masses)  # the table is frozen; this is a cache
-        return self.masses
+        if self.nums.dtype == object:
+            counts = Counter(self.nums.tolist())
+            return list(counts), list(counts.values())
+        nums = np.sort(self.nums)
+        last = np.flatnonzero(nums[:-1] != nums[1:]).tolist() + [len(nums) - 1]  # of a run
+        return nums[last].tolist(), [b - a for a, b in zip([-1] + last, last)]
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Numerators of the words with the given codes; 0 off the support."""
@@ -889,14 +883,14 @@ def verify_extension(mu: ShiftMeasure, depth: int) -> ExtensionReport:
         if w is not None:
             witness = f"marginal mismatch at {w}: {mu.cylinder(w)} vs {ext.cylinder(w)}"
             return ExtensionReport(False, witness)
-    for length in range(1, depth):
+    # prepend consistency at every length up to the depth is the extension's shift
+    # invariance; append consistency is checked below the depth
+    for length in range(1, depth + 1):
         base, longer = ext.block_table(length), ext.block_table(length + 1)
         pre = _first_difference(longer.drop_first(), base)
-        post = _first_difference(longer.drop_last(), base)
+        post = _first_difference(longer.drop_last(), base) if length < depth else None
         if pre is not None and (post is None or pre <= post):
             return ExtensionReport(False, f"prepend inconsistency at {pre}")
         if post is not None:
             return ExtensionReport(False, f"append inconsistency at {post}")
-    if not is_shift_invariant(ext, depth):
-        return ExtensionReport(False, "extension is not shift-invariant")
     return ExtensionReport(True)

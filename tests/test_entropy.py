@@ -372,13 +372,13 @@ def test_table_entropy_at_the_array_crossover(offset, den_bits):
     rng = random.Random(3 * den_bits + offset)
     table = _table_with_masses(ARRAY_MIN + offset, rng.randrange(2 ** (den_bits - 1),
                                                                  2**den_bits), rng)
-    assert len(table.mass_counts()[0]) == ARRAY_MIN + offset
+    assert len(table.mass_counts[0]) == ARRAY_MIN + offset
     assert table_entropy(table) == _per_entry_table_entropy(table)
 
 
 def test_table_entropy_array_path_with_a_zero_numerator():
     table = _table_with_masses(ARRAY_MIN, 2**40 + 7, random.Random(0), zero=True)
-    assert 0 in table.mass_counts()[0] and len(table.mass_counts()[0]) == ARRAY_MIN + 1
+    assert 0 in table.mass_counts[0] and len(table.mass_counts[0]) == ARRAY_MIN + 1
     assert table_entropy(table) == _per_entry_table_entropy(table)
 
 
@@ -390,8 +390,9 @@ def _exact_repeated_sum(masses, counts, den):
 
 def test_table_entropy_array_path_repeats_terms_outside_the_split_range(monkeypatch):
     # terms below 2^-969 and counts from SPLIT_MAX_COUNT on repeat. The count bound is
-    # lowered from 2^26 to 2^12 so that the repeated list stays small; the masses come
-    # with their counts, as their table would hold 2^13 words
+    # lowered from 2^26 to 2^12 so that the repeated list stays small; the masses go to
+    # mass_entropy, which table_entropy calls, with their counts, as their table would
+    # hold 2^13 words
     monkeypatch.setattr(entropy, "SPLIT_MAX_COUNT", 2**12)
     den = 2**1000
     masses = [2**20 + i for i in range(8)]  # terms near 2^-970.6
@@ -400,11 +401,10 @@ def test_table_entropy_array_path_repeats_terms_outside_the_split_range(monkeypa
     counts = [5] * 8 + [2**12, 2**12 + 3] + [1 + i % 4 for i in range(ARRAY_MIN)]
     assert all(0 < neg_xlogx(m / den) < entropy.SPLIT_MIN_TERM for m in masses[:8])
     assert sum(m * c for m, c in zip(masses, counts)) < den
-    table = BlockTable(2, 40, np.arange(1), np.ones(1, object), den, (masses, counts))
-    h = table_entropy(table)
+    h = entropy.mass_entropy(masses, counts, den)
     assert h == _exact_repeated_sum(masses, counts, den)
     monkeypatch.setattr(entropy, "ENTROPY_ARRAY_MIN_MASSES", 10**9)
-    assert table_entropy(table) == h  # the per-mass loop
+    assert entropy.mass_entropy(masses, counts, den) == h  # the per-mass loop
 
 
 def _split(masses, counts, i, part):
@@ -430,7 +430,7 @@ def test_mass_entropy_is_unchanged_when_a_mass_is_split(k, monkeypatch):
         assert entropy.mass_entropy(*split, den) == h, (i, part)
     small = BlockTable(2, 10, np.arange(k), np.arange(1, k + 1, dtype=np.int64), k * (k + 1))
     for i in range(k):  # one word per mass, each split off as one of two entries
-        assert entropy.mass_entropy(*_split(*small.mass_counts(), i, 1), small.den) == (
+        assert entropy.mass_entropy(*_split(*small.mass_counts, i, 1), small.den) == (
             table_entropy(small))
 
 
@@ -470,7 +470,7 @@ def test_mass_entropy_terms_are_the_same_on_both_paths():
 
 def test_exact_repeated_sum_is_the_per_entry_oracle():
     table = _table_with_masses(ARRAY_MIN, 2**61 + 1, random.Random(5))
-    assert _exact_repeated_sum(*table.mass_counts(), table.den) == _per_entry_table_entropy(table)
+    assert _exact_repeated_sum(*table.mass_counts, table.den) == _per_entry_table_entropy(table)
 
 
 def test_table_entropy_divides_exactly_past_2_53():
@@ -483,7 +483,7 @@ def test_table_entropy_divides_exactly_past_2_53():
     nums = small + [rest // 3 + rng.randrange(2**30)]
     nums.append(rest - nums[-1])
     table = BlockTable(2, 20, np.arange(len(nums)), np.array(nums, np.int64), den)
-    masses, counts = table.mass_counts()
+    masses, counts = table.mass_counts
     assert len(masses) >= ARRAY_MIN
     rounded = (np.array(masses, dtype=float) / float(den)).tolist()
     naive = math.fsum(-p * math.log(p) * count for p, count in zip(rounded, counts))

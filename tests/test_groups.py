@@ -33,10 +33,8 @@ from ergolab.errors import (
     NotHomomorphism,
 )
 from ergolab.groups import (
-    EXHAUSTIVE_INDEPENDENCE_MAX_ORDER,
     DenseMeasure,
     GroupHom,
-    IndependenceReport,
     _fiber_nums,
     _orbits,
     random_invariant_measure,
@@ -655,15 +653,20 @@ def _fraction_is_invariant(mu, t):
     return _fraction_pushforward(mu, t) == mu.weights
 
 
+# the order up to which the oracle scans every subset pair; above it, singleton pairs
+ORACLE_SUBSET_SCAN_MAX_ORDER = 8
+
+
 def _fraction_independence_check(mu):
-    """The exhaustive and singleton scans, with the denominator taken by a gcd loop."""
+    """(independent, witness) by the exhaustive subset-pair scan, or the singleton scan above
+    ORACLE_SUBSET_SCAN_MAX_ORDER, with the denominator taken by a gcd loop."""
     g = mu.group
     n = g.order
     den = 1
     for w in mu.weights:
         den = den * w.denominator // math.gcd(den, w.denominator)
     a = [int(w * den) for w in mu.weights]
-    if n <= EXHAUSTIVE_INDEPENDENCE_MAX_ORDER:
+    if n <= ORACLE_SUBSET_SCAN_MAX_ORDER:
         row = [[0] * (1 << n) for _ in range(n)]
         for x in range(n):
             xinv = g.inverse_table[x]
@@ -676,16 +679,18 @@ def _fraction_independence_check(mu):
             for fmask in range(1, 1 << n):
                 s = sum(row[x][fmask] for x in members[emask])
                 if n * s != len(members[emask]) * len(members[fmask]) * den:
-                    witness = (frozenset(members[emask]), frozenset(members[fmask]))
-                    return IndependenceReport(False, witness, "subset pair scan")
-        return IndependenceReport(True, None, "exhaustive over all subset pairs")
+                    return False, (frozenset(members[emask]), frozenset(members[fmask]))
+        return True, None
     for x in range(n):
         for f in range(n):
             if n * a[g.op(g.inverse_table[x], f)] != den:
-                return IndependenceReport(
-                    False, (frozenset([x]), frozenset([f])), "singleton scan"
-                )
-    return IndependenceReport(True, None, "singleton scan (order > 8)")
+                return False, (frozenset([x]), frozenset([f]))
+    return True, None
+
+
+def _check_independence(mu):
+    rep = independence_check(mu)
+    assert (rep.independent, rep.witness) == _fraction_independence_check(mu)
 
 
 ORACLE_GROUPS = [
@@ -798,17 +803,17 @@ def test_validation_matches_fraction_sums(case):
     )
 )
 def test_independence_check_matches_fraction_denominator(mu):
-    assert independence_check(mu) == _fraction_independence_check(mu)
+    _check_independence(mu)
 
 
-@pytest.mark.parametrize("d", [2**54 - 1, 2**54 + 1, 2**80 + 1],
+@pytest.mark.parametrize("d", [2**57 - 1, 2**57 + 1, 2**80 + 1],
                          ids=["int64", "python_ints", "python_ints_far"])
 @pytest.mark.parametrize("group", [cyclic(8), dihedral(4)], ids=lambda g: g.label)
 def test_independence_check_on_both_sides_of_the_int64_bound(group, d):
-    # n * n * den < 2^63 keeps the sums in int64; den = 8 d puts 8 * 8 * den just
-    # below 2^63 for d = 2^54 - 1 and past it for d = 2^54 + 1
+    # n * den < 2^63 keeps the products n * a in int64; den = 8 d puts 8 * den just
+    # below 2^63 for d = 2^57 - 1 and past it for d = 2^57 + 1
     weights = [F(1, 8) - F(1, d), F(1, 8) + F(1, d)] + [F(1, 8)] * 6
     for mu in (measure(group, weights), measure(group, weights[::-1])):
         assert mu.den == 8 * d
-        assert independence_check(mu) == _fraction_independence_check(mu)
-    assert independence_check(haar(group)) == _fraction_independence_check(haar(group))
+        _check_independence(mu)
+    _check_independence(haar(group))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ergolab.circle import CircleSystem
+from ergolab.ergodicity import ErgodicityVerdict
 from ergolab.groups import cyclic
 from ergolab.record import FrozenRecordError, Record, factory, replace
 from ergolab.scenarios import Kind, Row, Scenario, ScenarioResult
@@ -57,7 +58,7 @@ def test_construction_by_position_by_name_and_with_defaults():
     assert Point(1).y == 0
     assert (Point3(1).y, Point3(1).z) == (0, 5)
     assert Point3(1, z=7) == Point3(1, 0, 7)
-    assert BlockTable(2, 1, np.arange(2), np.ones(2, np.int64), 2).masses is None
+    assert ErgodicityVerdict("ergodic", "exact_bernoulli").witness is None
 
 
 @pytest.mark.parametrize("args, kwargs, message", [

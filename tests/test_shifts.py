@@ -609,15 +609,15 @@ def _oracle_verify_extension(mu, depth):
             a, b = mu.cylinder(word), ext.cylinder(word)
             if a != b:
                 return False, f"marginal mismatch at {word}: {a} vs {b}"
-    for length in range(1, depth):
+    for length in range(1, depth + 1):  # append only below the depth
         for word in itertools.product(g.elements(), repeat=length):
             base = ext.cylinder(word)
             if sum((ext.cylinder((s,) + word) for s in g.elements()), F(0)) != base:
                 return False, f"prepend inconsistency at {word}"
-            if sum((ext.cylinder(word + (s,)) for s in g.elements()), F(0)) != base:
+            if length < depth and sum(
+                (ext.cylinder(word + (s,)) for s in g.elements()), F(0)
+            ) != base:
                 return False, f"append inconsistency at {word}"
-    if not _oracle_is_shift_invariant(ext, depth):
-        return False, "extension is not shift-invariant"
     return True, ""
 
 
@@ -664,9 +664,10 @@ def test_unvalidated_markov_extension_reports_prepend_witness():
         validate=False,
     )
     assert natural_extension(forced).validate is False
-    rep = verify_extension(forced, 3)
-    assert not rep.passed
-    assert rep.witness == "prepend inconsistency at (0,)"
+    for depth in (1, 3):  # at depth 1 the prepend check is the only invariance check
+        rep = verify_extension(forced, depth)
+        assert not rep.passed
+        assert rep.witness == "prepend inconsistency at (0,)"
 
 
 # -- Markov sampler against the per-step walk ---------------------------------------
