@@ -41,22 +41,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     logging.basicConfig(level=args.log_level.upper(), format="%(levelname)s %(message)s")
+    out, config = Path(args.out), Path(args.config)
     try:
-        text = Path(args.config).read_text()
+        text = config.read_text()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    report_json = Path(args.out).with_suffix(".json")
-    for path, what in ((Path(args.out), "CSV report"), (Path(args.config), "config")):
-        if report_json.resolve() == path.resolve():
-            print(f"error: the JSON report {report_json} would overwrite the {what}; "
-                  "choose another --out path", file=sys.stderr)
+    report_json = out.with_suffix(".json")
+    for report, path, what in ((report_json, out, "CSV report"), (report_json, config, "config"),
+                               (out, config, "config")):
+        if report.resolve() == path.resolve():
+            print(f"error: the {'JSON' if report is report_json else 'CSV'} report {report} would "
+                  f"overwrite the {what} {path}; choose another --out path", file=sys.stderr)
             return 2
-    out_dir = Path(args.out).parent
+    out_dir = out.parent
     if not out_dir.is_dir():
         print(f"error: the --out directory {out_dir} is not an existing directory", file=sys.stderr)
         return 2
-    for report in (Path(args.out), report_json):
+    for report in (out, report_json):
         if report.is_dir():
             print(f"error: the report path {report} is a directory", file=sys.stderr)
             return 2

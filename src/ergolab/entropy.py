@@ -3,12 +3,12 @@
 Everything is in nats. Probabilities arrive as exact rationals and become
 floats by one correctly rounded division each (`quotients`); float sums go
 through `math.fsum` for order-independent results. An exact block entropy
-reads only masses and how many words hold each (`mass_entropy`, which gives
-why the float equals the sum of one term per word): a table's distinct
-masses, or past 2^63, for a chain that emits its own state, its types'
-masses as fractions (`shifts.ShiftMeasure._types`). The canonical estimator
-for the entropy rate of a stationary measure is the conditional block
-entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
+reads only masses and how many words hold each (`mass_entropy`, which gives why the float
+equals the sum of one term per word): a table's distinct masses; below 2^63, for a chain
+that hides its state, its forward-vector classes' sums (`shifts.ShiftMeasure._classes`); or
+past 2^63, for one that emits it, its types' masses as fractions (`ShiftMeasure._types`).
+The canonical estimator for the entropy rate of a stationary measure is the conditional
+block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import InsufficientData, MonotonicityViolated, UnsupportedKind
 from .exact import entropy_nats, neg_xlogx
 from .record import Record
-from .shifts import CHUNK_SYMBOLS, Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype
+from .shifts import (CHUNK_SYMBOLS, Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype,
+                     _sum_runs)
 
 MONOTONE_SLACK = 1e-12
 VELTKAMP = 2.0**27 + 1  # splits a double into two halves of 26 significant bits
@@ -103,9 +104,16 @@ def mass_entropy(masses: Sequence[int], counts: Sequence[int], den) -> float:
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:
-    """H_L of the exact length-L cylinder distribution; from types where `mu._has_types(L)`."""
+    """H_L of the exact length-L cylinder distribution, guarded as `block_table`: from
+    forward-vector classes where `mu._has_classes(L)`, from types where `mu._has_types(L)`."""
     if length == 0:
         return 0.0
+    if mu._has_classes(length):  # where a table would hold every word
+        vecs, counts, _ = mu._classes(length)
+        masses = vecs.sum(axis=1)
+        order = np.argsort(masses)  # the classes of one mass share a logarithm
+        masses, counts = _sum_runs(masses[order], counts[order])
+        return mass_entropy(masses.tolist(), counts.tolist(), mu._den(length))
     if mu._has_types(length):  # where a table would hold a Python int per word
         _, nums, dens, types, _, counts = mu._types(length)
         return mass_entropy(nums, np.bincount(types, counts, len(nums)).astype(np.int64), dens)

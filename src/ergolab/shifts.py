@@ -30,6 +30,7 @@ words are plain tuples of element indices.
 
 from __future__ import annotations
 
+import logging
 import math
 from array import array
 from bisect import bisect_right
@@ -52,6 +53,8 @@ BERNOULLI_COUNT_MAX_SYMBOLS = 96  # above it a binary search beats one pass per 
 CHUNK_SYMBOLS = 1 << 16  # symbols per pass of a sampler's or the estimator's wide temporaries
 
 Word = tuple[int, ...]
+
+log = logging.getLogger(__name__)
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
@@ -275,13 +278,13 @@ class ShiftMeasure:
         """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
 
         A level steps each path along its last state's nonzero entries (`_steps`),
-        in ascending state order.
-        Under the identity emission the paths are their words, in code order,
-        and `last` is None. Otherwise the paths that share their word and last
-        state merge, in (word, last state) order, so a level holds at most
-        |G|^L * |states| of them. A level's numerators are at most its
-        denominator and take its `_num_dtype`: past 2^63 they are Python ints,
-        multiplied by the entries as Python ints.
+        in ascending state order. Under the identity emission the paths are their
+        words, in code order, and `last` is None. Otherwise the paths that share
+        their word and last state merge, in (word, last state) order, so a level
+        holds at most |G|^L * |states| of them; H_L reads `_classes` instead below
+        2^63. A level's numerators are at most its denominator and take its
+        `_num_dtype`: past 2^63 they are Python ints, multiplied by the entries as
+        Python ints.
         """
         paths = self._path_memo.get(length)
         if paths is None:
@@ -321,6 +324,63 @@ class ShiftMeasure:
         at = np.repeat(start[last] - (deg.cumsum() - deg), deg)  # each first step's place
         at += np.arange(len(at))
         return deg, at
+
+    def _has_classes(self, length: int) -> bool:
+        """Whether H_L sums over `_classes`: below 2^63, if the chain hides its state."""
+        return (0 < length and self._den(max(length, 2)) < 2**63  # d0 * dt, for `_blocks`
+                and self._chain[4] != tuple(range(self.system.alphabet.order)))
+
+    def _classes(self, length: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Level L, memoized: (vecs, counts, bounds), one forward vector per class of the words
+        that share it, each class's word count, and where each last symbol's run starts.
+
+        The words of one forward vector (the mass of their paths that end in each state) share
+        their mass and their children (Blackwell 1957). Rows bounds[b]:bounds[b + 1] end in b
+        and hold their vectors on S_b, the states that emit b, padded with zeros; their children
+        by c are the rows @ R[S_b, S_c]. Zero rows drop; the rest merge by one sort on (c, a hash
+        of the row), where a collision can only split a class. An entry is at most `_den(L)`, as
+        is every partial sum: int64 while `_has_classes(L)`."""
+        level = self._class_memo.get(length)
+        if level is None:
+            self._guard(length)
+            prev, counts, bounds = self._classes(length - 1)
+            blocks, weights = self._blocks
+            n, width = len(blocks) - 1, len(weights)
+            vecs = np.empty((len(prev), n, width), np.int64)
+            for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < hi:  # the run of b, on its |S_b| columns
+                    vecs[lo:hi] = (prev[lo:hi, : len(blocks[b])] @ blocks[b]).reshape(-1, n, width)
+            shift = 63 - n.bit_length()  # the symbol above the hash's low bits
+            keys = ((vecs @ weights) & ((1 << shift) - 1) | (np.arange(n) << shift)).ravel()
+            vecs = vecs.reshape(-1, width)
+            live = np.flatnonzero(vecs.any(axis=1))
+            order = live[np.argsort(keys[live])]
+            keys, vecs, counts = keys[order], vecs[order], np.repeat(counts, n)[order]
+            new = (keys[1:] != keys[:-1]) | (vecs[1:] != vecs[:-1]).any(axis=1)
+            starts = np.flatnonzero(np.concatenate(([True], new)))
+            bounds = np.searchsorted(keys[starts] >> shift, np.arange(n + 2)).tolist()
+            level = vecs[starts], np.add.reduceat(counts, starts), bounds
+            log.debug("%s classes at L=%d: %d for %d words", self.kind, length, len(starts),
+                      int(counts.sum()))
+            self._class_memo[length] = level
+        return level
+
+    @cached_property
+    def _class_memo(self) -> dict:  # the empty word, in a start state of symbol |G|, row init
+        return {0: (np.ones((1, 1), np.int64), np.ones(1, np.int64),
+                    [0] * (self.system.alphabet.order + 1) + [1])}
+
+    @cached_property
+    def _blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per symbol b (|G|: the start state's), R[S_b, S_c] for every c, side by side and each
+        padded to the widest S_c, in int64; and hash multipliers, powers of 2^64 / golden ratio."""
+        emit = np.array(self._chain[4] + (self.system.alphabet.order,))
+        states = [np.flatnonzero(emit == b) for b in range(emit[-1] + 1)]
+        zero = np.full(max(map(len, states)), len(emit) - 1)  # past the last state: zeros
+        cols = np.concatenate([np.append(s, zero[len(s) :]) for s in states[:-1]])
+        rows = np.hstack((_dense_rows(self._chain), np.zeros((len(emit), 1), np.int64)))
+        weights = (-0x61C8864680B583EB) ** np.arange(1, len(zero) + 1, dtype=np.int64)
+        return [rows[np.ix_(s, cols)] for s in states], weights
 
     def _has_types(self, length: int) -> bool:
         """Whether H_L sums over `_types`: past 2^63 on a chain that emits its own state."""

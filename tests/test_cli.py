@@ -1,7 +1,10 @@
 import copy
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -561,6 +564,52 @@ def test_out_path_ending_in_json_is_a_usage_error_before_any_run(tmp_path, capsy
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert f"JSON report {out} would overwrite the CSV report" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_path_equal_to_the_config_is_a_usage_error_before_any_run(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the CSV report would overwrite a config that does not end in .json
+    def no_run(scenarios):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("ergolab.cli.run_scenarios", no_run)
+    cfg = tmp_path / "cfg.csv"
+    cfg.write_text(json.dumps(full_config("independence")))
+    before = cfg.read_bytes()
+    assert main(["run", str(cfg), "--out", str(cfg)]) == 2
+    assert f"CSV report {cfg} would overwrite the config {cfg}" in capsys.readouterr().err
+    assert cfg.read_bytes() == before
+    assert not cfg.with_suffix(".json").exists()
+
+
+def test_run_debug_log_names_each_class_level_and_leaves_the_reports(tmp_path):
+    # H_L of a mixture reads forward-vector classes, one DEBUG line a level; a fresh
+    # interpreter, because pytest's own handlers make basicConfig a no-op here
+    doc = full_config("convolution_entropy", parameters={
+        "right": {"kind": "mixture", "components": [["1/3", BERN], ["2/3", "haar"]]}})
+    del doc["scenarios"][0]["parameters"]["expected"]
+    cfg = write_demo(tmp_path, doc)
+    env = {**os.environ, "PYTHONPATH": str(Path(scenarios.__file__).parents[1])}
+    reports, lines = {}, {}
+    for level in ("info", "debug"):
+        out = tmp_path / level / "r.csv"
+        out.parent.mkdir()
+        run = subprocess.run([sys.executable, "-c", "import sys; from ergolab.cli import main; "
+                              "sys.exit(main(sys.argv[1:]))", "run", str(cfg), "--out", str(out),
+                              "--log-level", level], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        lines[level] = re.findall(r"DEBUG (\w+) classes at L=(\d+): (\d+) for (\d+) words",
+                                  run.stderr)
+        reports[level] = out.read_bytes(), json.loads(out.with_suffix(".json").read_text())
+    # the right factor's trail, then the convolution's, itself a mixture of two Bernoullis:
+    # a word's class is its last symbol and its count of ones, and every word has mass
+    assert lines["info"] == []
+    assert lines["debug"] == [("mixture", str(n), str(2 * n), str(2**n)) for n in (1, 2, 3)] * 2
+    assert reports["info"][0] == reports["debug"][0]
+    for _, meta in reports.values():
+        for sc in meta["scenarios"]:
+            sc.pop("runtime_seconds")
+    assert reports["info"][1] == reports["debug"][1]
 
 
 @pytest.mark.parametrize("name", ["adir", "adir.json"])

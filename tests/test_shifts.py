@@ -1494,6 +1494,196 @@ def test_type_entropy_raises_at_the_same_depth_as_the_table():
             block_entropy(mu, deepest + 1)
 
 
+# -- forward-vector classes: H_L of a chain that does not emit its own state ----------------
+
+
+def _markov_c2():
+    return Markov.stationary(SYS2, [["2/3", "1/3"], ["1/4", "3/4"]])
+
+
+def _markov_c3():
+    return Markov.stationary(SYS3, [["1/2", "1/3", "1/6"], ["1/4", "1/2", "1/4"],
+                                    ["1/5", "2/5", "2/5"]])
+
+
+def _bernoulli_c3():
+    return Bernoulli(SYS3, measure(C3, [F(2, 17), F(5, 17), F(10, 17)]))
+
+
+def _s3_convolution():
+    # 36 states, 6 of them emitting each element of S3; every entry over 21
+    g = symmetric(3)
+    system = shift_space(g)
+    c = [F(k, 21) for k in range(1, 7)]
+    markov = Markov(system, tuple(tuple(c[(j - i) % 6] for j in range(6)) for i in range(6)),
+                    (F(1, 6),) * 6)
+    return Convolution(system, Bernoulli(system, measure(g, c[::-1])), markov)
+
+
+CLASS_CASES = [
+    ("periodic_10", lambda: PeriodicOrbit(SYS2, (1, 0)), 10),
+    ("periodic_0011", lambda: PeriodicOrbit(SYS2, (0, 0, 1, 1)), 10),
+    ("periodic_c3_2011", lambda: PeriodicOrbit(SYS3, (2, 0, 1, 1)), 7),
+    ("mixture", lambda: Mixture(SYS2, ((F(1, 3), bern("1/4")), (F(2, 3), _markov_c2()))), 10),
+    ("markov_x_periodic_c2", lambda: Convolution(SYS2, _markov_c2(),
+                                                 PeriodicOrbit(SYS2, (0, 1, 1))), 10),
+    ("bernoulli_x_periodic_c2", lambda: Convolution(SYS2, bern("5/17"),
+                                                    PeriodicOrbit(SYS2, (0, 1))), 10),
+    ("markov_x_periodic_c3", lambda: Convolution(SYS3, _markov_c3(),
+                                                 PeriodicOrbit(SYS3, (0, 2))), 7),
+    ("bernoulli_x_periodic_c3", lambda: Convolution(SYS3, _bernoulli_c3(),
+                                                    PeriodicOrbit(SYS3, (1, 0, 2))), 7),
+    ("markov_x_bernoulli", lambda: Convolution(SYS2, _markov_c2(), bern("1/3")), 10),
+    ("s3_convolution", _s3_convolution, 4),
+    ("product_with_orbit", lambda: product_system(_markov_c2(), PeriodicOrbit(SYS2, (0, 1, 1))),
+     6),
+    ("zero_row_entries", lambda: Convolution(SYS3, _markov_with_zeros(),
+                                             PeriodicOrbit(SYS3, (0, 0, 1))), 7),
+    # state 1 is transient, so its stationary mass is 0
+    ("zero_init_entry", lambda: Convolution(SYS2, Markov.stationary(
+        SYS2, [["1", "0"], ["1/2", "1/2"]]), PeriodicOrbit(SYS2, (0, 1))), 10),
+    ("skew_joint", lambda: _skew_joint_with_window_2(), 5),
+]
+
+
+@pytest.mark.parametrize("make, depth", [pytest.param(make, depth, id=name)
+                                         for name, make, depth in CLASS_CASES])
+def test_class_entropy_equals_the_table_entropy_and_builds_no_table(make, depth):
+    # every level up to a table of at most 4^6 words; the bound is the test's time, the
+    # guard itself is test_class_entropy_keeps_the_table_contract's
+    mu = make()
+    got = [block_entropy(mu, length) for length in range(depth + 1)]
+    assert all(mu._has_classes(length) for length in range(1, depth + 1))
+    assert mu._tables == {} and sorted(mu._class_memo) == list(range(depth + 1))
+    assert got[0] == 0.0
+    for length in range(1, depth + 1):
+        assert got[length] == table_entropy(mu.block_table(length)), length
+
+
+def test_class_cases_reach_what_they_name():
+    made = {name: make() for name, make, _ in CLASS_CASES}
+    for name, mu in made.items():
+        assert mu._chain[4] != tuple(range(mu.system.alphabet.order)), name
+    for name in ("periodic_10", "periodic_0011", "periodic_c3_2011"):
+        assert made[name].word != tuple(range(made[name].period)), name
+    # from some state, one symbol leads to two successors: the chain is not unifilar
+    rows, _, emit = made["markov_x_bernoulli"]._arrays
+    assert any(len(set(emit[row != 0].tolist())) < np.count_nonzero(row) for row in rows)
+    assert made["s3_convolution"].system.alphabet.order == 6
+    assert isinstance(made["product_with_orbit"], ProductMeasure)
+    assert (made["zero_row_entries"]._arrays[0] == 0).any()
+    assert 0 in made["zero_init_entry"]._chain[0]
+    assert made["skew_joint"].kind == "skew_joint"
+
+
+def _fraction_classes(mu, length):
+    """The words of positive mass grouped by (last symbol, forward vector on the states
+    that emit it), the vector of Fraction masses built word by word."""
+    init, d0, rows, dt, emit = mu._chain
+    classes = Counter()
+    for word in itertools.product(range(mu.system.alphabet.order), repeat=length):
+        vec = {s: F(init[s], d0) for s, e in enumerate(emit) if e == word[0]}
+        for symbol in word[1:]:
+            vec = {t: sum(p * F(rows[s][t], dt) for s, p in vec.items())
+                   for t, e in enumerate(emit) if e == symbol}
+        if any(vec.values()):
+            classes[word[-1], tuple(vec.values())] += 1
+    return classes
+
+
+@pytest.mark.parametrize("make, depth", [pytest.param(make, depth, id=name)
+                                         for name, make, depth in CLASS_CASES])
+def test_classes_are_the_words_grouped_by_fraction_forward_vectors(make, depth):
+    mu = make()
+    sizes = [len(block) for block in mu._blocks[0]]
+    for length in range(1, depth + 1):
+        if mu.system.alphabet.order**length > 3**6:
+            break
+        assert mu._has_classes(length)
+        vecs, counts, bounds = mu._classes(length)
+        den = mu._den(length)
+        got = Counter()
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for vec, count in zip(vecs[lo:hi, : sizes[b]].tolist(), counts[lo:hi].tolist()):
+                got[b, tuple(F(x, den) for x in vec)] += count
+        assert got == _fraction_classes(mu, length), length
+
+
+def test_hidden_state_levels_past_2_63_fall_back_to_the_table():
+    # entries over row sums near 2^7: the denominators pass 2^63 at L = 4
+    rng = random.Random(0)
+    raw = [[rng.randint(1, 2**6) for _ in range(3)] for _ in range(3)]
+    markov = Markov.stationary(SYS3, [[F(x, sum(row)) for x in row] for row in raw])
+    mu = Convolution(SYS3, markov, PeriodicOrbit(SYS3, (0, 1, 2)))
+    wide = next(length for length in range(1, 8) if mu._den(length) >= 2**63)
+    assert wide == 4
+    for length in range(1, wide + 2):
+        h = block_entropy(mu, length)
+        assert mu._has_classes(length) == (length < wide), length
+        assert (length in mu._tables) == (length >= wide), length
+        assert h == table_entropy(mu.block_table(length)), length
+    # row entries past 2^63 under a uniform init: `_blocks` holds no row even at L = 1
+    q = 2**64 + 13
+    flip = Markov(SYS2, ((F(15, q), F(q - 15, q)), (F(q - 15, q), F(15, q))), (F(1, 2),) * 2)
+    mu = Convolution(SYS2, flip, PeriodicOrbit(SYS2, (0, 1)))
+    assert mu._den(1) < 2**63 <= mu._chain[3] and not mu._has_classes(1)
+    for length in (1, 2, 3):
+        assert block_entropy(mu, length) == table_entropy(mu.block_table(length)), length
+    assert "_blocks" not in vars(mu)
+
+
+@pytest.mark.parametrize("make", [lambda: PeriodicOrbit(SYS2, (1, 0)),
+                                  lambda: Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1))),
+                                  lambda: _skew_joint_with_window_2()],
+                         ids=["periodic_10", "criterion_3_convolution", "skew_joint"])
+def test_class_entropy_keeps_the_table_contract(make):
+    mu = make()
+    deepest = next(length for length in itertools.count(1)
+                   if not _guard_allows(mu, length + 1))
+    for length in (-1, -2):
+        with pytest.raises(ValueError, match=f"block length must be >= 0, got {length}"):
+            block_entropy(mu, length)
+    assert block_entropy(mu, 0) == 0.0
+    with pytest.raises(DepthLimitExceeded):
+        block_entropy(mu, deepest + 1)
+    with pytest.raises(DepthLimitExceeded):
+        mu.block_table(deepest + 1)
+    assert deepest + 1 not in mu._class_memo and mu._tables == {}
+    if mu.system.alphabet.order == 2:  # every level to the guard, in a few classes each
+        h = [block_entropy(mu, length) for length in range(deepest + 1)]
+        assert max(len(mu._classes(length)[1]) for length in range(deepest + 1)) <= 2 * deepest
+        assert all(a - b >= -1e-15 for a, b in zip(np.diff(h), np.diff(h)[1:]))
+
+
+def _guard_allows(mu, length):
+    try:
+        mu._guard(length)
+    except DepthLimitExceeded:
+        return False
+    return True
+
+
+def test_s4_circulant_convolution_entropy_takes_less_memory_than_its_table():
+    # a 24-symbol Bernoulli * Markov convolution on S4, 576 states, 24 for each symbol;
+    # H_1..H_3 from classes against H_1..H_2 from tables, each measure built fresh
+    g = symmetric(4)
+    system = shift_space(g)
+    c = range(1, 25)
+    markov_rows = tuple(tuple(F(c[(j - i) % 24], 300) for j in range(24)) for i in range(24))
+
+    def make():
+        return Convolution(system, Bernoulli(system, measure(g, [F(k, 300) for k in c])),
+                           Markov(system, markov_rows, (F(1, 24),) * 24))
+
+    Bernoulli(SYS2, haar(C2)).block_table(2)  # numpy's first-call set-up is not working memory
+    by_class, by_table = [], []
+    classes = _traced_peak(lambda: by_class.extend(block_entropy(make(), L) for L in (1, 2, 3)))
+    tables = _traced_peak(lambda: by_table.extend(table_entropy(make().block_table(L))
+                                                  for L in (1, 2)))
+    assert by_class[:2] == by_table
+    assert classes <= tables
+
+
 # -- the sparse successor step against the dense gather -------------------------------
 
 
