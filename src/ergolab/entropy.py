@@ -4,11 +4,13 @@ Everything is in nats. Probabilities arrive as exact rationals and become
 floats by one correctly rounded division each (`quotients`); float sums go
 through `math.fsum` for order-independent results. An exact block entropy
 reads only masses and how many words hold each (`mass_entropy`, which gives why the float
-equals the sum of one term per word): a table's distinct masses; below 2^63, for a chain
-that hides its state, its forward-vector classes' sums (`shifts.ShiftMeasure._classes`); or
-past 2^63, for one that emits it, its types' masses as fractions (`ShiftMeasure._types`).
-The canonical estimator for the entropy rate of a stationary measure is the conditional
-block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound on the rate.
+equals the sum of one term per word), never a block table: a chain that emits its own state
+has one path per word, so its words' masses are its types' (`shifts.ShiftMeasure._types`),
+fractions whose parts depend only on how often the path steps by each entry; a chain that
+hides its state sums over paths, so they are its forward-vector classes' sums
+(`ShiftMeasure._classes`). The canonical estimator for the entropy rate of a stationary
+measure is the conditional block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound
+on the rate.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 from .errors import InsufficientData, MonotonicityViolated, UnsupportedKind
 from .exact import entropy_nats, neg_xlogx
 from .record import Record
-from .shifts import (CHUNK_SYMBOLS, Bernoulli, BlockTable, Markov, ShiftMeasure, _code_dtype,
-                     _sum_runs)
+from .shifts import CHUNK_SYMBOLS, Bernoulli, Markov, ShiftMeasure, _code_dtype, _sum_runs
 
 MONOTONE_SLACK = 1e-12
 VELTKAMP = 2.0**27 + 1  # splits a double into two halves of 26 significant bits
@@ -45,19 +46,14 @@ class EntropyEstimate(Record):
     note: str = ""
 
 
-def table_entropy(table: BlockTable) -> float:
-    """-sum p ln p over an exact block table, one logarithm per distinct mass."""
-    return mass_entropy(*table.mass_counts, table.den)
-
-
-def quotients(nums: Sequence[int], dens) -> np.ndarray:
+def quotients(nums: np.ndarray, dens) -> np.ndarray:
     """float(Fraction(num, den)) for each num, over one den or its own (an array like nums).
     IEEE division of two operands below 2^53, exact in float64, rounds correctly; so does
     Python's int / int, which divides the others."""
     if not isinstance(dens, np.ndarray):  # one den
-        if dens < 2**53 and max(nums, default=0) < 2**53:
-            return np.array(nums, float) / dens
-        return np.fromiter(map(truediv, np.asarray(nums, object), repeat(dens)), float, len(nums))
+        if dens < 2**53 and nums.max(initial=0) < 2**53:
+            return nums.astype(float) / dens
+        return np.fromiter(map(truediv, nums.tolist(), repeat(dens)), float, len(nums))
     p = nums / dens  # float64 division of int64s, or int / int on Python ints
     if p.dtype == object:
         return p.astype(float)
@@ -66,7 +62,7 @@ def quotients(nums: Sequence[int], dens) -> np.ndarray:
     return p
 
 
-def mass_entropy(masses: Sequence[int], counts: Sequence[int], den) -> float:
+def mass_entropy(masses: np.ndarray, counts: np.ndarray, den) -> float:
     """-sum p ln p over words: `counts[i]` of them of mass `masses[i]` / den (or / den[i]).
 
     Each mass's term is Veltkamp-split into hi + lo, each of at most 26 significant bits,
@@ -75,15 +71,17 @@ def mass_entropy(masses: Sequence[int], counts: Sequence[int], den) -> float:
     sees is exact, so the sum is the correctly rounded sum of one term per word, however
     the words are grouped: a mass listed twice gives the same float.
 
-    With one den and fewer than ENTROPY_ARRAY_MIN_MASSES masses, each term is computed
-    on its own; otherwise the `quotients`, split and products are array passes and
-    math.log maps over them, so each term is the per-mass loop's.
+    The masses and counts are integer arrays, int64 or Python ints, and so is den where
+    each mass has its own. With fewer than ENTROPY_ARRAY_MIN_MASSES masses, each term is
+    computed on its own; otherwise the `quotients`, split and products are array passes
+    and math.log maps over them, so each term is the per-mass loop's.
     """
-    if len(masses) < ENTROPY_ARRAY_MIN_MASSES and not isinstance(den, np.ndarray):
+    if len(masses) < ENTROPY_ARRAY_MIN_MASSES:
+        dens = den.tolist() if isinstance(den, np.ndarray) else repeat(den)
         terms = []
-        for num, count in zip(masses, counts):
+        for num, d, count in zip(masses.tolist(), dens, counts.tolist()):
             # int / int is correctly rounded, so each term equals neg_xlogx(float(Fraction))
-            x = neg_xlogx(num / den)
+            x = neg_xlogx(num / d)
             t = VELTKAMP * x
             hi = t - (t - x)
             rare = x < SPLIT_MIN_TERM or count >= SPLIT_MAX_COUNT
@@ -92,7 +90,7 @@ def mass_entropy(masses: Sequence[int], counts: Sequence[int], den) -> float:
     p = quotients(masses, den)
     # a zero mass (or quotient) takes log(1.0), so a zero term, which fsum ignores
     x = -1.0 * p * np.fromiter(map(math.log, memoryview(p + (p == 0.0))), float, len(p))
-    counts = np.array(counts, dtype=float)
+    counts = counts.astype(float)
     rare = np.flatnonzero((x < SPLIT_MIN_TERM) | (counts >= SPLIT_MAX_COUNT))
     terms = [term for term, count in zip(x[rare].tolist(), counts[rare].tolist())
              for term in repeat(term, int(count))]
@@ -104,20 +102,21 @@ def mass_entropy(masses: Sequence[int], counts: Sequence[int], den) -> float:
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:
-    """H_L of the exact length-L cylinder distribution, guarded as `block_table`: from
-    forward-vector classes where `mu._has_classes(L)`, from types where `mu._has_types(L)`."""
+    """H_L of the exact length-L cylinder distribution, guarded as `block_table`, by the
+    chain's shape: a chain that emits its own state has one path per word, so a word's
+    mass is a product and the words of one type share it (`_types`); one that hides its
+    state sums over paths, so the words of one forward vector share it (`_classes`)."""
+    if length < 0:
+        raise ValueError(f"block length must be >= 0, got {length}")
     if length == 0:
         return 0.0
-    if mu._has_classes(length):  # where a table would hold every word
-        vecs, counts, _ = mu._classes(length)
-        masses = vecs.sum(axis=1)
-        order = np.argsort(masses)  # the classes of one mass share a logarithm
-        masses, counts = _sum_runs(masses[order], counts[order])
-        return mass_entropy(masses.tolist(), counts.tolist(), mu._den(length))
-    if mu._has_types(length):  # where a table would hold a Python int per word
+    if mu._chain[4] == tuple(range(mu.system.alphabet.order)):
         _, nums, dens, types, _, counts = mu._types(length)
         return mass_entropy(nums, np.bincount(types, counts, len(nums)).astype(np.int64), dens)
-    return table_entropy(mu.block_table(length))
+    vecs, counts, _ = mu._classes(length)
+    masses = vecs.sum(axis=1)
+    order = np.argsort(masses)  # the classes of one mass share a logarithm
+    return mass_entropy(*_sum_runs(masses[order], counts[order]), mu._den(length))
 
 
 def entropy_rate(mu: ShiftMeasure, L_max: int, tol: float = 1e-9) -> EntropyEstimate:

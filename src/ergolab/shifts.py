@@ -34,7 +34,6 @@ import logging
 import math
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -48,6 +47,7 @@ from .record import Record, replace
 
 DEPTH_GUARD_STATES = 2**24
 # above every level 2^24 block states allow on two or more symbols, so above every type count
+# (on one symbol a level holds one word, so one type)
 TYPE_RADIX = DEPTH_GUARD_STATES.bit_length()
 BERNOULLI_COUNT_MAX_SYMBOLS = 96  # above it a binary search beats one pass per bound
 CHUNK_SYMBOLS = 1 << 16  # symbols per pass of a sampler's or the estimator's wide temporaries
@@ -111,20 +111,6 @@ class BlockTable(Record):
     def digits(self) -> np.ndarray:
         """The support words, one row of symbols each."""
         return self.codes[:, None] // _place_values(self.base, self.length) % self.base
-
-    @cached_property
-    def mass_counts(self) -> tuple[list[int], list[int]]:
-        """The distinct numerators, as Python ints, with the number of entries that hold each.
-
-        They are the runs of the sorted numerators on an int64 table, and a
-        Counter over Python ints.
-        """
-        if self.nums.dtype == object:
-            counts = Counter(self.nums.tolist())
-            return list(counts), list(counts.values())
-        nums = np.sort(self.nums)
-        last = np.flatnonzero(nums[:-1] != nums[1:]).tolist() + [len(nums) - 1]  # of a run
-        return nums[last].tolist(), [b - a for a, b in zip([-1] + last, last)]
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Numerators of the words with the given codes; 0 off the support."""
@@ -281,10 +267,10 @@ class ShiftMeasure:
         in ascending state order. Under the identity emission the paths are their
         words, in code order, and `last` is None. Otherwise the paths that share
         their word and last state merge, in (word, last state) order, so a level
-        holds at most |G|^L * |states| of them; H_L reads `_classes` instead below
-        2^63. A level's numerators are at most its denominator and take its
-        `_num_dtype`: past 2^63 they are Python ints, multiplied by the entries as
-        Python ints.
+        holds at most |G|^L * |states| of them. Tables are built from them; H_L reads
+        `_types` or `_classes` instead. A level's numerators are at most its
+        denominator and take its `_num_dtype`: past 2^63 they are Python ints,
+        multiplied by the entries as Python ints.
         """
         paths = self._path_memo.get(length)
         if paths is None:
@@ -325,11 +311,6 @@ class ShiftMeasure:
         at += np.arange(len(at))
         return deg, at
 
-    def _has_classes(self, length: int) -> bool:
-        """Whether H_L sums over `_classes`: below 2^63, if the chain hides its state."""
-        return (0 < length and self._den(max(length, 2)) < 2**63  # d0 * dt, for `_blocks`
-                and self._chain[4] != tuple(range(self.system.alphabet.order)))
-
     def _classes(self, length: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Level L, memoized: (vecs, counts, bounds), one forward vector per class of the words
         that share it, each class's word count, and where each last symbol's run starts.
@@ -339,19 +320,22 @@ class ShiftMeasure:
         and hold their vectors on S_b, the states that emit b, padded with zeros; their children
         by c are the rows @ R[S_b, S_c]. Zero rows drop; the rest merge by one sort on (c, a hash
         of the row), where a collision can only split a class. An entry is at most `_den(L)`, as
-        is every partial sum: int64 while `_has_classes(L)`."""
+        is every partial sum, so a level takes its `_num_dtype`: int64 below 2^63 and Python
+        ints past it, where the hash is taken exactly and masked back to int64."""
         level = self._class_memo.get(length)
         if level is None:
             self._guard(length)
             prev, counts, bounds = self._classes(length - 1)
             blocks, weights = self._blocks
             n, width = len(blocks) - 1, len(weights)
-            vecs = np.empty((len(prev), n, width), np.int64)
+            dtype = _num_dtype(self._den(length))
+            prev, vecs = prev.astype(dtype, copy=False), np.empty((len(prev), n, width), dtype)
             for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 if lo < hi:  # the run of b, on its |S_b| columns
                     vecs[lo:hi] = (prev[lo:hi, : len(blocks[b])] @ blocks[b]).reshape(-1, n, width)
             shift = 63 - n.bit_length()  # the symbol above the hash's low bits
-            keys = ((vecs @ weights) & ((1 << shift) - 1) | (np.arange(n) << shift)).ravel()
+            hashes = (vecs @ weights & (1 << shift) - 1).astype(np.int64, copy=False)
+            keys = (hashes | np.arange(n) << shift).ravel()
             vecs = vecs.reshape(-1, width)
             live = np.flatnonzero(vecs.any(axis=1))
             order = live[np.argsort(keys[live])]
@@ -373,7 +357,8 @@ class ShiftMeasure:
     @cached_property
     def _blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
         """Per symbol b (|G|: the start state's), R[S_b, S_c] for every c, side by side and each
-        padded to the widest S_c, in int64; and hash multipliers, powers of 2^64 / golden ratio."""
+        padded to the widest S_c, in the dense rows' dtype; and hash multipliers, powers of
+        2^64 / golden ratio in int64."""
         emit = np.array(self._chain[4] + (self.system.alphabet.order,))
         states = [np.flatnonzero(emit == b) for b in range(emit[-1] + 1)]
         zero = np.full(max(map(len, states)), len(emit) - 1)  # past the last state: zeros
@@ -381,11 +366,6 @@ class ShiftMeasure:
         rows = np.hstack((_dense_rows(self._chain), np.zeros((len(emit), 1), np.int64)))
         weights = (-0x61C8864680B583EB) ** np.arange(1, len(zero) + 1, dtype=np.int64)
         return [rows[np.ix_(s, cols)] for s in states], weights
-
-    def _has_types(self, length: int) -> bool:
-        """Whether H_L sums over `_types`: past 2^63 on a chain that emits its own state."""
-        return (0 < length < TYPE_RADIX and self._den(length) >= 2**63
-                and self._chain[4] == tuple(range(self.system.alphabet.order)))
 
     def _types(self, length: int) -> tuple:
         """Level L, memoized: (keys, nums, dens, types, last, counts), its types' keys and
@@ -397,7 +377,9 @@ class ShiftMeasure:
         + last, gives the classes and the types as its runs. A mass is the fraction nums /
         dens, its parent's times its step's entry in lowest terms (`_type_steps`), reduced
         where int64 dens pass 2^53, and in Python ints from where it would pass 2^63. Where
-        keys would, they are None and a type is its mass: Python ints over dens = `_den(L)`.
+        keys would, they are None and a type is its mass: numerators over dens = `_den(L)`,
+        held as `_paths` holds them, in the `_num_dtype` of the class keys mass * |states|
+        + last.
         """
         level = self._type_memo.get(length)
         if level is None:
@@ -406,8 +388,12 @@ class ShiftMeasure:
             deg, at = self._children(last)
             size = len(self._chain[0])
             parent = np.repeat(types, deg)
-            key = (nums[parent] * self._steps[2][at] * size + self._steps[1][at] if keys is None
-                   else keys[parent] * size + self._type_steps[0][at])  # by mass, or by type
+            if keys is None:  # by mass, in room for mass * |states| + last
+                wide = _num_dtype((self._den(length) + 1) * size)
+                key = nums.astype(wide, copy=False)[parent] * self._steps[2][at] * size
+                key += self._steps[1][at]
+            else:  # by type
+                key = keys[parent] * size + self._type_steps[0][at]
             order = np.argsort(key)
             key = key[order]
             starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -429,13 +415,15 @@ class ShiftMeasure:
                 else:  # Python ints from this level on
                     nums, dens = nums.astype(object) * v[step], dens.astype(object) * d[step]
             level = self._type_memo[length] = (keys, nums, dens, first.cumsum() - 1, last, counts)
+            log.debug("%s types at L=%d: %d types in %d classes for %d words", self.kind, length,
+                      len(nums), len(counts), int(counts.sum()))
         return level
 
     @cached_property
     def _type_memo(self) -> dict:
         # the empty word, of the empty type and mass 1, in the start state whose row is init
         zero, one = np.zeros(1, np.int64), np.ones(1, self._steps[2].dtype)
-        level = (None, one.astype(object), 1) if self._type_steps[0] is None else (zero, one, one)
+        level = (None, one, 1) if self._type_steps[0] is None else (zero, one, one)
         return {0: (*level, zero, np.array([len(self._chain[0])]), np.ones(1, np.int64))}
 
     @cached_property

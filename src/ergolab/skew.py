@@ -8,7 +8,8 @@ fiber case, point fibers freeze the fiber coordinate, and rational mixtures
 of those realize the convexity checks. Fiber and mixture weights pass
 `exact.exact_vector`, so a float raises TypeError. The joint process
 (x_t, g_t) is the output of a finite chain, `SkewMeasure.joint`, so its
-tables, invariance and ergodicity come from the shift-measure chain core.
+tables, block entropies, invariance and ergodicity come from the
+shift-measure chain core.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropy import EntropyEstimate, closed_form_entropy, entropy_rate
-from .entropy import table_entropy, trail_estimate
+from .entropy import EntropyEstimate, block_entropy, closed_form_entropy, entropy_rate
+from .entropy import trail_estimate
 from .errors import DepthLimitExceeded, NotAutomorphism, PhiIncomplete, SystemMismatch
 from .exact import exact_vector
 from .groups import DenseMeasure, FiniteGroup, GroupHom, convolve, direct_product, haar
@@ -258,7 +259,7 @@ def invariant_measures_in_fiber(sys: SkewSystem, mu0: ShiftMeasure) -> list[Skew
 
 
 def skew_entropy(mu: SkewMeasure, L: int) -> EntropyEstimate:
-    """Entropy of the joint (base symbol, fiber) process, from the joint's tables.
+    """Entropy of the joint (base symbol, fiber) process, from the joint's block entropies.
 
     A finite fiber adds no entropy (Abramov-Rokhlin), so Bernoulli and Markov
     bases under a Haar or point fiber get the base's closed-form rate, and
@@ -268,7 +269,7 @@ def skew_entropy(mu: SkewMeasure, L: int) -> EntropyEstimate:
     base = mu.base_measure
     closed = isinstance(base, (Bernoulli, Markov)) and mu.kind in ("haar_fiber", "point_fiber")
     return trail_estimate(
-        (table_entropy(mu.joint.block_table(ell)) for ell in range(1, L + 1)),
+        (block_entropy(mu.joint, ell) for ell in range(1, L + 1)),
         tol=1e-9,
         closed_form=closed_form_entropy(base) if closed else None,
     )

@@ -583,14 +583,15 @@ def test_out_path_equal_to_the_config_is_a_usage_error_before_any_run(tmp_path, 
 
 
 def test_run_debug_log_names_each_class_level_and_leaves_the_reports(tmp_path):
-    # H_L of a mixture reads forward-vector classes, one DEBUG line a level; a fresh
-    # interpreter, because pytest's own handlers make basicConfig a no-op here
+    # H_L of a mixture reads forward-vector classes and H_L of a Bernoulli mass types, one
+    # DEBUG line a level; a fresh interpreter, because pytest's own handlers make
+    # basicConfig a no-op here
     doc = full_config("convolution_entropy", parameters={
         "right": {"kind": "mixture", "components": [["1/3", BERN], ["2/3", "haar"]]}})
     del doc["scenarios"][0]["parameters"]["expected"]
     cfg = write_demo(tmp_path, doc)
     env = {**os.environ, "PYTHONPATH": str(Path(scenarios.__file__).parents[1])}
-    reports, lines = {}, {}
+    reports, lines, types = {}, {}, {}
     for level in ("info", "debug"):
         out = tmp_path / level / "r.csv"
         out.parent.mkdir()
@@ -600,11 +601,18 @@ def test_run_debug_log_names_each_class_level_and_leaves_the_reports(tmp_path):
         assert run.returncode == 0, run.stderr
         lines[level] = re.findall(r"DEBUG (\w+) classes at L=(\d+): (\d+) for (\d+) words",
                                   run.stderr)
+        types[level] = re.findall(r"DEBUG (\w+) types at L=(\d+): (\d+) types in (\d+) classes "
+                                  r"for (\d+) words", run.stderr)
         reports[level] = out.read_bytes(), json.loads(out.with_suffix(".json").read_text())
     # the right factor's trail, then the convolution's, itself a mixture of two Bernoullis:
     # a word's class is its last symbol and its count of ones, and every word has mass
     assert lines["info"] == []
     assert lines["debug"] == [("mixture", str(n), str(2 * n), str(2**n)) for n in (1, 2, 3)] * 2
+    # the left factor's trail: a word's type is its count of ones, and its class that count
+    # with its last symbol
+    assert types["info"] == []
+    assert types["debug"] == [("bernoulli", str(n), str(n + 1), str(2 * n), str(2**n))
+                              for n in (1, 2, 3)]
     assert reports["info"][0] == reports["debug"][0]
     for _, meta in reports.values():
         for sc in meta["scenarios"]:

@@ -14,7 +14,6 @@ from ergolab.entropy import (
     closed_form_entropy,
     empirical_block_entropy,
     entropy_rate,
-    table_entropy,
 )
 from ergolab.errors import InsufficientData, MonotonicityViolated, UnsupportedKind
 from ergolab.exact import entropy_nats, neg_xlogx
@@ -246,6 +245,22 @@ def _per_entry_table_entropy(table: BlockTable) -> float:
     return math.fsum(neg_xlogx(num / den) for num in table.nums.tolist())
 
 
+def _ints(values) -> np.ndarray:
+    """Integers as `mass_entropy` takes them: int64 below 2^63, Python ints past it."""
+    values = np.asarray(values, object).tolist()
+    return np.array(values, np.int64 if max(values, default=0) < 2**63 else object)
+
+
+def _mass_counts(table: BlockTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's distinct numerators, ascending, and how many entries hold each."""
+    return np.unique(table.nums, return_counts=True)
+
+
+def _table_entropy(table: BlockTable) -> float:
+    """H of a table by `mass_entropy` over its distinct numerators, one logarithm each."""
+    return entropy.mass_entropy(*_mass_counts(table), table.den)
+
+
 C3 = cyclic(3)
 SYS3 = shift_space(C3)
 ORACLE_STATES = 2**12  # the largest table each kind is checked on
@@ -273,7 +288,7 @@ def test_table_entropy_equals_per_entry_sum_for_every_kind(mu):
     length = 0
     while mu.system.alphabet.order**length <= ORACLE_STATES:
         table = mu.block_table(length)
-        assert table_entropy(table) == _per_entry_table_entropy(table), length
+        assert _table_entropy(table) == _per_entry_table_entropy(table), length
         assert block_entropy(mu, length) == _per_entry_table_entropy(table), length
         length += 1
     assert length >= 6
@@ -283,7 +298,7 @@ def test_table_entropy_of_one_atom_is_positive_zero():
     tables = [bern("1/4").block_table(0), PeriodicOrbit(SYS3, (2,)).block_table(3)]
     tables += [PeriodicOrbit(SYS2, (0,)).block_table(length) for length in range(4)]
     for table in tables:
-        h = table_entropy(table)
+        h = _table_entropy(table)
         assert h == _per_entry_table_entropy(table) == 0.0
         assert math.copysign(1.0, h) == 1.0  # neg_xlogx(1.0) is -0.0
 
@@ -294,16 +309,16 @@ def test_table_entropy_with_a_denominator_past_int64():
     for length in (1, 2, 5):
         table = mu.block_table(length)
         assert table.den > 2**63 and table.nums.dtype == object
-        assert table_entropy(table) == _per_entry_table_entropy(table)
+        assert _table_entropy(table) == _per_entry_table_entropy(table)
     wide = BlockTable(2, 2, np.arange(4), np.array([2**70, 2**70, 3, 2**71 - 3], object), 2**72)
-    assert table_entropy(wide) == _per_entry_table_entropy(wide)
+    assert _table_entropy(wide) == _per_entry_table_entropy(wide)
 
 
 def test_table_entropy_of_a_scaled_table_with_zero_numerators():
     padded = BlockTable(2, 3, np.arange(8), np.array([2, 0, 1, 0, 0, 3, 0, 1], object), 7)
     for table in (padded.scaled(F(3, 5)), MARKOV_23.block_table(3).scaled(F(0))):
         assert (table.nums == 0).any()
-        assert table_entropy(table) == _per_entry_table_entropy(table)
+        assert _table_entropy(table) == _per_entry_table_entropy(table)
 
 
 @st.composite
@@ -322,7 +337,7 @@ def _random_table(draw):
 @settings(max_examples=100, deadline=None)
 @given(_random_table())
 def test_table_entropy_equals_per_entry_sum_on_random_tables(table):
-    assert table_entropy(table) == _per_entry_table_entropy(table)
+    assert _table_entropy(table) == _per_entry_table_entropy(table)
 
 
 @pytest.mark.parametrize("repeats", [2, 3, 2**10 + 1, 2**20])
@@ -336,7 +351,7 @@ def test_table_entropy_of_one_mass_repeated_many_times(repeats, wide):
     nums = [mass] * repeats + others + [0, den - mass * repeats - sum(others)]
     table = BlockTable(2, 21, np.arange(len(nums)), np.array(nums, object if wide else np.int64),
                        den)
-    assert table_entropy(table) == _per_entry_table_entropy(table)
+    assert _table_entropy(table) == _per_entry_table_entropy(table)
 
 
 def test_table_entropy_of_terms_below_the_split_range():
@@ -345,9 +360,9 @@ def test_table_entropy_of_terms_below_the_split_range():
     assert 0 < neg_xlogx(tiny / den) < 2.0**-969
     nums = [tiny] * 7 + [3 * tiny] * 2 + [den // 3, den - den // 3 - 13 * tiny]
     table = BlockTable(2, 4, np.arange(len(nums)), np.array(nums, object), den)
-    assert table_entropy(table) == _per_entry_table_entropy(table)
+    assert _table_entropy(table) == _per_entry_table_entropy(table)
     small = BlockTable(2, 2, np.arange(3), np.array([tiny, tiny, den - 2 * tiny], object), den)
-    assert table_entropy(small) == _per_entry_table_entropy(small)
+    assert _table_entropy(small) == _per_entry_table_entropy(small)
 
 
 ARRAY_MIN = entropy.ENTROPY_ARRAY_MIN_MASSES
@@ -372,27 +387,27 @@ def test_table_entropy_at_the_array_crossover(offset, den_bits):
     rng = random.Random(3 * den_bits + offset)
     table = _table_with_masses(ARRAY_MIN + offset, rng.randrange(2 ** (den_bits - 1),
                                                                  2**den_bits), rng)
-    assert len(table.mass_counts[0]) == ARRAY_MIN + offset
-    assert table_entropy(table) == _per_entry_table_entropy(table)
+    assert len(_mass_counts(table)[0]) == ARRAY_MIN + offset
+    assert _table_entropy(table) == _per_entry_table_entropy(table)
 
 
 def test_table_entropy_array_path_with_a_zero_numerator():
     table = _table_with_masses(ARRAY_MIN, 2**40 + 7, random.Random(0), zero=True)
-    assert 0 in table.mass_counts[0] and len(table.mass_counts[0]) == ARRAY_MIN + 1
-    assert table_entropy(table) == _per_entry_table_entropy(table)
+    assert 0 in _mass_counts(table)[0] and len(_mass_counts(table)[0]) == ARRAY_MIN + 1
+    assert _table_entropy(table) == _per_entry_table_entropy(table)
 
 
 def _exact_repeated_sum(masses, counts, den):
     """The correctly rounded sum of each mass's term repeated by its count, as fsum of the
     repeated terms gives it, from one exact rational sum."""
+    masses, counts = np.asarray(masses, object).tolist(), np.asarray(counts, object).tolist()
     return float(sum(F(neg_xlogx(num / den)) * count for num, count in zip(masses, counts)))
 
 
 def test_table_entropy_array_path_repeats_terms_outside_the_split_range(monkeypatch):
     # terms below 2^-969 and counts from SPLIT_MAX_COUNT on repeat. The count bound is
     # lowered from 2^26 to 2^12 so that the repeated list stays small; the masses go to
-    # mass_entropy, which table_entropy calls, with their counts, as their table would
-    # hold 2^13 words
+    # mass_entropy with their counts, as their table would hold 2^13 words
     monkeypatch.setattr(entropy, "SPLIT_MAX_COUNT", 2**12)
     den = 2**1000
     masses = [2**20 + i for i in range(8)]  # terms near 2^-970.6
@@ -401,15 +416,17 @@ def test_table_entropy_array_path_repeats_terms_outside_the_split_range(monkeypa
     counts = [5] * 8 + [2**12, 2**12 + 3] + [1 + i % 4 for i in range(ARRAY_MIN)]
     assert all(0 < neg_xlogx(m / den) < entropy.SPLIT_MIN_TERM for m in masses[:8])
     assert sum(m * c for m, c in zip(masses, counts)) < den
-    h = entropy.mass_entropy(masses, counts, den)
+    h = entropy.mass_entropy(_ints(masses), _ints(counts), den)
     assert h == _exact_repeated_sum(masses, counts, den)
     monkeypatch.setattr(entropy, "ENTROPY_ARRAY_MIN_MASSES", 10**9)
-    assert entropy.mass_entropy(masses, counts, den) == h  # the per-mass loop
+    assert entropy.mass_entropy(_ints(masses), _ints(counts), den) == h  # the per-mass loop
 
 
 def _split(masses, counts, i, part):
     """The same words with mass i's count split into part and the rest, as two entries."""
-    return masses + [masses[i]], counts[:i] + [counts[i] - part] + counts[i + 1 :] + [part]
+    masses, counts = np.asarray(masses, object).tolist(), np.asarray(counts, object).tolist()
+    return (_ints(masses + [masses[i]]),
+            _ints(counts[:i] + [counts[i] - part] + counts[i + 1 :] + [part]))
 
 
 @pytest.mark.parametrize("k", [8, ARRAY_MIN], ids=["per_mass_loop", "array_passes"])
@@ -422,7 +439,7 @@ def test_mass_entropy_is_unchanged_when_a_mass_is_split(k, monkeypatch):
     masses += [(den >> 8) + 977 * i for i in range(k - len(masses))]
     counts = [5, 2**12, 2**12 + 3] + [1 + i % 4 for i in range(k - 3)]
     assert neg_xlogx(masses[0] / den) < entropy.SPLIT_MIN_TERM
-    h = entropy.mass_entropy(masses, counts, den)
+    h = entropy.mass_entropy(_ints(masses), _ints(counts), den)
     assert h == _exact_repeated_sum(masses, counts, den)
     for i, part in [(0, 2), (1, 1), (1, 2**11), (2, 4), (k - 1, 1), (k - 2, 2)]:
         split = _split(masses, counts, i, part)
@@ -430,8 +447,8 @@ def test_mass_entropy_is_unchanged_when_a_mass_is_split(k, monkeypatch):
         assert entropy.mass_entropy(*split, den) == h, (i, part)
     small = BlockTable(2, 10, np.arange(k), np.arange(1, k + 1, dtype=np.int64), k * (k + 1))
     for i in range(k):  # one word per mass, each split off as one of two entries
-        assert entropy.mass_entropy(*_split(*small.mass_counts, i, 1), small.den) == (
-            table_entropy(small))
+        assert entropy.mass_entropy(*_split(*_mass_counts(small), i, 1), small.den) == (
+            _table_entropy(small))
 
 
 # operands on both sides of 2^53 (exact in float64) and of 2^63 (int64)
@@ -462,15 +479,15 @@ def test_mass_entropy_terms_are_the_same_on_both_paths():
     rng = random.Random(11)
     den = rng.randrange(2**70, 2**71)
     masses = [rng.randrange(1, den // ARRAY_MIN) for _ in range(ARRAY_MIN)]
-    loop = [entropy.mass_entropy([m], [1], den) for m in masses]
-    arrays = [entropy.mass_entropy([m] + [0] * (ARRAY_MIN - 1), [1] * ARRAY_MIN, den)
+    loop = [entropy.mass_entropy(_ints([m]), _ints([1]), den) for m in masses]
+    arrays = [entropy.mass_entropy(_ints([m] + [0] * (ARRAY_MIN - 1)), _ints([1] * ARRAY_MIN), den)
               for m in masses]
     assert loop == arrays == [neg_xlogx(m / den) for m in masses]
 
 
 def test_exact_repeated_sum_is_the_per_entry_oracle():
     table = _table_with_masses(ARRAY_MIN, 2**61 + 1, random.Random(5))
-    assert _exact_repeated_sum(*table.mass_counts, table.den) == _per_entry_table_entropy(table)
+    assert _exact_repeated_sum(*_mass_counts(table), table.den) == _per_entry_table_entropy(table)
 
 
 def test_table_entropy_divides_exactly_past_2_53():
@@ -483,12 +500,12 @@ def test_table_entropy_divides_exactly_past_2_53():
     nums = small + [rest // 3 + rng.randrange(2**30)]
     nums.append(rest - nums[-1])
     table = BlockTable(2, 20, np.arange(len(nums)), np.array(nums, np.int64), den)
-    masses, counts = table.mass_counts
+    masses, counts = _mass_counts(table)
     assert len(masses) >= ARRAY_MIN
     rounded = (np.array(masses, dtype=float) / float(den)).tolist()
     naive = math.fsum(-p * math.log(p) * count for p, count in zip(rounded, counts))
     assert naive != _per_entry_table_entropy(table)
-    assert table_entropy(table) == _per_entry_table_entropy(table)
+    assert _table_entropy(table) == _per_entry_table_entropy(table)
 
 
 # -- convolution entropy inequalities (estimator-level shadows) -----------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ergolab import cyclic, haar, identity_hom, measure, shifts, skew, symmetric
 from ergolab.acceptance import _random_stochastic_rows
 from ergolab.groups import direct_product
-from ergolab.entropy import block_entropy, closed_form_entropy, mass_entropy, table_entropy
+from ergolab.entropy import block_entropy, closed_form_entropy, entropy_rate, mass_entropy
 from ergolab.errors import (
     DepthLimitExceeded,
     SystemMismatch,
@@ -1252,6 +1252,16 @@ def _markov_oracle_levels(mu, length):
     return levels
 
 
+def _table_entropy(table):
+    """H of a table by `mass_entropy` over its distinct numerators, one logarithm each."""
+    return mass_entropy(*np.unique(table.nums, return_counts=True), table.den)
+
+
+def _emits_its_state(mu):
+    """Whether `block_entropy` reads the chain's types (else its forward-vector classes)."""
+    return mu._chain[4] == tuple(range(mu.system.alphabet.order))
+
+
 def _type_masses(mu, length):
     """The masses of the length-L types as numerators over `mu._den(L)`, exactly, and how
     many words each type holds."""
@@ -1273,20 +1283,20 @@ def _type_mass_counter(mu, length):
 
 def _check_wide_levels(mu, L_max, first_wide):
     """Every table up to L_max equals the plain product, in Python ints exactly past 2^63.
-    There H_L comes from the types, whose masses are the table's; every H_L equals the
-    table's sum and, up to 2^16 words, the per-word sum."""
+    Every H_L comes from the types, whose masses are the table's past 2^63; every H_L
+    equals the table's sum and, up to 2^16 words, the per-word sum."""
     assert [mu._den(length) >= 2**63 for length in range(1, first_wide + 1)] == [
         False] * (first_wide - 1) + [True]
+    assert _emits_its_state(mu)
     for length, (codes, nums) in enumerate(_plain_paths(mu, L_max), start=1):
         table = mu.block_table(length)
         assert np.array_equal(table.codes, codes) and table.den == mu._den(length)
         assert table.nums.dtype == (object if length >= first_wide else np.int64)
         assert table.nums.tolist() == nums.tolist(), length
-        assert mu._has_types(length) == (length >= first_wide)
         if length >= first_wide:
             assert _type_mass_counter(mu, length) == Counter(nums.tolist())
         h = block_entropy(mu, length)
-        assert h == table_entropy(table), length
+        assert length in mu._type_memo and h == _table_entropy(table), length
         if len(nums) <= 2**16:  # the per-entry sum, the oracle of the distinct-mass sum
             den = table.den
             assert h == math.fsum(neg_xlogx(num / den) for num in nums.tolist())
@@ -1408,14 +1418,13 @@ TYPE_CASES = [
                                           for name, make, length in TYPE_CASES])
 def test_type_entropy_matches_the_table_and_the_fraction_oracle(make, length):
     mu = make()
-    assert mu._has_types(length)
+    assert _emits_its_state(mu) and mu._den(length) >= 2**63
     for ell in range(1, length + 1):
         oracle = _oracle_dist(mu, ell)
         expected = math.fsum(neg_xlogx(float(p)) for p in oracle.values())
         table = mu.block_table(ell)
-        assert block_entropy(mu, ell) == table_entropy(table) == expected, ell
-        if mu._has_types(ell):
-            assert _type_mass_counter(mu, ell) == Counter(table.nums.tolist()), ell
+        assert block_entropy(mu, ell) == _table_entropy(table) == expected, ell
+        assert _type_mass_counter(mu, ell) == Counter(table.nums.tolist()), ell
 
 
 def _type_regime(mu, length):
@@ -1424,7 +1433,8 @@ def _type_regime(mu, length):
     over one denominator."""
     keys, nums, dens, *_ = mu._types(length)
     if keys is None:
-        assert nums.dtype == object and dens == mu._den(length)
+        assert dens == mu._den(length)
+        assert nums.dtype == shifts._num_dtype((dens + 1) * len(mu._chain[0]))
         return "merged_by_mass"
     assert nums.dtype == dens.dtype and (nums <= dens).all()
     if dens.dtype == object:
@@ -1434,7 +1444,9 @@ def _type_regime(mu, length):
 
 def test_type_cases_reach_what_they_name():
     made = {name: make() for name, make, _ in TYPE_CASES}
-    regimes = {name: [_type_regime(mu, ell) for ell in range(1, length + 1) if mu._has_types(ell)]
+    # the regimes of the levels past 2^63, where tables hold Python ints
+    regimes = {name: [_type_regime(mu, ell) for ell in range(1, length + 1)
+                      if mu._den(ell) >= 2**63]
                for (name, mu), (_, _, length) in zip(made.items(), TYPE_CASES)}
     for name, mu in made.items():
         assert (mu._type_memo[0][0] is None) == (name == "s3_merged_by_mass"), name
@@ -1448,8 +1460,8 @@ def test_type_cases_reach_what_they_name():
     product = _product_over_17_squared()
     assert [_type_regime(product, ell) for ell in (6, 7, 8)] == [
         "float64_quotients", "int_quotients", "python_ints"]
-    assert [product._has_types(ell) for ell in (7, 8)] == [False, True]
-    assert block_entropy(product, 8) == table_entropy(product.block_table(8))
+    assert [product._den(ell) >= 2**63 for ell in (7, 8)] == [False, True]
+    assert block_entropy(product, 8) == _table_entropy(product.block_table(8))
     assert regimes["entries_past_2_63"] == ["python_ints"] * 3
     assert made["entries_past_2_63"]._steps[2].dtype == object
     assert len(np.unique(made["s3_merged_by_mass"]._steps[2])) > 12
@@ -1467,14 +1479,16 @@ def test_type_cases_reach_what_they_name():
     lambda: Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]]),
 ], ids=["periodic_01", "periodic_012", "bernoulli", "markov_with_zeros", "transient_state"])
 def test_types_hold_the_table_masses_below_2_63(make):
-    # the types route is taken only past 2^63, but its masses are exact at every level
+    # a chain that emits its state takes the types route at every level, below 2^63 too
     mu = make()
+    assert _emits_its_state(mu)
     for length in range(1, 8):
         table = mu.block_table(length)
-        assert not mu._has_types(length)
+        assert mu._den(length) < 2**63
         assert _type_mass_counter(mu, length) == Counter(table.nums.tolist()), length
-        assert mass_entropy(*_type_masses(mu, length), mu._den(length)) == (
-            table_entropy(table)), length
+        masses, counts = _type_masses(mu, length)
+        assert mass_entropy(np.array(masses), np.array(counts), mu._den(length)) == (
+            _table_entropy(table)) == block_entropy(mu, length), length
 
 
 def test_type_entropy_raises_at_the_same_depth_as_the_table():
@@ -1485,8 +1499,9 @@ def test_type_entropy_raises_at_the_same_depth_as_the_table():
     c3 = Markov.stationary(SYS3, [[a, b, b], [b, a, b], [b, b, a]])
     c2 = Markov.stationary(SYS2, [[a, 1 - a], [1 - a, a]])
     for mu, deepest in [(c3, 15), (c2, 24)]:
-        assert mu._has_types(deepest) and mu._den(2) >= 2**63
+        assert _emits_its_state(mu) and mu._den(2) >= 2**63
         h = block_entropy(mu, deepest) - block_entropy(mu, deepest - 1)
+        assert deepest in mu._type_memo and mu._tables == {}
         assert abs(h - closed_form_entropy(mu)) < 1e-12
         with pytest.raises(DepthLimitExceeded):
             mu.block_table(deepest + 1)
@@ -1553,11 +1568,11 @@ def test_class_entropy_equals_the_table_entropy_and_builds_no_table(make, depth)
     # guard itself is test_class_entropy_keeps_the_table_contract's
     mu = make()
     got = [block_entropy(mu, length) for length in range(depth + 1)]
-    assert all(mu._has_classes(length) for length in range(1, depth + 1))
+    assert not _emits_its_state(mu)
     assert mu._tables == {} and sorted(mu._class_memo) == list(range(depth + 1))
     assert got[0] == 0.0
     for length in range(1, depth + 1):
-        assert got[length] == table_entropy(mu.block_table(length)), length
+        assert got[length] == _table_entropy(mu.block_table(length)), length
 
 
 def test_class_cases_reach_what_they_name():
@@ -1599,8 +1614,8 @@ def test_classes_are_the_words_grouped_by_fraction_forward_vectors(make, depth):
     for length in range(1, depth + 1):
         if mu.system.alphabet.order**length > 3**6:
             break
-        assert mu._has_classes(length)
         vecs, counts, bounds = mu._classes(length)
+        assert vecs.dtype == np.int64
         den = mu._den(length)
         got = Counter()
         for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -1609,34 +1624,129 @@ def test_classes_are_the_words_grouped_by_fraction_forward_vectors(make, depth):
         assert got == _fraction_classes(mu, length), length
 
 
-def test_hidden_state_levels_past_2_63_fall_back_to_the_table():
-    # entries over row sums near 2^7: the denominators pass 2^63 at L = 4
+def _hidden_state_past_2_63():
+    # entries over row sums near 2^7
     rng = random.Random(0)
     raw = [[rng.randint(1, 2**6) for _ in range(3)] for _ in range(3)]
     markov = Markov.stationary(SYS3, [[F(x, sum(row)) for x in row] for row in raw])
-    mu = Convolution(SYS3, markov, PeriodicOrbit(SYS3, (0, 1, 2)))
+    return Convolution(SYS3, markov, PeriodicOrbit(SYS3, (0, 1, 2)))
+
+
+def test_hidden_state_levels_past_2_63_take_python_int_classes():
+    # the denominators pass 2^63 at L = 4, where the
+    # classes' vectors become Python ints; no level builds a table
+    mu = _hidden_state_past_2_63()
     wide = next(length for length in range(1, 8) if mu._den(length) >= 2**63)
-    assert wide == 4
+    assert wide == 4 and not _emits_its_state(mu)
+    h = [block_entropy(mu, length) for length in range(1, wide + 2)]
+    assert mu._tables == {}
     for length in range(1, wide + 2):
-        h = block_entropy(mu, length)
-        assert mu._has_classes(length) == (length < wide), length
-        assert (length in mu._tables) == (length >= wide), length
-        assert h == table_entropy(mu.block_table(length)), length
-    # row entries past 2^63 under a uniform init: `_blocks` holds no row even at L = 1
+        assert mu._classes(length)[0].dtype == (object if length >= wide else np.int64), length
+        assert h[length - 1] == _table_entropy(mu.block_table(length)), length
+    # row entries past 2^63 under a uniform init: `_blocks` holds Python ints from L = 1,
+    # whose vectors, over d0 = 2, are still int64
     q = 2**64 + 13
     flip = Markov(SYS2, ((F(15, q), F(q - 15, q)), (F(q - 15, q), F(15, q))), (F(1, 2),) * 2)
     mu = Convolution(SYS2, flip, PeriodicOrbit(SYS2, (0, 1)))
-    assert mu._den(1) < 2**63 <= mu._chain[3] and not mu._has_classes(1)
+    assert mu._den(1) < 2**63 <= mu._chain[3]
+    h = [block_entropy(mu, length) for length in (1, 2, 3)]
+    assert mu._tables == {} and mu._blocks[0][0].dtype == object
     for length in (1, 2, 3):
-        assert block_entropy(mu, length) == table_entropy(mu.block_table(length)), length
-    assert "_blocks" not in vars(mu)
+        assert mu._classes(length)[0].dtype == (np.int64 if length == 1 else object), length
+        assert h[length - 1] == _table_entropy(mu.block_table(length)), length
+
+
+def _s3_markov_over_30():
+    # 6 states, every row over 30: with the initial row's entries, 17 entry classes, so
+    # 25^17 * 6 type keys pass int64 and the types merge by mass
+    rng = random.Random(1)
+    rows = []
+    for _ in range(6):
+        cuts = sorted(rng.sample(range(1, 30), 5))
+        rows.append([F(b - a, 30) for a, b in zip([0] + cuts, cuts + [30])])
+    return Markov.stationary(shift_space(symmetric(3)), rows)
+
+
+def test_types_merged_by_mass_stay_int64_below_2_63():
+    # mass * 6 + last state stays below 2^63 at every level, so the masses are int64
+    mu = _s3_markov_over_30()
+    assert len(np.unique(mu._steps[2])) == 17 and mu._type_memo[0][0] is None
+    h = [block_entropy(mu, length) for length in range(1, 8)]
+    assert mu._tables == {}
+    for length in range(1, 8):
+        keys, nums, dens, *_ = mu._types(length)
+        assert keys is None and dens == mu._den(length) and (dens + 1) * 6 < 2**63, length
+        assert nums.dtype == np.int64, length
+        table = mu.block_table(length)
+        assert _type_mass_counter(mu, length) == Counter(table.nums.tolist()), length
+        assert h[length - 1] == _table_entropy(table), length
+
+
+NO_TABLE_CASES = [
+    ("bernoulli", lambda: bern("1/4"), 8, True),
+    ("markov", _markov_c3, 6, True),
+    ("periodic_orbit", lambda: PeriodicOrbit(SYS2, (0, 1, 1)), 8, False),
+    ("periodic_orbit_emitting_its_phase", lambda: PeriodicOrbit(SYS2, (0, 1)), 8, True),
+    ("mixture", lambda: Mixture(SYS2, ((F(1, 3), bern("1/4")), (F(2, 3), _markov_c2()))), 8,
+     False),
+    ("convolution", lambda: Convolution(SYS2, _markov_c2(), bern("1/3")), 8, False),
+    ("product", lambda: product_system(_markov_c2(), bern("1/3")), 5, True),
+    ("product_with_orbit", lambda: product_system(_markov_c2(), PeriodicOrbit(SYS2, (0, 1, 1))),
+     5, False),
+    ("state_emitting_past_2_63", _markov_with_entries_past_2_63, 6, True),
+    ("hidden_state_past_2_63", _hidden_state_past_2_63, 5, False),
+    ("skew_joint", lambda: _skew_haar_over(_markov_with_zeros(), 2), 4, False),
+    ("skew_joint_emitting_its_pair", lambda: _skew_haar_over(bern("1/4"), 1), 4, True),
+]
+
+
+@pytest.mark.parametrize("make, depth, emits", [pytest.param(make, depth, emits, id=name)
+                                                for name, make, depth, emits in NO_TABLE_CASES])
+def test_entropy_rate_builds_no_table(make, depth, emits):
+    # a skew measure's trail is `skew_entropy`'s, from its joint chain's block entropies
+    mu = make()
+    if isinstance(mu, skew.SkewMeasure):
+        skew.skew_entropy(mu, depth)
+        assert mu.base_measure._tables == {}
+        mu = mu.joint
+    else:
+        entropy_rate(mu, depth)
+    assert _emits_its_state(mu) == emits
+    assert mu._tables == {}
+    assert sorted(mu._type_memo if emits else mu._class_memo) == list(range(depth + 1))
+    assert ("_class_memo" in vars(mu)) != emits and ("_type_memo" in vars(mu)) == emits
+
+
+C1 = cyclic(1)
+SYS1 = shift_space(C1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Bernoulli(SYS1, haar(C1)),
+    lambda: Markov(SYS1, ((F(1),),), (F(1),)),
+    lambda: PeriodicOrbit(SYS1, (0,)),
+    lambda: Mixture(SYS1, ((F(1, 3), PeriodicOrbit(SYS1, (0,))),
+                           (F(2, 3), Bernoulli(SYS1, haar(C1))))),
+], ids=["bernoulli", "markov", "periodic_orbit", "mixture"])
+def test_one_symbol_chains_have_zero_block_entropy_at_any_depth(make):
+    # one word a level, so no guard; a state-emitting chain's one type runs past TYPE_RADIX
+    mu = make()
+    h = block_entropy(mu, 40)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    if _emits_its_state(mu):
+        assert len(np.unique(mu._steps[2])) == 1 and 40 > shifts.TYPE_RADIX
+        assert mu._types(40)[0].tolist() == [40]
+    assert mu._tables == {}
 
 
 @pytest.mark.parametrize("make", [lambda: PeriodicOrbit(SYS2, (1, 0)),
                                   lambda: Convolution(SYS2, bern("1/4"), PeriodicOrbit(SYS2, (0, 1))),
-                                  lambda: _skew_joint_with_window_2()],
-                         ids=["periodic_10", "criterion_3_convolution", "skew_joint"])
+                                  lambda: _skew_joint_with_window_2(),
+                                  lambda: _skew_haar_over(bern("1/4"), 1).joint],
+                         ids=["periodic_10", "criterion_3_convolution", "skew_joint",
+                              "skew_joint_emitting_its_pair"])
 def test_class_entropy_keeps_the_table_contract(make):
+    # either route raises where the table does, under the kind's own guard
     mu = make()
     deepest = next(length for length in itertools.count(1)
                    if not _guard_allows(mu, length + 1))
@@ -1648,7 +1758,8 @@ def test_class_entropy_keeps_the_table_contract(make):
         block_entropy(mu, deepest + 1)
     with pytest.raises(DepthLimitExceeded):
         mu.block_table(deepest + 1)
-    assert deepest + 1 not in mu._class_memo and mu._tables == {}
+    memo = mu._type_memo if _emits_its_state(mu) else mu._class_memo
+    assert deepest + 1 not in memo and mu._tables == {}
     if mu.system.alphabet.order == 2:  # every level to the guard, in a few classes each
         h = [block_entropy(mu, length) for length in range(deepest + 1)]
         assert max(len(mu._classes(length)[1]) for length in range(deepest + 1)) <= 2 * deepest
@@ -1678,7 +1789,7 @@ def test_s4_circulant_convolution_entropy_takes_less_memory_than_its_table():
     Bernoulli(SYS2, haar(C2)).block_table(2)  # numpy's first-call set-up is not working memory
     by_class, by_table = [], []
     classes = _traced_peak(lambda: by_class.extend(block_entropy(make(), L) for L in (1, 2, 3)))
-    tables = _traced_peak(lambda: by_table.extend(table_entropy(make().block_table(L))
+    tables = _traced_peak(lambda: by_table.extend(_table_entropy(make().block_table(L))
                                                   for L in (1, 2)))
     assert by_class[:2] == by_table
     assert classes <= tables
@@ -1711,12 +1822,17 @@ def _dense_gather_levels(mu, length):
     return levels
 
 
+def _skew_haar_over(base, k):
+    # a C2 fiber moved by the sum of a k-window; over a Bernoulli base with k = 1 the joint
+    # chain emits its own state, the pair symbol
+    system = skew.make_skew(base.system, C2, identity_hom(C2), {
+        w: sum(w) % 2 for w in itertools.product(range(base.system.alphabet.order), repeat=k)})
+    return skew.haar_extension(base, system)
+
+
 def _skew_joint_with_window_2():
     # a C2 fiber over a C3 Markov base with zeros, moved by the sum of a 2-window
-    base = _markov_with_zeros()
-    system = skew.make_skew(SYS3, C2, identity_hom(C2),
-                            {w: sum(w) % 2 for w in itertools.product(range(3), repeat=2)})
-    return skew.haar_extension(base, system).joint
+    return _skew_haar_over(_markov_with_zeros(), 2).joint
 
 
 def _wide_markov(n, seed):
