@@ -5,10 +5,10 @@ floats by one correctly rounded division each (`quotients`); float sums go
 through `math.fsum` for order-independent results. An exact block entropy
 reads only masses and how many words hold each (`mass_entropy`, which gives why the float
 equals the sum of one term per word), never a block table: a chain that emits its own state
-has one path per word, so its words' masses are its types' (`shifts.ShiftMeasure._types`),
+has one path per word, so its words' masses are its types' (`shifts._Levels.types`),
 fractions whose parts depend only on how often the path steps by each entry; a chain that
 hides its state sums over paths, so they are its forward-vector classes' sums
-(`ShiftMeasure._classes`). The canonical estimator for the entropy rate of a stationary
+(`_Levels.classes`). The canonical estimator for the entropy rate of a stationary
 measure is the conditional block entropy h_L = H_L - H_{L-1}, a nonincreasing upper bound
 on the rate.
 """
@@ -102,21 +102,24 @@ def mass_entropy(masses: np.ndarray, counts: np.ndarray, den) -> float:
 
 
 def block_entropy(mu: ShiftMeasure, length: int) -> float:
-    """H_L of the exact length-L cylinder distribution, guarded as `block_table`, by the
-    chain's shape: a chain that emits its own state has one path per word, so a word's
-    mass is a product and the words of one type share it (`_types`); one that hides its
-    state sums over paths, so the words of one forward vector share it (`_classes`)."""
+    """H_L of the exact length-L cylinder distribution, under mu's own guard as `block_table`
+    (wherever the levels it shares were built), by the chain's shape: a chain that emits its
+    own state has one path per word, so a word's mass is a product and the words of one type
+    share it (`types`); one that hides its state sums over paths, so the words of one forward
+    vector share it (`classes`)."""
     if length < 0:
         raise ValueError(f"block length must be >= 0, got {length}")
     if length == 0:
         return 0.0
+    mu._guard(length)
+    levels = mu._engine
     if mu._chain[4] == tuple(range(mu.system.alphabet.order)):
-        _, nums, dens, types, _, counts = mu._types(length)
+        _, nums, dens, types, _, counts = levels.types(length)
         return mass_entropy(nums, np.bincount(types, counts, len(nums)).astype(np.int64), dens)
-    vecs, counts, _ = mu._classes(length)
+    vecs, counts, _ = levels.classes(length)
     masses = vecs.sum(axis=1)
     order = np.argsort(masses)  # the classes of one mass share a logarithm
-    return mass_entropy(*_sum_runs(masses[order], counts[order]), mu._den(length))
+    return mass_entropy(*_sum_runs(masses[order], counts[order]), levels.den(length))
 
 
 def entropy_rate(mu: ShiftMeasure, L_max: int, tol: float = 1e-9) -> EntropyEstimate:

@@ -65,7 +65,7 @@ def _disagreement(mu: ShiftMeasure, a: np.ndarray, b: np.ndarray) -> Optional[in
     kept ones no longer than it, so the first kept one of nonzero mass ends such a word.
     Vectors are exact integer multiples of the rational ones, divided by their gcd.
     """
-    rows, _, emit = mu._arrays
+    rows, _, emit = mu._engine.arrays
     rows = rows.astype(object, copy=False)  # the vectors outgrow int64: Python ints
     init = rows[-1]  # the start state's row
     diff = np.zeros(len(init), dtype=object)
@@ -110,7 +110,7 @@ def is_ergodic_exact(mu: ShiftMeasure) -> ErgodicityVerdict:
     Markov init can), and then the chain is not irreducible on its support.
     """
     method = "exact_" + mu.kind.removeprefix("periodic_")
-    _, steps, _ = mu._arrays
+    _, steps, _ = mu._engine.arrays
     live = np.flatnonzero(steps[-1])  # the start state's row: init
     edges = steps[np.ix_(live, live)]
     classes, left = [], np.ones(len(live), dtype=bool)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
@@ -55,6 +56,7 @@ CHUNK_SYMBOLS = 1 << 16  # symbols per pass of a sampler's or the estimator's wi
 Word = tuple[int, ...]
 
 log = logging.getLogger(__name__)
+_LEVELS: "weakref.WeakValueDictionary[int, _Levels]" = weakref.WeakValueDictionary()
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
@@ -87,11 +89,10 @@ class BlockTable(Record):
 
     `codes` are the support words as base-|G| integers, first symbol most
     significant, strictly ascending; `nums` are their numerators, positive in
-    a measure's own tables (a scaled or pulled-back table may hold zeros);
-    `den` is shared by every entry. A numerator is at most `den`, so `nums`
-    is int64 while `den < 2^63` and Python ints in an object array past it
-    (`_num_dtype`); an arithmetic step that can leave [0, den] picks its
-    dtype from the bound it can reach.
+    a measure's own tables; `den` is shared by every entry. A numerator is at
+    most `den`, so `nums` is int64 while `den < 2^63` and Python ints in an
+    object array past it (`_num_dtype`); an arithmetic step that can leave
+    [0, den] picks its dtype from the bound it can reach.
     """
 
     base: int
@@ -125,13 +126,6 @@ class BlockTable(Record):
     def drop_last(self) -> "BlockTable":
         """The length-(L-1) marginal with the last symbol summed out."""
         return _merged(self.base, self.length - 1, self.codes // self.base, self.nums, self.den)
-
-    def scaled(self, w: Fraction) -> "BlockTable":
-        """The table of w * P, for w >= 0."""
-        # each product num * w.numerator is at most den * max(w.numerator, w.denominator)
-        nums = self.nums.astype(_num_dtype(self.den * max(w.numerator, w.denominator)), copy=False)
-        return BlockTable(self.base, self.length, self.codes, nums * w.numerator,
-                          self.den * w.denominator)
 
     def __eq__(self, other: "BlockTable") -> bool:
         """Exact equality: the same mass on every word."""
@@ -168,6 +162,8 @@ def _merged(base: int, length: int, codes: np.ndarray, nums: np.ndarray, den: in
 
 def _first_difference(a: BlockTable, b: BlockTable) -> Optional[Word]:
     """The first word, in code order, where two same-length tables differ; None if equal."""
+    if a is b:  # one table, as equal chains share theirs
+        return None
     codes = np.concatenate((a.codes, b.codes))  # np.union1d would import numpy.ma
     codes.sort()
     codes = codes[np.diff(codes, prepend=-1) != 0]
@@ -187,7 +183,9 @@ class ShiftMeasure:
     Each kind holds its chain in integers as `_chain = (init, d0, rows, dt,
     emit)`: the chain starts in state s with probability init[s] / d0, steps
     from s to t with probability rows[s][t] / dt, and emits the symbol emit[s]
-    in state s. Cylinders and tables come from the chain alone.
+    in state s. Cylinders and tables come from the chain alone, through one
+    `_Levels` per alphabet order and chain that every live measure with equal
+    ones shares (a natural extension and its measure), each under its own guard.
     """
 
     system: ShiftSystem
@@ -223,18 +221,10 @@ class ShiftMeasure:
 
     def block_table(self, length: int) -> BlockTable:
         """The length-L block distribution in integer form, memoized; guarded at 2^24 states."""
-        table = self._tables.get(length)
-        if table is None:
-            if length < 0:
-                raise ValueError(f"block length must be >= 0, got {length}")
-            self._guard(length)
-            if length == 0:
-                n = self.system.alphabet.order
-                table = BlockTable(n, 0, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
-            else:
-                table = self._build_table(length)
-            self._tables[length] = table
-        return table
+        if length < 0:
+            raise ValueError(f"block length must be >= 0, got {length}")
+        self._guard(length)
+        return self._engine.table(length)
 
     def _guard(self, length: int) -> None:
         """Raise DepthLimitExceeded past |G|^L = 2^24 block states; a kind may guard otherwise."""
@@ -243,9 +233,15 @@ class ShiftMeasure:
             raise DepthLimitExceeded(f"{n}^{length} block states exceed 2^24")
 
     @cached_property
-    def _tables(self) -> dict[int, BlockTable]:
-        # measures are frozen, so a table never goes stale; it dies with its measure
-        return {}
+    def _engine(self) -> "_Levels":
+        """The levels of this chain on this alphabet order, which table codes and the default
+        guard read; keyed by their hash, taken once, as a tuple hashes anew at every call."""
+        key = (self.system.alphabet.order, self._chain)
+        h = hash(key)
+        engine = _LEVELS.get(h)
+        if engine is None or engine.key != key:  # an unequal key of equal hash takes the slot
+            engine = _LEVELS[h] = _Levels(key, self.kind)
+        return engine
 
     def cylinder_prob(self, word: Sequence[int]) -> Fraction:
         for s in word:
@@ -253,65 +249,88 @@ class ShiftMeasure:
                 raise ValueError(f"symbol {s} outside the alphabet")
         return self.cylinder(tuple(word))
 
-    def _build_table(self, length: int) -> BlockTable:
-        """The length-L table for L >= 1, summed over the paths of each word."""
-        codes, last, nums = self._paths(length)
-        if last is not None:  # the paths are in (word, last state) order
-            codes, nums = _sum_runs(codes, nums)
-        return BlockTable(self.system.alphabet.order, length, codes, nums, self._den(length))
 
-    def _paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+class _Levels:
+    """The exact levels of one chain on one alphabet order, built once for every live measure
+    that has both (`ShiftMeasure._engine`, through `_LEVELS`, whose entry dies with the last of
+    them): tables, state paths, forward-vector classes and mass types by length, and the arrays
+    they step by. Nothing here guards a depth: a measure calls its own `_guard(L)` before it
+    reads a level, so a stricter guard refuses a level that a looser one built. DEBUG lines
+    name the first measure's kind.
+    """
+
+    def __init__(self, key: tuple, kind: str):
+        self.key, self.kind = key, kind
+        self.order, self.chain = key
+        self.tables: dict[int, BlockTable] = {}
+        # the empty path, in a start state whose row is init
+        self.path_memo = {0: (np.zeros(1, np.int64), np.array([len(self.chain[0])]),
+                              np.ones(1, np.int64))}
+        # the empty word, in a start state of symbol |G|, row init
+        self.class_memo = {0: (np.ones((1, 1), np.int64), np.ones(1, np.int64),
+                               [0] * (self.order + 1) + [1])}
+
+    def table(self, length: int) -> BlockTable:
+        """The length-L table, memoized; for L >= 1 summed over the paths of each word."""
+        table = self.tables.get(length)
+        if table is None:
+            if length == 0:
+                table = BlockTable(self.order, 0, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
+            else:
+                codes, last, nums = self.paths(length)
+                if last is not None:  # the paths are in (word, last state) order
+                    codes, nums = _sum_runs(codes, nums)
+                table = BlockTable(self.order, length, codes, nums, self.den(length))
+            self.tables[length] = table
+        return table
+
+    def paths(self, length: int) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The length-L state paths of positive mass, memoized: (codes, last states, numerators).
 
-        A level steps each path along its last state's nonzero entries (`_steps`),
+        A level steps each path along its last state's nonzero entries (`steps`),
         in ascending state order. Under the identity emission the paths are their
         words, in code order, and `last` is None. Otherwise the paths that share
         their word and last state merge, in (word, last state) order, so a level
         holds at most |G|^L * |states| of them. Tables are built from them; H_L reads
-        `_types` or `_classes` instead. A level's numerators are at most its
+        `types` or `classes` instead. A level's numerators are at most its
         denominator and take its `_num_dtype`: past 2^63 they are Python ints,
         multiplied by the entries as Python ints.
         """
-        paths = self._path_memo.get(length)
+        paths = self.path_memo.get(length)
         if paths is None:
-            n = self.system.alphabet.order
-            codes, prev, nums = self._paths(length - 1)
-            _, succ, entries = self._steps
-            deg, at = self._children(codes % n if prev is None else prev)
+            n = self.order
+            codes, prev, nums = self.paths(length - 1)
+            _, succ, entries = self.steps
+            deg, at = self.children(codes % n if prev is None else prev)
             states = succ[at]
             # `at` is rebound to its gather, so each wide temporary is freed before the next;
             # object times int64 is Python-int arithmetic
-            at = (entries.astype(object) if self._den(length) >= 2**63 else entries)[at]
+            at = (entries.astype(object) if self.den(length) >= 2**63 else entries)[at]
             at *= np.repeat(nums, deg)
             nums = at
-            if self._chain[4] == tuple(range(n)):
+            if self.chain[4] == tuple(range(n)):
                 codes = np.repeat(codes * n, deg)
                 codes += states
                 paths = (codes, None, nums)
             else:  # the key (word, last state) of a child is its parent's word's plus its state's
-                size = len(self._chain[4])
-                key = (np.array(self._chain[4]) * size + np.arange(size))[states]
+                size = len(self.chain[4])
+                key = (np.array(self.chain[4]) * size + np.arange(size))[states]
                 key += np.repeat(codes * (n * size), deg)
                 order = np.argsort(key, kind="stable")
                 key, nums = _sum_runs(key[order], nums[order])
                 paths = (key // size, key % size, nums)
-            self._path_memo[length] = paths
+            self.path_memo[length] = paths
         return paths
 
-    @cached_property
-    def _path_memo(self) -> dict:
-        # the empty path, in a start state whose row is init; it dies with its measure
-        return {0: (np.zeros(1, np.int64), np.array([len(self._chain[0])]), np.ones(1, np.int64))}
-
-    def _children(self, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """How many steps leave each last state, and each step's index into `_steps`."""
-        start = self._steps[0]
+    def children(self, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """How many steps leave each last state, and each step's index into `steps`."""
+        start = self.steps[0]
         deg = start[last + 1] - start[last]
         at = np.repeat(start[last] - (deg.cumsum() - deg), deg)  # each first step's place
         at += np.arange(len(at))
         return deg, at
 
-    def _classes(self, length: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def classes(self, length: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Level L, memoized: (vecs, counts, bounds), one forward vector per class of the words
         that share it, each class's word count, and where each last symbol's run starts.
 
@@ -319,16 +338,15 @@ class ShiftMeasure:
         their mass and their children (Blackwell 1957). Rows bounds[b]:bounds[b + 1] end in b
         and hold their vectors on S_b, the states that emit b, padded with zeros; their children
         by c are the rows @ R[S_b, S_c]. Zero rows drop; the rest merge by one sort on (c, a hash
-        of the row), where a collision can only split a class. An entry is at most `_den(L)`, as
+        of the row), where a collision can only split a class. An entry is at most `den(L)`, as
         is every partial sum, so a level takes its `_num_dtype`: int64 below 2^63 and Python
         ints past it, where the hash is taken exactly and masked back to int64."""
-        level = self._class_memo.get(length)
+        level = self.class_memo.get(length)
         if level is None:
-            self._guard(length)
-            prev, counts, bounds = self._classes(length - 1)
-            blocks, weights = self._blocks
+            prev, counts, bounds = self.classes(length - 1)
+            blocks, weights = self.blocks
             n, width = len(blocks) - 1, len(weights)
-            dtype = _num_dtype(self._den(length))
+            dtype = _num_dtype(self.den(length))
             prev, vecs = prev.astype(dtype, copy=False), np.empty((len(prev), n, width), dtype)
             for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 if lo < hi:  # the run of b, on its |S_b| columns
@@ -344,30 +362,26 @@ class ShiftMeasure:
             starts = np.flatnonzero(np.concatenate(([True], new)))
             bounds = np.searchsorted(keys[starts] >> shift, np.arange(n + 2)).tolist()
             level = vecs[starts], np.add.reduceat(counts, starts), bounds
-            log.debug("%s classes at L=%d: %d for %d words", self.kind, length, len(starts),
-                      int(counts.sum()))
-            self._class_memo[length] = level
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("%s classes at L=%d: %d for %d words", self.kind, length, len(starts),
+                          int(counts.sum()))
+            self.class_memo[length] = level
         return level
 
     @cached_property
-    def _class_memo(self) -> dict:  # the empty word, in a start state of symbol |G|, row init
-        return {0: (np.ones((1, 1), np.int64), np.ones(1, np.int64),
-                    [0] * (self.system.alphabet.order + 1) + [1])}
-
-    @cached_property
-    def _blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
+    def blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
         """Per symbol b (|G|: the start state's), R[S_b, S_c] for every c, side by side and each
         padded to the widest S_c, in the dense rows' dtype; and hash multipliers, powers of
         2^64 / golden ratio in int64."""
-        emit = np.array(self._chain[4] + (self.system.alphabet.order,))
+        emit = np.array(self.chain[4] + (self.order,))
         states = [np.flatnonzero(emit == b) for b in range(emit[-1] + 1)]
         zero = np.full(max(map(len, states)), len(emit) - 1)  # past the last state: zeros
         cols = np.concatenate([np.append(s, zero[len(s) :]) for s in states[:-1]])
-        rows = np.hstack((_dense_rows(self._chain), np.zeros((len(emit), 1), np.int64)))
+        rows = np.hstack((_dense_rows(self.chain), np.zeros((len(emit), 1), np.int64)))
         weights = (-0x61C8864680B583EB) ** np.arange(1, len(zero) + 1, dtype=np.int64)
         return [rows[np.ix_(s, cols)] for s in states], weights
 
-    def _types(self, length: int) -> tuple:
+    def types(self, length: int) -> tuple:
         """Level L, memoized: (keys, nums, dens, types, last, counts), its types' keys and
         masses, and its (type, last state) classes, ascending, with their word counts.
 
@@ -375,25 +389,24 @@ class ShiftMeasure:
         its type: how often it steps by each class of equal entries (the method of types;
         Csiszar and Korner, 1981). One sort of the children's class keys, type key * |states|
         + last, gives the classes and the types as its runs. A mass is the fraction nums /
-        dens, its parent's times its step's entry in lowest terms (`_type_steps`), reduced
-        where int64 dens pass 2^53, and in Python ints from where it would pass 2^63. Where
-        keys would, they are None and a type is its mass: numerators over dens = `_den(L)`,
-        held as `_paths` holds them, in the `_num_dtype` of the class keys mass * |states|
-        + last.
+        dens, its parent's times its step's entry in lowest terms (`type_steps`), reduced
+        where int64 dens pass 2^53 if an entry's numerator and another's denominator share a
+        prime, and in Python ints from where it would pass 2^63. Where keys would, they are
+        None and a type is its mass: numerators over dens = `den(L)`, held as `paths` holds
+        them, in the `_num_dtype` of the class keys mass * |states| + last.
         """
-        level = self._type_memo.get(length)
+        level = self.type_memo.get(length)
         if level is None:
-            self._guard(length)
-            keys, nums, dens, types, last, counts = self._types(length - 1)
-            deg, at = self._children(last)
-            size = len(self._chain[0])
+            keys, nums, dens, types, last, counts = self.types(length - 1)
+            deg, at = self.children(last)
+            size = len(self.chain[0])
             parent = np.repeat(types, deg)
             if keys is None:  # by mass, in room for mass * |states| + last
-                wide = _num_dtype((self._den(length) + 1) * size)
-                key = nums.astype(wide, copy=False)[parent] * self._steps[2][at] * size
-                key += self._steps[1][at]
+                wide = _num_dtype((self.den(length) + 1) * size)
+                key = nums.astype(wide, copy=False)[parent] * self.steps[2][at] * size
+                key += self.steps[1][at]
             else:  # by type
-                key = keys[parent] * size + self._type_steps[0][at]
+                key = keys[parent] * size + self.type_steps[0][at]
             order = np.argsort(key)
             key = key[order]
             starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -402,63 +415,73 @@ class ShiftMeasure:
             first = np.concatenate(([True], key[1:] != key[:-1]))  # a type's first class
             child = order[starts[first]]  # a child of each type
             if keys is None:
-                nums, dens = key[first], self._den(length)
+                nums, dens = key[first], self.den(length)
             else:
                 p, step = parent[child], at[child]
-                _, v, d, top = self._type_steps
+                _, v, d, top, coprime = self.type_steps
                 keys, nums, dens = key[first], nums[p], dens[p]
                 if dens.dtype != object and (dens <= top[step]).all():  # num <= den, v <= d
                     nums, dens = nums * v[step], dens * d[step]
-                    wide = np.flatnonzero(dens >= 2**53)
-                    gcd = np.gcd(nums[wide], dens[wide])
-                    nums[wide], dens[wide] = nums[wide] // gcd, dens[wide] // gcd
+                    wide = () if coprime else np.flatnonzero(dens >= 2**53)
+                    if len(wide):  # some may cancel
+                        gcd = np.gcd(nums[wide], dens[wide])
+                        nums[wide], dens[wide] = nums[wide] // gcd, dens[wide] // gcd
                 else:  # Python ints from this level on
                     nums, dens = nums.astype(object) * v[step], dens.astype(object) * d[step]
-            level = self._type_memo[length] = (keys, nums, dens, first.cumsum() - 1, last, counts)
-            log.debug("%s types at L=%d: %d types in %d classes for %d words", self.kind, length,
-                      len(nums), len(counts), int(counts.sum()))
+            level = self.type_memo[length] = (keys, nums, dens, first.cumsum() - 1, last, counts)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("%s types at L=%d: %d types in %d classes for %d words", self.kind,
+                          length, len(nums), len(counts), int(counts.sum()))
         return level
 
     @cached_property
-    def _type_memo(self) -> dict:
+    def type_memo(self) -> dict:
         # the empty word, of the empty type and mass 1, in the start state whose row is init
-        zero, one = np.zeros(1, np.int64), np.ones(1, self._steps[2].dtype)
-        level = (None, one, 1) if self._type_steps[0] is None else (zero, one, one)
-        return {0: (*level, zero, np.array([len(self._chain[0])]), np.ones(1, np.int64))}
+        zero, one = np.zeros(1, np.int64), np.ones(1, self.steps[2].dtype)
+        level = (None, one, 1) if self.type_steps[0] is None else (zero, one, one)
+        return {0: (*level, zero, np.array([len(self.chain[0])]), np.ones(1, np.int64))}
 
     @cached_property
-    def _type_steps(self) -> tuple:
-        """Per step of `_steps`: its addition to a class key, R^(entry class) * |states| + succ
+    def type_steps(self) -> tuple:
+        """Per step of `steps`: its addition to a class key, R^(entry class) * |states| + succ
         (None where R^E * |states| for E classes passes 2^63); its entry over dt (init's over
-        d0) in lowest terms; and the largest den that this denominator multiplies in int64."""
-        start, succ, v = self._steps
+        d0) in lowest terms, reduced once per distinct entry; the largest den that this
+        denominator multiplies in int64; and whether no entry's numerator over dt or over d0
+        shares a prime with any such denominator, so that every product of the steps' fractions
+        is in lowest terms."""
+        start, succ, v = self.steps
         entries, entry = np.unique(v, return_inverse=True)
-        size = len(self._chain[0])
-        d = np.full(len(v), self._chain[3], v.dtype)
-        d[start[-2]:] = self._chain[1]  # the init row's
-        gcd = np.gcd(v, d)
+        over = np.array([self.chain[3], self.chain[1]], v.dtype)  # the rows' den, init's
+        gcd = np.gcd(entries[:, None], over)
+        # each distinct entry over each denominator in lowest terms, a step's at 2 * its entry
+        # class, plus 1 on the init row
+        nums, dens = (entries[:, None] // gcd).ravel(), (over // gcd).ravel()
+        at = entry * 2
+        at[start[-2]:] += 1
+        coprime = math.gcd(math.prod(set(nums.tolist())), math.prod(set(dens.tolist()))) == 1
+        size = len(self.chain[0])
         return (TYPE_RADIX ** entry * size + succ if TYPE_RADIX ** len(entries) * size < 2**63
-                else None, v // gcd, d // gcd, (2**63 - 1) // (d // gcd))
+                else None, nums[at], dens[at], ((2**63 - 1) // dens)[at], coprime)
 
-    def _den(self, length: int) -> int:
+    def den(self, length: int) -> int:
         """The common denominator d0 * dt^(L-1) of the length-L paths, L >= 1."""
-        return self._chain[1] * self._chain[3] ** (length - 1)
+        return self.chain[1] * self.chain[3] ** (length - 1)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The dense rows (`_dense_rows`), their nonzero mask, and emit, for `ergodicity`."""
-        rows = _dense_rows(self._chain)
-        return rows, rows != 0, np.array(self._chain[4], dtype=np.int64)
+        rows = _dense_rows(self.chain)
+        return rows, rows != 0, np.array(self.chain[4], dtype=np.int64)
 
     @cached_property
-    def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows compressed (Saad 2003, section 3.4), not kept dense: (start, succ, entries).
 
         Row s steps to succ[start[s]:start[s + 1]], ascending, in `_code_dtype`, by the
-        nonzero entries at the same places, in the dense rows' dtype (`_arrays`' once read).
+        nonzero entries at the same places, in the dense rows' dtype (`arrays`' once read).
         """
-        arrays = vars(self).get("_arrays")
-        rows = _dense_rows(self._chain) if arrays is None else arrays[0]
+        arrays = vars(self).get("arrays")
+        rows = _dense_rows(self.chain) if arrays is None else arrays[0]
         state, succ = np.nonzero(rows)  # row-major, so each row's steps are one ascending run
         return (state.searchsorted(np.arange(len(rows) + 1)),
                 succ.astype(_code_dtype(rows.shape[1])), rows[state, succ])

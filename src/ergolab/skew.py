@@ -157,7 +157,7 @@ class SkewJoint(ShiftMeasure, Record):
         sys, base = self.skew.system, self.skew.base_measure
         n, m, k = sys.base.alphabet.order, sys.fiber.order, sys.window
         _, d0, base_rows, dt, base_emit = base._chain
-        codes, last, nums = base._paths(k)
+        codes, last, nums = base._engine.paths(k)
         last = codes % n if last is None else last
         fiber, den = self.skew._fiber_ints
         sigma, phi = sys.fiber_automorphism.table, sys.np_phi.tolist()
@@ -232,18 +232,18 @@ def haar_absorption_check(mu: SkewMeasure, mu0: ShiftMeasure, depth: int) -> boo
     """m * mu equals the Haar extension of mu0 on all windows up to the depth.
 
     m translates the fiber coordinate only, so (m * mu)([w] x {g}) is the
-    base mass of w times the fiber convolution m * (fiber weights) at g.
+    base mass of w times the fiber convolution m * (fiber weights) at g, and
+    the extension's is the mass of w under mu0 times 1/|G2|. Every base table
+    sums to 1, so summing over the words of one length, the two sides agree at
+    every g exactly when the fiber vectors are equal; and where they are, with
+    weights 1/|G2| > 0, exactly when the base tables are. Depth 0 holds no word.
     """
     sys = mu.system
     ext = haar_extension(mu0, sys)
     conv = convolve(haar(sys.fiber), DenseMeasure(sys.fiber, *mu._fiber_ints)).weights
-    for length in range(1, depth + 1):
-        ours = mu.base_measure.block_table(length)
-        target = ext.base_measure.block_table(length)
-        for g in sys.fiber.elements():
-            if ours.scaled(conv[g]) != target.scaled(ext.fiber_weights[g]):
-                return False
-    return True
+    return depth < 1 or conv == ext.fiber_weights and all(
+        mu.base_measure.block_table(length) == mu0.block_table(length)
+        for length in range(1, depth + 1))
 
 
 def invariant_measures_in_fiber(sys: SkewSystem, mu0: ShiftMeasure) -> list[SkewMeasure]:

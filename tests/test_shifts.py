@@ -1,9 +1,11 @@
+import gc
 import itertools
 import math
 import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -579,7 +581,7 @@ def test_nested_convolution_paths_merge_per_word_and_last_state():
     states = len(mu._chain[0])
     assert states == 8
     for length in range(1, 11):
-        codes, last, _ = mu._paths(length)
+        codes, last, _ = mu._engine.paths(length)
         assert last is not None and len(codes) <= 2**length * states, length
     table = mu.block_table(10)
     assert table.nums.sum() == table.den
@@ -1136,8 +1138,9 @@ def _table_pair(draw):
         nums = np.array([draw(st.integers(0, 3)) for _ in codes], dtype=object)
         den = draw(st.sampled_from([1, 2, 6, 2**70]))
         table = shifts.BlockTable(base, length, codes, nums, den)
-        if draw(st.booleans()):
-            table = table.scaled(draw(st.sampled_from([F(0), F(1, 3), F(5, 2)])))
+        if draw(st.booleans()):  # w times the table, for w >= 0
+            w = draw(st.sampled_from([F(0), F(1, 3), F(5, 2)]))
+            table = shifts.BlockTable(base, length, codes, nums * w.numerator, den * w.denominator)
         tables.append(table)
     if mode == "equal" and draw(st.booleans()):  # the same masses over another denominator
         a = tables[0]
@@ -1201,19 +1204,6 @@ def test_invariance_across_the_2_63_denominator():
     assert verify_extension(mu, 15).passed
 
 
-def test_scaling_past_a_2_63_denominator():
-    table = bern("12/17").block_table(10)
-    w = F(2**62 + 1, 2**62 + 3)  # an int64 numerator, and a den past 2^63 once scaled
-    scaled = table.scaled(w)
-    assert table.nums.dtype == np.int64 and scaled.nums.dtype == object
-    assert scaled.den == table.den * (2**62 + 3)
-    assert scaled.to_dict() == {word: w * p for word, p in table.to_dict().items()}
-    assert scaled != table and scaled == table.scaled(F(1)).scaled(w)
-    small = table.scaled(F(1, 3))
-    assert small.nums.dtype == np.int64
-    assert small.to_dict() == {word: p / 3 for word, p in table.to_dict().items()}
-
-
 # -- levels past 2^63, and their entropy from types ----------------------------------
 
 
@@ -1263,10 +1253,10 @@ def _emits_its_state(mu):
 
 
 def _type_masses(mu, length):
-    """The masses of the length-L types as numerators over `mu._den(L)`, exactly, and how
+    """The masses of the length-L types as numerators over `mu._engine.den(L)`, exactly, and how
     many words each type holds."""
-    _, nums, dens, types, _, counts = mu._types(length)
-    den = mu._den(length)
+    _, nums, dens, types, _, counts = mu._engine.types(length)
+    den = mu._engine.den(length)
     dens = dens.tolist() if isinstance(dens, np.ndarray) else [dens] * len(nums)
     assert all(den % d == 0 for d in dens)
     return ([num * (den // d) for num, d in zip(nums.tolist(), dens)],
@@ -1285,18 +1275,18 @@ def _check_wide_levels(mu, L_max, first_wide):
     """Every table up to L_max equals the plain product, in Python ints exactly past 2^63.
     Every H_L comes from the types, whose masses are the table's past 2^63; every H_L
     equals the table's sum and, up to 2^16 words, the per-word sum."""
-    assert [mu._den(length) >= 2**63 for length in range(1, first_wide + 1)] == [
+    assert [mu._engine.den(length) >= 2**63 for length in range(1, first_wide + 1)] == [
         False] * (first_wide - 1) + [True]
     assert _emits_its_state(mu)
     for length, (codes, nums) in enumerate(_plain_paths(mu, L_max), start=1):
         table = mu.block_table(length)
-        assert np.array_equal(table.codes, codes) and table.den == mu._den(length)
+        assert np.array_equal(table.codes, codes) and table.den == mu._engine.den(length)
         assert table.nums.dtype == (object if length >= first_wide else np.int64)
         assert table.nums.tolist() == nums.tolist(), length
         if length >= first_wide:
             assert _type_mass_counter(mu, length) == Counter(nums.tolist())
         h = block_entropy(mu, length)
-        assert length in mu._type_memo and h == _table_entropy(table), length
+        assert length in mu._engine.type_memo and h == _table_entropy(table), length
         if len(nums) <= 2**16:  # the per-entry sum, the oracle of the distinct-mass sum
             den = table.den
             assert h == math.fsum(neg_xlogx(num / den) for num in nums.tolist())
@@ -1307,7 +1297,7 @@ def test_wide_markov_levels_match_the_plain_product_and_the_fraction_oracle(case
     # the two C3 chains of criterion 5 whose denominators pass 2^63 at L = 6
     mu = _criterion_5_chains()[case]
     _check_wide_levels(mu, 10, 6)
-    assert mu._type_memo[0][0] is not None
+    assert mu._engine.type_memo[0][0] is not None
     for length, probs in enumerate(_markov_oracle_levels(mu, 10), start=1):
         table = mu.block_table(length)
         den = table.den
@@ -1325,22 +1315,24 @@ def test_wide_product_levels_match_the_plain_product_and_the_fraction_oracle():
 
 
 def test_skew_joint_over_a_base_past_2_63_matches_the_plain_product():
-    # the base's window paths pass 2^63; a copy whose memo holds the plain product's paths
-    # gives the same joint chain and tables. Staying has mass a and moving b, so paths with
-    # as many moves share a mass: ab = ba at L = 3
+    # the base's window paths pass 2^63; a copy whose own levels (an equal chain shares base's
+    # otherwise) hold the plain product's paths gives the same joint chain and tables.
+    # Staying has mass a and moving b, so paths with as many moves share a mass: ab = ba at
+    # L = 3
     q = 2**62 + 3
     a, b = F(15, q), F(2**61 - 6, q)
     base = Markov.stationary(SYS3, [[a, b, b], [b, a, b], [b, b, a]])
     k = 3
-    assert base._den(1) < 2**63 <= base._den(2)
+    assert base._engine.den(1) < 2**63 <= base._engine.den(2)
     system = skew.make_skew(SYS3, C2, identity_hom(C2),
                             {w: sum(w) % 2 for w in itertools.product(range(3), repeat=k)})
     plain = Markov(SYS3, base.transition, base.initial)
+    vars(plain)["_engine"] = shifts._Levels(base._engine.key, plain.kind)
     for length, (codes, nums) in enumerate(_plain_paths(plain, k), start=1):
-        plain._path_memo[length] = (codes, None, nums)
+        plain._engine.path_memo[length] = (codes, None, nums)
     mu, ref = skew.haar_extension(base, system), skew.haar_extension(plain, system)
     assert mu.joint._chain == ref.joint._chain
-    assert base._paths(k)[2].dtype == object
+    assert base._engine.paths(k)[2].dtype == object
     for length in range(1, 6):
         a, b = mu.joint.block_table(length), ref.joint.block_table(length)
         assert np.array_equal(a.codes, b.codes) and a.nums.tolist() == b.nums.tolist()
@@ -1353,7 +1345,7 @@ def test_hidden_emission_table_past_2_63_matches_the_fraction_oracle():
     raw = [[rng.randint(1, 2**12) for _ in range(3)] for _ in range(3)]
     markov = Markov.stationary(SYS3, [[F(x, sum(row)) for x in row] for row in raw])
     mu = Convolution(SYS3, markov, PeriodicOrbit(SYS3, (0, 1, 2)))
-    wide = [length for length in range(1, 6) if mu._den(length) >= 2**63]
+    wide = [length for length in range(1, 6) if mu._engine.den(length) >= 2**63]
     assert wide and wide[0] > 1
     for length in range(1, 6):
         table = mu.block_table(length)
@@ -1367,9 +1359,9 @@ def test_many_distinct_row_entries_merge_types_by_mass():
     rng = random.Random(808)
     raw = [[rng.randint(1, 2**20) for _ in range(8)] for _ in range(8)]
     mu = Markov.stationary(shift_space(cyclic(8)), [[F(x, sum(row)) for x in row] for row in raw])
-    assert len(np.unique(mu._steps[2])) == 72 and mu._type_memo[0][0] is None
+    assert len(np.unique(mu._engine.steps[2])) == 72 and mu._engine.type_memo[0][0] is None
     _check_wide_levels(mu, 4, 1)
-    assert mu._types(4)[0] is None
+    assert mu._engine.types(4)[0] is None
 
 
 def _wide_markov_with_zero_init():
@@ -1418,7 +1410,7 @@ TYPE_CASES = [
                                           for name, make, length in TYPE_CASES])
 def test_type_entropy_matches_the_table_and_the_fraction_oracle(make, length):
     mu = make()
-    assert _emits_its_state(mu) and mu._den(length) >= 2**63
+    assert _emits_its_state(mu) and mu._engine.den(length) >= 2**63
     for ell in range(1, length + 1):
         oracle = _oracle_dist(mu, ell)
         expected = math.fsum(neg_xlogx(float(p)) for p in oracle.values())
@@ -1431,9 +1423,9 @@ def _type_regime(mu, length):
     """How level L holds its masses: int64 fractions whose quotients are float64 divisions
     or Python int / int, Python-int fractions, or, merged by mass, Python-int numerators
     over one denominator."""
-    keys, nums, dens, *_ = mu._types(length)
+    keys, nums, dens, *_ = mu._engine.types(length)
     if keys is None:
-        assert dens == mu._den(length)
+        assert dens == mu._engine.den(length)
         assert nums.dtype == shifts._num_dtype((dens + 1) * len(mu._chain[0]))
         return "merged_by_mass"
     assert nums.dtype == dens.dtype and (nums <= dens).all()
@@ -1446,10 +1438,10 @@ def test_type_cases_reach_what_they_name():
     made = {name: make() for name, make, _ in TYPE_CASES}
     # the regimes of the levels past 2^63, where tables hold Python ints
     regimes = {name: [_type_regime(mu, ell) for ell in range(1, length + 1)
-                      if mu._den(ell) >= 2**63]
+                      if mu._engine.den(ell) >= 2**63]
                for (name, mu), (_, _, length) in zip(made.items(), TYPE_CASES)}
     for name, mu in made.items():
-        assert (mu._type_memo[0][0] is None) == (name == "s3_merged_by_mass"), name
+        assert (mu._engine.type_memo[0][0] is None) == (name == "s3_merged_by_mass"), name
     assert set(regimes["s3_merged_by_mass"]) == {"merged_by_mass"}
     for name in [name for name in made if name.startswith("criterion_5")]:
         assert set(regimes[name]) == {"float64_quotients"}, name
@@ -1460,12 +1452,12 @@ def test_type_cases_reach_what_they_name():
     product = _product_over_17_squared()
     assert [_type_regime(product, ell) for ell in (6, 7, 8)] == [
         "float64_quotients", "int_quotients", "python_ints"]
-    assert [product._den(ell) >= 2**63 for ell in (7, 8)] == [False, True]
+    assert [product._engine.den(ell) >= 2**63 for ell in (7, 8)] == [False, True]
     assert block_entropy(product, 8) == _table_entropy(product.block_table(8))
     assert regimes["entries_past_2_63"] == ["python_ints"] * 3
-    assert made["entries_past_2_63"]._steps[2].dtype == object
-    assert len(np.unique(made["s3_merged_by_mass"]._steps[2])) > 12
-    assert (made["zero_row_entries"]._arrays[0] == 0).any()
+    assert made["entries_past_2_63"]._engine.steps[2].dtype == object
+    assert len(np.unique(made["s3_merged_by_mass"]._engine.steps[2])) > 12
+    assert (made["zero_row_entries"]._engine.arrays[0] == 0).any()
     assert made["zero_init_entry"]._chain[0][0] == 0
     for name in ("markov_x_bernoulli", "bernoulli_x_markov", "markov_x_periodic_01"):
         assert isinstance(made[name], ProductMeasure), name
@@ -1484,10 +1476,10 @@ def test_types_hold_the_table_masses_below_2_63(make):
     assert _emits_its_state(mu)
     for length in range(1, 8):
         table = mu.block_table(length)
-        assert mu._den(length) < 2**63
+        assert mu._engine.den(length) < 2**63
         assert _type_mass_counter(mu, length) == Counter(table.nums.tolist()), length
         masses, counts = _type_masses(mu, length)
-        assert mass_entropy(np.array(masses), np.array(counts), mu._den(length)) == (
+        assert mass_entropy(np.array(masses), np.array(counts), mu._engine.den(length)) == (
             _table_entropy(table)) == block_entropy(mu, length), length
 
 
@@ -1499,9 +1491,9 @@ def test_type_entropy_raises_at_the_same_depth_as_the_table():
     c3 = Markov.stationary(SYS3, [[a, b, b], [b, a, b], [b, b, a]])
     c2 = Markov.stationary(SYS2, [[a, 1 - a], [1 - a, a]])
     for mu, deepest in [(c3, 15), (c2, 24)]:
-        assert _emits_its_state(mu) and mu._den(2) >= 2**63
+        assert _emits_its_state(mu) and mu._engine.den(2) >= 2**63
         h = block_entropy(mu, deepest) - block_entropy(mu, deepest - 1)
-        assert deepest in mu._type_memo and mu._tables == {}
+        assert deepest in mu._engine.type_memo and mu._engine.tables == {}
         assert abs(h - closed_form_entropy(mu)) < 1e-12
         with pytest.raises(DepthLimitExceeded):
             mu.block_table(deepest + 1)
@@ -1569,7 +1561,7 @@ def test_class_entropy_equals_the_table_entropy_and_builds_no_table(make, depth)
     mu = make()
     got = [block_entropy(mu, length) for length in range(depth + 1)]
     assert not _emits_its_state(mu)
-    assert mu._tables == {} and sorted(mu._class_memo) == list(range(depth + 1))
+    assert mu._engine.tables == {} and sorted(mu._engine.class_memo) == list(range(depth + 1))
     assert got[0] == 0.0
     for length in range(1, depth + 1):
         assert got[length] == _table_entropy(mu.block_table(length)), length
@@ -1582,11 +1574,11 @@ def test_class_cases_reach_what_they_name():
     for name in ("periodic_10", "periodic_0011", "periodic_c3_2011"):
         assert made[name].word != tuple(range(made[name].period)), name
     # from some state, one symbol leads to two successors: the chain is not unifilar
-    rows, _, emit = made["markov_x_bernoulli"]._arrays
+    rows, _, emit = made["markov_x_bernoulli"]._engine.arrays
     assert any(len(set(emit[row != 0].tolist())) < np.count_nonzero(row) for row in rows)
     assert made["s3_convolution"].system.alphabet.order == 6
     assert isinstance(made["product_with_orbit"], ProductMeasure)
-    assert (made["zero_row_entries"]._arrays[0] == 0).any()
+    assert (made["zero_row_entries"]._engine.arrays[0] == 0).any()
     assert 0 in made["zero_init_entry"]._chain[0]
     assert made["skew_joint"].kind == "skew_joint"
 
@@ -1610,13 +1602,13 @@ def _fraction_classes(mu, length):
                                          for name, make, depth in CLASS_CASES])
 def test_classes_are_the_words_grouped_by_fraction_forward_vectors(make, depth):
     mu = make()
-    sizes = [len(block) for block in mu._blocks[0]]
+    sizes = [len(block) for block in mu._engine.blocks[0]]
     for length in range(1, depth + 1):
         if mu.system.alphabet.order**length > 3**6:
             break
-        vecs, counts, bounds = mu._classes(length)
+        vecs, counts, bounds = mu._engine.classes(length)
         assert vecs.dtype == np.int64
-        den = mu._den(length)
+        den = mu._engine.den(length)
         got = Counter()
         for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             for vec, count in zip(vecs[lo:hi, : sizes[b]].tolist(), counts[lo:hi].tolist()):
@@ -1636,23 +1628,24 @@ def test_hidden_state_levels_past_2_63_take_python_int_classes():
     # the denominators pass 2^63 at L = 4, where the
     # classes' vectors become Python ints; no level builds a table
     mu = _hidden_state_past_2_63()
-    wide = next(length for length in range(1, 8) if mu._den(length) >= 2**63)
+    wide = next(length for length in range(1, 8) if mu._engine.den(length) >= 2**63)
     assert wide == 4 and not _emits_its_state(mu)
     h = [block_entropy(mu, length) for length in range(1, wide + 2)]
-    assert mu._tables == {}
+    assert mu._engine.tables == {}
     for length in range(1, wide + 2):
-        assert mu._classes(length)[0].dtype == (object if length >= wide else np.int64), length
+        vecs = mu._engine.classes(length)[0]
+        assert vecs.dtype == (object if length >= wide else np.int64), length
         assert h[length - 1] == _table_entropy(mu.block_table(length)), length
-    # row entries past 2^63 under a uniform init: `_blocks` holds Python ints from L = 1,
+    # row entries past 2^63 under a uniform init: `blocks` holds Python ints from L = 1,
     # whose vectors, over d0 = 2, are still int64
     q = 2**64 + 13
     flip = Markov(SYS2, ((F(15, q), F(q - 15, q)), (F(q - 15, q), F(15, q))), (F(1, 2),) * 2)
     mu = Convolution(SYS2, flip, PeriodicOrbit(SYS2, (0, 1)))
-    assert mu._den(1) < 2**63 <= mu._chain[3]
+    assert mu._engine.den(1) < 2**63 <= mu._chain[3]
     h = [block_entropy(mu, length) for length in (1, 2, 3)]
-    assert mu._tables == {} and mu._blocks[0][0].dtype == object
+    assert mu._engine.tables == {} and mu._engine.blocks[0][0].dtype == object
     for length in (1, 2, 3):
-        assert mu._classes(length)[0].dtype == (np.int64 if length == 1 else object), length
+        assert mu._engine.classes(length)[0].dtype == (np.int64 if length == 1 else object), length
         assert h[length - 1] == _table_entropy(mu.block_table(length)), length
 
 
@@ -1670,16 +1663,74 @@ def _s3_markov_over_30():
 def test_types_merged_by_mass_stay_int64_below_2_63():
     # mass * 6 + last state stays below 2^63 at every level, so the masses are int64
     mu = _s3_markov_over_30()
-    assert len(np.unique(mu._steps[2])) == 17 and mu._type_memo[0][0] is None
+    assert len(np.unique(mu._engine.steps[2])) == 17 and mu._engine.type_memo[0][0] is None
     h = [block_entropy(mu, length) for length in range(1, 8)]
-    assert mu._tables == {}
+    assert mu._engine.tables == {}
     for length in range(1, 8):
-        keys, nums, dens, *_ = mu._types(length)
-        assert keys is None and dens == mu._den(length) and (dens + 1) * 6 < 2**63, length
+        keys, nums, dens, *_ = mu._engine.types(length)
+        assert keys is None and dens == mu._engine.den(length) and (dens + 1) * 6 < 2**63, length
         assert nums.dtype == np.int64, length
         table = mu.block_table(length)
         assert _type_mass_counter(mu, length) == Counter(table.nums.tolist()), length
         assert h[length - 1] == _table_entropy(table), length
+
+
+def _type_fractions(mu, length):
+    """The words of each mass of level L's types, the masses as Fractions."""
+    _, nums, dens, types, _, counts = mu._engine.types(length)
+    dens = dens.tolist() if isinstance(dens, np.ndarray) else [dens] * len(nums)
+    merged = Counter()
+    for num, den, words in zip(nums.tolist(), dens,
+                               np.bincount(types, counts, len(nums)).astype(np.int64).tolist()):
+        merged[F(num, den)] += words
+    return merged
+
+
+def _check_type_fractions(mu):
+    """The types' masses against the table at L = 1..8, and against the Fraction oracle at
+    L = 7, the level of int64 fractions past 2^53."""
+    for length in range(1, 9):
+        assert _type_mass_counter(mu, length) == Counter(mu.block_table(length).nums.tolist())
+    assert _type_fractions(mu, 7) == Counter(_oracle_dist(mu, 7).values())
+
+
+def test_type_fractions_skip_the_gcd_where_no_entry_can_cancel(monkeypatch):
+    # seed 3's draw of the benchmark's C2 x C2 product: its reduced entries' numerators share
+    # no prime with their denominators, 17^2 and 17 * 19, so no product of them reduces
+    mu = product_system(Markov.stationary(SYS2, [["11/17", "6/17"], ["13/17", "4/17"]]),
+                        bern("3/17"))
+    assert mu._engine.type_steps[4]
+
+    def refused(*args):
+        raise AssertionError("a gcd pass where nothing can cancel")
+
+    monkeypatch.setattr(np, "gcd", refused)
+    # int64 fractions past 2^53 at L = 7, Python ints at L = 8
+    wide = [length for length in range(1, 9) if (mu._engine.types(length)[2] >= 2**53).any()]
+    assert wide == [7, 8] and mu._engine.types(7)[2].dtype == np.int64
+    _check_type_fractions(mu)
+
+
+def test_type_fractions_reduce_where_an_entry_can_cancel(monkeypatch):
+    # the product of _product_over_17_squared: init's 30/119 times the row entry 35/289
+    # shares a 7, so the int64 fractions past 2^53 reduce (Python-int ones, from L = 8, do not)
+    mu = _product_over_17_squared()
+    assert not mu._engine.type_steps[4]
+    real, reduced = np.gcd, []
+
+    def spy(*args):
+        gcd = real(*args)
+        reduced.append(int((gcd > 1).sum()))
+        return gcd
+
+    monkeypatch.setattr(np, "gcd", spy)
+    for length in range(1, 9):
+        _, nums, dens, *_ = mu._engine.types(length)
+        assert dens.dtype == object or all(
+            math.gcd(num, den) == 1 for num, den in zip(nums.tolist(), dens.tolist())
+            if den >= 2**53), length
+    assert sum(reduced) > 0
+    _check_type_fractions(mu)
 
 
 NO_TABLE_CASES = [
@@ -1703,18 +1754,26 @@ NO_TABLE_CASES = [
 @pytest.mark.parametrize("make, depth, emits", [pytest.param(make, depth, emits, id=name)
                                                 for name, make, depth, emits in NO_TABLE_CASES])
 def test_entropy_rate_builds_no_table(make, depth, emits):
-    # a skew measure's trail is `skew_entropy`'s, from its joint chain's block entropies
+    # a skew measure's trail is `skew_entropy`'s, from its joint chain's block entropies. Live
+    # measures of an equal chain share its levels and may have built some, so the call must
+    # add no table, and levels 0..depth on its route alone
     mu = make()
-    if isinstance(mu, skew.SkewMeasure):
-        skew.skew_entropy(mu, depth)
-        assert mu.base_measure._tables == {}
-        mu = mu.joint
-    else:
+    joint = mu.joint if isinstance(mu, skew.SkewMeasure) else mu
+    levels = joint._engine
+    engines = [levels] if joint is mu else [levels, mu.base_measure._engine]
+    route, other = ("type_memo", "class_memo") if emits else ("class_memo", "type_memo")
+
+    def built():
+        memo = {name: set(vars(levels).get(name, ())) for name in (route, other)}
+        return [set(engine.tables) for engine in engines], memo[route], memo[other]
+
+    tables, on_route, off_route = built()
+    if joint is mu:
         entropy_rate(mu, depth)
-    assert _emits_its_state(mu) == emits
-    assert mu._tables == {}
-    assert sorted(mu._type_memo if emits else mu._class_memo) == list(range(depth + 1))
-    assert ("_class_memo" in vars(mu)) != emits and ("_type_memo" in vars(mu)) == emits
+    else:
+        skew.skew_entropy(mu, depth)
+    assert _emits_its_state(joint) == emits
+    assert built() == (tables, on_route | set(range(depth + 1)), off_route)
 
 
 C1 = cyclic(1)
@@ -1734,9 +1793,9 @@ def test_one_symbol_chains_have_zero_block_entropy_at_any_depth(make):
     h = block_entropy(mu, 40)
     assert h == 0.0 and math.copysign(1.0, h) == 1.0
     if _emits_its_state(mu):
-        assert len(np.unique(mu._steps[2])) == 1 and 40 > shifts.TYPE_RADIX
-        assert mu._types(40)[0].tolist() == [40]
-    assert mu._tables == {}
+        assert len(np.unique(mu._engine.steps[2])) == 1 and 40 > shifts.TYPE_RADIX
+        assert mu._engine.types(40)[0].tolist() == [40]
+    assert mu._engine.tables == {}
 
 
 @pytest.mark.parametrize("make", [lambda: PeriodicOrbit(SYS2, (1, 0)),
@@ -1750,6 +1809,9 @@ def test_class_entropy_keeps_the_table_contract(make):
     mu = make()
     deepest = next(length for length in itertools.count(1)
                    if not _guard_allows(mu, length + 1))
+    # live measures of an equal chain share its levels, so the calls below must add none
+    memo = mu._engine.type_memo if _emits_its_state(mu) else mu._engine.class_memo
+    built = set(memo), set(mu._engine.tables)
     for length in (-1, -2):
         with pytest.raises(ValueError, match=f"block length must be >= 0, got {length}"):
             block_entropy(mu, length)
@@ -1758,11 +1820,11 @@ def test_class_entropy_keeps_the_table_contract(make):
         block_entropy(mu, deepest + 1)
     with pytest.raises(DepthLimitExceeded):
         mu.block_table(deepest + 1)
-    memo = mu._type_memo if _emits_its_state(mu) else mu._class_memo
-    assert deepest + 1 not in memo and mu._tables == {}
+    assert (set(memo), set(mu._engine.tables)) == built
     if mu.system.alphabet.order == 2:  # every level to the guard, in a few classes each
         h = [block_entropy(mu, length) for length in range(deepest + 1)]
-        assert max(len(mu._classes(length)[1]) for length in range(deepest + 1)) <= 2 * deepest
+        classes = [len(mu._engine.classes(length)[1]) for length in range(deepest + 1)]
+        assert max(classes) <= 2 * deepest
         assert all(a - b >= -1e-15 for a, b in zip(np.diff(h), np.diff(h)[1:]))
 
 
@@ -1800,16 +1862,16 @@ def test_s4_circulant_convolution_entropy_takes_less_memory_than_its_table():
 
 def _dense_gather_levels(mu, length):
     """Levels 1..L as (codes, last, numerators), by the dense gather: every path steps to
-    every state of `_arrays`' rows, and the zero steps are dropped."""
+    every state of `arrays`' rows, and the zero steps are dropped."""
     n = mu.system.alphabet.order
-    rows, steps, emit = mu._arrays
+    rows, steps, emit = mu._engine.arrays
     codes, prev, nums = np.zeros(1, np.int64), np.array([len(rows) - 1]), np.ones(1, np.int64)
     levels = []
     for level in range(1, length + 1):
         prev = codes % n if prev is None else prev
         keep = steps[prev]
         codes = (codes[:, None] * n + emit)[keep]
-        wide = mu._den(level) >= 2**63
+        wide = mu._engine.den(level) >= 2**63
         wide_rows = rows.astype(object) if wide else rows
         nums = ((nums.astype(object) if wide else nums)[:, None] * wide_rows[prev])[keep]
         prev = None
@@ -1866,7 +1928,7 @@ SPARSE_STEP_CASES = [
 def test_sparse_step_matches_the_dense_gather(make, length):
     mu = make()
     for level, (codes, last, nums) in enumerate(_dense_gather_levels(mu, length), start=1):
-        got_codes, got_last, got_nums = mu._paths(level)
+        got_codes, got_last, got_nums = mu._engine.paths(level)
         assert np.array_equal(got_codes, codes) and got_codes.dtype == codes.dtype, level
         assert (got_last is None) == (last is None), level
         assert last is None or np.array_equal(got_last, last), level
@@ -1877,20 +1939,20 @@ def test_sparse_step_cases_reach_what_they_name():
     # zero entries in every case, and hidden- and identity-emission levels past 2^63
     made = {name: (make(), length) for name, make, length in SPARSE_STEP_CASES}
     for name, (mu, length) in made.items():
-        assert (mu._arrays[0] == 0).any(), name
+        assert (mu._engine.arrays[0] == 0).any(), name
     assert 0 in made["init_with_zeros"][0]._chain[0]
     hidden, length = made["hidden_past_2_63"]
-    assert hidden._chain[4] != tuple(range(3)) and hidden._den(length) >= 2**63
+    assert hidden._chain[4] != tuple(range(3)) and hidden._engine.den(length) >= 2**63
     for name in ("interned_past_2_63", "interned_product_past_2_63"):
         mu, length = made[name]
         assert mu._chain[4] == tuple(range(mu.system.alphabet.order)), name
-        assert mu._den(length) >= 2**63, name
+        assert mu._engine.den(length) >= 2**63, name
 
 
 def test_steps_hold_each_row_s_nonzero_entries_in_state_order():
     mu = Mixture(SYS3, ((F(1, 3), PeriodicOrbit(SYS3, (0, 1, 2))), (F(2, 3), _markov_with_zeros())))
-    start, succ, entries = mu._steps
-    rows = mu._arrays[0]
+    start, succ, entries = mu._engine.steps
+    rows = mu._engine.arrays[0]
     assert succ.dtype == shifts._code_dtype(rows.shape[1]) and entries.dtype == rows.dtype
     for s, row in enumerate(rows):
         assert succ[start[s] : start[s + 1]].tolist() == np.flatnonzero(row).tolist()
@@ -1901,11 +1963,79 @@ def test_steps_hold_each_row_s_nonzero_entries_in_state_order():
 @pytest.mark.parametrize("make", [_markov_with_zeros, lambda: product_system(
     _wide_markov(2, 64), Markov.stationary(SYS2, [["1", "0"], ["1/2", "1/2"]]))])
 def test_steps_built_from_the_rows_of_arrays_are_the_same(make):
-    # once `_arrays` is read, the steps come from its dense rows, not from a second copy
-    own, shared = make(), make()
-    assert "_arrays" not in vars(own) and shared._arrays[0].size
-    for a, b in zip(own._steps, shared._steps):
+    # once `arrays` is read, the steps come from its dense rows, not from a second copy; two
+    # fresh engines of one chain, as two measures of it share one
+    mu = make()
+    own, shared = (shifts._Levels(mu._engine.key, mu.kind) for _ in range(2))
+    assert "arrays" not in vars(own) and shared.arrays[0].size
+    for a, b in zip(own.steps, shared.steps):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+# -- one level engine per chain -------------------------------------------------------
+
+
+def test_equal_chains_share_one_engine_and_its_levels():
+    # a natural extension is a new record with the same chain, as is a measure built again
+    for make in (lambda: Markov.stationary(SYS3, [["1/2", "1/3", "1/6"], ["1/4", "1/2", "1/4"],
+                                                  ["1/5", "2/5", "2/5"]]),
+                 lambda: Convolution(SYS2, _markov_c2(), PeriodicOrbit(SYS2, (0, 1, 1)))):
+        mu = make()
+        ext, again = natural_extension(mu), make()
+        assert ext is not mu and ext._engine is mu._engine and again._engine is mu._engine
+        table = mu.block_table(4)
+        assert ext.block_table(4) is table and again.block_table(4) is table
+        assert block_entropy(ext, 5) == block_entropy(mu, 5)
+
+
+def test_an_equal_chain_on_another_alphabet_order_has_its_own_engine():
+    # table codes and the default guard read the order: the word (1, 0) is code 2 on C2 and
+    # code 3 on C3, and C3 refuses L = 16 where C2 allows it
+    on_c2, on_c3 = PeriodicOrbit(SYS2, (0, 1)), PeriodicOrbit(SYS3, (0, 1))
+    assert on_c2._chain == on_c3._chain and on_c2._engine is not on_c3._engine
+    assert on_c2.block_table(2).codes.tolist() == [1, 2]
+    assert on_c3.block_table(2).codes.tolist() == [1, 3]
+    assert block_entropy(on_c2, 16) == block_entropy(on_c3, 15) == math.log(2)
+    with pytest.raises(DepthLimitExceeded):
+        block_entropy(on_c3, 16)
+
+
+def test_an_unequal_chain_of_equal_hash_takes_the_registry_slot():
+    # a hash collision never shares: the newer engine is registered, the older one kept
+    mu = bern("5/1013")
+    key = (2, mu._chain)
+    decoy = shifts._Levels((3, mu._chain), "decoy")
+    shifts._LEVELS[hash(key)] = decoy
+    assert mu._engine is not decoy and mu._engine.key == key
+    assert shifts._LEVELS[hash(key)] is mu._engine
+
+
+def test_the_engine_dies_with_the_last_measure_of_its_chain():
+    mu = bern("7/1013")
+    ext = natural_extension(mu)
+    assert ext.block_table(3) is mu.block_table(3)
+    engine, key = weakref.ref(mu._engine), hash(mu._engine.key)
+    del mu
+    gc.collect()
+    assert engine() is ext._engine and shifts._LEVELS[key] is ext._engine
+    del ext
+    gc.collect()
+    assert engine() is None and key not in shifts._LEVELS
+
+
+def test_a_level_built_under_a_looser_guard_is_refused_by_a_stricter_one():
+    # the joint of a C2 fiber over a Bernoulli base, window 1, guards 2^L * 2 block states;
+    # an equal chain on the same pair alphabet guards 4^L, so it refuses L = 13
+    joint = _skew_haar_over(bern("1/4"), 1).joint
+    strict = _StartedChain(joint.system, joint._chain)
+    assert strict._engine is joint._engine and _emits_its_state(joint)
+    h = block_entropy(joint, 13)
+    assert len(joint.block_table(13)) == 2**14 and 13 in joint._engine.type_memo
+    with pytest.raises(DepthLimitExceeded):
+        block_entropy(strict, 13)
+    with pytest.raises(DepthLimitExceeded):
+        strict.block_table(13)
+    assert block_entropy(strict, 12) == block_entropy(joint, 12) < h
 
 
 def _traced_peak(call):

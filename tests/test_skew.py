@@ -18,7 +18,7 @@ from ergolab.errors import (
     SystemMismatch,
 )
 from ergolab.exact import entropy_nats
-from ergolab.groups import automorphisms
+from ergolab.groups import DenseMeasure, automorphisms, convolve
 from ergolab.shifts import (
     Bernoulli,
     BlockTable,
@@ -429,6 +429,60 @@ def test_skew_verifiers_match_naive_oracle(case):
         assert haar_absorption_check(mu, mu0, 4) == _oracle_haar_absorption(mu, mu0, 4)
     for length in range(1, 5):
         assert mu.joint.block_table(length).to_dict() == _oracle_joint_distribution(mu, length)
+
+
+def _scaled(table, w):
+    """The table of w * P, for w >= 0, in Python-int numerators."""
+    return BlockTable(table.base, table.length, table.codes,
+                      table.nums.astype(object) * w.numerator, table.den * w.denominator)
+
+
+def _per_fiber_haar_absorption(mu, mu0, depth):
+    """The absorption check one fiber element at a time, at every length: the base table
+    scaled by (m * fiber weights)(g) against mu0's scaled by the Haar extension's weight."""
+    sys = mu.system
+    ext = haar_extension(mu0, sys)
+    conv = convolve(haar(sys.fiber), DenseMeasure(sys.fiber, *mu._fiber_ints)).weights
+    for length in range(1, depth + 1):
+        ours = mu.base_measure.block_table(length)
+        target = ext.base_measure.block_table(length)
+        for g in sys.fiber.elements():
+            if _scaled(ours, conv[g]) != _scaled(target, ext.fiber_weights[g]):
+                return False
+    return True
+
+
+ABSORPTION_BASES = [
+    bern14,
+    lambda: Bernoulli(SYS2, measure(C2, ["1/3", "2/3"])),
+    lambda: Markov.stationary(SYS2, [["2/3", "1/3"], ["1/3", "2/3"]]),
+    lambda: PeriodicOrbit(SYS2, (0, 1, 1)),
+    lambda: shift_haar(SYS2),
+    # bern14 again from another chain, so that its tables are equal but not shared
+    lambda: Mixture(SYS2, ((F(1, 2), bern14()), (F(1, 2), bern14()))),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_haar_absorption_is_the_per_fiber_comparison(data):
+    # random fiber weights, zeros included; a base that is mu0's measure absorbs, any other
+    # does not
+    c3 = cyclic(3)
+    sys = data.draw(st.sampled_from([
+        frozen_system(), first_symbol_system(),
+        make_skew(SYS2, c3, make_hom(c3, c3, [0, 2, 1]), constant_cocycle(SYS2, c3, 1))]))
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=sys.fiber.order,
+                             max_size=sys.fiber.order).filter(any))
+    weights = tuple(F(x, sum(raw)) for x in raw)
+    base, other = data.draw(st.tuples(st.sampled_from(ABSORPTION_BASES),
+                                      st.sampled_from(ABSORPTION_BASES)))
+    mu = SkewMeasure(sys, base(), weights)
+    depth = data.draw(st.integers(0, 4))
+    for mu0 in (mu.base_measure, base(), other()):
+        got = haar_absorption_check(mu, mu0, depth)
+        assert got == _per_fiber_haar_absorption(mu, mu0, depth)
+        assert got == (depth == 0 or mu0.block_table(depth) == mu.base_measure.block_table(depth))
 
 
 def test_non_fixed_point_fiber_is_not_invariant():
